@@ -171,6 +171,11 @@ int main(int argc, char** argv) {
   std::printf("%-10s %12s %12s %10s %7s %6s\n", "mode", "wall (ms)", "tx/s",
               "overhead", "events", "roots");
 
+  // One untimed baseline pass first: timed cold (process-wide code-analysis
+  // cache, allocator, CPU clocks), the baseline ran slowest and every
+  // instrumented mode showed a negative overhead.
+  RunWorkload(modes[0], init, senders, blocks);
+
   obs::Json results = obs::Json::Array();
   double baseline_tx_per_s = 0;
   Hash32 baseline_root{};

@@ -27,6 +27,14 @@ using namespace onoff;
 
 namespace {
 
+// Gas limit of every loop-contract call; a block must hold one per sender.
+constexpr uint64_t kCallGas = 100'000;
+
+[[noreturn]] void Fail(const std::string& reason) {
+  std::fprintf(stderr, "bench_parallel_exec: %s\n", reason.c_str());
+  std::exit(1);
+}
+
 // A compute loop (256 iterations of ADD/DUP/GT/JUMPI) ending in an SSTORE —
 // enough EVM work per transaction that execution, not packing, dominates.
 Bytes BuildLoopContract() {
@@ -39,7 +47,9 @@ Bytes BuildLoopContract() {
     PUSH1 0x00 SSTORE
     STOP
   )");
-  if (!runtime.ok()) std::exit(1);
+  if (!runtime.ok()) {
+    Fail("loop contract does not assemble: " + runtime.status().ToString());
+  }
   auto hex_len = [&] {
     char buf[8];
     std::snprintf(buf, sizeof buf, "%04zx", runtime->size());
@@ -50,7 +60,10 @@ Bytes BuildLoopContract() {
   init_src += "PUSH2 0x" + hex_len();
   init_src += " PUSH1 0x00 RETURN\nruntime: DB 0x" + ToHex(*runtime) + "\n";
   auto init = easm::Assemble(init_src);
-  if (!init.ok()) std::exit(1);
+  if (!init.ok()) {
+    Fail("loop contract deployer does not assemble: " +
+         init.status().ToString());
+  }
   return *init;
 }
 
@@ -86,7 +99,9 @@ RunResult RunWorkload(const Mode& mode, const Bytes& init, size_t senders,
   for (size_t i = 0; i < senders; ++i) {
     auto deploy =
         chain.Execute(keys[i], std::nullopt, U256(), init, 500'000);
-    if (!deploy.ok() || !deploy->success) std::exit(1);
+    if (!deploy.ok() || !deploy->success) {
+      Fail("deploying sender " + std::to_string(i) + "'s loop contract failed");
+    }
     contracts.push_back(deploy->contract_address);
     nonces[i] = 1;
   }
@@ -97,14 +112,21 @@ RunResult RunWorkload(const Mode& mode, const Bytes& init, size_t senders,
         chain::Transaction tx;
         tx.nonce = nonces[i]++;
         tx.gas_price = U256(1);
-        tx.gas_limit = 100'000;
+        tx.gas_limit = kCallGas;
         tx.to = conflicting ? contracts[0] : contracts[i];
         tx.value = U256();
         tx.Sign(keys[i]);
         auto hash = chain.SubmitTransaction(tx);
-        if (!hash.ok()) std::exit(1);
+        if (!hash.ok()) {
+          Fail("submitting sender " + std::to_string(i) +
+               "'s call failed: " + hash.status().ToString());
+        }
       }
-      if (chain.MineBlock().transactions.size() != senders) std::exit(1);
+      size_t packed = chain.MineBlock().transactions.size();
+      if (packed != senders) {
+        Fail("a block packed " + std::to_string(packed) + " of " +
+             std::to_string(senders) + " calls");
+      }
     }
   };
   run_blocks(blocks / 4 + 1);  // warmup
@@ -134,6 +156,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--senders") == 0) {
       senders = std::strtoull(argv[i + 1], nullptr, 10);
     }
+  }
+  const uint64_t gas_limit = chain::ChainConfig().block_gas_limit;
+  if (senders > gas_limit / kCallGas) {
+    std::fprintf(stderr,
+                 "--senders %zu: one %llu-gas call per sender exceeds the "
+                 "%llu block gas limit; at most %llu senders fit\n",
+                 senders, static_cast<unsigned long long>(kCallGas),
+                 static_cast<unsigned long long>(gas_limit),
+                 static_cast<unsigned long long>(gas_limit / kCallGas));
+    return 2;
   }
 
   unsigned hw = std::thread::hardware_concurrency();

@@ -17,7 +17,7 @@
 #include "evm/evm.h"
 #include "rlp/rlp.h"
 #include "state/world_state.h"
-#include "trie/trie.h"
+#include "storage/shared_trie.h"
 
 namespace onoff {
 namespace {
@@ -86,7 +86,7 @@ BENCHMARK(BM_RlpEncodeTx);
 
 void BM_TrieRoot(benchmark::State& state) {
   for (auto _ : state) {
-    trie::SecureTrie trie;
+    storage::SecureSharedTrie trie;
     for (int i = 0; i < state.range(0); ++i) {
       Bytes key = U256(static_cast<uint64_t>(i)).ToBytes();
       trie.Put(key, BytesOf("value" + std::to_string(i)));

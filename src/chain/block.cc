@@ -1,6 +1,7 @@
 #include "chain/block.h"
 
 #include "rlp/rlp.h"
+#include "storage/shared_trie.h"
 
 namespace onoff::chain {
 
@@ -47,6 +48,15 @@ Bytes Receipt::Encode() const {
   }
   fields.push_back(rlp::Item::List(std::move(log_items)));
   return rlp::Encode(rlp::Item::List(std::move(fields)));
+}
+
+Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
+  storage::SharedTrie trie;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
+    trie.Put(key, payloads[i]);
+  }
+  return trie.RootHash();
 }
 
 std::string DescribeReceipt(const Receipt& receipt) {

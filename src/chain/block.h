@@ -55,6 +55,11 @@ struct Block {
   Hash32 Hash() const { return header.Hash(); }
 };
 
+// Trie root over RLP(index) -> payload: the shape of the header's tx and
+// receipt roots, computed by MineBlock and recomputed by the receipt_root
+// invariant.
+Hash32 IndexedRoot(const std::vector<Bytes>& payloads);
+
 // Human-readable multi-line receipt summary (status, gas, contract address,
 // every LOG0–LOG4 entry with topics and data) — the CLI's receipt output.
 std::string DescribeReceipt(const Receipt& receipt);

@@ -9,12 +9,11 @@
 #include "chain/parallel_executor.h"
 #include "evm/gas.h"
 #include "obs/metrics.h"
-#include "rlp/rlp.h"
+#include "storage/shared_trie.h"
 #include "support/log.h"
 #include "trace/bounds.h"
 #include "trace/span_hook.h"
 #include "trace/trace.h"
-#include "trie/trie.h"
 
 namespace onoff::chain {
 
@@ -22,16 +21,6 @@ namespace {
 
 std::string HashKey(const Hash32& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
-// Trie root over RLP(index) -> payload, Ethereum's tx/receipt root shape.
-Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
-  trie::Trie t;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
-    t.Put(key, payloads[i]);
-  }
-  return t.RootHash();
 }
 
 }  // namespace
@@ -98,8 +87,8 @@ Blockchain::Blockchain(ChainConfig config)
   genesis.header.coinbase = config_.coinbase;
   genesis.header.gas_limit = config_.block_gas_limit;
   genesis.header.state_root = state_.StateRoot();
-  genesis.header.tx_root = trie::Trie::EmptyRoot();
-  genesis.header.receipt_root = trie::Trie::EmptyRoot();
+  genesis.header.tx_root = storage::SharedTrie::EmptyRoot();
+  genesis.header.receipt_root = storage::SharedTrie::EmptyRoot();
   if (node_store_ != nullptr) {
     Status st = state_.PersistCommitted(*node_store_, 0);
     if (st.ok()) st = node_store_->Flush();

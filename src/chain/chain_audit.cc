@@ -3,10 +3,8 @@
 #include <sstream>
 #include <utility>
 
-#include "rlp/rlp.h"
 #include "support/log.h"
 #include "trace/trace.h"
-#include "trie/trie.h"
 
 namespace onoff::chain {
 
@@ -14,17 +12,6 @@ namespace {
 
 std::string HashHex(const Hash32& h) {
   return ToHex0x(BytesView(h.data(), h.size()));
-}
-
-// Trie root over RLP(index) -> payload — the header tx/receipt root shape
-// (mirrors MineBlock's computation so the check is an independent replay).
-Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
-  trie::Trie t;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
-    t.Put(key, payloads[i]);
-  }
-  return t.RootHash();
 }
 
 uint64_t AmbientTraceId() { return trace::CurrentContext().trace_id; }
@@ -208,8 +195,8 @@ class SettlementInvariant : public BlockInvariant {
 };
 
 // ---- receipt_root --------------------------------------------------------
-// The committed header's tx/receipt roots must match an independent replay
-// over the block body — the speculation/commit consistency check.
+// The committed header's tx/receipt roots must match the roots recomputed
+// from the block body — the speculation/commit consistency check.
 class ReceiptRootInvariant : public BlockInvariant {
  public:
   const char* name() const override { return "receipt_root"; }

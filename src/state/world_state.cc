@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "rlp/rlp.h"
-#include "trie/trie.h"
+#include "storage/shared_trie.h"
 
 namespace onoff::state {
 
@@ -183,45 +183,6 @@ void WorldState::RevertToSnapshot(Snapshot snap) {
   }
 }
 
-namespace {
-
-// Per-account storage trie (non-zero slots only).
-trie::SecureTrie BuildStorageTrie(const Account& acc) {
-  trie::SecureTrie storage_trie;
-  for (const auto& [key, value] : acc.storage) {
-    if (value.IsZero()) continue;
-    Bytes key_bytes = key.ToBytes();
-    Bytes value_rlp = rlp::Encode(rlp::Item::Scalar(value));
-    storage_trie.Put(key_bytes, value_rlp);
-  }
-  return storage_trie;
-}
-
-// RLP([nonce, balance, storageRoot, codeHash]).
-Bytes EncodeAccountRlp(const Account& acc, const Hash32& storage_root) {
-  Hash32 code_hash = Keccak256(acc.code);
-  std::vector<rlp::Item> fields;
-  fields.push_back(rlp::Item::Scalar(acc.nonce));
-  fields.push_back(rlp::Item::Scalar(acc.balance));
-  fields.push_back(
-      rlp::Item::String(BytesView(storage_root.data(), storage_root.size())));
-  fields.push_back(
-      rlp::Item::String(BytesView(code_hash.data(), code_hash.size())));
-  return rlp::Encode(rlp::Item::List(std::move(fields)));
-}
-
-trie::SecureTrie BuildStateTrie(
-    const std::unordered_map<Address, Account>& accounts) {
-  trie::SecureTrie state_trie;
-  for (const auto& [addr, acc] : accounts) {
-    Hash32 storage_root = BuildStorageTrie(acc).RootHash();
-    state_trie.Put(addr.view(), EncodeAccountRlp(acc, storage_root));
-  }
-  return state_trie;
-}
-
-}  // namespace
-
 storage::StateStore::AccountLookup WorldState::StoreLookup() const {
   return [this](const Address& addr) -> std::optional<storage::AccountData> {
     const Account* acc = Find(addr);
@@ -240,7 +201,18 @@ Hash32 WorldState::StateRoot() const {
 }
 
 Hash32 WorldState::RebuildStateRoot() const {
-  return BuildStateTrie(accounts_).RootHash();
+  storage::StateStore::AccountLookup lookup = StoreLookup();
+  storage::SecureSharedTrie state_trie;
+  for (const auto& [addr, acc] : accounts_) {
+    storage::SecureSharedTrie storage_trie;  // non-zero slots only
+    for (const auto& [key, value] : acc.storage) {
+      if (value.IsZero()) continue;
+      storage_trie.Put(key.ToBytes(), rlp::Encode(rlp::Item::Scalar(value)));
+    }
+    state_trie.Put(addr.view(), storage::EncodeAccountRlp(
+                                    *lookup(addr), storage_trie.RootHash()));
+  }
+  return state_trie.RootHash();
 }
 
 storage::StateSnapshot WorldState::TakeStateSnapshot() const {
@@ -277,7 +249,8 @@ Result<std::optional<WorldState::AccountInfo>> WorldState::VerifyAccountProof(
     const std::vector<Bytes>& account_proof) {
   ONOFF_ASSIGN_OR_RETURN(
       std::optional<Bytes> record,
-      trie::SecureTrie::VerifyProof(state_root, addr.view(), account_proof));
+      storage::SecureSharedTrie::VerifyProof(state_root, addr.view(),
+                                             account_proof));
   if (!record.has_value()) return std::optional<AccountInfo>(std::nullopt);
   ONOFF_ASSIGN_OR_RETURN(rlp::Item item, rlp::Decode(*record));
   if (!item.IsList() || item.list().size() != 4) {
@@ -306,7 +279,7 @@ Result<U256> WorldState::VerifyStorageProof(const Hash32& storage_root,
   Bytes key_bytes = key.ToBytes();
   ONOFF_ASSIGN_OR_RETURN(
       std::optional<Bytes> value_rlp,
-      trie::SecureTrie::VerifyProof(storage_root, key_bytes, proof));
+      storage::SecureSharedTrie::VerifyProof(storage_root, key_bytes, proof));
   if (!value_rlp.has_value()) return U256();
   ONOFF_ASSIGN_OR_RETURN(rlp::Item item, rlp::Decode(*value_rlp));
   return item.AsScalar();

@@ -110,9 +110,9 @@ class WorldState final : public StateView {
   // executor does.
   Hash32 StateRoot() const;
 
-  // From-scratch rebuild of the same root (the seed implementation) — the
-  // differential oracle the incremental engine is checked against. O(total
-  // accounts); use only in tests and benches.
+  // From-scratch rebuild of the same root into fresh tries, bypassing the
+  // store's commit path — the differential oracle the incremental engine is
+  // checked against. O(total accounts); use only in tests and benches.
   Hash32 RebuildStateRoot() const;
 
   // A copy-on-write snapshot of the committed state (commits pending

@@ -9,9 +9,8 @@
 #endif
 
 #include "obs/metrics.h"
+#include "storage/shared_trie.h"
 #include "support/log.h"
-#include "rlp/rlp.h"
-#include "trie/trie.h"
 
 namespace onoff::storage {
 
@@ -360,74 +359,10 @@ size_t NodeStore::PruneBelow(uint64_t cutoff_height) {
 
 Result<std::optional<Bytes>> NodeStore::LookupSecure(const Hash32& root,
                                                      BytesView key) const {
-  if (root == trie::Trie::EmptyRoot()) return std::optional<Bytes>(std::nullopt);
+  if (root == SharedTrie::EmptyRoot()) return std::optional<Bytes>(std::nullopt);
   Hash32 hashed = Keccak256(key);
-  std::vector<uint8_t> nibbles =
-      trie::BytesToNibbles(BytesView(hashed.data(), hashed.size()));
-
-  ONOFF_ASSIGN_OR_RETURN(Bytes enc, Get(root));
-  ONOFF_ASSIGN_OR_RETURN(rlp::Item item, rlp::Decode(enc));
-  size_t pos = 0;
-  for (;;) {
-    if (!item.IsList()) {
-      return Status::VerificationFailed("stored node is not a list");
-    }
-    const std::vector<rlp::Item>& fields = item.list();
-    const rlp::Item* next_ref = nullptr;
-    if (fields.size() == 2) {
-      if (!fields[0].IsString()) {
-        return Status::VerificationFailed("malformed short node path");
-      }
-      ONOFF_ASSIGN_OR_RETURN(trie::HexPrefixPath hp,
-                             trie::HexPrefixDecode(fields[0].string()));
-      std::vector<uint8_t> rest(nibbles.begin() + pos, nibbles.end());
-      if (hp.is_leaf) {
-        if (!fields[1].IsString()) {
-          return Status::VerificationFailed("malformed leaf value");
-        }
-        if (hp.nibbles == rest) return std::optional<Bytes>(fields[1].string());
-        return std::optional<Bytes>(std::nullopt);
-      }
-      if (rest.size() < hp.nibbles.size() ||
-          !std::equal(hp.nibbles.begin(), hp.nibbles.end(), rest.begin())) {
-        return std::optional<Bytes>(std::nullopt);
-      }
-      pos += hp.nibbles.size();
-      next_ref = &fields[1];
-    } else if (fields.size() == 17) {
-      if (pos == nibbles.size()) {
-        if (!fields[16].IsString()) {
-          return Status::VerificationFailed("malformed branch value");
-        }
-        if (fields[16].string().empty()) {
-          return std::optional<Bytes>(std::nullopt);
-        }
-        return std::optional<Bytes>(fields[16].string());
-      }
-      next_ref = &fields[nibbles[pos]];
-      ++pos;
-      if (next_ref->IsString() && next_ref->string().empty()) {
-        return std::optional<Bytes>(std::nullopt);
-      }
-    } else {
-      return Status::VerificationFailed("stored node has bad arity");
-    }
-
-    if (next_ref->IsList()) {
-      // Embedded node. next_ref aliases item's own list — detach it before
-      // the assignment destroys its storage (same fix as Trie::VerifyProof).
-      rlp::Item embedded = *next_ref;
-      item = std::move(embedded);
-    } else if (next_ref->IsString() && next_ref->string().size() == 32) {
-      Hash32 child;
-      std::copy(next_ref->string().begin(), next_ref->string().end(),
-                child.begin());
-      ONOFF_ASSIGN_OR_RETURN(Bytes child_enc, Get(child));
-      ONOFF_ASSIGN_OR_RETURN(item, rlp::Decode(child_enc));
-    } else {
-      return Status::VerificationFailed("malformed child reference");
-    }
-  }
+  return WalkEncodedNodes(root, BytesView(hashed.data(), hashed.size()),
+                          [this](const Hash32& hash) { return Get(hash); });
 }
 
 Status NodeStore::Compact() {

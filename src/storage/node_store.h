@@ -87,8 +87,10 @@ class NodeStore {
   size_t PruneBelow(uint64_t cutoff_height);
 
   // Historical read: walks stored nodes from `root` for keccak256(key)
-  // (secure-trie keyspace). Returns the value, or nullopt when the key is
-  // provably absent under that root.
+  // (secure-trie keyspace) with the descent that also verifies Merkle
+  // proofs (WalkEncodedNodes). Returns the value, or nullopt when the key
+  // is provably absent under that root; a malformed stored node fails
+  // verification and a missing one reads as NotFound.
   Result<std::optional<Bytes>> LookupSecure(const Hash32& root,
                                             BytesView key) const;
 

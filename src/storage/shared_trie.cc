@@ -1,5 +1,6 @@
 #include "storage/shared_trie.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <mutex>
@@ -22,7 +23,9 @@ struct SharedNode {
   std::vector<uint8_t> path;  // leaf/extension
   Bytes value;                // leaf value, or the value slot of a branch
   NodeRef child;              // extension
-  std::array<NodeRef, 16> children;  // branch
+  // Branch: 16 slots. On the heap so leaves, most of a trie's nodes, stay
+  // small — a rebuild allocates one node per account.
+  std::vector<NodeRef> children;
 
   mutable std::once_flag enc_once;
   mutable std::atomic<bool> enc_ready{false};
@@ -66,6 +69,7 @@ NodeRef MakeExtension(Nibbles path, NodeRef child) {
 std::shared_ptr<SharedNode> MakeBranch() {
   auto n = std::make_shared<SharedNode>();
   n->type = Type::kBranch;
+  n->children.resize(16);
   return n;
 }
 
@@ -99,7 +103,7 @@ const Bytes& EncodedMemo(const SharedNode* node) {
 }
 
 // Node reference inside a parent: raw encoding if < 32 bytes, else the
-// keccak wrapped as an RLP string (same rule as trie::Trie).
+// keccak wrapped as an RLP string.
 Bytes RefNode(const SharedNode* node) {
   const Bytes& enc = EncodedMemo(node);
   if (enc.size() < 32) return enc;  // embedded structurally
@@ -111,15 +115,13 @@ Bytes EncodeNode(const SharedNode* node) {
   switch (node->type) {
     case Type::kLeaf: {
       std::vector<Bytes> fields;
-      fields.push_back(
-          rlp::EncodeString(trie::HexPrefixEncode(node->path, true)));
+      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, true)));
       fields.push_back(rlp::EncodeString(node->value));
       return rlp::EncodeList(fields);
     }
     case Type::kExtension: {
       std::vector<Bytes> fields;
-      fields.push_back(
-          rlp::EncodeString(trie::HexPrefixEncode(node->path, false)));
+      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, false)));
       fields.push_back(RefNode(node->child.get()));
       return rlp::EncodeList(fields);
     }
@@ -411,8 +413,128 @@ size_t Count(const SharedNode* node) {
 
 }  // namespace
 
+Bytes HexPrefixEncode(const std::vector<uint8_t>& nibbles, bool is_leaf) {
+  uint8_t flag = is_leaf ? 2 : 0;
+  Bytes out;
+  if (nibbles.size() % 2 == 0) {
+    out.push_back(static_cast<uint8_t>(flag << 4));
+    for (size_t i = 0; i < nibbles.size(); i += 2) {
+      out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+    }
+  } else {
+    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]));
+    for (size_t i = 1; i < nibbles.size(); i += 2) {
+      out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
+    }
+  }
+  return out;
+}
+
+Result<HexPrefixPath> HexPrefixDecode(BytesView encoded) {
+  if (encoded.empty()) {
+    return Status::InvalidArgument("empty hex-prefix path");
+  }
+  HexPrefixPath out;
+  uint8_t flag = encoded[0] >> 4;
+  if (flag > 3) return Status::InvalidArgument("bad hex-prefix flag");
+  out.is_leaf = (flag & 2) != 0;
+  bool odd = (flag & 1) != 0;
+  if (odd) out.nibbles.push_back(encoded[0] & 0xf);
+  for (size_t i = 1; i < encoded.size(); ++i) {
+    out.nibbles.push_back(encoded[i] >> 4);
+    out.nibbles.push_back(encoded[i] & 0xf);
+  }
+  return out;
+}
+
+std::vector<uint8_t> BytesToNibbles(BytesView key) {
+  std::vector<uint8_t> out;
+  out.reserve(key.size() * 2);
+  for (uint8_t b : key) {
+    out.push_back(b >> 4);
+    out.push_back(b & 0xf);
+  }
+  return out;
+}
+
+Result<std::optional<Bytes>> WalkEncodedNodes(const Hash32& root,
+                                              BytesView key,
+                                              const NodeFetch& fetch) {
+  using Found = std::optional<Bytes>;
+  const Nibbles nibbles = BytesToNibbles(key);
+  auto load = [&fetch](const Hash32& hash) -> Result<rlp::Item> {
+    ONOFF_ASSIGN_OR_RETURN(Bytes enc, fetch(hash));
+    return rlp::Decode(enc);
+  };
+
+  ONOFF_ASSIGN_OR_RETURN(rlp::Item item, load(root));
+  size_t pos = 0;
+  for (;;) {
+    if (!item.IsList()) {
+      return Status::VerificationFailed("proof node is not a list");
+    }
+    const std::vector<rlp::Item>& fields = item.list();
+    const rlp::Item* next_ref = nullptr;
+    if (fields.size() == 2) {
+      if (!fields[0].IsString()) {
+        return Status::VerificationFailed("malformed short node path");
+      }
+      Result<HexPrefixPath> hp = HexPrefixDecode(fields[0].string());
+      if (!hp.ok()) return Status::VerificationFailed(hp.status().message());
+      const Nibbles& path = hp->nibbles;
+      bool on_path =
+          nibbles.size() - pos >= path.size() &&
+          std::equal(path.begin(), path.end(), nibbles.begin() + pos);
+      if (hp->is_leaf) {
+        if (!fields[1].IsString()) {
+          return Status::VerificationFailed("malformed leaf value");
+        }
+        if (on_path && pos + path.size() == nibbles.size()) {
+          return Found(fields[1].string());
+        }
+        return Found(std::nullopt);  // absence proven
+      }
+      // Extension.
+      if (!on_path) return Found(std::nullopt);
+      pos += path.size();
+      next_ref = &fields[1];
+    } else if (fields.size() == 17) {
+      if (pos == nibbles.size()) {
+        if (!fields[16].IsString()) {
+          return Status::VerificationFailed("malformed branch value");
+        }
+        if (fields[16].string().empty()) return Found(std::nullopt);
+        return Found(fields[16].string());
+      }
+      next_ref = &fields[nibbles[pos]];
+      ++pos;
+      if (next_ref->IsString() && next_ref->string().empty()) {
+        return Found(std::nullopt);  // dead end: absent
+      }
+    } else {
+      return Status::VerificationFailed("proof node has bad arity");
+    }
+
+    // Resolve the child reference: a nested list is an embedded node; a
+    // 32-byte string is the hash of the next node to fetch.
+    if (next_ref->IsList()) {
+      // next_ref aliases item's own list — detach it before the assignment
+      // destroys its storage.
+      rlp::Item embedded = *next_ref;
+      item = std::move(embedded);
+    } else if (next_ref->IsString() && next_ref->string().size() == 32) {
+      Hash32 child;
+      std::copy(next_ref->string().begin(), next_ref->string().end(),
+                child.begin());
+      ONOFF_ASSIGN_OR_RETURN(item, load(child));
+    } else {
+      return Status::VerificationFailed("malformed child reference");
+    }
+  }
+}
+
 void SharedTrie::Put(BytesView key, BytesView value) {
-  Nibbles nibbles = trie::BytesToNibbles(key);
+  Nibbles nibbles = BytesToNibbles(key);
   if (value.empty()) {
     root_ = Remove(root_, nibbles);
     return;
@@ -421,24 +543,52 @@ void SharedTrie::Put(BytesView key, BytesView value) {
 }
 
 void SharedTrie::Delete(BytesView key) {
-  root_ = Remove(root_, trie::BytesToNibbles(key));
+  root_ = Remove(root_, BytesToNibbles(key));
 }
 
 Result<Bytes> SharedTrie::Get(BytesView key) const {
-  Nibbles nibbles = trie::BytesToNibbles(key);
+  Nibbles nibbles = BytesToNibbles(key);
   const SharedNode* n = Find(root_.get(), nibbles, 0);
   if (n == nullptr) return Status::NotFound("key not in trie");
   return n->value;
 }
 
 Hash32 SharedTrie::RootHash() const {
-  if (root_ == nullptr) return trie::Trie::EmptyRoot();
+  if (root_ == nullptr) return EmptyRoot();
   return Keccak256(EncodedMemo(root_.get()));
+}
+
+Hash32 SharedTrie::EmptyRoot() {
+  static const Hash32 kEmpty = Keccak256(rlp::EncodeString(Bytes{}));
+  return kEmpty;
+}
+
+Result<std::optional<Bytes>> SharedTrie::VerifyProof(
+    const Hash32& root, BytesView key, const std::vector<Bytes>& proof) {
+  if (proof.empty()) {
+    // Only valid as an exclusion proof for the empty trie.
+    if (root == EmptyRoot()) return std::optional<Bytes>(std::nullopt);
+    return Status::VerificationFailed("empty proof for non-empty root");
+  }
+  // Elements are consumed in order; each must hash to the reference that
+  // led to it.
+  size_t next = 0;
+  return WalkEncodedNodes(
+      root, key, [&proof, &next](const Hash32& hash) -> Result<Bytes> {
+        if (next >= proof.size()) {
+          return Status::VerificationFailed("proof truncated");
+        }
+        const Bytes& enc = proof[next++];
+        if (Keccak256(enc) != hash) {
+          return Status::VerificationFailed("proof node hash mismatch");
+        }
+        return enc;
+      });
 }
 
 std::vector<Bytes> SharedTrie::Prove(BytesView key) const {
   std::vector<Bytes> proof;
-  Nibbles nibbles = trie::BytesToNibbles(key);
+  Nibbles nibbles = BytesToNibbles(key);
   const SharedNode* node = root_.get();
   size_t pos = 0;
   bool is_root = true;

@@ -1,21 +1,24 @@
-// Copy-on-write Merkle Patricia Trie with structurally shared, immutable
-// interior nodes — the commitment layer of the incremental state store.
+// The library's Merkle Patricia Trie — Ethereum's authenticated key/value
+// structure — and everything that reads its node format: hex-prefix paths,
+// the empty root, and the one walk over encoded nodes that serves both
+// Merkle-proof verification and historical node-store lookups.
 //
-// Unlike `trie::Trie` (unique ownership, full re-encode on every RootHash),
-// `SharedTrie` holds `shared_ptr<const Node>` references. Mutation is
-// path-copying: Put/Delete rebuild only the spine from the root to the
-// touched leaf and share every untouched subtree with the previous version.
-// Each immutable node memoizes its RLP encoding (and therefore its keccak
-// reference) the first time it is hashed, so recomputing the root after k
-// changed keys re-hashes O(k · depth) nodes instead of the whole trie.
+// `SharedTrie` holds `shared_ptr<const Node>` references to structurally
+// shared, immutable nodes. Mutation is path-copying: Put/Delete rebuild
+// only the spine from the root to the touched leaf and share every
+// untouched subtree with the previous version. Each immutable node memoizes
+// its RLP encoding (and therefore its keccak reference) the first time it
+// is hashed, so recomputing the root after k changed keys re-hashes
+// O(k · depth) nodes instead of the whole trie.
 //
 // Copying a SharedTrie is O(1) and yields an independent snapshot: the copy
 // and the original share all nodes until one of them writes. This is what
 // makes per-block state snapshots and `WorldState::Clone()` cheap.
 //
-// Root hashes are byte-identical to `trie::Trie` for the same content (same
-// node kinds, hex-prefix paths, embed-if-shorter-than-32-bytes rule), which
-// the differential tests assert.
+// Root hashes match Ethereum's (standard leaf/extension/branch node kinds,
+// hex-prefix paths, embed-if-shorter-than-32-bytes rule): the tests check
+// the Ethereum vectors and compare differentially against the seed trie
+// kept under tests/trie as an oracle.
 
 #ifndef ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
 #define ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
@@ -28,9 +31,30 @@
 #include "crypto/keccak.h"
 #include "support/bytes.h"
 #include "support/status.h"
-#include "trie/trie.h"
 
 namespace onoff::storage {
+
+// Hex-prefix encoding of a nibble path.
+Bytes HexPrefixEncode(const std::vector<uint8_t>& nibbles, bool is_leaf);
+// Inverse: decodes a hex-prefix path into nibbles and the leaf flag.
+struct HexPrefixPath {
+  std::vector<uint8_t> nibbles;
+  bool is_leaf = false;
+};
+Result<HexPrefixPath> HexPrefixDecode(BytesView encoded);
+std::vector<uint8_t> BytesToNibbles(BytesView key);
+
+// Resolves a 32-byte child reference to the RLP encoding of that node.
+using NodeFetch = std::function<Result<Bytes>(const Hash32&)>;
+
+// The one descent over encoded trie nodes: fetches `root`, then follows
+// `key`'s nibbles through leaf/extension/branch records, descending into
+// embedded (< 32-byte) children in place and fetching hashed ones. Returns
+// the value, nullopt when the nodes prove the key absent, or
+// VerificationFailed for a malformed node; fetch errors propagate as-is.
+Result<std::optional<Bytes>> WalkEncodedNodes(const Hash32& root,
+                                              BytesView key,
+                                              const NodeFetch& fetch);
 
 namespace internal {
 struct SharedNode;
@@ -71,12 +95,24 @@ class SharedTrie {
   bool Contains(BytesView key) const { return Get(key).ok(); }
 
   // Keccak commitment; only nodes without a memoized encoding are hashed.
+  // Order-independent: any write sequence producing the same map yields the
+  // same root.
   Hash32 RootHash() const;
   bool IsEmpty() const { return root_ == nullptr; }
 
-  // Merkle proof with the same shape as trie::Trie::Prove; verify with
-  // trie::Trie::VerifyProof.
+  // keccak256(rlp("")) — the root of an empty trie.
+  static Hash32 EmptyRoot();
+
+  // Merkle proof: the RLP encodings of the hashed nodes along the lookup
+  // path, root node first. Works for absent keys too (an exclusion proof is
+  // the path to the divergence point). Empty tries yield an empty proof.
   std::vector<Bytes> Prove(BytesView key) const;
+
+  // Verifies `proof` against `root` for `key`. Returns the proven value,
+  // nullopt when the proof demonstrates absence, or an error when the proof
+  // is inconsistent with the root (tampered/truncated/misordered/malformed).
+  static Result<std::optional<Bytes>> VerifyProof(
+      const Hash32& root, BytesView key, const std::vector<Bytes>& proof);
 
   // Walks the trie emitting every hashed node the store does not know yet
   // (children before parents). The root is always emitted when unknown,
@@ -116,6 +152,11 @@ class SecureSharedTrie {
   std::vector<Bytes> Prove(BytesView key) const {
     Hash32 h = Keccak256(key);
     return inner_.Prove(BytesView(h.data(), h.size()));
+  }
+  static Result<std::optional<Bytes>> VerifyProof(
+      const Hash32& root, BytesView key, const std::vector<Bytes>& proof) {
+    Hash32 h = Keccak256(key);
+    return SharedTrie::VerifyProof(root, BytesView(h.data(), h.size()), proof);
   }
   void PersistNodes(const PersistKnown& known, const PersistEmit& emit,
                     const LeafRefs& leaf_refs = nullptr) const {

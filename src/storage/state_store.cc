@@ -2,7 +2,6 @@
 
 #include "obs/metrics.h"
 #include "rlp/rlp.h"
-#include "trie/trie.h"
 
 namespace onoff::storage {
 
@@ -143,7 +142,7 @@ StateSnapshot StateStore::Snapshot() const {
 Hash32 StateStore::StorageRoot(const Address& addr) const {
   auto it = per_account_.find(addr);
   if (it == per_account_.end() || !it->second.root_valid) {
-    return trie::Trie::EmptyRoot();
+    return SharedTrie::EmptyRoot();
   }
   return it->second.storage_root;
 }
@@ -162,7 +161,7 @@ std::vector<Hash32> AccountLeafRefs(BytesView leaf_value) {
   if (sr.size() != 32) return {};
   Hash32 root;
   std::copy(sr.begin(), sr.end(), root.begin());
-  if (root == trie::Trie::EmptyRoot()) return {};  // no node to reference
+  if (root == SharedTrie::EmptyRoot()) return {};  // no node to reference
   return {root};
 }
 
@@ -187,7 +186,7 @@ Status StateStore::Persist(NodeStore& store, uint64_t height) {
   }
   account_trie_.PersistNodes(known, emit, AccountLeafRefs);
   ONOFF_RETURN_NOT_OK(status);
-  if (committed_root_ != trie::Trie::EmptyRoot()) {
+  if (committed_root_ != SharedTrie::EmptyRoot()) {
     ONOFF_RETURN_NOT_OK(store.RetainRoot(committed_root_, height));
   }
   pending_persist_.clear();

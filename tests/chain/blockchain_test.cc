@@ -7,6 +7,8 @@
 #include "easm/assembler.h"
 #include "evm/gas.h"
 #include "obs/metrics.h"
+#include "rlp/rlp.h"
+#include "trie/trie.h"
 
 namespace onoff::chain {
 namespace {
@@ -31,6 +33,39 @@ TEST_F(BlockchainTest, GenesisBlock) {
   ASSERT_EQ(chain_.blocks().size(), 1u);
   EXPECT_EQ(chain_.blocks()[0].header.number, 0u);
   EXPECT_EQ(chain_.Height(), 0u);
+}
+
+TEST_F(BlockchainTest, HeaderRootsMatchOracleAtRlpKeyBoundaries) {
+  // Index keys are RLP(i): RLP(0) is 0x80 and 128 is the first two-byte
+  // key, so across these sizes key order and insertion order diverge. The
+  // mined tx/receipt roots must equal the seed trie's over the same bodies.
+  uint64_t nonce = 0;
+  for (size_t n : {0u, 1u, 2u, 127u, 128u, 129u, 200u}) {
+    for (size_t i = 0; i < n; ++i) {
+      Transaction tx;
+      tx.nonce = nonce++;
+      tx.gas_price = U256(1);
+      tx.gas_limit = 21'000;
+      tx.to = bob_.EthAddress();
+      tx.value = U256(1);
+      tx.Sign(alice_);
+      ASSERT_TRUE(chain_.SubmitTransaction(tx).ok());
+    }
+    const Block& block = chain_.MineBlock();
+    ASSERT_EQ(block.transactions.size(), n);
+    trie::Trie tx_oracle;
+    trie::Trie receipt_oracle;
+    for (size_t i = 0; i < n; ++i) {
+      Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
+      const Transaction& tx = block.transactions[i];
+      tx_oracle.Put(key, tx.Encode());
+      Result<Receipt> receipt = chain_.GetReceipt(tx.Hash());
+      ASSERT_TRUE(receipt.ok()) << n << "/" << i;
+      receipt_oracle.Put(key, receipt->Encode());
+    }
+    EXPECT_EQ(block.header.tx_root, tx_oracle.RootHash()) << n;
+    EXPECT_EQ(block.header.receipt_root, receipt_oracle.RootHash()) << n;
+  }
 }
 
 TEST_F(BlockchainTest, SimpleValueTransfer) {

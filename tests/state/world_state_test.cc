@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "crypto/secp256k1.h"
-#include "trie/trie.h"
+#include "storage/shared_trie.h"
 
 namespace onoff::state {
 namespace {
@@ -114,7 +114,7 @@ TEST(WorldStateTest, DeleteAccountRevertRestoresWholeRecord) {
 
 TEST(WorldStateTest, EmptyStateRootIsEmptyTrieRoot) {
   WorldState ws;
-  EXPECT_EQ(ws.StateRoot(), trie::Trie::EmptyRoot());
+  EXPECT_EQ(ws.StateRoot(), storage::SharedTrie::EmptyRoot());
 }
 
 TEST(WorldStateTest, StateRootTracksContent) {

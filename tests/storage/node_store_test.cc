@@ -9,9 +9,9 @@
 #include "chain/blockchain.h"
 #include "rlp/rlp.h"
 #include "state/world_state.h"
+#include "storage/shared_trie.h"
 #include "support/address.h"
 #include "support/u256.h"
-#include "trie/trie.h"
 
 namespace onoff::storage {
 namespace {
@@ -150,13 +150,13 @@ TEST(NodeStoreTest, LookupSecureThroughEmbeddedNodes) {
     Bytes key = BytesOf("game-channel-" + std::to_string(i));
     Hash32 hashed = Keccak256(key);
     std::vector<uint8_t> nibbles =
-        trie::BytesToNibbles(BytesView(hashed.data(), hashed.size()));
+        BytesToNibbles(BytesView(hashed.data(), hashed.size()));
     ASSERT_EQ(nibbles.size(), 64u);
     seen_nibbles |= 1u << nibbles.back();
 
     Bytes value = BytesOf("bet-" + std::to_string(i));
     rlp::Item leaf = rlp::Item::List(
-        {rlp::Item::String(trie::HexPrefixEncode({}, /*is_leaf=*/true)),
+        {rlp::Item::String(HexPrefixEncode({}, /*is_leaf=*/true)),
          rlp::Item::String(value)});
     ASSERT_LT(rlp::Encode(leaf).size(), 32u);
 
@@ -167,7 +167,7 @@ TEST(NodeStoreTest, LookupSecureThroughEmbeddedNodes) {
 
     std::vector<uint8_t> ext_path(nibbles.begin(), nibbles.end() - 1);
     rlp::Item ext = rlp::Item::List(
-        {rlp::Item::String(trie::HexPrefixEncode(ext_path, /*is_leaf=*/false)),
+        {rlp::Item::String(HexPrefixEncode(ext_path, /*is_leaf=*/false)),
          branch});
     Bytes root_enc = rlp::Encode(ext);
     ASSERT_GE(root_enc.size(), 32u);
@@ -186,6 +186,50 @@ TEST(NodeStoreTest, LookupSecureThroughEmbeddedNodes) {
     EXPECT_FALSE(absent->has_value());
   }
   EXPECT_EQ(seen_nibbles, 0xffffu);
+}
+
+TEST(NodeStoreTest, MalformedNodesFailBothWalkConsumers) {
+  // Proof verification and historical lookups share one node walk, so one
+  // corpus goes to both: as a one-element account proof (the root is the
+  // bad node's hash) and as a stored node under its hash. Every entry must
+  // fail verification — never yield a value or a proven absence.
+  const Address addr = Addr(1);
+  Hash32 hashed = Keccak256(addr.view());
+  std::vector<uint8_t> nibbles =
+      BytesToNibbles(BytesView(hashed.data(), hashed.size()));
+  const rlp::Item filler = rlp::Item::String(Bytes(40, 0xab));
+  std::vector<rlp::Item> short_refs(16, rlp::Item::String(Bytes(31, 0xcd)));
+  short_refs.push_back(rlp::Item::String(Bytes{}));
+
+  const std::pair<const char*, rlp::Item> corpus[] = {
+      {"non-list node", filler},
+      {"3-field node", rlp::Item::List({filler, filler, filler})},
+      {"bad hex-prefix flag",
+       rlp::Item::List({rlp::Item::String(Bytes{0x40}), filler})},
+      {"31-byte child reference", rlp::Item::List(short_refs)},
+      {"leaf value is a list",
+       rlp::Item::List(
+           {rlp::Item::String(HexPrefixEncode(nibbles, /*is_leaf=*/true)),
+            rlp::Item::List({filler})})},
+  };
+  for (const auto& [name, node] : corpus) {
+    Bytes enc = rlp::Encode(node);
+    Hash32 root = Keccak256(enc);
+
+    Result<std::optional<WorldState::AccountInfo>> proven =
+        WorldState::VerifyAccountProof(root, addr, {enc});
+    ASSERT_FALSE(proven.ok()) << name;
+    EXPECT_EQ(proven.status().code(), StatusCode::kVerificationFailed)
+        << name << ": " << proven.status().ToString();
+
+    NodeStore store;
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.Put(root, enc, {}).ok());
+    Result<std::optional<Bytes>> stored = store.LookupSecure(root, addr.view());
+    ASSERT_FALSE(stored.ok()) << name;
+    EXPECT_EQ(stored.status().code(), StatusCode::kVerificationFailed)
+        << name << ": " << stored.status().ToString();
+  }
 }
 
 TEST(NodeStoreTest, ReopenReplaysLog) {

@@ -7,8 +7,8 @@
 
 #include "state/world_state.h"
 #include "support/address.h"
+#include "storage/shared_trie.h"
 #include "support/u256.h"
-#include "trie/trie.h"
 
 namespace onoff::state {
 namespace {
@@ -23,7 +23,7 @@ Address Addr(uint8_t tag) {
 TEST(StateStoreTest, EmptyStateRootMatchesRebuild) {
   WorldState ws;
   EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
-  EXPECT_EQ(ws.StateRoot(), trie::Trie::EmptyRoot());
+  EXPECT_EQ(ws.StateRoot(), storage::SharedTrie::EmptyRoot());
 }
 
 TEST(StateStoreTest, IncrementalMatchesRebuildAfterBasicMutations) {

@@ -1,4 +1,8 @@
-#include "trie/trie.h"
+// Conformance of the library's Merkle Patricia Trie (storage/shared_trie.h):
+// Ethereum root vectors, hex-prefix and nibble encoding, and Merkle proofs —
+// present, absent, through embedded nodes, and tampered.
+
+#include "storage/shared_trie.h"
 
 #include <gtest/gtest.h>
 
@@ -11,16 +15,16 @@
 #include "support/bytes.h"
 #include "support/u256.h"
 
-namespace onoff::trie {
+namespace onoff::storage {
 namespace {
 
-std::string RootHex(const Trie& t) {
+std::string RootHex(const SharedTrie& t) {
   Hash32 h = t.RootHash();
   return ToHex(BytesView(h.data(), h.size()));
 }
 
 TEST(TrieTest, EmptyRootMatchesEthereum) {
-  Trie t;
+  SharedTrie t;
   EXPECT_TRUE(t.IsEmpty());
   EXPECT_EQ(RootHex(t),
             "56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421");
@@ -28,7 +32,7 @@ TEST(TrieTest, EmptyRootMatchesEthereum) {
 
 TEST(TrieTest, EthereumWikiDogVector) {
   // The canonical example from the Ethereum MPT documentation.
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("doe"), BytesOf("reindeer"));
   t.Put(BytesOf("dog"), BytesOf("puppy"));
   t.Put(BytesOf("dogglesworth"), BytesOf("cat"));
@@ -38,7 +42,7 @@ TEST(TrieTest, EthereumWikiDogVector) {
 
 TEST(TrieTest, EthereumFooVector) {
   // From the ethereum/tests trietest.json "foo" case.
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("foo"), BytesOf("bar"));
   t.Put(BytesOf("food"), BytesOf("bass"));
   EXPECT_EQ(RootHex(t),
@@ -53,14 +57,14 @@ TEST(TrieTest, EthereumAnyOrderVector) {
       "5991bb8c6514148a29db676a14ac506cd2cd5775ace63c30a4fe457715e9ac84";
   std::sort(kv.begin(), kv.end());
   do {
-    Trie t;
+    SharedTrie t;
     for (const auto& [k, v] : kv) t.Put(BytesOf(k), BytesOf(v));
     EXPECT_EQ(RootHex(t), expected);
   } while (std::next_permutation(kv.begin(), kv.end()));
 }
 
 TEST(TrieTest, GetReturnsStoredValues) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("alpha"), BytesOf("1"));
   t.Put(BytesOf("alphabet"), BytesOf("2"));
   t.Put(BytesOf("beta"), BytesOf("3"));
@@ -76,7 +80,7 @@ TEST(TrieTest, GetReturnsStoredValues) {
 }
 
 TEST(TrieTest, OverwriteChangesRoot) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("k"), BytesOf("v1"));
   Hash32 r1 = t.RootHash();
   t.Put(BytesOf("k"), BytesOf("v2"));
@@ -86,7 +90,7 @@ TEST(TrieTest, OverwriteChangesRoot) {
 }
 
 TEST(TrieTest, DeleteRestoresPriorRoot) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("doe"), BytesOf("reindeer"));
   t.Put(BytesOf("dog"), BytesOf("puppy"));
   Hash32 before = t.RootHash();
@@ -99,7 +103,7 @@ TEST(TrieTest, DeleteRestoresPriorRoot) {
 }
 
 TEST(TrieTest, DeleteAllYieldsEmptyRoot) {
-  Trie t;
+  SharedTrie t;
   std::vector<std::string> keys = {"a", "ab", "abc", "abd", "b", "xyz"};
   for (const auto& k : keys) t.Put(BytesOf(k), BytesOf("v" + k));
   for (const auto& k : keys) t.Delete(BytesOf(k));
@@ -108,7 +112,7 @@ TEST(TrieTest, DeleteAllYieldsEmptyRoot) {
 }
 
 TEST(TrieTest, EmptyValuePutDeletes) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("k"), BytesOf("v"));
   t.Put(BytesOf("k"), Bytes{});
   EXPECT_TRUE(t.IsEmpty());
@@ -116,7 +120,7 @@ TEST(TrieTest, EmptyValuePutDeletes) {
 }
 
 TEST(TrieTest, DeleteMissingKeyIsNoOp) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("present"), BytesOf("yes"));
   Hash32 before = t.RootHash();
   t.Delete(BytesOf("absent"));
@@ -142,7 +146,7 @@ TEST(TrieTest, NibbleConversion) {
 }
 
 TEST(SecureTrieTest, BasicOps) {
-  SecureTrie t;
+  SecureSharedTrie t;
   EXPECT_TRUE(t.IsEmpty());
   t.Put(BytesOf("account1"), BytesOf("balance=100"));
   auto v = t.Get(BytesOf("account1"));
@@ -153,8 +157,8 @@ TEST(SecureTrieTest, BasicOps) {
 }
 
 TEST(SecureTrieTest, RootDiffersFromRawTrie) {
-  Trie raw;
-  SecureTrie sec;
+  SharedTrie raw;
+  SecureSharedTrie sec;
   raw.Put(BytesOf("k"), BytesOf("v"));
   sec.Put(BytesOf("k"), BytesOf("v"));
   EXPECT_NE(raw.RootHash(), sec.RootHash());
@@ -163,7 +167,7 @@ TEST(SecureTrieTest, RootDiffersFromRawTrie) {
 // ---- Merkle proofs ----
 
 TEST(TrieProofTest, ProvesPresentKeys) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("doe"), BytesOf("reindeer"));
   t.Put(BytesOf("dog"), BytesOf("puppy"));
   t.Put(BytesOf("dogglesworth"), BytesOf("cat"));
@@ -171,7 +175,7 @@ TEST(TrieProofTest, ProvesPresentKeys) {
   for (const char* key : {"doe", "dog", "dogglesworth"}) {
     auto proof = t.Prove(BytesOf(key));
     ASSERT_FALSE(proof.empty());
-    auto verified = Trie::VerifyProof(root, BytesOf(key), proof);
+    auto verified = SharedTrie::VerifyProof(root, BytesOf(key), proof);
     ASSERT_TRUE(verified.ok()) << key << ": " << verified.status().ToString();
     ASSERT_TRUE(verified->has_value()) << key;
     EXPECT_EQ(**verified, *t.Get(BytesOf(key)));
@@ -183,7 +187,7 @@ TEST(TrieProofTest, ProvesKeysThroughEmbeddedNodes) {
   // parent's record (encoding < 32 bytes), the verifier used to read the
   // embedded item after reassigning the list that owned it — returning
   // freed memory instead of the value.
-  Trie t;
+  SharedTrie t;
   for (int i = 0; i < 50; ++i) {
     t.Put(BytesOf("account-" + std::to_string(i)),
           BytesOf("balance-" + std::to_string(i * 7)));
@@ -191,7 +195,7 @@ TEST(TrieProofTest, ProvesKeysThroughEmbeddedNodes) {
   Hash32 root = t.RootHash();
   for (int i = 0; i < 50; ++i) {
     Bytes key = BytesOf("account-" + std::to_string(i));
-    auto verified = Trie::VerifyProof(root, key, t.Prove(key));
+    auto verified = SharedTrie::VerifyProof(root, key, t.Prove(key));
     ASSERT_TRUE(verified.ok()) << i << ": " << verified.status().ToString();
     ASSERT_TRUE(verified->has_value()) << i;
     EXPECT_EQ(**verified, BytesOf("balance-" + std::to_string(i * 7))) << i;
@@ -199,32 +203,32 @@ TEST(TrieProofTest, ProvesKeysThroughEmbeddedNodes) {
 }
 
 TEST(TrieProofTest, ProvesAbsentKeys) {
-  Trie t;
+  SharedTrie t;
   t.Put(BytesOf("doe"), BytesOf("reindeer"));
   t.Put(BytesOf("dog"), BytesOf("puppy"));
   Hash32 root = t.RootHash();
   for (const char* key : {"do", "dogs", "cat", "doggo", ""}) {
     auto proof = t.Prove(BytesOf(key));
-    auto verified = Trie::VerifyProof(root, BytesOf(key), proof);
+    auto verified = SharedTrie::VerifyProof(root, BytesOf(key), proof);
     ASSERT_TRUE(verified.ok()) << key << ": " << verified.status().ToString();
     EXPECT_FALSE(verified->has_value()) << key;
   }
 }
 
 TEST(TrieProofTest, EmptyTrie) {
-  Trie t;
+  SharedTrie t;
   auto proof = t.Prove(BytesOf("anything"));
   EXPECT_TRUE(proof.empty());
-  auto verified = Trie::VerifyProof(Trie::EmptyRoot(), BytesOf("anything"), proof);
+  auto verified = SharedTrie::VerifyProof(SharedTrie::EmptyRoot(), BytesOf("anything"), proof);
   ASSERT_TRUE(verified.ok());
   EXPECT_FALSE(verified->has_value());
   // Empty proof against a non-empty root is rejected.
   t.Put(BytesOf("k"), BytesOf("v"));
-  EXPECT_FALSE(Trie::VerifyProof(t.RootHash(), BytesOf("k"), {}).ok());
+  EXPECT_FALSE(SharedTrie::VerifyProof(t.RootHash(), BytesOf("k"), {}).ok());
 }
 
 TEST(TrieProofTest, RejectsTamperedProof) {
-  Trie t;
+  SharedTrie t;
   for (int i = 0; i < 32; ++i) {
     t.Put(BytesOf("key" + std::to_string(i)), BytesOf("val" + std::to_string(i)));
   }
@@ -235,24 +239,24 @@ TEST(TrieProofTest, RejectsTamperedProof) {
   for (size_t i = 0; i < proof.size(); ++i) {
     auto bad = proof;
     bad[i][bad[i].size() / 2] ^= 0x01;
-    auto verified = Trie::VerifyProof(root, BytesOf("key7"), bad);
+    auto verified = SharedTrie::VerifyProof(root, BytesOf("key7"), bad);
     EXPECT_FALSE(verified.ok()) << "element " << i;
   }
   // Truncated proof fails too (unless truncation leaves a complete path).
   if (proof.size() > 1) {
     auto truncated = proof;
     truncated.pop_back();
-    EXPECT_FALSE(Trie::VerifyProof(root, BytesOf("key7"), truncated).ok());
+    EXPECT_FALSE(SharedTrie::VerifyProof(root, BytesOf("key7"), truncated).ok());
   }
   // Wrong root fails.
   Hash32 wrong = root;
   wrong[0] ^= 0xff;
-  EXPECT_FALSE(Trie::VerifyProof(wrong, BytesOf("key7"), proof).ok());
+  EXPECT_FALSE(SharedTrie::VerifyProof(wrong, BytesOf("key7"), proof).ok());
 }
 
 TEST(TrieProofTest, ProofDoesNotLeakWholeTrie) {
   // A proof is logarithmic-ish, not the whole database.
-  Trie t;
+  SharedTrie t;
   for (int i = 0; i < 512; ++i) {
     Bytes key = U256(uint64_t(i) * 2654435761u).ToBytes();
     t.Put(key, BytesOf("v" + std::to_string(i)));
@@ -260,7 +264,7 @@ TEST(TrieProofTest, ProofDoesNotLeakWholeTrie) {
   Bytes key = U256(uint64_t(7) * 2654435761u).ToBytes();
   auto proof = t.Prove(key);
   EXPECT_LT(proof.size(), 10u);
-  auto verified = Trie::VerifyProof(t.RootHash(), key, proof);
+  auto verified = SharedTrie::VerifyProof(t.RootHash(), key, proof);
   ASSERT_TRUE(verified.ok());
   EXPECT_TRUE(verified->has_value());
 }
@@ -293,14 +297,14 @@ TEST_P(TriePropertyTest, InsertOrderIndependence) {
     entries[key] = BytesOf("value" + std::to_string(rng() % 1000 + 1));
   }
   std::vector<std::pair<Bytes, Bytes>> kv(entries.begin(), entries.end());
-  Trie forward;
+  SharedTrie forward;
   for (const auto& [k, v] : kv) forward.Put(k, v);
-  Trie backward;
+  SharedTrie backward;
   for (auto it = kv.rbegin(); it != kv.rend(); ++it) {
     backward.Put(it->first, it->second);
   }
   std::shuffle(kv.begin(), kv.end(), rng);
-  Trie shuffled;
+  SharedTrie shuffled;
   for (const auto& [k, v] : kv) shuffled.Put(k, v);
   EXPECT_EQ(forward.RootHash(), backward.RootHash());
   EXPECT_EQ(forward.RootHash(), shuffled.RootHash());
@@ -308,7 +312,7 @@ TEST_P(TriePropertyTest, InsertOrderIndependence) {
 
 TEST_P(TriePropertyTest, InsertDeleteInverse) {
   std::mt19937_64 rng(GetParam());
-  Trie t;
+  SharedTrie t;
   // Base content.
   std::vector<Bytes> base_keys;
   for (int i = 0; i < 32; ++i) {
@@ -335,4 +339,4 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TriePropertyTest,
                          ::testing::Values(7u, 99u, 2019u, 0xabcdefu));
 
 }  // namespace
-}  // namespace onoff::trie
+}  // namespace onoff::storage
