@@ -1,7 +1,7 @@
-// Signature hot-path microbenchmarks: sign / verify / recover ops/sec under
-// the fast and reference secp256k1 backends, the field kernels behind them,
-// and end-to-end chain verification with serial vs parallel sender
-// pre-recovery. Emits BENCH_crypto.json (onoffchain-bench-v1 schema).
+// Signature hot-path microbenchmarks: sign / verify / recover ops/sec on the
+// library's secp256k1 path, the field kernels behind them, and end-to-end
+// chain verification with serial vs parallel sender pre-recovery. Emits
+// BENCH_crypto.json (onoffchain-bench-v1 schema).
 //
 //   bench_crypto [--iters N] [--blocks B] [--txs T] [--json PATH]
 
@@ -27,50 +27,24 @@ double NowUs() {
       .count();
 }
 
-struct OpResult {
-  double fast_us_per_op = 0;
-  double ref_us_per_op = 0;
-
-  double FastOpsPerSec() const { return 1e6 / fast_us_per_op; }
-  double RefOpsPerSec() const { return 1e6 / ref_us_per_op; }
-  double Speedup() const { return ref_us_per_op / fast_us_per_op; }
-};
-
-// Times `op(i)` for `iters` iterations under each backend; the reference
-// backend runs at most `ref_iters` iterations (it is orders of magnitude
-// slower).
+// Microseconds per `op(i)` over `iters` iterations, after one untimed call
+// that warms the precomputed tables.
 template <typename Op>
-OpResult TimeBackends(int iters, int ref_iters, const Op& op) {
-  OpResult out;
-  {
-    secp256k1::ScopedBackend b(secp256k1::Backend::kFast);
-    op(0);  // warm tables outside the timed region
-    double start = NowUs();
-    for (int i = 0; i < iters; ++i) op(i);
-    out.fast_us_per_op = (NowUs() - start) / iters;
-  }
-  {
-    secp256k1::ScopedBackend b(secp256k1::Backend::kReference);
-    double start = NowUs();
-    for (int i = 0; i < ref_iters; ++i) op(i);
-    out.ref_us_per_op = (NowUs() - start) / ref_iters;
-  }
-  return out;
+double TimeOp(int iters, const Op& op) {
+  op(0);
+  double start = NowUs();
+  for (int i = 0; i < iters; ++i) op(i);
+  return (NowUs() - start) / iters;
 }
 
-void PrintOp(const char* name, const OpResult& r) {
-  std::printf("%-22s %10.1f %12.0f %10.1f %12.0f %8.1fx\n", name,
-              r.fast_us_per_op, r.FastOpsPerSec(), r.ref_us_per_op,
-              r.RefOpsPerSec(), r.Speedup());
+void PrintOp(const char* name, double us_per_op) {
+  std::printf("%-22s %10.3f %12.0f\n", name, us_per_op, 1e6 / us_per_op);
 }
 
-obs::Json OpJson(const OpResult& r) {
+obs::Json OpJson(double us_per_op) {
   return obs::Json::Object()
-      .Set("fast_us_per_op", obs::Json::Num(r.fast_us_per_op))
-      .Set("fast_ops_per_sec", obs::Json::Num(r.FastOpsPerSec()))
-      .Set("reference_us_per_op", obs::Json::Num(r.ref_us_per_op))
-      .Set("reference_ops_per_sec", obs::Json::Num(r.RefOpsPerSec()))
-      .Set("speedup", obs::Json::Num(r.Speedup()));
+      .Set("us_per_op", obs::Json::Num(us_per_op))
+      .Set("ops_per_sec", obs::Json::Num(1e6 / us_per_op));
 }
 
 // A chain of `blocks` blocks with `txs_per_block` transfers each, with every
@@ -167,12 +141,10 @@ int main(int argc, char** argv) {
     }
   }
   if (iters < 1) iters = 1;
-  int ref_iters = iters / 8 > 0 ? iters / 8 : 1;
 
-  std::printf("=== secp256k1 hot path: fast vs reference backend ===\n");
-  std::printf("iters: fast=%d reference=%d\n\n", iters, ref_iters);
-  std::printf("%-22s %10s %12s %10s %12s %8s\n", "op", "fast us", "fast op/s",
-              "ref us", "ref op/s", "speedup");
+  std::printf("=== secp256k1 hot path ===\n");
+  std::printf("iters: %d\n\n", iters);
+  std::printf("%-22s %10s %12s\n", "op", "us/op", "op/s");
 
   auto key = secp256k1::PrivateKey::FromSeed("bench-signer");
   std::vector<Hash32> digests;
@@ -188,61 +160,40 @@ int main(int argc, char** argv) {
   }
   secp256k1::AffinePoint pub = key.PublicKey();
 
-  OpResult sign = TimeBackends(iters, ref_iters, [&](int i) {
+  double sign = TimeOp(iters, [&](int i) {
     (void)secp256k1::Sign(digests[i % iters], key);
   });
   PrintOp("sign", sign);
 
-  OpResult verify = TimeBackends(iters, ref_iters, [&](int i) {
+  double verify = TimeOp(iters, [&](int i) {
     (void)secp256k1::Verify(digests[i % iters], sigs[i % iters], pub);
   });
   PrintOp("verify", verify);
 
-  OpResult recover = TimeBackends(iters, ref_iters, [&](int i) {
+  double recover = TimeOp(iters, [&](int i) {
     const auto& sig = sigs[i % iters];
     (void)secp256k1::RecoverAddress(digests[i % iters], sig.v, sig.r, sig.s);
   });
   PrintOp("recover", recover);
 
-  // Field kernels (both backends callable directly; many more iterations —
-  // these are nanosecond-scale).
+  // Field kernels (many more iterations — these are nanosecond-scale). Each
+  // result feeds the next call, so the chain cannot be hoisted.
   U256 elem = U256(0x1234567890abcdefULL, 0xfedcba0987654321ULL,
                    0x0f1e2d3c4b5a6978ULL, 0x8796a5b4c3d2e1f0ULL) %
               secp256k1::FieldPrime();
-  int field_iters = iters * 250;
-  OpResult field_sqr;
-  {
-    double start = NowUs();
-    U256 acc = elem;
-    for (int i = 0; i < field_iters; ++i) acc = secp256k1::internal::FieldSqr(acc);
-    field_sqr.fast_us_per_op = (NowUs() - start) / field_iters;
-    start = NowUs();
-    for (int i = 0; i < field_iters; ++i) {
-      acc = secp256k1::internal::FieldSqrReference(acc);
-    }
-    field_sqr.ref_us_per_op = (NowUs() - start) / field_iters;
-    if (acc.IsZero()) std::printf("(unreachable)\n");  // keep acc live
-  }
+  double field_sqr = TimeOp(iters * 250, [&](int) {
+    elem = secp256k1::internal::FieldSqr(elem);
+  });
   PrintOp("field sqr", field_sqr);
 
-  int inv_iters = iters * 4;
-  OpResult field_inv;
-  {
-    double start = NowUs();
-    for (int i = 0; i < inv_iters; ++i) {
-      elem = secp256k1::internal::FieldInvFast(elem + U256(i));
-    }
-    field_inv.fast_us_per_op = (NowUs() - start) / inv_iters;
-    start = NowUs();
-    for (int i = 0; i < inv_iters; ++i) {
-      elem = secp256k1::internal::FieldInvReference(elem + U256(i));
-    }
-    field_inv.ref_us_per_op = (NowUs() - start) / inv_iters;
-  }
+  double field_inv = TimeOp(iters * 4, [&](int i) {
+    elem = secp256k1::internal::FieldInv(elem + U256(i));
+  });
   PrintOp("field inv", field_inv);
+  if (elem.IsZero()) std::printf("(unreachable)\n");  // keep elem live
 
   // End-to-end: verify a freshly built chain, serial vs parallel sender
-  // pre-recovery (fast backend, as a node would run it).
+  // pre-recovery, as a node would run it.
   VerifyFixture fx = BuildChain(blocks, txs_per_block);
   bool verify_ok = true;
   double serial_us = TimeVerify(fx, /*parallel=*/false, /*rounds=*/3,
@@ -261,7 +212,6 @@ int main(int argc, char** argv) {
   obs::Json results =
       obs::Json::Object()
           .Set("iters", obs::Json::Int(iters))
-          .Set("reference_iters", obs::Json::Int(ref_iters))
           .Set("sign", OpJson(sign))
           .Set("verify", OpJson(verify))
           .Set("recover", OpJson(recover))
@@ -276,7 +226,6 @@ int main(int argc, char** argv) {
                         obs::Json::Uint(ThreadPool::Shared().worker_count()))
                    .Set("serial_us", obs::Json::Num(serial_us))
                    .Set("parallel_us", obs::Json::Num(parallel_us))
-                   .Set("speedup", obs::Json::Num(serial_us / parallel_us))
                    .Set("statuses_ok", obs::Json::Bool(verify_ok)));
   if (!json_path.empty()) {
     Status st = obs::WriteBenchJson(json_path, "crypto", std::move(results));

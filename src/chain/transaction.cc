@@ -80,6 +80,13 @@ Result<Address> Transaction::Sender() const {
   static obs::Counter* hits = obs::GetCounterOrNull("chain.sender_cache_hits");
   static obs::Counter* misses =
       obs::GetCounterOrNull("chain.sender_cache_misses");
+  // EIP-2: s must be at most n/2. Otherwise anyone could relay the copy
+  // (r, n - s, 55 - v), which recovers the same sender under a different
+  // transaction hash. Recovery itself (and so `ecrecover`) accepts both.
+  static const U256 kHalfN = secp256k1::GroupOrder() >> 1;
+  if (signature.s > kHalfN) {
+    return Status::VerificationFailed("transaction signature s above n/2");
+  }
   // The signing hash is the invalidation key: any mutation of a signed field
   // changes it, so a stale memo can never be returned. Hashing is orders of
   // magnitude cheaper than the ECDSA recovery it short-circuits.

@@ -42,7 +42,8 @@ class Transaction {
 
   // Signs in place with `key`.
   void Sign(const secp256k1::PrivateKey& key);
-  // Recovers the sender from the signature; fails on unsigned/garbage.
+  // Recovers the sender from the signature; fails on unsigned/garbage and
+  // on s > n/2 (EIP-2, so a signature has exactly one valid form).
   // The first successful recovery is memoized keyed by (signing hash,
   // signature), so mutating any signed field or the signature invalidates
   // the cache automatically, and copies carry the warm cache with them

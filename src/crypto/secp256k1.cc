@@ -1,7 +1,6 @@
 #include "crypto/secp256k1.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <vector>
@@ -28,10 +27,6 @@ constexpr uint64_t kC = 0x1000003d1ULL;
 // checks below exploit.
 constexpr uint64_t kP0 = 0xfffffffefffffc2fULL;
 
-std::atomic<Backend> g_backend{Backend::kFast};
-
-bool UseFast() { return g_backend.load(std::memory_order_relaxed) == Backend::kFast; }
-
 // ---- Shared multi-precision helpers ----
 
 // Adds two 4-limb values, returning the carry-out.
@@ -47,9 +42,6 @@ inline uint64_t AddLimbs(const U256& a, const U256& b, uint64_t out[4]) {
 
 inline U256 FromLimbs(const uint64_t v[4]) { return U256(v[3], v[2], v[1], v[0]); }
 
-// Reduces a value known to be < 2p into [0, p).
-inline U256 CondSubP(const U256& a) { return a >= kP ? a - kP : a; }
-
 // (x + m) >> 1 handling the 257-bit intermediate.
 U256 HalfMod(const U256& x, const U256& m) {
   if (!x.Bit(0)) return x >> 1;
@@ -60,8 +52,8 @@ U256 HalfMod(const U256& x, const U256& m) {
   return sum;
 }
 
-// a^{-1} mod m for odd m, gcd(a, m) = 1, via binary extended GCD. This is
-// the seed implementation, kept verbatim as the reference backend's inverse.
+// a^{-1} mod m for odd m, gcd(a, m) = 1, via binary extended GCD: the slow,
+// simple inverse that ModInverseDivsteps falls back to.
 U256 ModInverse(const U256& a, const U256& m) {
   U256 u = a % m;
   assert(!u.IsZero());
@@ -354,7 +346,7 @@ inline void MulAddTwice(uint64_t a, uint64_t b, uint64_t& c0, uint64_t& c1,
 
 // Full 256x256 -> 512 product, column by column (comba). Fully unrolled:
 // measured ~1.7x faster than the rolled operand-scanning loop the seed
-// used, which the reference backend below preserves.
+// used (kept in the test oracle).
 inline void MulWide(const U256& a, const U256& b, uint64_t f[8]) {
   const uint64_t a0 = a.limb(0), a1 = a.limb(1), a2 = a.limb(2),
                  a3 = a.limb(3);
@@ -672,7 +664,7 @@ FermatLadder BuildLadder(const U256& a) {
 }
 
 // a^(p-2) mod p — the inverse, by Fermat's little theorem.
-U256 FieldInvFastImpl(const U256& a) {
+U256 FieldInv(const U256& a) {
   FermatLadder l = BuildLadder(a);
   U256 t = FieldMul(SqrN(l.x223, 23), l.x22);
   t = FieldMul(SqrN(t, 5), a);
@@ -682,7 +674,7 @@ U256 FieldInvFastImpl(const U256& a) {
 
 // a^((p+1)/4) mod p — a square root when a is a quadratic residue; callers
 // must verify the result squares back (non-residues return garbage).
-U256 FieldSqrtFastImpl(const U256& a) {
+U256 FieldSqrt(const U256& a) {
   FermatLadder l = BuildLadder(a);
   U256 t = FieldMul(SqrN(l.x223, 23), l.x22);
   t = FieldMul(SqrN(t, 6), l.x2);
@@ -693,7 +685,7 @@ U256 FieldSqrtFastImpl(const U256& a) {
 //
 // Coordinate magnitude invariants: x, y <= 1 after every formula below
 // (outputs are weak-normalized), z <= 2 (the trailing doubling is stored
-// as-is), and y <= 6 for the φ-table base point in JacScalarMulFast (an
+// as-is), and y <= 6 for the φ-table base point in JacScalarMulSplit (an
 // unnormalized FeNegate) — every formula's multiplier inputs stay within
 // the FeMul/FeSqr magnitude-32 bound under these.
 
@@ -725,7 +717,7 @@ Jacobian ToJacobian(const AffinePoint& p) {
   return {FeFromU256(p.x), FeFromU256(p.y), kFeOne};
 }
 
-AffinePoint ToAffineFast(const Jacobian& p) {
+AffinePoint ToAffine(const Jacobian& p) {
   if (p.IsInfinity()) return {U256(), U256(), true};
   Fe zinv = FeFromU256(ModInverseDivsteps(FeToU256(p.z), kP));
   Fe zinv2 = FeSqr(zinv);
@@ -824,163 +816,7 @@ const AffinePoint kG = {
          0x9c47d08ffb10d4b8ULL),
     false};
 
-namespace ref {
-
-// The reference backend: the seed implementation preserved verbatim —
-// rolled operand-scanning multiply, squaring as a general multiply,
-// constant multiples via full multiplies, binary-GCD field inverse, generic
-// square-and-multiply square root, and per-bit double-and-add scalar
-// multiplication. It shares nothing with the fast kernels above except the
-// curve constants, so differential tests compare independent code paths.
-// It keeps the original four-limb Jacobian layout (the fast path's
-// Jacobian now holds 5x52 field elements).
-
-struct Jacobian {
-  U256 x;
-  U256 y;
-  U256 z;  // z == 0 means infinity
-
-  bool IsInfinity() const { return z.IsZero(); }
-};
-
-Jacobian ToJacobian(const AffinePoint& p) {
-  if (p.infinity) return {U256(1), U256(1), U256(0)};
-  return {p.x, p.y, U256(1)};
-}
-
-U256 FieldAdd(const U256& a, const U256& b) {
-  uint64_t out[4];
-  uint64_t carry = AddLimbs(a, b, out);
-  U256 r = FromLimbs(out);
-  if (carry) {
-    // r = a + b - 2^256; add back c (since 2^256 ≡ c mod p).
-    r = r + U256(kC);
-  }
-  return CondSubP(r);
-}
-
-U256 FieldSub(const U256& a, const U256& b) {
-  if (a >= b) return a - b;
-  return a + (kP - b);
-}
-
-// 512-bit -> mod-p fold: value = high * 2^256 + low ≡ high * c + low.
-U256 FieldMul(const U256& a, const U256& b) {
-  // Full 256x256 product.
-  uint64_t f[8] = {0};
-  for (int i = 0; i < 4; ++i) {
-    uint64_t carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 cur = static_cast<u128>(a.limb(i)) * b.limb(j) + f[i + j] + carry;
-      f[i + j] = static_cast<uint64_t>(cur);
-      carry = static_cast<uint64_t>(cur >> 64);
-    }
-    f[i + 4] = carry;
-  }
-  // First fold: r (5 limbs) = low + high * c.
-  uint64_t r[5] = {f[0], f[1], f[2], f[3], 0};
-  uint64_t carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    u128 cur = static_cast<u128>(f[i + 4]) * kC + r[i] + carry;
-    r[i] = static_cast<uint64_t>(cur);
-    carry = static_cast<uint64_t>(cur >> 64);
-  }
-  r[4] = carry;
-  // Second fold: r4 * c + r[0..3].
-  u128 cur = static_cast<u128>(r[4]) * kC + r[0];
-  uint64_t s[4];
-  s[0] = static_cast<uint64_t>(cur);
-  carry = static_cast<uint64_t>(cur >> 64);
-  for (int i = 1; i < 4; ++i) {
-    u128 c2 = static_cast<u128>(r[i]) + carry;
-    s[i] = static_cast<uint64_t>(c2);
-    carry = static_cast<uint64_t>(c2 >> 64);
-  }
-  U256 res = FromLimbs(s);
-  if (carry) res = res + U256(kC);  // third fold, carry can only be 1
-  return CondSubP(res);
-}
-
-U256 FieldSqr(const U256& a) { return FieldMul(a, a); }
-
-U256 FieldInv(const U256& a) { return ModInverse(a, kP); }
-
-// Square root mod p via a^((p+1)/4); caller must verify the result squares
-// back (non-residues return garbage).
-U256 FieldSqrt(const U256& a) {
-  // (p+1)/4
-  static const U256 kExp = (kP + U256(1)) >> 2;
-  U256 result(1);
-  U256 base = a;
-  for (int i = 0; i < kExp.BitLength(); ++i) {
-    if (kExp.Bit(i)) result = FieldMul(result, base);
-    base = FieldSqr(base);
-  }
-  return result;
-}
-
-AffinePoint ToAffine(const Jacobian& p) {
-  if (p.IsInfinity()) return {U256(), U256(), true};
-  U256 zinv = FieldInv(p.z);
-  U256 zinv2 = FieldSqr(zinv);
-  U256 zinv3 = FieldMul(zinv2, zinv);
-  return {FieldMul(p.x, zinv2), FieldMul(p.y, zinv3), false};
-}
-
-Jacobian JacDouble(const Jacobian& p) {
-  if (p.IsInfinity() || p.y.IsZero()) return {U256(1), U256(1), U256(0)};
-  U256 a = FieldSqr(p.x);                      // A = X1^2
-  U256 b = FieldSqr(p.y);                      // B = Y1^2
-  U256 c = FieldSqr(b);                        // C = B^2
-  U256 t = FieldSqr(FieldAdd(p.x, b));         // (X1+B)^2
-  U256 d = FieldMul(U256(2), FieldSub(FieldSub(t, a), c));  // D
-  U256 e = FieldMul(U256(3), a);               // E = 3A
-  U256 f = FieldSqr(e);                        // F = E^2
-  U256 x3 = FieldSub(f, FieldMul(U256(2), d));
-  U256 y3 = FieldSub(FieldMul(e, FieldSub(d, x3)), FieldMul(U256(8), c));
-  U256 z3 = FieldMul(U256(2), FieldMul(p.y, p.z));
-  return {x3, y3, z3};
-}
-
-Jacobian JacAdd(const Jacobian& p, const Jacobian& q) {
-  if (p.IsInfinity()) return q;
-  if (q.IsInfinity()) return p;
-  U256 z1z1 = FieldSqr(p.z);
-  U256 z2z2 = FieldSqr(q.z);
-  U256 u1 = FieldMul(p.x, z2z2);
-  U256 u2 = FieldMul(q.x, z1z1);
-  U256 s1 = FieldMul(p.y, FieldMul(z2z2, q.z));
-  U256 s2 = FieldMul(q.y, FieldMul(z1z1, p.z));
-  if (u1 == u2) {
-    if (s1 != s2) return {U256(1), U256(1), U256(0)};  // P + (-P)
-    return ref::JacDouble(p);  // qualified: ADL would also find the fast one
-  }
-  U256 h = FieldSub(u2, u1);
-  U256 i = FieldSqr(FieldMul(U256(2), h));
-  U256 j = FieldMul(h, i);
-  U256 r = FieldMul(U256(2), FieldSub(s2, s1));
-  U256 v = FieldMul(u1, i);
-  U256 x3 = FieldSub(FieldSub(FieldSqr(r), j), FieldMul(U256(2), v));
-  U256 y3 = FieldSub(FieldMul(r, FieldSub(v, x3)),
-                     FieldMul(U256(2), FieldMul(s1, j)));
-  U256 z3 = FieldMul(U256(2), FieldMul(FieldMul(p.z, q.z), h));
-  return {x3, y3, z3};
-}
-
-// Per-bit double-and-add (MSB first).
-Jacobian JacScalarMul(const Jacobian& p, const U256& k) {
-  Jacobian result{U256(1), U256(1), U256(0)};
-  if (k.IsZero() || p.IsInfinity()) return result;
-  for (int i = k.BitLength() - 1; i >= 0; --i) {
-    result = ref::JacDouble(result);
-    if (k.Bit(i)) result = ref::JacAdd(result, p);
-  }
-  return result;
-}
-
-}  // namespace ref
-
-// ---- Fast scalar multiplication: comb/wNAF tables + GLV ----
+// ---- Scalar multiplication: comb/wNAF tables + GLV ----
 
 // Normalizes a batch of (non-infinity) Jacobian points with one inversion
 // (Montgomery's trick) — used to build affine precomputation tables.
@@ -1045,7 +881,7 @@ const FixedBaseTable& GetFixedBaseTable() {
 }
 
 // k*G via the comb table; k must already be reduced mod n.
-Jacobian ScalarBaseMulFast(const U256& k) {
+Jacobian JacScalarBaseMul(const U256& k) {
   const FixedBaseTable& table = GetFixedBaseTable();
   Jacobian acc = kJacInfinity;
   for (int w = 0; w < kCombWindows; ++w) {
@@ -1100,15 +936,6 @@ int Wnaf(const U256& k, int8_t out[kWnafMaxDigits]) {
     w[4] >>= 1;
   }
   return n;
-}
-
-// Odd multiples 1P, 3P, ..., 15P (Jacobian) for a runtime point.
-void BuildOddMultiples(const Jacobian& p, Jacobian out[kWnafTableSize]) {
-  out[0] = p;
-  Jacobian twop = JacDouble(p);
-  for (int i = 1; i < kWnafTableSize; ++i) {
-    out[i] = JacAdd(out[i - 1], twop);
-  }
 }
 
 // JacAdd with the result's z-ratio exposed: *zr = z3 / z1. Only valid when
@@ -1168,24 +995,77 @@ Fe BuildOddMultiplesEffAffine(const Jacobian& p,
 
 FeAffine NegAffine(const FeAffine& a) { return {a.x, FeNegate(a.y, 1)}; }
 
-// Plain (non-GLV) wNAF multiplication; the fallback when the endomorphism
-// context fails its startup self-checks, and the oracle those checks use.
-Jacobian JacScalarMulWnaf(const Jacobian& p, const U256& k) {
-  if (k.IsZero() || p.IsInfinity()) return kJacInfinity;
-  int8_t naf[kWnafMaxDigits];
-  int len = Wnaf(k, naf);
-  Jacobian odd[kWnafTableSize];
-  BuildOddMultiples(p, odd);
-  Jacobian acc = kJacInfinity;
-  for (int i = len; i-- > 0;) {
-    acc = JacDouble(acc);
-    int d = naf[i];
-    if (d > 0) {
-      acc = JacAdd(acc, odd[(d - 1) / 2]);
-    } else if (d < 0) {
-      acc = JacAdd(acc, JacNeg(odd[(-d - 1) / 2]));
+// A scalar as ±k1 ± k2·λ (mod n), both halves in [0, n/2] (see the GLV
+// section below). {.k1 = k} with k2 = 0 is the unsplit scalar.
+struct GlvSplit {
+  U256 k1;
+  U256 k2{};
+  bool neg1 = false;
+  bool neg2 = false;
+  bool ok = false;  // set by GlvDecompose when the split passed its checks
+};
+
+// ±k1·P ± k2·φ(P) over one shared doubling chain: width-5 wNAF digits
+// mixed-added from effective-affine odd-multiple tables, the φ table
+// derived from the first with β. This is the only variable-point loop; an
+// unsplit scalar (k2 = 0, β unused) runs it without the endomorphism.
+Jacobian JacScalarMulSplit(const Jacobian& p, const GlvSplit& split,
+                           const U256& beta) {
+  int8_t naf1[kWnafMaxDigits];
+  int8_t naf2[kWnafMaxDigits];
+  int len1 = split.k1.IsZero() ? 0 : Wnaf(split.k1, naf1);
+  int len2 = split.k2.IsZero() ? 0 : Wnaf(split.k2, naf2);
+  FeAffine odd1[kWnafTableSize];
+  FeAffine odd2[kWnafTableSize];
+  // Both tables share one global Z: φ only scales x by β, leaving every
+  // entry's denominator — and therefore the isomorphism — unchanged.
+  Fe globalz = kFeOne;
+  if (len1 > 0) {
+    globalz = BuildOddMultiplesEffAffine(split.neg1 ? JacNeg(p) : p, odd1);
+  }
+  if (len2 > 0) {
+    const Fe beta_fe = FeFromU256(beta);
+    if (len1 > 0) {
+      // φ(d·P1) = d·φ(P1): (βx, y). A sign flip on y reconciles the two
+      // halves' negations.
+      bool flip = split.neg1 != split.neg2;
+      for (int i = 0; i < kWnafTableSize; ++i) {
+        Fe y = odd1[i].y;
+        if (flip) {
+          y = FeNegate(y, 1);
+          FeNormalizeWeak(y);
+        }
+        odd2[i] = {FeMul(beta_fe, odd1[i].x), y};
+      }
+    } else {
+      Jacobian base = {FeMul(beta_fe, p.x),
+                       split.neg2 ? FeNegate(p.y, 2) : p.y, p.z};
+      globalz = BuildOddMultiplesEffAffine(base, odd2);
     }
   }
+  Jacobian acc = kJacInfinity;
+  for (int i = std::max(len1, len2); i-- > 0;) {
+    acc = JacDouble(acc);
+    if (i < len1) {
+      int d = naf1[i];
+      if (d > 0) {
+        acc = JacAddMixed(acc, odd1[(d - 1) / 2]);
+      } else if (d < 0) {
+        acc = JacAddMixed(acc, NegAffine(odd1[(-d - 1) / 2]));
+      }
+    }
+    if (i < len2) {
+      int d = naf2[i];
+      if (d > 0) {
+        acc = JacAddMixed(acc, odd2[(d - 1) / 2]);
+      } else if (d < 0) {
+        acc = JacAddMixed(acc, NegAffine(odd2[(-d - 1) / 2]));
+      }
+    }
+  }
+  // Undo the table isomorphism. An all-zero z stays all-zero, so the
+  // identity survives the rescale.
+  acc.z = FeMul(acc.z, globalz);
   return acc;
 }
 
@@ -1203,9 +1083,9 @@ Jacobian JacScalarMulWnaf(const Jacobian& p, const U256& k) {
 // g_i = floor(2^384 * b_i / n) are not hard-coded: they are re-derived at
 // startup by exact long division. Every constant is then verified (λ and β
 // are cube roots of unity, a_i + b_i·λ ≡ 0 mod n, and φ(G) = λ·G against
-// the plain wNAF path); each decomposition is also checked to recompose.
-// Any mismatch disables the context and scalar multiplication degrades to
-// the plain path — wrong constants can cost speed, never correctness.
+// the unsplit loop); each decomposition is also checked to recompose. Any
+// mismatch disables the context and the loop runs on the unsplit scalar —
+// wrong constants can cost speed, never correctness.
 
 // floor((num << 384) / den) for den > 2^255, by bit-at-a-time long division
 // with a 257-bit remainder tracked as (high, rem). The quotient must fit in
@@ -1270,8 +1150,10 @@ const GlvContext& GetGlv() {
     if (U256::AddMod(g.a2, U256::MulMod(g.b2, g.lambda, kN), kN) != U256()) {
       return g;
     }
-    // φ(G) must equal λ·G (computed via the plain wNAF path).
-    AffinePoint lg = ToAffineFast(JacScalarMulWnaf(ToJacobian(kG), g.lambda));
+    // φ(G) must equal λ·G, computed by the unsplit loop directly
+    // (JacScalarMul would re-enter GetGlv during this initialization).
+    AffinePoint lg = ToAffine(
+        JacScalarMulSplit(ToJacobian(kG), GlvSplit{.k1 = g.lambda}, g.beta));
     if (lg.infinity || lg.x != FieldMul(g.beta, kG.x) || lg.y != kG.y) {
       return g;
     }
@@ -1284,13 +1166,6 @@ const GlvContext& GetGlv() {
 inline U256 SubModN(const U256& a, const U256& b) {  // both already < n
   return a >= b ? a - b : a + (kN - b);
 }
-
-struct GlvSplit {
-  U256 k1, k2;
-  bool neg1 = false;
-  bool neg2 = false;
-  bool ok = false;
-};
 
 GlvSplit GlvDecompose(const U256& k, const GlvContext& g) {
   GlvSplit s;
@@ -1315,75 +1190,21 @@ GlvSplit GlvDecompose(const U256& k, const GlvContext& g) {
     s.neg2 = true;
   }
   // Both halves should be ~129 bits; anything larger means the rounding
-  // estimates are off, and the plain path is the better choice.
+  // estimates are off, and the unsplit scalar is the better choice.
   s.ok = s.k1.BitLength() <= 160 && s.k2.BitLength() <= 160;
   return s;
 }
 
-// Fast variable-point multiplication; k must be reduced mod n. GLV split
-// when available, plain wNAF otherwise.
-Jacobian JacScalarMulFast(const Jacobian& p, const U256& k) {
+// Variable-point multiplication; k must be reduced mod n. Runs the GLV
+// split when the constants and this scalar's split pass their checks, and
+// the unsplit scalar otherwise.
+Jacobian JacScalarMul(const Jacobian& p, const U256& k) {
   if (k.IsZero() || p.IsInfinity()) return kJacInfinity;
   const GlvContext& glv = GetGlv();
-  if (!glv.ok) return JacScalarMulWnaf(p, k);
-  GlvSplit split = GlvDecompose(k, glv);
-  if (!split.ok) return JacScalarMulWnaf(p, k);
-  int8_t naf1[kWnafMaxDigits];
-  int8_t naf2[kWnafMaxDigits];
-  int len1 = split.k1.IsZero() ? 0 : Wnaf(split.k1, naf1);
-  int len2 = split.k2.IsZero() ? 0 : Wnaf(split.k2, naf2);
-  FeAffine odd1[kWnafTableSize];
-  FeAffine odd2[kWnafTableSize];
-  // Both tables share one global Z: φ only scales x by β, leaving every
-  // entry's denominator — and therefore the isomorphism — unchanged.
-  Fe globalz = kFeOne;
-  if (len1 > 0) {
-    globalz = BuildOddMultiplesEffAffine(split.neg1 ? JacNeg(p) : p, odd1);
-  }
-  if (len2 > 0) {
-    const Fe beta = FeFromU256(glv.beta);
-    if (len1 > 0) {
-      // φ(d·P1) = d·φ(P1): (βx, y). A sign flip on y reconciles the two
-      // halves' negations.
-      bool flip = split.neg1 != split.neg2;
-      for (int i = 0; i < kWnafTableSize; ++i) {
-        Fe y = odd1[i].y;
-        if (flip) {
-          y = FeNegate(y, 1);
-          FeNormalizeWeak(y);
-        }
-        odd2[i] = {FeMul(beta, odd1[i].x), y};
-      }
-    } else {
-      Jacobian base = {FeMul(beta, p.x),
-                       split.neg2 ? FeNegate(p.y, 2) : p.y, p.z};
-      globalz = BuildOddMultiplesEffAffine(base, odd2);
-    }
-  }
-  Jacobian acc = kJacInfinity;
-  for (int i = std::max(len1, len2); i-- > 0;) {
-    acc = JacDouble(acc);
-    if (i < len1) {
-      int d = naf1[i];
-      if (d > 0) {
-        acc = JacAddMixed(acc, odd1[(d - 1) / 2]);
-      } else if (d < 0) {
-        acc = JacAddMixed(acc, NegAffine(odd1[(-d - 1) / 2]));
-      }
-    }
-    if (i < len2) {
-      int d = naf2[i];
-      if (d > 0) {
-        acc = JacAddMixed(acc, odd2[(d - 1) / 2]);
-      } else if (d < 0) {
-        acc = JacAddMixed(acc, NegAffine(odd2[(-d - 1) / 2]));
-      }
-    }
-  }
-  // Undo the table isomorphism. An all-zero z stays all-zero, so the
-  // identity survives the rescale.
-  acc.z = FeMul(acc.z, globalz);
-  return acc;
+  GlvSplit split;
+  if (glv.ok) split = GlvDecompose(k, glv);
+  if (!split.ok) split = GlvSplit{.k1 = k};
+  return JacScalarMulSplit(p, split, glv.beta);
 }
 
 // u1*G + u2*P — the whole cost of a verify/recover. The variable point
@@ -1391,7 +1212,7 @@ Jacobian JacScalarMulFast(const Jacobian& p, const U256& k) {
 // into the same accumulator through the fixed-base comb, which needs no
 // doublings at all.
 Jacobian DoubleScalarMul(const U256& u1, const U256& u2, const Jacobian& p) {
-  Jacobian acc = JacScalarMulFast(p, u2);
+  Jacobian acc = JacScalarMul(p, u2);
   if (!u1.IsZero()) {
     const FixedBaseTable& table = GetFixedBaseTable();
     for (int w = 0; w < kCombWindows; ++w) {
@@ -1403,23 +1224,7 @@ Jacobian DoubleScalarMul(const U256& u1, const U256& u2, const Jacobian& p) {
   return acc;
 }
 
-// Backend dispatchers for the generic helpers used by point decompression
-// and affine normalization.
-U256 FieldSqrt(const U256& a) {
-  return UseFast() ? FieldSqrtFastImpl(a) : ref::FieldSqrt(a);
-}
-
-U256 ScalarInverse(const U256& a) {
-  return UseFast() ? ModInverseDivsteps(a, kN) : ModInverse(a, kN);
-}
-
 }  // namespace
-
-void SetBackend(Backend backend) {
-  g_backend.store(backend, std::memory_order_relaxed);
-}
-
-Backend GetBackend() { return g_backend.load(std::memory_order_relaxed); }
 
 namespace internal {
 
@@ -1427,13 +1232,9 @@ U256 FieldMul(const U256& a, const U256& b) {
   return onoff::secp256k1::FieldMul(a, b);
 }
 U256 FieldSqr(const U256& a) { return onoff::secp256k1::FieldSqr(a); }
-U256 FieldSqrReference(const U256& a) { return ref::FieldSqr(a); }
-U256 FieldInvFast(const U256& a) { return FieldInvFastImpl(a); }
-U256 FieldInvReference(const U256& a) { return ModInverse(a, kP); }
-U256 FieldSqrtFast(const U256& a) { return FieldSqrtFastImpl(a); }
-U256 FieldSqrtReference(const U256& a) { return ref::FieldSqrt(a); }
-U256 ScalarInvFast(const U256& a) { return ModInverseDivsteps(a, kN); }
-U256 ScalarInvReference(const U256& a) { return ModInverse(a, kN); }
+U256 FieldInv(const U256& a) { return onoff::secp256k1::FieldInv(a); }
+U256 FieldSqrt(const U256& a) { return onoff::secp256k1::FieldSqrt(a); }
+U256 ScalarInv(const U256& a) { return ModInverseDivsteps(a, kN); }
 bool GlvEnabled() { return GetGlv().ok; }
 
 }  // namespace internal
@@ -1459,26 +1260,15 @@ bool IsOnCurve(const AffinePoint& pt) {
 }
 
 AffinePoint Add(const AffinePoint& a, const AffinePoint& b) {
-  if (!UseFast()) {
-    return ref::ToAffine(ref::JacAdd(ref::ToJacobian(a), ref::ToJacobian(b)));
-  }
-  return ToAffineFast(JacAdd(ToJacobian(a), ToJacobian(b)));
+  return ToAffine(JacAdd(ToJacobian(a), ToJacobian(b)));
 }
 
 AffinePoint ScalarMul(const AffinePoint& pt, const U256& scalar) {
-  U256 k = scalar % kN;
-  if (!UseFast()) {
-    return ref::ToAffine(ref::JacScalarMul(ref::ToJacobian(pt), k));
-  }
-  return ToAffineFast(JacScalarMulFast(ToJacobian(pt), k));
+  return ToAffine(JacScalarMul(ToJacobian(pt), scalar % kN));
 }
 
 AffinePoint ScalarBaseMul(const U256& k) {
-  U256 reduced = k % kN;
-  if (!UseFast()) {
-    return ref::ToAffine(ref::JacScalarMul(ref::ToJacobian(kG), reduced));
-  }
-  return ToAffineFast(ScalarBaseMulFast(reduced));
+  return ToAffine(JacScalarBaseMul(k % kN));
 }
 
 Bytes Signature::Serialize() const {
@@ -1639,7 +1429,7 @@ Result<Signature> Sign(const Hash32& digest, const PrivateKey& key) {
     if (r_point.x >= kN) return false;
     U256 r = r_point.x;
     if (r.IsZero()) return false;
-    U256 kinv = ScalarInverse(k);
+    U256 kinv = ModInverseDivsteps(k, kN);
     U256 rd = U256::MulMod(r, key.scalar(), kN);
     U256 s = U256::MulMod(kinv, U256::AddMod(z, rd, kN), kN);
     if (s.IsZero()) return false;
@@ -1669,15 +1459,10 @@ bool Verify(const Hash32& digest, const Signature& sig,
   }
   if (!IsOnCurve(pub) || pub.infinity) return false;
   U256 z = U256::FromBigEndianTruncating(BytesView(digest.data(), 32)) % kN;
-  U256 sinv = ScalarInverse(sig.s);
+  U256 sinv = ModInverseDivsteps(sig.s, kN);
   U256 u1 = U256::MulMod(z, sinv, kN);
   U256 u2 = U256::MulMod(sig.r, sinv, kN);
-  AffinePoint res =
-      UseFast()
-          ? ToAffineFast(DoubleScalarMul(u1, u2, ToJacobian(pub)))
-          : ref::ToAffine(
-                ref::JacAdd(ref::JacScalarMul(ref::ToJacobian(kG), u1),
-                            ref::JacScalarMul(ref::ToJacobian(pub), u2)));
+  AffinePoint res = ToAffine(DoubleScalarMul(u1, u2, ToJacobian(pub)));
   if (res.infinity) return false;
   return res.x % kN == sig.r;
 }
@@ -1706,16 +1491,11 @@ Result<AffinePoint> Recover(const Hash32& digest, uint8_t v, const U256& r,
   AffinePoint r_point{x, y, false};
 
   U256 z = U256::FromBigEndianTruncating(BytesView(digest.data(), 32)) % kN;
-  U256 rinv = ScalarInverse(r);
+  U256 rinv = ModInverseDivsteps(r, kN);
   // Q = r^{-1} (s*R - z*G)
   U256 u1 = U256::MulMod(kN - z % kN, rinv, kN);  // -z/r mod n
   U256 u2 = U256::MulMod(s, rinv, kN);
-  AffinePoint pub =
-      UseFast()
-          ? ToAffineFast(DoubleScalarMul(u1, u2, ToJacobian(r_point)))
-          : ref::ToAffine(
-                ref::JacAdd(ref::JacScalarMul(ref::ToJacobian(kG), u1),
-                            ref::JacScalarMul(ref::ToJacobian(r_point), u2)));
+  AffinePoint pub = ToAffine(DoubleScalarMul(u1, u2, ToJacobian(r_point)));
   if (pub.infinity) {
     return Status::VerificationFailed("recovered point at infinity");
   }

@@ -6,26 +6,20 @@
 // The implementation favors clarity over constant-time hardening: it is a
 // research reproduction, not a wallet. Field arithmetic uses a specialized
 // fast reduction for p = 2^256 - 2^32 - 977; scalar arithmetic (mod the group
-// order n) uses the generic U256 modular routines, with a divsteps-based
-// inverse on the fast backend and binary extended-GCD on the reference one.
+// order n) uses the generic U256 modular routines and a divsteps-based
+// inverse.
 //
-// Two point-arithmetic backends are compiled in:
-//   kFast      — 5x52-limb lazy-reduction field representation for point
-//                formulas (magnitude-tracked adds/negates, one reduction
-//                per multiply), unrolled comba multiply / dedicated
-//                squaring for the serial Fermat inverse and square-root
-//                ladders, GLV endomorphism decomposition + wNAF(5) with
-//                effective-affine (shared-Z) precomputed odd-multiple
-//                tables for variable points, a precomputed 8-bit
-//                fixed-base comb table for G (zero doublings), and a
-//                divsteps (Bernstein–Yang style) scalar inverse. The GLV
-//                constants are self-checked at startup and fall back to
-//                plain wNAF on any mismatch.
-//   kReference — the original seed implementation preserved verbatim
-//                (per-bit double-and-add over schoolbook field ops), kept
-//                as the differential-testing oracle.
-// Both produce bit-identical results; the backend is a process-global
-// switch (kFast by default) so benchmarks and tests can compare them.
+// Point arithmetic runs on a 5x52-limb lazy-reduction field representation
+// (magnitude-tracked adds/negates, one reduction per multiply), with
+// unrolled comba multiply / dedicated squaring for the serial Fermat
+// inverse and square-root ladders. Variable points use GLV endomorphism
+// decomposition + wNAF(5) over effective-affine (shared-Z) precomputed
+// odd-multiple tables; G uses a precomputed 8-bit fixed-base comb table
+// (zero doublings). The GLV constants are self-checked at startup; on any
+// mismatch the same loop runs on the unsplit scalar.
+//
+// The original seed implementation (per-bit double-and-add over schoolbook
+// field ops) lives in tests/crypto/ as the differential-testing oracle.
 
 #ifndef ONOFFCHAIN_CRYPTO_SECP256K1_H_
 #define ONOFFCHAIN_CRYPTO_SECP256K1_H_
@@ -45,31 +39,6 @@ namespace onoff::secp256k1 {
 // Curve parameters.
 const U256& FieldPrime();   // p
 const U256& GroupOrder();   // n
-
-// Which point/field implementation the top-level operations use.
-enum class Backend {
-  kFast = 0,       // wNAF + tables + addition-chain inverse (default)
-  kReference = 1,  // naive double-and-add + binary-GCD inverse
-};
-
-// Process-global backend switch. Thread-safe; intended for benchmarks and
-// differential tests, not per-call toggling on hot paths.
-void SetBackend(Backend backend);
-Backend GetBackend();
-
-// RAII backend override for test scopes.
-class ScopedBackend {
- public:
-  explicit ScopedBackend(Backend backend) : prev_(GetBackend()) {
-    SetBackend(backend);
-  }
-  ~ScopedBackend() { SetBackend(prev_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  Backend prev_;
-};
 
 // An affine point; (0,0) with infinity=true is the identity.
 struct AffinePoint {
@@ -161,21 +130,16 @@ Result<Address> RecoverAddress(const Hash32& digest, uint8_t v, const U256& r,
                                const U256& s);
 
 // Field-kernel entry points, exposed for differential tests and
-// microbenchmarks only (all operands/results are in [0, p)). The *Fast and
-// *Reference pairs must agree bit-for-bit on every input.
+// microbenchmarks only (all operands/results are in [0, p)).
 namespace internal {
 U256 FieldMul(const U256& a, const U256& b);
-U256 FieldSqr(const U256& a);                // dedicated squaring kernel
-U256 FieldSqrReference(const U256& a);       // FieldMul(a, a)
-U256 FieldInvFast(const U256& a);            // Fermat addition chain
-U256 FieldInvReference(const U256& a);       // binary extended GCD
-U256 FieldSqrtFast(const U256& a);           // a^((p+1)/4) addition chain
-U256 FieldSqrtReference(const U256& a);      // generic square-and-multiply
-U256 ScalarInvFast(const U256& a);           // divsteps inverse mod n
-U256 ScalarInvReference(const U256& a);      // U256 binary GCD mod n
-// True when the GLV endomorphism passed its startup self-checks and the
-// fast backend is using the split-scalar path (it should always be true;
-// exposed so tests can catch a silent fallback).
+U256 FieldSqr(const U256& a);   // dedicated squaring kernel
+U256 FieldInv(const U256& a);   // Fermat addition chain
+U256 FieldSqrt(const U256& a);  // a^((p+1)/4) addition chain
+U256 ScalarInv(const U256& a);  // divsteps inverse mod n
+// True when the GLV endomorphism passed its startup self-checks and
+// variable-point multiplication is using the split-scalar path (it should
+// always be true; exposed so tests can catch a silent fallback).
 bool GlvEnabled();
 }  // namespace internal
 

@@ -117,6 +117,36 @@ TEST_F(BlockchainTest, NonceSequenceEnforced) {
   EXPECT_EQ(chain_.GetNonce(alice_.EthAddress()), 3u);
 }
 
+TEST_F(BlockchainTest, MalleatedCopyCannotDisplaceOriginal) {
+  // A relayer turns alice's transfer into (r, n - s, 55 - v): the same
+  // sender and fields under another hash. Admitted first, the copy would be
+  // mined in place of the original, whose receipt would then be NotFound.
+  Transaction tx;
+  tx.nonce = 0;
+  tx.gas_price = U256(1);
+  tx.gas_limit = 21'000;
+  tx.to = bob_.EthAddress();
+  tx.value = U256(1);
+  tx.Sign(alice_);
+  Transaction copy = tx;
+  copy.signature.s = secp256k1::GroupOrder() - tx.signature.s;
+  copy.signature.v = static_cast<uint8_t>(55 - tx.signature.v);
+  ASSERT_NE(copy.Hash(), tx.Hash());
+
+  auto copy_hash = chain_.SubmitTransaction(copy);
+  ASSERT_FALSE(copy_hash.ok());
+  EXPECT_EQ(copy_hash.status().code(), StatusCode::kVerificationFailed);
+  auto hash = chain_.SubmitTransaction(tx);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  const Block& block = chain_.MineBlock();
+  ASSERT_EQ(block.transactions.size(), 1u);
+  EXPECT_EQ(block.transactions[0].Hash(), *hash);
+  auto receipt = chain_.GetReceipt(*hash);
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  EXPECT_TRUE(receipt->success);
+  EXPECT_FALSE(chain_.GetReceipt(copy.Hash()).ok());
+}
+
 TEST_F(BlockchainTest, NonceIncrementsPerTransaction) {
   EXPECT_EQ(chain_.GetNonce(alice_.EthAddress()), 0u);
   ASSERT_TRUE(chain_.Execute(alice_, bob_.EthAddress(), U256(1), {}, 21'000).ok());

@@ -175,6 +175,35 @@ TEST(TransactionTest, CopyCarriesWarmSenderCache) {
   }
 }
 
+// (r, n - s, 55 - v) is the same signer's signature over the same fields,
+// under a different transaction hash. EIP-2 makes Sender() reject it, while
+// plain recovery (the ecrecover precompile's path) still accepts it.
+TEST(TransactionTest, MalleatedHighSCopyIsRejected) {
+  auto key = secp256k1::PrivateKey::FromSeed("malleate");
+  Transaction tx = MakeTx();
+  tx.Sign(key);
+  Transaction copy = MakeTx();
+  copy.signature.r = tx.signature.r;
+  copy.signature.s = secp256k1::GroupOrder() - tx.signature.s;
+  copy.signature.v = static_cast<uint8_t>(55 - tx.signature.v);
+  EXPECT_NE(copy.Hash(), tx.Hash());
+  auto recovered =
+      secp256k1::RecoverAddress(copy.SigningHash(), copy.signature.v,
+                                copy.signature.r, copy.signature.s);
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(*recovered, key.EthAddress());
+
+  auto sender = copy.Sender();
+  ASSERT_FALSE(sender.ok());
+  EXPECT_EQ(sender.status().code(), StatusCode::kVerificationFailed);
+  // The decoded wire form is rejected the same way.
+  auto decoded = Transaction::Decode(copy.Encode());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->Sender().ok());
+  ASSERT_TRUE(tx.Sender().ok());
+  EXPECT_EQ(*tx.Sender(), key.EthAddress());
+}
+
 TEST(TransactionTest, DistinctHashes) {
   auto key = secp256k1::PrivateKey::FromSeed("hashes");
   Transaction a = MakeTx();
