@@ -1,10 +1,12 @@
 // Signature hot-path microbenchmarks: sign / verify / recover ops/sec on the
-// library's secp256k1 path, the field kernels behind them, and end-to-end
-// chain verification with serial vs parallel sender pre-recovery. Emits
+// library's secp256k1 path, the field kernels behind them, keccak256 of a
+// hash-sized input and of a full trie branch node, and end-to-end chain
+// verification with serial vs parallel sender pre-recovery. Emits
 // BENCH_crypto.json (onoffchain-bench-v1 schema).
 //
 //   bench_crypto [--iters N] [--blocks B] [--txs T] [--json PATH]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -192,6 +194,23 @@ int main(int argc, char** argv) {
   PrintOp("field inv", field_inv);
   if (elem.IsZero()) std::printf("(unreachable)\n");  // keep elem live
 
+  // Keccak-256 of 32 bytes (a key or code hash: one permutation) and of 532
+  // bytes (a full 16-child branch node: four). Each digest is folded into
+  // the next input, so the calls cannot be hoisted.
+  Hash32 digest = digests[0];
+  auto time_keccak = [&digest](int calls, size_t len) {
+    Bytes input(len, 0xa5);
+    return TimeOp(calls, [&](int) {
+      std::copy(digest.begin(), digest.end(), input.begin());
+      digest = Keccak256(input);
+    });
+  };
+  double keccak_32 = time_keccak(iters * 250, 32);
+  PrintOp("keccak256 32 B", keccak_32);
+  double keccak_532 = time_keccak(iters * 50, 532);
+  PrintOp("keccak256 532 B", keccak_532);
+  if (digest == Hash32{}) std::printf("(unreachable)\n");  // keep digest live
+
   // End-to-end: verify a freshly built chain, serial vs parallel sender
   // pre-recovery, as a node would run it.
   VerifyFixture fx = BuildChain(blocks, txs_per_block);
@@ -217,6 +236,8 @@ int main(int argc, char** argv) {
           .Set("recover", OpJson(recover))
           .Set("field_sqr", OpJson(field_sqr))
           .Set("field_inv", OpJson(field_inv))
+          .Set("keccak256_32", OpJson(keccak_32))
+          .Set("keccak256_532", OpJson(keccak_532))
           .Set("verify_chain",
                obs::Json::Object()
                    .Set("blocks", obs::Json::Int(blocks))

@@ -1,6 +1,8 @@
 #include "chain/chain_audit.h"
 
+#include <algorithm>
 #include <sstream>
+#include <unordered_map>
 #include <utility>
 
 #include "support/log.h"
@@ -66,9 +68,9 @@ class ConservationInvariant : public BlockInvariant {
  private:
   static U256 TotalBalance(const state::WorldState& state) {
     U256 total;
-    for (const Address& addr : state.Addresses()) {
-      total = total + state.GetBalance(addr);
-    }
+    state.ForEachAccount([&total](const Address&, const state::Account& acc) {
+      total += acc.balance;
+    });
     return total;
   }
 
@@ -81,7 +83,8 @@ class ConservationInvariant : public BlockInvariant {
 // its transaction count and at least its successful-transaction count, and
 // an account with no transactions in the block keeps its nonce. (Reverted
 // calls consume a nonce but report success=false, so the bounds are a range,
-// not an equality.)
+// not an equality.) One pass over the account map per block; violations are
+// reported in ascending address order.
 class NonceInvariant : public BlockInvariant {
  public:
   const char* name() const override { return "nonce"; }
@@ -94,7 +97,7 @@ class NonceInvariant : public BlockInvariant {
       uint64_t successful = 0;
       Hash32 first_tx{};
     };
-    std::map<Address, SenderTxs> by_sender;
+    std::unordered_map<Address, SenderTxs> by_sender;
     for (size_t i = 0; i < block.transactions.size(); ++i) {
       auto sender = block.transactions[i].Sender();
       if (!sender.ok()) continue;  // unsigned txs never reach a block
@@ -103,60 +106,70 @@ class NonceInvariant : public BlockInvariant {
       ++entry.count;
       if (i < receipts.size() && receipts[i].success) ++entry.successful;
     }
-    for (const Address& addr : state.Addresses()) {
-      uint64_t nonce = state.GetNonce(addr);
-      auto tracked = last_nonce_.find(addr);
-      if (tracked == last_nonce_.end()) {
-        // First sight (new sender, contract created this block at nonce 1):
-        // the baseline starts here.
-        last_nonce_[addr] = nonce;
-        continue;
-      }
-      uint64_t previous = tracked->second;
-      auto txs = by_sender.find(addr);
-      uint64_t count = txs != by_sender.end() ? txs->second.count : 0;
-      uint64_t successful =
-          txs != by_sender.end() ? txs->second.successful : 0;
+    const SenderTxs no_txs;
+    struct Violation {
+      Address addr;
+      const char* problem;
+      uint64_t previous;
+      uint64_t nonce;
+      const SenderTxs* txs;  // &no_txs when the account sent nothing
+    };
+    std::vector<Violation> violations;
+    state.ForEachAccount([&](const Address& addr, const state::Account& acc) {
+      const uint64_t nonce = acc.nonce;
+      auto [tracked, first_sight] = last_nonce_.try_emplace(addr, nonce);
+      // First sight (new sender, contract created this block at nonce 1):
+      // the baseline starts here.
+      if (first_sight) return;
+      const uint64_t previous = tracked->second;
+      tracked->second = nonce;
+      auto sent = by_sender.find(addr);
+      const SenderTxs& txs = sent != by_sender.end() ? sent->second : no_txs;
       // A contract's nonce advances when it CREATEs internally (the betting
       // contract deploying the verified instance), driven by someone else's
       // transaction — only decreases are checkable for code-bearing
       // accounts. EOAs move their nonce exclusively via their own
       // transactions, so the full bounds apply.
-      bool is_contract = !state.GetCode(addr).empty();
-      std::string problem;
+      const char* problem = nullptr;
       if (nonce < previous) {
         problem = "account nonce decreased";
-      } else if (!is_contract && nonce - previous > count) {
-        problem = count == 0
+      } else if (!acc.IsContract() && nonce - previous > txs.count) {
+        problem = txs.count == 0
                       ? "account nonce changed with no transaction from it"
                       : "account nonce skipped past its transaction count";
-      } else if (!is_contract && nonce - previous < successful) {
+      } else if (!acc.IsContract() && nonce - previous < txs.successful) {
         problem = "successful transactions did not all consume a nonce";
       }
-      if (!problem.empty()) {
-        obs::ViolationReport report;
-        report.invariant = name();
-        report.message = problem;
-        report.block_height = block.header.number;
-        if (count > 0) {
-          report.tx_hash = HashHex(txs->second.first_tx);
-          report.trace_id = TraceIdForTx(txs->second.first_tx);
-        } else {
-          report.trace_id = AmbientTraceId();
-        }
-        report.values = {{"account", addr.ToHex()},
-                         {"nonce_before", std::to_string(previous)},
-                         {"nonce_after", std::to_string(nonce)},
-                         {"txs_in_block", std::to_string(count)},
-                         {"successful_txs", std::to_string(successful)}};
-        sink.Report(std::move(report));
+      if (problem != nullptr) {
+        violations.push_back({addr, problem, previous, nonce, &txs});
       }
-      tracked->second = nonce;
+    });
+    std::sort(violations.begin(), violations.end(),
+              [](const Violation& a, const Violation& b) {
+                return a.addr < b.addr;
+              });
+    for (const Violation& v : violations) {
+      obs::ViolationReport report;
+      report.invariant = name();
+      report.message = v.problem;
+      report.block_height = block.header.number;
+      if (v.txs->count > 0) {
+        report.tx_hash = HashHex(v.txs->first_tx);
+        report.trace_id = TraceIdForTx(v.txs->first_tx);
+      } else {
+        report.trace_id = AmbientTraceId();
+      }
+      report.values = {{"account", v.addr.ToHex()},
+                       {"nonce_before", std::to_string(v.previous)},
+                       {"nonce_after", std::to_string(v.nonce)},
+                       {"txs_in_block", std::to_string(v.txs->count)},
+                       {"successful_txs", std::to_string(v.txs->successful)}};
+      sink.Report(std::move(report));
     }
   }
 
  private:
-  std::map<Address, uint64_t> last_nonce_;
+  std::unordered_map<Address, uint64_t> last_nonce_;
 };
 
 // ---- settlement ----------------------------------------------------------

@@ -28,7 +28,6 @@
 #define ONOFFCHAIN_CHAIN_CHAIN_AUDIT_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>

@@ -20,48 +20,133 @@ constexpr uint64_t kRoundConstants[kRounds] = {
     0x8000000000008080ULL, 0x0000000080000001ULL, 0x8000000080008008ULL,
 };
 
-constexpr int kRotations[24] = {1,  3,  6,  10, 15, 21, 28, 36,
-                                45, 55, 2,  14, 27, 41, 56, 8,
-                                25, 43, 62, 18, 39, 61, 20, 44};
-
-constexpr int kPiLanes[24] = {10, 7,  11, 17, 18, 3,  5,  16,
-                              8,  21, 24, 4,  15, 23, 19, 13,
-                              12, 2,  20, 14, 22, 9,  6,  1};
-
 inline uint64_t Rotl64(uint64_t x, int n) {
   return (x << n) | (x >> (64 - n));
 }
 
+// Keccak-f[1600] over 25 local lanes, lane (x, y) in `a{x + 5y}`, with
+// theta, rho-pi and chi written out so the rotation amounts and the pi
+// permutation are compile-time constants and the state stays in registers
+// for all 24 rounds. tests/crypto/keccak_oracle.cc keeps the rolled seed
+// permutation this must match.
 void KeccakF1600(std::array<uint64_t, 25>& st) {
+  uint64_t a0 = st[0];
+  uint64_t a1 = st[1];
+  uint64_t a2 = st[2];
+  uint64_t a3 = st[3];
+  uint64_t a4 = st[4];
+  uint64_t a5 = st[5];
+  uint64_t a6 = st[6];
+  uint64_t a7 = st[7];
+  uint64_t a8 = st[8];
+  uint64_t a9 = st[9];
+  uint64_t a10 = st[10];
+  uint64_t a11 = st[11];
+  uint64_t a12 = st[12];
+  uint64_t a13 = st[13];
+  uint64_t a14 = st[14];
+  uint64_t a15 = st[15];
+  uint64_t a16 = st[16];
+  uint64_t a17 = st[17];
+  uint64_t a18 = st[18];
+  uint64_t a19 = st[19];
+  uint64_t a20 = st[20];
+  uint64_t a21 = st[21];
+  uint64_t a22 = st[22];
+  uint64_t a23 = st[23];
+  uint64_t a24 = st[24];
   for (int round = 0; round < kRounds; ++round) {
-    // Theta
-    uint64_t bc[5];
-    for (int i = 0; i < 5; ++i) {
-      bc[i] = st[i] ^ st[i + 5] ^ st[i + 10] ^ st[i + 15] ^ st[i + 20];
-    }
-    for (int i = 0; i < 5; ++i) {
-      uint64_t t = bc[(i + 4) % 5] ^ Rotl64(bc[(i + 1) % 5], 1);
-      for (int j = 0; j < 25; j += 5) st[j + i] ^= t;
-    }
-    // Rho + Pi
-    uint64_t t = st[1];
-    for (int i = 0; i < 24; ++i) {
-      int j = kPiLanes[i];
-      uint64_t tmp = st[j];
-      st[j] = Rotl64(t, kRotations[i]);
-      t = tmp;
-    }
-    // Chi
-    for (int j = 0; j < 25; j += 5) {
-      uint64_t row[5];
-      for (int i = 0; i < 5; ++i) row[i] = st[j + i];
-      for (int i = 0; i < 5; ++i) {
-        st[j + i] = row[i] ^ ((~row[(i + 1) % 5]) & row[(i + 2) % 5]);
-      }
-    }
-    // Iota
-    st[0] ^= kRoundConstants[round];
+    // Theta: column parities, then each lane takes d[x].
+    const uint64_t c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20;
+    const uint64_t c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21;
+    const uint64_t c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22;
+    const uint64_t c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23;
+    const uint64_t c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24;
+    const uint64_t d0 = c4 ^ Rotl64(c1, 1);
+    const uint64_t d1 = c0 ^ Rotl64(c2, 1);
+    const uint64_t d2 = c1 ^ Rotl64(c3, 1);
+    const uint64_t d3 = c2 ^ Rotl64(c4, 1);
+    const uint64_t d4 = c3 ^ Rotl64(c0, 1);
+    // Rho and pi: lane (x, y) rotates into (y, 2x + 3y).
+    const uint64_t b0 = a0 ^ d0;
+    const uint64_t b1 = Rotl64(a6 ^ d1, 44);
+    const uint64_t b2 = Rotl64(a12 ^ d2, 43);
+    const uint64_t b3 = Rotl64(a18 ^ d3, 21);
+    const uint64_t b4 = Rotl64(a24 ^ d4, 14);
+    const uint64_t b5 = Rotl64(a3 ^ d3, 28);
+    const uint64_t b6 = Rotl64(a9 ^ d4, 20);
+    const uint64_t b7 = Rotl64(a10 ^ d0, 3);
+    const uint64_t b8 = Rotl64(a16 ^ d1, 45);
+    const uint64_t b9 = Rotl64(a22 ^ d2, 61);
+    const uint64_t b10 = Rotl64(a1 ^ d1, 1);
+    const uint64_t b11 = Rotl64(a7 ^ d2, 6);
+    const uint64_t b12 = Rotl64(a13 ^ d3, 25);
+    const uint64_t b13 = Rotl64(a19 ^ d4, 8);
+    const uint64_t b14 = Rotl64(a20 ^ d0, 18);
+    const uint64_t b15 = Rotl64(a4 ^ d4, 27);
+    const uint64_t b16 = Rotl64(a5 ^ d0, 36);
+    const uint64_t b17 = Rotl64(a11 ^ d1, 10);
+    const uint64_t b18 = Rotl64(a17 ^ d2, 15);
+    const uint64_t b19 = Rotl64(a23 ^ d3, 56);
+    const uint64_t b20 = Rotl64(a2 ^ d2, 62);
+    const uint64_t b21 = Rotl64(a8 ^ d3, 55);
+    const uint64_t b22 = Rotl64(a14 ^ d4, 39);
+    const uint64_t b23 = Rotl64(a15 ^ d0, 41);
+    const uint64_t b24 = Rotl64(a21 ^ d1, 2);
+    // Chi, row by row.
+    a0 = b0 ^ (~b1 & b2);
+    a1 = b1 ^ (~b2 & b3);
+    a2 = b2 ^ (~b3 & b4);
+    a3 = b3 ^ (~b4 & b0);
+    a4 = b4 ^ (~b0 & b1);
+    a5 = b5 ^ (~b6 & b7);
+    a6 = b6 ^ (~b7 & b8);
+    a7 = b7 ^ (~b8 & b9);
+    a8 = b8 ^ (~b9 & b5);
+    a9 = b9 ^ (~b5 & b6);
+    a10 = b10 ^ (~b11 & b12);
+    a11 = b11 ^ (~b12 & b13);
+    a12 = b12 ^ (~b13 & b14);
+    a13 = b13 ^ (~b14 & b10);
+    a14 = b14 ^ (~b10 & b11);
+    a15 = b15 ^ (~b16 & b17);
+    a16 = b16 ^ (~b17 & b18);
+    a17 = b17 ^ (~b18 & b19);
+    a18 = b18 ^ (~b19 & b15);
+    a19 = b19 ^ (~b15 & b16);
+    a20 = b20 ^ (~b21 & b22);
+    a21 = b21 ^ (~b22 & b23);
+    a22 = b22 ^ (~b23 & b24);
+    a23 = b23 ^ (~b24 & b20);
+    a24 = b24 ^ (~b20 & b21);
+    // Iota.
+    a0 ^= kRoundConstants[round];
   }
+  st[0] = a0;
+  st[1] = a1;
+  st[2] = a2;
+  st[3] = a3;
+  st[4] = a4;
+  st[5] = a5;
+  st[6] = a6;
+  st[7] = a7;
+  st[8] = a8;
+  st[9] = a9;
+  st[10] = a10;
+  st[11] = a11;
+  st[12] = a12;
+  st[13] = a13;
+  st[14] = a14;
+  st[15] = a15;
+  st[16] = a16;
+  st[17] = a17;
+  st[18] = a18;
+  st[19] = a19;
+  st[20] = a20;
+  st[21] = a21;
+  st[22] = a22;
+  st[23] = a23;
+  st[24] = a24;
 }
 
 void AbsorbBlock(std::array<uint64_t, 25>& st, const uint8_t* block) {

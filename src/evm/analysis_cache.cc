@@ -573,6 +573,15 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
   return an;
 }
 
+size_t RetainedBytes(const CodeAnalysis& an) {
+  return sizeof(CodeAnalysis) + (an.jumpdests.capacity() + 7) / 8 +
+         an.cells.capacity() * sizeof(CodeCell) +
+         an.blocks.capacity() * sizeof(CodeBlock) + an.ops.capacity() +
+         an.agg.capacity() * sizeof(an.agg[0]) +
+         an.pool.capacity() * sizeof(U256) +
+         an.jump_cell.capacity() * sizeof(int32_t);
+}
+
 CodeAnalysisCache& CodeAnalysisCache::Global() {
   static CodeAnalysisCache cache;
   return cache;
@@ -596,7 +605,7 @@ std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
     auto it = map_.find(key);
     if (it != map_.end()) {
       if (hits != nullptr) hits->Inc();
-      return it->second;
+      return it->second.analysis;
     }
   }
   if (misses != nullptr) misses->Inc();
@@ -605,11 +614,21 @@ std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
   // miss path; hits stay allocation-free for BytesView callers.
   auto built = std::make_shared<const CodeAnalysis>(
       Analyze(Bytes(code.begin(), code.end()), fuse));
+  const size_t bytes = RetainedBytes(*built);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);
-  if (it != map_.end()) return it->second;  // another thread built it first
-  if (map_.size() >= kMaxEntries) return built;
-  map_.emplace(std::move(key), built);
+  if (it != map_.end()) return it->second.analysis;  // built first elsewhere
+  if (bytes > kBudgetBytes) return built;
+  // Evicted analyses stay alive for as long as a frame still holds them.
+  while (bytes_ + bytes > kBudgetBytes) {
+    auto oldest = map_.find(order_.front());
+    bytes_ -= oldest->second.bytes;
+    map_.erase(oldest);
+    order_.pop_front();
+  }
+  order_.push_back(key);
+  bytes_ += bytes;
+  map_.emplace(std::move(key), Entry{built, bytes});
   return built;
 }
 
@@ -618,9 +637,16 @@ size_t CodeAnalysisCache::size() const {
   return map_.size();
 }
 
+size_t CodeAnalysisCache::bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return bytes_;
+}
+
 void CodeAnalysisCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
+  order_.clear();
+  bytes_ = 0;
 }
 
 }  // namespace onoff::evm

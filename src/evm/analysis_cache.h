@@ -11,7 +11,8 @@
 // `CodeAnalysisCache` memoizes analyses process-wide, keyed by code hash:
 // code is content-addressed, so entries never need invalidation — a
 // redeploy at the same address has a different hash and simply misses.
-// The cache is thread-safe (the PR 6 parallel executor hits it from every
+// Retained analyses are held to a fixed byte budget, oldest evicted first.
+// The cache is thread-safe (the parallel executor hits it from every
 // worker) and hands out shared_ptr<const ...> so entries stay alive across
 // concurrent frames regardless of eviction.
 //
@@ -34,8 +35,10 @@
 #define ONOFFCHAIN_EVM_ANALYSIS_CACHE_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -146,8 +149,17 @@ bool IsFusableBinop(uint8_t opcode_byte);
 // lets the reference loop share EvalBinop with the threaded handlers.
 Handler BinopHandler(uint8_t opcode_byte);
 
+// Heap bytes an analysis holds (its vectors' capacities) plus the struct
+// itself: what the cache charges against its budget for one entry.
+size_t RetainedBytes(const CodeAnalysis& analysis);
+
 class CodeAnalysisCache {
  public:
+  // Content-addressed entries never go stale, so the budget is purely a
+  // memory bound: past it the oldest entries are evicted, and an analysis
+  // larger than the whole budget is returned without being retained.
+  static constexpr size_t kBudgetBytes = size_t{16} << 20;
+
   static CodeAnalysisCache& Global();
 
   // Returns the memoized analysis for (code_hash, fuse), building it from
@@ -161,15 +173,20 @@ class CodeAnalysisCache {
                                           BytesView code, bool fuse);
 
   size_t size() const;
+  // RetainedBytes summed over the entries; never above kBudgetBytes.
+  size_t bytes() const;
   void Clear();
 
  private:
-  // Content-addressed entries never go stale, so the cap is purely a
-  // memory bound: once full, new codes are analyzed but not retained.
-  static constexpr size_t kMaxEntries = 4096;
+  struct Entry {
+    std::shared_ptr<const CodeAnalysis> analysis;
+    size_t bytes = 0;
+  };
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const CodeAnalysis>> map_;
+  std::unordered_map<std::string, Entry> map_;
+  std::deque<std::string> order_;  // keys in insertion order, oldest first
+  size_t bytes_ = 0;
 };
 
 }  // namespace onoff::evm

@@ -106,16 +106,20 @@ void WorldState::SetCode(const Address& addr, Bytes code) {
   store_.MarkAccountDirty(addr);
 }
 
+const Hash32& WorldState::CodeHashOf(const Account& acc) {
+  if (!acc.code_hash_cache.has_value()) {
+    acc.code_hash_cache = Keccak256(acc.code);
+  }
+  return *acc.code_hash_cache;
+}
+
 Hash32 WorldState::GetCodeHash(const Address& addr) const {
   const Account* acc = Find(addr);
   if (acc == nullptr) {
     static const Hash32 kEmptyHash = Keccak256(Bytes{});
     return kEmptyHash;
   }
-  if (!acc->code_hash_cache.has_value()) {
-    acc->code_hash_cache = Keccak256(acc->code);
-  }
-  return *acc->code_hash_cache;
+  return CodeHashOf(*acc);
 }
 
 U256 WorldState::GetStorage(const Address& addr, const U256& key) const {
@@ -190,7 +194,7 @@ storage::StateStore::AccountLookup WorldState::StoreLookup() const {
     storage::AccountData data;
     data.nonce = acc->nonce;
     data.balance = acc->balance;
-    data.code_hash = Keccak256(acc->code);
+    data.code_hash = CodeHashOf(*acc);  // the account's memo
     data.storage = &acc->storage;
     return data;
   };
@@ -201,7 +205,6 @@ Hash32 WorldState::StateRoot() const {
 }
 
 Hash32 WorldState::RebuildStateRoot() const {
-  storage::StateStore::AccountLookup lookup = StoreLookup();
   storage::SecureSharedTrie state_trie;
   for (const auto& [addr, acc] : accounts_) {
     storage::SecureSharedTrie storage_trie;  // non-zero slots only
@@ -209,8 +212,14 @@ Hash32 WorldState::RebuildStateRoot() const {
       if (value.IsZero()) continue;
       storage_trie.Put(key.ToBytes(), rlp::Encode(rlp::Item::Scalar(value)));
     }
+    // Code is hashed from scratch, not read from the account's memo, so the
+    // oracle shares nothing with the commit path it checks.
+    storage::AccountData data;
+    data.nonce = acc.nonce;
+    data.balance = acc.balance;
+    data.code_hash = Keccak256(acc.code);
     state_trie.Put(addr.view(), storage::EncodeAccountRlp(
-                                    *lookup(addr), storage_trie.RootHash()));
+                                    data, storage_trie.RootHash()));
   }
   return state_trie.RootHash();
 }

@@ -30,8 +30,9 @@ struct Account {
   Bytes code;
   std::unordered_map<U256, U256> storage;
   // Lazily computed keccak of `code` (GetCodeHash keys the interpreter's
-  // code-analysis cache on it, once per frame). Cleared whenever `code`
-  // changes, including journal reverts; safe to copy alongside the code.
+  // code-analysis cache on it, once per frame, and the state store's
+  // account record reads it at commit). Cleared whenever `code` changes,
+  // including journal reverts; safe to copy alongside the code.
   mutable std::optional<Hash32> code_hash_cache;
 
   bool IsContract() const { return !code.empty(); }
@@ -157,8 +158,16 @@ class WorldState final : public StateView {
                                          const U256& key,
                                          const std::vector<Bytes>& proof);
 
-  // All addresses with a live account (for inspection/tests).
+  // All addresses with a live account, sorted (for inspection/tests).
   std::vector<Address> Addresses() const;
+
+  // Calls fn(address, account) for every live account, in unspecified
+  // order: one pass over the account map, with no copy and no sort (the
+  // per-block audit sweeps).
+  template <typename Fn>
+  void ForEachAccount(Fn&& fn) const {
+    for (const auto& [addr, acc] : accounts_) fn(addr, acc);
+  }
 
  private:
   struct BalanceChange {
@@ -191,6 +200,8 @@ class WorldState final : public StateView {
 
   const Account* Find(const Address& addr) const;
   Account& GetOrCreate(const Address& addr);
+  // Fills and returns the account's code-hash memo.
+  static const Hash32& CodeHashOf(const Account& acc);
   storage::StateStore::AccountLookup StoreLookup() const;
 
   std::unordered_map<Address, Account> accounts_;

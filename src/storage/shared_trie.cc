@@ -14,12 +14,17 @@ namespace internal {
 
 // Immutable after construction (mutated only while being built inside one
 // Insert/Delete call, before anyone else can see it). The memoized encoding
-// is write-once behind a once_flag so concurrent hashers of a shared
+// and its keccak are written once, together, behind a once_flag and
+// published by one release store, so concurrent hashers of a shared
 // snapshot are safe.
 struct SharedNode {
   enum class Type : uint8_t { kLeaf, kExtension, kBranch };
 
   Type type = Type::kLeaf;
+  // Next to `type`, so the flags fill what would be its padding: a node is
+  // allocated per account, and every byte counts at 50 k accounts.
+  mutable std::atomic<bool> enc_ready{false};
+  mutable std::once_flag enc_once;
   std::vector<uint8_t> path;  // leaf/extension
   Bytes value;                // leaf value, or the value slot of a branch
   NodeRef child;              // extension
@@ -27,9 +32,8 @@ struct SharedNode {
   // small — a rebuild allocates one node per account.
   std::vector<NodeRef> children;
 
-  mutable std::once_flag enc_once;
-  mutable std::atomic<bool> enc_ready{false};
-  mutable Bytes enc;  // memoized RLP encoding
+  mutable Bytes enc;      // memoized RLP encoding
+  mutable Hash32 hash{};  // memoized keccak(enc)
 };
 
 }  // namespace internal
@@ -85,30 +89,36 @@ std::shared_ptr<SharedNode> CopyBranch(const SharedNode& src) {
 
 Bytes EncodeNode(const SharedNode* node);
 
-const Bytes& EncodedMemo(const SharedNode* node) {
+// A node's RLP encoding and its keccak, both computed on first use.
+struct Memo {
+  const Bytes& enc;
+  const Hash32& hash;
+};
+
+Memo Memoized(const SharedNode* node) {
   if (node->enc_ready.load(std::memory_order_acquire)) {
     static obs::Counter* hits =
         obs::GetCounterOrNull("storage.trie_node_cache_hits");
     if (hits != nullptr) hits->Inc();
-    return node->enc;
+    return {node->enc, node->hash};
   }
   std::call_once(node->enc_once, [node] {
     node->enc = EncodeNode(node);
+    node->hash = Keccak256(node->enc);
     node->enc_ready.store(true, std::memory_order_release);
     static obs::Counter* computed =
         obs::GetCounterOrNull("storage.trie_nodes_hashed");
     if (computed != nullptr) computed->Inc();
   });
-  return node->enc;
+  return {node->enc, node->hash};
 }
 
 // Node reference inside a parent: raw encoding if < 32 bytes, else the
 // keccak wrapped as an RLP string.
 Bytes RefNode(const SharedNode* node) {
-  const Bytes& enc = EncodedMemo(node);
-  if (enc.size() < 32) return enc;  // embedded structurally
-  Hash32 h = Keccak256(enc);
-  return rlp::EncodeString(BytesView(h.data(), h.size()));
+  Memo memo = Memoized(node);
+  if (memo.enc.size() < 32) return memo.enc;  // embedded structurally
+  return rlp::EncodeString(BytesView(memo.hash.data(), memo.hash.size()));
 }
 
 Bytes EncodeNode(const SharedNode* node) {
@@ -347,9 +357,9 @@ void CollectRecordRefs(const SharedNode* node, const LeafRefs& leaf_refs,
       }
       return;
     case Type::kExtension: {
-      const Bytes& enc = EncodedMemo(node->child.get());
-      if (enc.size() >= 32) {
-        out->push_back(Keccak256(enc));
+      Memo child = Memoized(node->child.get());
+      if (child.enc.size() >= 32) {
+        out->push_back(child.hash);
       } else {
         CollectRecordRefs(node->child.get(), leaf_refs, out);
       }
@@ -358,9 +368,9 @@ void CollectRecordRefs(const SharedNode* node, const LeafRefs& leaf_refs,
     case Type::kBranch: {
       for (const NodeRef& child : node->children) {
         if (child == nullptr) continue;
-        const Bytes& enc = EncodedMemo(child.get());
-        if (enc.size() >= 32) {
-          out->push_back(Keccak256(enc));
+        Memo memo = Memoized(child.get());
+        if (memo.enc.size() >= 32) {
+          out->push_back(memo.hash);
         } else {
           CollectRecordRefs(child.get(), leaf_refs, out);
         }
@@ -376,7 +386,7 @@ void CollectRecordRefs(const SharedNode* node, const LeafRefs& leaf_refs,
 void ForEachHashedChild(const SharedNode* node,
                         const std::function<void(const NodeRef&)>& fn) {
   auto visit = [&fn](const NodeRef& child) {
-    if (child != nullptr && EncodedMemo(child.get()).size() >= 32) fn(child);
+    if (child != nullptr && Memoized(child.get()).enc.size() >= 32) fn(child);
   };
   if (node->type == Type::kExtension) visit(node->child);
   if (node->type == Type::kBranch) {
@@ -387,18 +397,17 @@ void ForEachHashedChild(const SharedNode* node,
 void PersistWalk(const NodeRef& node, const PersistKnown& known,
                  const PersistEmit& emit, const LeafRefs& leaf_refs,
                  bool is_root) {
-  const Bytes& enc = EncodedMemo(node.get());
+  Memo memo = Memoized(node.get());
   // Embedded nodes travel inside their parent's record; only the root is
   // stored standalone regardless of size (it is referenced by hash).
-  if (!is_root && enc.size() < 32) return;
-  Hash32 h = Keccak256(enc);
-  if (known(h)) return;  // subtree already stored (and its refs counted)
+  if (!is_root && memo.enc.size() < 32) return;
+  if (known(memo.hash)) return;  // subtree already stored (refs counted)
   ForEachHashedChild(node.get(), [&](const NodeRef& child) {
     PersistWalk(child, known, emit, leaf_refs, false);
   });
   std::vector<Hash32> refs;
   CollectRecordRefs(node.get(), leaf_refs, &refs);
-  emit(h, enc, refs);
+  emit(memo.hash, memo.enc, refs);
 }
 
 size_t Count(const SharedNode* node) {
@@ -555,7 +564,7 @@ Result<Bytes> SharedTrie::Get(BytesView key) const {
 
 Hash32 SharedTrie::RootHash() const {
   if (root_ == nullptr) return EmptyRoot();
-  return Keccak256(EncodedMemo(root_.get()));
+  return Memoized(root_.get()).hash;
 }
 
 Hash32 SharedTrie::EmptyRoot() {
@@ -593,7 +602,7 @@ std::vector<Bytes> SharedTrie::Prove(BytesView key) const {
   size_t pos = 0;
   bool is_root = true;
   while (node != nullptr) {
-    const Bytes& enc = EncodedMemo(node);
+    const Bytes& enc = Memoized(node).enc;
     if (is_root || enc.size() >= 32) proof.push_back(enc);
     is_root = false;
     switch (node->type) {

@@ -7,9 +7,10 @@
 // shared, immutable nodes. Mutation is path-copying: Put/Delete rebuild
 // only the spine from the root to the touched leaf and share every
 // untouched subtree with the previous version. Each immutable node memoizes
-// its RLP encoding (and therefore its keccak reference) the first time it
-// is hashed, so recomputing the root after k changed keys re-hashes
-// O(k · depth) nodes instead of the whole trie.
+// its RLP encoding and the keccak of it the first time it is hashed, so
+// recomputing the root after k changed keys re-hashes O(k · depth) nodes
+// instead of the whole trie, and the root, parent references and the
+// persistence walk read the memo instead of hashing again.
 //
 // Copying a SharedTrie is O(1) and yields an independent snapshot: the copy
 // and the original share all nodes until one of them writes. This is what

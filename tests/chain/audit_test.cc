@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -214,6 +215,179 @@ TEST_F(AuditTest, TimerViolationsOnVirtualClockFacts) {
   late.game = bob_.EthAddress();
   timer_audit.OnSettlement(late);
   EXPECT_EQ(timer_audit.violations(), 1u);
+}
+
+// The nonce invariant on crafted blocks, driven through
+// MakeBuiltinInvariants("nonce") directly: hand-set nonces in the state, a
+// block of signed transactions, and a receipt outcome per transaction.
+class NonceCorpusTest : public ::testing::Test {
+ protected:
+  NonceCorpusTest() : sink_(QuietSink()) {
+    std::vector<std::unique_ptr<BlockInvariant>> invariants =
+        MakeBuiltinInvariants("nonce");
+    EXPECT_EQ(invariants.size(), 1u);
+    nonce_ = std::move(invariants.front());
+  }
+
+  static obs::AuditorConfig QuietSink() {
+    obs::AuditorConfig config;
+    config.dump_flight = false;
+    return config;
+  }
+
+  // A transfer from `key`, signed so the invariant can recover its sender.
+  static Transaction SignedTx(const PrivateKey& key, uint64_t nonce) {
+    Transaction tx;
+    tx.nonce = nonce;
+    tx.gas_price = U256(1);
+    tx.gas_limit = 21'000;
+    tx.to = Address::FromWord(U256(0xdead));
+    tx.value = U256(1);
+    tx.Sign(key);
+    return tx;
+  }
+
+  // Commits a block at `height` holding `txs`, whose receipts carry
+  // `success` in order.
+  void Commit(uint64_t height, std::vector<Transaction> txs,
+              const std::vector<bool>& success) {
+    Block block;
+    block.header.number = height;
+    block.transactions = std::move(txs);
+    std::vector<Receipt> receipts(success.size());
+    for (size_t i = 0; i < success.size(); ++i) {
+      receipts[i].success = success[i];
+    }
+    nonce_->OnBlockCommit(block, receipts, state_, sink_);
+  }
+
+  static std::string Value(const obs::ViolationReport& report,
+                           const std::string& key) {
+    for (const auto& [k, v] : report.values) {
+      if (k == key) return v;
+    }
+    return "<missing>";
+  }
+
+  state::WorldState state_;
+  obs::Auditor sink_;
+  std::unique_ptr<BlockInvariant> nonce_;
+};
+
+TEST_F(NonceCorpusTest, NonceSkippedPastItsTransactionCount) {
+  PrivateKey alice = PrivateKey::FromSeed("nonce-alice");
+  state_.SetNonce(alice.EthAddress(), 0);
+  Commit(1, {}, {});  // first sight: the baseline
+  EXPECT_EQ(sink_.violations(), 0u);
+  // One transaction from alice, but her nonce moves by three.
+  Transaction tx = SignedTx(alice, 0);
+  state_.SetNonce(alice.EthAddress(), 3);
+  Commit(2, {tx}, {true});
+  ASSERT_EQ(sink_.violations(), 1u);
+  const obs::ViolationReport report = sink_.Reports()[0];
+  EXPECT_EQ(report.invariant, "nonce");
+  EXPECT_EQ(report.message, "account nonce skipped past its transaction count");
+  EXPECT_EQ(report.block_height, 2u);
+  Hash32 tx_hash = tx.Hash();
+  EXPECT_EQ(report.tx_hash, ToHex0x(BytesView(tx_hash.data(), tx_hash.size())));
+  EXPECT_EQ(Value(report, "account"), alice.EthAddress().ToHex());
+  EXPECT_EQ(Value(report, "nonce_before"), "0");
+  EXPECT_EQ(Value(report, "nonce_after"), "3");
+  EXPECT_EQ(Value(report, "txs_in_block"), "1");
+  EXPECT_EQ(Value(report, "successful_txs"), "1");
+}
+
+TEST_F(NonceCorpusTest, SuccessfulTransactionsThatConsumedNoNonce) {
+  PrivateKey bob = PrivateKey::FromSeed("nonce-bob");
+  state_.SetNonce(bob.EthAddress(), 4);
+  Commit(1, {}, {});
+  // Two successful transactions, one nonce consumed.
+  state_.SetNonce(bob.EthAddress(), 5);
+  Commit(2, {SignedTx(bob, 4), SignedTx(bob, 5)}, {true, true});
+  ASSERT_EQ(sink_.violations(), 1u);
+  const obs::ViolationReport report = sink_.Reports()[0];
+  EXPECT_EQ(report.message,
+            "successful transactions did not all consume a nonce");
+  EXPECT_EQ(Value(report, "account"), bob.EthAddress().ToHex());
+  EXPECT_EQ(Value(report, "nonce_before"), "4");
+  EXPECT_EQ(Value(report, "nonce_after"), "5");
+  EXPECT_EQ(Value(report, "txs_in_block"), "2");
+  EXPECT_EQ(Value(report, "successful_txs"), "2");
+
+  // A reverted transaction still consumes a nonce but counts as
+  // unsuccessful, so one nonce for one success and one revert is clean.
+  state_.SetNonce(bob.EthAddress(), 6);
+  Commit(3, {SignedTx(bob, 5), SignedTx(bob, 6)}, {true, false});
+  EXPECT_EQ(sink_.violations(), 1u);
+}
+
+// Violations on many accounts in one block arrive in ascending address
+// order, each with its own message; first-sight accounts and contracts
+// whose nonce moved without a transaction stay exempt.
+TEST_F(NonceCorpusTest, ReportsArriveInAscendingAddressOrder) {
+  std::vector<PrivateKey> keys;
+  for (int i = 0; i < 8; ++i) {
+    keys.push_back(PrivateKey::FromSeed("nonce-corpus-" + std::to_string(i)));
+    state_.SetNonce(keys.back().EthAddress(), 10);
+  }
+  Address contract = Address::FromWord(U256(0xc0de));
+  state_.SetCode(contract, Bytes{0x00});
+  state_.SetNonce(contract, 1);
+  Commit(1, {}, {});
+  ASSERT_EQ(sink_.violations(), 0u);
+
+  // Accounts cycle through the four messages.
+  const char* kMessages[] = {
+      "account nonce decreased",
+      "account nonce changed with no transaction from it",
+      "account nonce skipped past its transaction count",
+      "successful transactions did not all consume a nonce",
+  };
+  std::vector<Transaction> txs;
+  std::vector<bool> success;
+  std::map<std::string, std::string> expected;  // account hex -> message
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Address addr = keys[i].EthAddress();
+    switch (i % 4) {
+      case 0:
+        state_.SetNonce(addr, 9);
+        break;
+      case 1:
+        state_.SetNonce(addr, 11);
+        break;
+      case 2:
+        txs.push_back(SignedTx(keys[i], 10));
+        success.push_back(true);
+        state_.SetNonce(addr, 12);
+        break;
+      case 3:
+        txs.push_back(SignedTx(keys[i], 10));
+        txs.push_back(SignedTx(keys[i], 11));
+        success.insert(success.end(), {true, true});
+        state_.SetNonce(addr, 10);
+        break;
+    }
+    expected[addr.ToHex()] = kMessages[i % 4];
+  }
+  state_.SetNonce(contract, 2);  // an internal CREATE: exempt
+  state_.SetNonce(Address::FromWord(U256(0xf1257)), 5);  // first sight
+  Commit(2, std::move(txs), success);
+
+  std::vector<obs::ViolationReport> reports = sink_.Reports();
+  ASSERT_EQ(reports.size(), keys.size());
+  std::vector<std::string> order;
+  for (const obs::ViolationReport& report : reports) {
+    EXPECT_EQ(report.invariant, "nonce");
+    EXPECT_EQ(report.block_height, 2u);
+    std::string account = Value(report, "account");
+    order.push_back(account);
+    EXPECT_EQ(report.message, expected[account]) << account;
+  }
+  // Hex of equal-length addresses sorts like the addresses themselves; the
+  // map iterates in that order.
+  std::vector<std::string> ascending;
+  for (const auto& [account, message] : expected) ascending.push_back(account);
+  EXPECT_EQ(order, ascending);
 }
 
 // A violation with a global flight recorder installed dumps a schema-tagged

@@ -1,10 +1,12 @@
 // Unit tests for the code-analysis cache: decode structure (blocks, hoisted
 // gas, stack deltas, jump resolution), superinstruction fusion, cache
-// hit/miss behavior, and — the TSan target — many threads concurrently
-// resolving and executing the same contract through the shared cache.
+// hit/miss behavior, the byte budget and its oldest-first eviction, and —
+// the TSan target — many threads concurrently resolving and executing the
+// same contract through the shared cache while other codes evict entries.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,23 @@ namespace onoff::evm {
 namespace {
 
 Hash32 CodeHash(const Bytes& code) { return Keccak256(code); }
+
+// A distinct code per `tag` whose analysis is large: STOP, then `jumpdests`
+// JUMPDESTs (one basic block each), then PUSH4 tag. Executing it stops at
+// once.
+Bytes BigCode(uint32_t tag, size_t jumpdests = 24'000) {
+  Bytes code{0x00};
+  code.insert(code.end(), jumpdests, 0x5b);
+  code.push_back(0x63);  // PUSH4
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    code.push_back(static_cast<uint8_t>(tag >> shift));
+  }
+  return code;
+}
+
+std::shared_ptr<const CodeAnalysis> Resolve(const Bytes& code) {
+  return CodeAnalysisCache::Global().Get(CodeHash(code), code, /*fuse=*/true);
+}
 
 const CodeCell* FindCell(const CodeAnalysis& an, Handler h) {
   for (const CodeCell& c : an.cells) {
@@ -166,8 +185,108 @@ TEST(AnalysisCacheTest, HitsAndMissesAndFuseKeying) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(AnalysisCacheTest, RetainedBytesStayUnderTheBudget) {
+  CodeAnalysisCache& cache = CodeAnalysisCache::Global();
+  cache.Clear();
+  size_t resolved = 0;
+  size_t resolved_bytes = 0;
+  for (uint32_t tag = 0; resolved_bytes <= 2 * CodeAnalysisCache::kBudgetBytes;
+       ++tag) {
+    auto an = Resolve(BigCode(tag));
+    resolved_bytes += RetainedBytes(*an);
+    ++resolved;
+    ASSERT_LE(cache.bytes(), CodeAnalysisCache::kBudgetBytes) << "tag " << tag;
+  }
+  EXPECT_LT(cache.size(), resolved);
+  // Eviction frees only what the newcomer needs; the cache stays useful.
+  EXPECT_GT(cache.bytes(), CodeAnalysisCache::kBudgetBytes / 2);
+
+  // An analysis larger than the whole budget is returned, not retained.
+  Bytes huge = BigCode(0xffffffff, 400'000);
+  size_t before = cache.size();
+  auto an = Resolve(huge);
+  ASSERT_GT(RetainedBytes(*an), CodeAnalysisCache::kBudgetBytes);
+  EXPECT_EQ(an->jumpdests.size(), huge.size());
+  EXPECT_EQ(cache.size(), before);
+  EXPECT_NE(Resolve(huge).get(), an.get());  // misses again
+  cache.Clear();
+  EXPECT_EQ(cache.bytes(), 0u);
+}
+
+TEST(AnalysisCacheTest, OldestCodeMissesAgainAfterEviction) {
+  CodeAnalysisCache& cache = CodeAnalysisCache::Global();
+  cache.Clear();
+  std::vector<Bytes> codes;
+  std::vector<std::shared_ptr<const CodeAnalysis>> first;
+  size_t resolved_bytes = 0;
+  for (uint32_t tag = 0; resolved_bytes <= CodeAnalysisCache::kBudgetBytes;
+       ++tag) {
+    codes.push_back(BigCode(tag));
+    first.push_back(Resolve(codes.back()));
+    resolved_bytes += RetainedBytes(*first.back());
+  }
+  ASSERT_GE(codes.size(), 3u);
+  // The newest code still hits...
+  EXPECT_EQ(Resolve(codes.back()).get(), first.back().get());
+  // ...while the oldest was evicted: it misses and is analyzed afresh, and
+  // the copy its caller still holds is intact.
+  auto again = Resolve(codes.front());
+  EXPECT_NE(again.get(), first.front().get());
+  EXPECT_EQ(again->cells.size(), first.front()->cells.size());
+  EXPECT_EQ(again->jumpdests, first.front()->jumpdests);
+  cache.Clear();
+}
+
+// A frame holds its analysis for as long as it runs: the caller below CALLs
+// enough distinct large contracts that its own entry, the oldest, is
+// evicted mid-frame, and it must still finish on the evicted analysis.
+TEST(AnalysisCacheTest, EvictedAnalysisHeldByACallerStillExecutes) {
+  CodeAnalysisCache& cache = CodeAnalysisCache::Global();
+  cache.Clear();
+  const size_t per_callee =
+      RetainedBytes(Analyze(BigCode(0), /*fuse=*/true));
+  const size_t callees = CodeAnalysisCache::kBudgetBytes / per_callee + 2;
+
+  state::WorldState world;
+  Address sender = Address::FromWord(U256(0xaa));
+  Address caller = Address::FromWord(U256(0xca11));
+  world.CreateAccount(sender);
+  world.AddBalance(sender, U256(1'000'000));
+  // Per callee: CALL(gas, callee, 0, 0, 0, 0, 0), leaving its success flag
+  // on the stack; then the flags are summed into slot 0.
+  Bytes code;
+  for (size_t i = 0; i < callees; ++i) {
+    Address callee = Address::FromWord(U256(0x1000 + i));
+    world.SetCode(callee, BigCode(static_cast<uint32_t>(i)));
+    for (int arg = 0; arg < 5; ++arg) code.insert(code.end(), {0x60, 0x00});
+    code.push_back(0x73);  // PUSH20 callee
+    code.insert(code.end(), callee.bytes().begin(), callee.bytes().end());
+    code.insert(code.end(), {0x5a, 0xf1});  // GAS CALL
+  }
+  code.insert(code.end(), callees - 1, 0x01);  // ADD the flags
+  code.insert(code.end(), {0x60, 0x00, 0x55, 0x00});  // PUSH1 0 SSTORE STOP
+  world.SetCode(caller, code);
+  world.ClearJournal();
+
+  // Resolved first, so it is the oldest entry; only the frame keeps it.
+  std::weak_ptr<const CodeAnalysis> caller_entry = Resolve(code);
+  Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
+  evm.set_dispatch_mode(DispatchMode::kThreaded);
+  CallMessage msg;
+  msg.caller = sender;
+  msg.to = caller;
+  msg.gas = 10'000'000;
+  ExecResult res = evm.Call(msg);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(world.GetStorage(caller, U256(0)), U256(callees));
+  EXPECT_TRUE(caller_entry.expired()) << "the caller's entry was not evicted";
+  EXPECT_LE(cache.bytes(), CodeAnalysisCache::kBudgetBytes);
+  cache.Clear();
+}
+
 // TSan target: concurrent Get() on the same hash from many threads while
-// executing the contract through the threaded interpreter.
+// executing the contract through the threaded interpreter, as other
+// resolutions push the cache past its budget and evict entries.
 TEST(AnalysisCacheTest, ConcurrentResolutionAndExecution) {
   CodeAnalysisCache::Global().Clear();
   // The fusion-loop program from the differential test: jumps, fused
@@ -198,13 +317,23 @@ TEST(AnalysisCacheTest, ConcurrentResolutionAndExecution) {
         msg.gas = 100'000;
         ExecResult res = evm.Call(msg);
         if (!res.ok()) ++failures[t];
+        // Every fifth round also resolves a distinct large code: 40 of
+        // them are several budgets' worth, so entries (the contract's own
+        // included) are evicted while other threads execute.
+        if (i % 5 == 0) {
+          Bytes big = BigCode(static_cast<uint32_t>(t * 100 + i));
+          if (Resolve(big)->jumpdests.size() != big.size()) ++failures[t];
+        }
       }
     });
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
-  // Both fuse variants were resolved exactly once each.
-  EXPECT_EQ(CodeAnalysisCache::Global().size(), 2u);
+  EXPECT_LE(CodeAnalysisCache::Global().bytes(), CodeAnalysisCache::kBudgetBytes);
+  // 2 fuse variants of the contract plus 40 large codes were resolved;
+  // fewer are retained.
+  EXPECT_LT(CodeAnalysisCache::Global().size(), 42u);
+  CodeAnalysisCache::Global().Clear();
 }
 
 }  // namespace

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "rlp/rlp.h"
 #include "support/bytes.h"
 #include "trie/trie.h"
 
@@ -235,6 +237,105 @@ TEST(SharedTrieTest, PersistWalkEmitsEachNodeOnceAndStopsAtKnown) {
   t.PersistNodes(known, emit);
   EXPECT_GT(emitted, before);
   EXPECT_LT(emitted - before, 12u);
+}
+
+// The hashed child references written inside one encoded node: 32-byte
+// strings in a branch's child slots or an extension's child, descending
+// into embedded (inline) children.
+void CollectEncodedRefs(const rlp::Item& node, std::vector<Hash32>* out) {
+  auto child = [out](const rlp::Item& ref) {
+    if (ref.IsList()) {
+      CollectEncodedRefs(ref, out);
+    } else if (ref.string().size() == 32) {
+      Hash32 h;
+      std::copy(ref.string().begin(), ref.string().end(), h.begin());
+      out->push_back(h);
+    }
+  };
+  const std::vector<rlp::Item>& fields = node.list();
+  if (fields.size() == 17) {
+    for (int i = 0; i < 16; ++i) child(fields[i]);
+  } else if (fields.size() == 2) {
+    Result<HexPrefixPath> path = HexPrefixDecode(fields[0].string());
+    ASSERT_TRUE(path.ok());
+    if (!path->is_leaf) child(fields[1]);
+  }
+}
+
+// Persists `t` into a fresh store and checks that no memoized hash is
+// stale: each record hashes to the hash it was emitted under, and each
+// reference equals the keccak of the child record it names and of what the
+// parent's own encoding embeds.
+void ExpectFreshHashes(const SharedTrie& t, const std::string& label) {
+  std::map<Hash32, Bytes> store;
+  Hash32 last{};
+  auto known = [&store](const Hash32& h) { return store.count(h) > 0; };
+  auto emit = [&](const Hash32& h, const Bytes& enc,
+                  const std::vector<Hash32>& refs) {
+    EXPECT_EQ(Keccak256(enc), h) << label;
+    for (const Hash32& ref : refs) {
+      auto child = store.find(ref);
+      ASSERT_NE(child, store.end()) << label << ": child emitted late";
+      EXPECT_EQ(Keccak256(child->second), ref) << label;
+    }
+    Result<rlp::Item> item = rlp::Decode(enc);
+    ASSERT_TRUE(item.ok()) << label;
+    std::vector<Hash32> embedded;
+    CollectEncodedRefs(*item, &embedded);
+    std::vector<Hash32> sorted_refs = refs;
+    std::sort(embedded.begin(), embedded.end());
+    std::sort(sorted_refs.begin(), sorted_refs.end());
+    EXPECT_EQ(embedded, sorted_refs) << label;
+    store[h] = enc;
+    last = h;
+  };
+  t.PersistNodes(known, emit);
+  if (!t.IsEmpty()) {
+    EXPECT_EQ(last, t.RootHash()) << label;  // the root comes last
+  }
+}
+
+TEST(SharedTrieTest, PersistWalkHashesNeverGoStale) {
+  std::mt19937_64 rng(0x57a1e);
+  SharedTrie live;
+  trie::Trie seed;
+  std::map<std::string, std::string> model;
+  std::vector<std::pair<SharedTrie, Hash32>> copies;  // (copy, its root)
+  for (int step = 0; step < 600; ++step) {
+    // Short keys and values of every size up to 40 bytes mix hashed and
+    // embedded nodes.
+    std::string k;
+    for (size_t i = 0, len = 1 + rng() % 5; i < len; ++i) {
+      k.push_back(static_cast<char>('a' + rng() % 6));
+    }
+    if (rng() % 3 == 0 && !model.empty()) {
+      auto it = model.begin();
+      std::advance(it, rng() % model.size());
+      k = it->first;
+      live.Delete(BytesOf(k));
+      seed.Delete(BytesOf(k));
+      model.erase(it);
+    } else {
+      std::string v(1 + rng() % 40, static_cast<char>('A' + rng() % 26));
+      live.Put(BytesOf(k), BytesOf(v));
+      seed.Put(BytesOf(k), BytesOf(v));
+      model[k] = v;
+    }
+    // Hash only some versions, so later versions mix warm shared nodes
+    // with cold new ones.
+    if (step % 7 == 0) {
+      ASSERT_EQ(live.RootHash(), seed.RootHash()) << "step " << step;
+    }
+    if (step % 50 == 0) copies.emplace_back(live, seed.RootHash());
+  }
+  ExpectFreshHashes(live, "live");
+  EXPECT_EQ(live.RootHash(), seed.RootHash());
+  // Every older copy still hashes to the root it had when it was taken.
+  for (size_t i = 0; i < copies.size(); ++i) {
+    const auto& [copy, root] = copies[i];
+    ExpectFreshHashes(copy, "copy " + std::to_string(i));
+    EXPECT_EQ(copy.RootHash(), root) << "copy " << i;
+  }
 }
 
 }  // namespace

@@ -63,6 +63,42 @@ TEST(StateStoreTest, DeleteAndRecreateAccount) {
   EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
 }
 
+// The account record's code hash comes from the account's code-hash memo
+// (the commit path) while RebuildStateRoot hashes code from scratch: the
+// memo must follow every code change, revert and recreation.
+TEST(StateStoreTest, CodeHashMemoFollowsSetCodeRevertAndRecreate) {
+  WorldState ws;
+  ws.SetCode(Addr(6), BytesOf("\x60\x01\x00"));
+  ws.SetBalance(Addr(6), U256(6));
+  ws.ClearJournal();
+  Hash32 first = ws.GetCodeHash(Addr(6));  // warm the memo
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+
+  // New code, then a revert back to the original.
+  auto snap = ws.TakeSnapshot();
+  ws.SetCode(Addr(6), BytesOf("\x60\x02\x00"));
+  EXPECT_NE(ws.GetCodeHash(Addr(6)), first);
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+  ws.RevertToSnapshot(snap);
+  EXPECT_EQ(ws.GetCodeHash(Addr(6)), first);
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+
+  // Deleted, then recreated with other code and with none.
+  ws.DeleteAccount(Addr(6));
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+  ws.SetCode(Addr(6), BytesOf("\x60\x03\x00"));
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+  ws.DeleteAccount(Addr(6));
+  ws.SetBalance(Addr(6), U256(1));
+  EXPECT_EQ(ws.GetCodeHash(Addr(6)), Keccak256(Bytes{}));
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+
+  // Undoing the deletions restores the original code and its hash.
+  ws.RevertToSnapshot(snap);
+  EXPECT_EQ(ws.GetCodeHash(Addr(6)), first);
+  EXPECT_EQ(ws.StateRoot(), ws.RebuildStateRoot());
+}
+
 TEST(StateStoreTest, RevertMarksDirtyAndRootsAgree) {
   WorldState ws;
   ws.SetBalance(Addr(1), U256(100));
