@@ -19,6 +19,7 @@
 // Writes BENCH_access_analysis.json (onoffchain-bench-v1) via --json <path>.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,9 +47,15 @@ double NowMs() {
 
 // Wraps `runtime` in init code that returns it verbatim.
 Bytes InitFor(const Bytes& runtime) {
+  if (runtime.size() > 0xffff) {
+    std::fprintf(stderr, "runtime of %zu bytes does not fit PUSH2\n",
+                 runtime.size());
+    std::exit(1);
+  }
   auto hex_len = [&] {
     char buf[8];
-    std::snprintf(buf, sizeof buf, "%04zx", runtime.size());
+    std::snprintf(buf, sizeof buf, "%04x",
+                  static_cast<uint16_t>(runtime.size()));
     return std::string(buf);
   };
   std::string src = "PUSH2 0x" + hex_len();
@@ -63,17 +70,25 @@ Bytes InitFor(const Bytes& runtime) {
 // A synthetic contract with `n` selectors, each doing a read-modify-write
 // of its own storage slot — the shape the static scheduler is built for.
 Bytes PerSelectorSlotContract(size_t n) {
+  // Selector i stores to slot 0x50 + i, which must fit PUSH1.
+  constexpr size_t kMaxSelectors = 0x100 - 0x50;
+  if (n > kMaxSelectors) {
+    std::fprintf(stderr, "%zu selectors requested, at most %zu fit\n", n,
+                 kMaxSelectors);
+    std::exit(1);
+  }
   std::string src = "PUSH1 0x00 CALLDATALOAD PUSH1 0xe0 SHR\n";
   for (size_t i = 0; i < n; ++i) {
     char sel[16];
-    std::snprintf(sel, sizeof sel, "0x4000%04zx", i);
+    std::snprintf(sel, sizeof sel, "0x4000%04x", static_cast<uint16_t>(i));
     src += "DUP1 PUSH4 " + std::string(sel) + " EQ PUSH @f" +
            std::to_string(i) + " JUMPI\n";
   }
   src += "PUSH1 0x00 PUSH1 0x00 REVERT\n";
   for (size_t i = 0; i < n; ++i) {
     char slot[8];
-    std::snprintf(slot, sizeof slot, "0x%02zx", 0x50 + i);
+    std::snprintf(slot, sizeof slot, "0x%02x",
+                  static_cast<uint8_t>(0x50 + i));
     src += "f" + std::to_string(i) + ":\nPOP PUSH1 " + std::string(slot) +
            " SLOAD PUSH1 0x01 ADD PUSH1 " + std::string(slot) +
            " SSTORE STOP\n";

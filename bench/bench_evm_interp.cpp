@@ -1,14 +1,14 @@
 // Interpreter dispatch benchmark: the same workloads under the reference
-// switch loop, threaded dispatch without fusion, and threaded dispatch with
-// superinstructions (the default).
+// switch loop and threaded dispatch with superinstructions (the default).
 //
 //   dense:    direct Evm::Call of an arithmetic loop contract — the
 //             dispatch-bound worst case where per-instruction overhead
 //             dominates (no storage, no memory growth, no sub-calls).
 //   protocol: the full Table II dispute flow (deploy, deposits,
 //             deployVerifiedInstance with signature checks, dispute
-//             re-execution) — the paper's actual transaction mix, where
-//             keccak/storage/sig work dilutes dispatch overhead.
+//             re-execution) run through evm::Evm on one WorldState — the
+//             paper's actual contract mix, where keccak/storage/sig work
+//             dilutes dispatch overhead.
 //
 // Every row records gas and the post-state root; any divergence from the
 // switch reference is a correctness failure (exit 1), so the reported
@@ -22,7 +22,6 @@
 #include <cstring>
 #include <string>
 
-#include "chain/blockchain.h"
 #include "contracts/betting.h"
 #include "crypto/secp256k1.h"
 #include "easm/assembler.h"
@@ -129,17 +128,18 @@ struct ProtocolResult {
   Hash32 root{};
 };
 
-ProtocolResult RunProtocolOnce(const std::string& dispatch) {
+ProtocolResult RunProtocolOnce(evm::DispatchMode mode) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
 
-  chain::ChainConfig config;
-  config.evm_dispatch = dispatch;
-  chain::Blockchain chain(config);
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
+  state::WorldState world;
+  for (const auto* key : {&alice, &bob}) {
+    world.CreateAccount(key->EthAddress());
+    world.AddBalance(key->EthAddress(), contracts::Ether(10));
+  }
+  world.ClearJournal();
 
-  uint64_t now = chain.Now();
+  const uint64_t now = 1'550'000'000;
   contracts::BettingConfig betting;
   betting.alice = alice.EthAddress();
   betting.bob = bob.EthAddress();
@@ -157,59 +157,83 @@ ProtocolResult RunProtocolOnce(const std::string& dispatch) {
 
   auto onchain_init = contracts::BuildOnChainInit(betting);
   auto offchain_init = contracts::BuildOffChainInit(offchain);
+  if (!onchain_init.ok() || !offchain_init.ok()) {
+    std::fprintf(stderr, "betting contract generation failed\n");
+    std::exit(1);
+  }
+
+  // One Evm per step, at that step's block time, all on `world`.
+  auto vm_at = [&](uint64_t timestamp, const Address& origin) {
+    evm::BlockContext block;
+    block.timestamp = timestamp;
+    evm::Evm vm(&world, block, evm::TxContext{origin, U256(1)});
+    vm.set_dispatch_mode(mode);
+    return vm;
+  };
+  uint64_t gas = 0;
+  auto charge = [&](const char* step, uint64_t gas_limit,
+                    const evm::ExecResult& res) {
+    if (!res.ok()) {
+      std::fprintf(stderr, "protocol step %s failed: %s\n", step,
+                   evm::OutcomeToString(res.outcome));
+      std::exit(1);
+    }
+    gas += gas_limit - res.gas_left;
+  };
+  auto call = [&](const char* step, uint64_t timestamp, const Address& from,
+                  const Address& to, const U256& value, Bytes data,
+                  uint64_t gas_limit) {
+    evm::CallMessage msg;
+    msg.caller = from;
+    msg.to = to;
+    msg.value = value;
+    msg.data = std::move(data);
+    msg.gas = gas_limit;
+    charge(step, gas_limit, vm_at(timestamp, from).Call(msg));
+  };
 
   ProtocolResult r;
-  uint64_t gas = 0;
   auto start = std::chrono::steady_clock::now();
 
-  auto deploy = chain.Execute(alice, std::nullopt, U256(), *onchain_init,
-                              4'000'000);
-  if (!deploy.ok() || !deploy->success) std::exit(1);
-  gas += deploy->gas_used;
-  Address onchain = deploy->contract_address;
+  evm::ExecResult deploy = vm_at(now, alice.EthAddress())
+                               .Create(alice.EthAddress(), U256(),
+                                       *onchain_init, 4'000'000);
+  charge("deploy", 4'000'000, deploy);
+  Address onchain = deploy.created;
 
-  auto dep_a = chain.Execute(alice, onchain, contracts::Ether(1),
-                             contracts::DepositCalldata(), 300'000);
-  auto dep_b = chain.Execute(bob, onchain, contracts::Ether(1),
-                             contracts::DepositCalldata(), 300'000);
-  if (!dep_a.ok() || !dep_b.ok()) std::exit(1);
-  gas += dep_a->gas_used + dep_b->gas_used;
-  chain.AdvanceTimeTo(betting.t3);
+  call("deposit", now, alice.EthAddress(), onchain, contracts::Ether(1),
+       contracts::DepositCalldata(), 300'000);
+  call("deposit", now, bob.EthAddress(), onchain, contracts::Ether(1),
+       contracts::DepositCalldata(), 300'000);
 
   Hash32 digest = Keccak256(*offchain_init);
   auto sig_a = secp256k1::Sign(digest, alice);
   auto sig_b = secp256k1::Sign(digest, bob);
-  Bytes calldata = contracts::DeployVerifiedInstanceCalldata(
-      *offchain_init, sig_a->v, sig_a->r, sig_a->s, sig_b->v, sig_b->r,
-      sig_b->s);
-  auto deploy_vi =
-      chain.Execute(bob, onchain, U256(), std::move(calldata), 7'000'000);
-  if (!deploy_vi.ok() || !deploy_vi->success) std::exit(1);
-  gas += deploy_vi->gas_used;
+  if (!sig_a.ok() || !sig_b.ok()) std::exit(1);
+  call("deployVerifiedInstance", betting.t3, bob.EthAddress(), onchain,
+       U256(),
+       contracts::DeployVerifiedInstanceCalldata(
+           *offchain_init, sig_a->v, sig_a->r, sig_a->s, sig_b->v, sig_b->r,
+           sig_b->s),
+       7'000'000);
 
-  Address instance = Address::FromWord(chain.GetStorage(
+  Address instance = Address::FromWord(world.GetStorage(
       onchain, U256(contracts::betting_slots::kDeployedAddr)));
-  auto resolve = chain.Execute(
-      bob, instance, U256(),
-      contracts::ReturnDisputeResolutionCalldata(onchain), 7'000'000);
-  if (!resolve.ok() || !resolve->success) std::exit(1);
-  gas += resolve->gas_used;
+  call("returnDisputeResolution", betting.t3, bob.EthAddress(), instance,
+       U256(), contracts::ReturnDisputeResolutionCalldata(onchain),
+       7'000'000);
 
   r.wall_ms = MsSince(start);
   r.total_gas = gas;
-  r.root = chain.blocks().back().header.state_root;
+  r.root = world.StateRoot();
   return r;
 }
 
-ProtocolResult RunProtocol(const std::string& dispatch, int reps) {
+ProtocolResult RunProtocol(evm::DispatchMode mode, int reps) {
   ProtocolResult best;
   for (int i = 0; i < reps; ++i) {
-    ProtocolResult r = RunProtocolOnce(dispatch);
-    if (i == 0 || r.wall_ms < best.wall_ms) {
-      double wall = r.wall_ms;
-      best = r;
-      best.wall_ms = wall;
-    }
+    ProtocolResult r = RunProtocolOnce(mode);
+    if (i == 0 || r.wall_ms < best.wall_ms) best = r;
   }
   return best;
 }
@@ -236,7 +260,6 @@ int main(int argc, char** argv) {
   };
   const ModeRow modes[] = {
       {"switch", evm::DispatchMode::kSwitch},
-      {"threaded-nofuse", evm::DispatchMode::kThreadedNoFuse},
       {"threaded", evm::DispatchMode::kThreaded},
   };
 
@@ -280,7 +303,7 @@ int main(int argc, char** argv) {
               "speedup", "roots");
   ProtocolResult proto_ref;
   for (const ModeRow& m : modes) {
-    ProtocolResult r = RunProtocol(m.name, protocol_reps);
+    ProtocolResult r = RunProtocol(m.mode, protocol_reps);
     if (m.mode == evm::DispatchMode::kSwitch) proto_ref = r;
     bool match = r.total_gas == proto_ref.total_gas && r.root == proto_ref.root;
     all_roots_match = all_roots_match && match;

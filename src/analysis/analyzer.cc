@@ -526,10 +526,7 @@ AnalysisReport AnalyzeProgram(BytesView code, const AnalysisOptions& options) {
     return report;  // empty code halts immediately: clean, zero gas
   }
 
-  // One decode per process: jumpdests, blocks and PUSH immediates come out
-  // of the interpreter's code-analysis cache, keyed by code hash.
-  DecodedCode decoded(code);
-  const std::vector<bool>& jumpdests = decoded.jumpdests();
+  const std::vector<bool> jumpdests = ComputeJumpdests(code);
   std::map<uint32_t, BasicBlock>& blocks = report.cfg.blocks;
   std::map<uint32_t, AbstractStack> in_states;
   std::map<uint32_t, Diagnostic> merge_errors;  // keyed by join pc
@@ -545,7 +542,7 @@ AnalysisReport AnalyzeProgram(BytesView code, const AnalysisOptions& options) {
     worklist.pop_front();
     auto bit = blocks.find(pc);
     if (bit == blocks.end()) {
-      bit = blocks.emplace(pc, decoded.Block(pc)).first;
+      bit = blocks.emplace(pc, DecodeBlock(code, pc)).first;
     }
     BlockResult r = ExecBlock(code, bit->second, in_states.at(pc), jumpdests,
                               options);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "crypto/keccak.h"
 #include "evm/analysis_cache.h"
 
 namespace onoff::analysis {
@@ -66,16 +65,14 @@ uint32_t EffectOf(uint8_t op) {
   }
 }
 
-// The block-decoding loop, parameterized over the per-pc instruction
-// source so DecodeBlock (raw bytes) and DecodedCode::Block (cached cell
-// stream) stay byte-identical.
-template <typename DecodeAt>
-BasicBlock DecodeBlockWith(BytesView code, uint32_t start, DecodeAt at) {
+}  // namespace
+
+BasicBlock DecodeBlock(BytesView code, uint32_t start) {
   BasicBlock block;
   block.start_pc = start;
   uint32_t pc = start;
   while (pc < code.size()) {
-    Instruction ins = at(pc);
+    Instruction ins = DecodeInstruction(code, pc);
     const OpcodeInfo& info = GetOpcodeInfo(ins.opcode);
     block.instructions.push_back(ins);
     block.effects |= EffectOf(ins.opcode);
@@ -97,60 +94,6 @@ BasicBlock DecodeBlockWith(BytesView code, uint32_t start, DecodeAt at) {
   }
   block.end_pc = pc < code.size() ? pc : static_cast<uint32_t>(code.size());
   return block;
-}
-
-}  // namespace
-
-BasicBlock DecodeBlock(BytesView code, uint32_t start) {
-  return DecodeBlockWith(code, start, [&](uint32_t pc) {
-    return DecodeInstruction(code, pc);
-  });
-}
-
-DecodedCode::DecodedCode(BytesView code) : code_(code) {
-  if (code.empty()) return;
-  hash_ = Keccak256(code);
-  analysis_ = evm::CodeAnalysisCache::Global().Get(hash_, code, /*fuse=*/false);
-  if (analysis_ == nullptr || analysis_->switch_only) {
-    analysis_.reset();
-    return;
-  }
-  push_pool_.assign(code.size(), -1);
-  for (const evm::CodeCell& cell : analysis_->cells) {
-    if (cell.op == static_cast<uint8_t>(evm::Handler::PUSH) &&
-        cell.pc < code.size()) {
-      push_pool_[cell.pc] = static_cast<int32_t>(cell.imm);
-    }
-  }
-}
-
-const std::vector<bool>& DecodedCode::jumpdests() const {
-  if (analysis_ != nullptr) return analysis_->jumpdests;
-  if (own_jumpdests_.size() != code_.size()) {
-    own_jumpdests_ = ComputeJumpdests(code_);
-  }
-  return own_jumpdests_;
-}
-
-Instruction DecodedCode::At(uint32_t pc) const {
-  uint8_t op = code_[pc];
-  if (analysis_ == nullptr || !evm::IsPush(op) || push_pool_[pc] < 0) {
-    return DecodeInstruction(code_, pc);
-  }
-  Instruction ins;
-  ins.pc = pc;
-  ins.opcode = op;
-  int n = evm::PushSize(op);
-  ins.immediate_size = static_cast<uint8_t>(n);
-  ins.truncated = pc + 1 + static_cast<size_t>(n) > code_.size();
-  // The decoder pools immediates zero-extended exactly like
-  // DecodeInstruction (asserted by the dataflow equivalence fuzz).
-  ins.immediate = analysis_->pool[static_cast<size_t>(push_pool_[pc])];
-  return ins;
-}
-
-BasicBlock DecodedCode::Block(uint32_t start) const {
-  return DecodeBlockWith(code_, start, [&](uint32_t pc) { return At(pc); });
 }
 
 std::string EffectsToString(uint32_t effects) {

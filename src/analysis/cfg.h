@@ -12,11 +12,9 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "evm/analysis_cache.h"
 #include "evm/opcodes.h"
 #include "support/bytes.h"
 #include "support/u256.h"
@@ -78,44 +76,6 @@ Instruction DecodeInstruction(BytesView code, uint32_t pc);
 
 // Decodes the basic block starting at `start`.
 BasicBlock DecodeBlock(BytesView code, uint32_t start);
-
-// Decoded view of a contract backed by the process-wide
-// evm::CodeAnalysisCache: the jumpdest bitmap and PUSH immediates come
-// from the interpreter's cached cell stream (keyed by code hash), so a
-// contract is decoded once per process no matter how many subsystems —
-// interpreter, analyzer, deploy lint, signing audit, summary cache —
-// look at it.
-//
-// Alignment is sound: the cache's linear sweep and the analyzer's
-// on-demand block discovery agree at every pc the analyzer can visit,
-// because analysis starts at pc 0 and only continues at fallthroughs of
-// decoded instructions and at valid JUMPDESTs — which are never inside a
-// PUSH immediate (AnalyzeJumpdests). Any pc the sweep classified as
-// immediate data simply misses the cell map and decodes from raw bytes.
-class DecodedCode {
- public:
-  explicit DecodedCode(BytesView code);
-
-  BytesView code() const { return code_; }
-  const Hash32& code_hash() const { return hash_; }
-  const std::vector<bool>& jumpdests() const;
-
-  // Decodes one instruction at `pc` (< code.size()), pulling PUSH
-  // immediates from the cached constant pool when available.
-  Instruction At(uint32_t pc) const;
-
-  // Decodes the basic block starting at `start` (same shape as
-  // DecodeBlock, immediates via At).
-  BasicBlock Block(uint32_t start) const;
-
- private:
-  BytesView code_;
-  Hash32 hash_{};
-  std::shared_ptr<const evm::CodeAnalysis> analysis_;
-  // pc -> constant-pool index for real PUSH cells; -1 elsewhere.
-  std::vector<int32_t> push_pool_;
-  mutable std::vector<bool> own_jumpdests_;  // fallback when uncached
-};
 
 // "PUSH2 0x01a4" — for diagnostics.
 std::string InstructionToString(const Instruction& ins);

@@ -248,10 +248,6 @@ Receipt Blockchain::ExecuteTransaction(state::StateView& state,
 
   evm::Evm evm(&state, MakeBlockContext(block_number, now_),
                evm::TxContext{sender, tx.gas_price});
-  if (evm::DispatchMode dm; !config_.evm_dispatch.empty() &&
-                            evm::ParseDispatchMode(config_.evm_dispatch, &dm)) {
-    evm.set_dispatch_mode(dm);
-  }
 
   // Mirror the EVM call-frame tree into the trace when this tx is traced;
   // a configured step tracer rides along as the inner hook (or alone, when
@@ -680,10 +676,6 @@ evm::ExecResult Blockchain::CallReadOnly(const Address& from,
   auto snapshot = state_.TakeSnapshot();
   evm::Evm evm(&state_, MakeBlockContext(blocks_.back().header.number + 1, now_),
                evm::TxContext{from, U256(0)});
-  if (evm::DispatchMode dm; !config_.evm_dispatch.empty() &&
-                            evm::ParseDispatchMode(config_.evm_dispatch, &dm)) {
-    evm.set_dispatch_mode(dm);
-  }
   evm::CallMessage msg;
   msg.caller = from;
   msg.to = to;

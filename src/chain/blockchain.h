@@ -75,11 +75,6 @@ struct ChainConfig {
   // window from the paper: off-chain results can be contested as long as
   // the state they commit to is still retained. 0 = keep everything.
   uint64_t state_history_blocks = 64;
-  // Interpreter dispatch loop: "switch", "threaded-nofuse" or "threaded"
-  // (see evm::DispatchMode). Empty (or unparseable) = the process-wide
-  // default. All modes execute identically; this exists for benchmarks and
-  // differential testing.
-  std::string evm_dispatch;
   // Parallel mining only: feed the executor static access hints from the
   // analyzer's per-selector summaries so statically-disjoint transactions
   // commit without dynamic conflict checks (chain/parallel_executor.h).

@@ -300,7 +300,7 @@ bool IsFusableBinop(uint8_t op) {
 
 Handler BinopHandler(uint8_t op) { return HandlerFor(op); }
 
-CodeAnalysis Analyze(const Bytes& code, bool fuse) {
+CodeAnalysis Analyze(const Bytes& code) {
   CodeAnalysis an;
   an.jumpdests = AnalyzeJumpdests(code);
   const size_t n = code.size();
@@ -442,7 +442,7 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
       int sz = PushSize(byte);
       size_t after = pc + 1 + static_cast<size_t>(sz);
       U256 v = push_value(pc, sz);
-      if (fuse && after < n) {
+      if (after < n) {
         uint8_t b2 = code[after];
         if (b2 == static_cast<uint8_t>(Opcode::JUMP)) {
           account(byte);
@@ -506,8 +506,7 @@ CodeAnalysis Analyze(const Bytes& code, bool fuse) {
       continue;
     }
     if (IsDup(byte)) {
-      if (fuse && pc + 1 < n &&
-          code[pc + 1] == static_cast<uint8_t>(Opcode::MLOAD)) {
+      if (pc + 1 < n && code[pc + 1] == static_cast<uint8_t>(Opcode::MLOAD)) {
         account(byte);
         account(code[pc + 1]);
         seg_gas += gas::kVeryLow;  // the DUP; MLOAD charges itself
@@ -588,18 +587,12 @@ CodeAnalysisCache& CodeAnalysisCache::Global() {
 }
 
 std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
-    const Hash32& code_hash, const Bytes& code, bool fuse) {
-  return Get(code_hash, BytesView(code), fuse);
-}
-
-std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
-    const Hash32& code_hash, BytesView code, bool fuse) {
+    const Hash32& code_hash, const Bytes& code) {
   static obs::Counter* hits = obs::GetCounterOrNull("evm.analysis_cache.hits");
   static obs::Counter* misses =
       obs::GetCounterOrNull("evm.analysis_cache.misses");
   std::string key(reinterpret_cast<const char*>(code_hash.data()),
                   code_hash.size());
-  key.push_back(fuse ? '\1' : '\0');
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
@@ -610,10 +603,8 @@ std::shared_ptr<const CodeAnalysis> CodeAnalysisCache::Get(
   }
   if (misses != nullptr) misses->Inc();
   // Build outside the lock: concurrent misses on distinct codes must not
-  // serialize behind one another's decode. The copy only happens on this
-  // miss path; hits stay allocation-free for BytesView callers.
-  auto built = std::make_shared<const CodeAnalysis>(
-      Analyze(Bytes(code.begin(), code.end()), fuse));
+  // serialize behind one another's decode.
+  auto built = std::make_shared<const CodeAnalysis>(Analyze(code));
   const size_t bytes = RetainedBytes(*built);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = map_.find(key);

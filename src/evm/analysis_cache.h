@@ -51,8 +51,8 @@ namespace onoff::evm {
 
 // Handler identifiers for the threaded dispatcher. Real opcodes first,
 // then the pseudo-ops the decoder synthesizes (block bookkeeping and fused
-// superinstructions). The X-macro keeps this list, the computed-goto label
-// table and the portable switch in lockstep.
+// superinstructions). The X-macro keeps this list and the computed-goto
+// label table in lockstep.
 #define ONOFF_EVM_HANDLER_LIST(X)                                             \
   X(STOP) X(ADD) X(MUL) X(SUB) X(DIV) X(SDIV) X(MOD) X(SMOD) X(ADDMOD)        \
   X(MULMOD) X(EXP) X(SIGNEXTEND)                                              \
@@ -132,10 +132,11 @@ struct CodeAnalysis {
 // Shared with the reference interpreter and the static analyzer's CFG.
 std::vector<bool> AnalyzeJumpdests(BytesView code);
 
-// Full decode. `fuse` enables superinstruction fusion; without it the
-// stream is a 1:1 cell-per-instruction translation (the bench's
-// "threaded" vs "threaded+super" rows).
-CodeAnalysis Analyze(const Bytes& code, bool fuse);
+// Full decode, superinstructions fused. A fused cell stands for several
+// instructions, so a PUSH cell's immediate is not always the byte-level
+// PUSH immediate at its pc (a folded PUSH+PUSH+binop leaves one PUSH cell
+// holding the folded constant); byte-level consumers decode the bytes.
+CodeAnalysis Analyze(const Bytes& code);
 
 // The binop evaluation shared by the PUSH_BINOP handler, decode-time
 // constant folding and (by construction) the switch interpreter: `a` is
@@ -162,15 +163,11 @@ class CodeAnalysisCache {
 
   static CodeAnalysisCache& Global();
 
-  // Returns the memoized analysis for (code_hash, fuse), building it from
-  // `code` on a miss. Thread-safe; the build runs outside the lock so
-  // concurrent misses on distinct codes do not serialize.
+  // Returns the memoized analysis for `code_hash`, building it from `code`
+  // on a miss. Thread-safe; the build runs outside the lock so concurrent
+  // misses on distinct codes do not serialize.
   std::shared_ptr<const CodeAnalysis> Get(const Hash32& code_hash,
-                                          const Bytes& code, bool fuse);
-  // View-based variant for callers that don't own a Bytes (the static
-  // analyzer's DecodedCode); only copies the code on a miss.
-  std::shared_ptr<const CodeAnalysis> Get(const Hash32& code_hash,
-                                          BytesView code, bool fuse);
+                                          const Bytes& code);
 
   size_t size() const;
   // RetainedBytes summed over the entries; never above kBudgetBytes.

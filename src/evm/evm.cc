@@ -37,44 +37,6 @@ const char* OutcomeToString(Outcome outcome) {
   return "Unknown";
 }
 
-namespace {
-
-// Process-wide default dispatch mode; per-Evm override via
-// set_dispatch_mode, per-chain via ChainConfig::evm_dispatch.
-DispatchMode g_default_dispatch = DispatchMode::kThreaded;
-
-}  // namespace
-
-DispatchMode DefaultDispatchMode() { return g_default_dispatch; }
-
-void SetDefaultDispatchMode(DispatchMode mode) { g_default_dispatch = mode; }
-
-bool ParseDispatchMode(const std::string& name, DispatchMode* out) {
-  if (name == "switch") {
-    *out = DispatchMode::kSwitch;
-  } else if (name == "threaded-nofuse") {
-    *out = DispatchMode::kThreadedNoFuse;
-  } else if (name == "threaded") {
-    *out = DispatchMode::kThreaded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* DispatchModeToString(DispatchMode mode) {
-  switch (mode) {
-    case DispatchMode::kSwitch:
-      return "switch";
-    case DispatchMode::kThreadedNoFuse:
-      return "threaded-nofuse";
-    case DispatchMode::kThreaded:
-      return "threaded";
-  }
-  return "unknown";
-}
-
-
 Address Evm::ContractAddress(const Address& creator, uint64_t nonce) {
   std::vector<rlp::Item> fields;
   fields.push_back(rlp::Item::String(creator.view()));

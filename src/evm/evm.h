@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "crypto/keccak.h"
@@ -64,28 +63,18 @@ enum class Outcome {
 
 const char* OutcomeToString(Outcome outcome);
 
-// Which interpreter loop executes frames (see evm/interp.h):
-//  - kSwitch:         the reference per-instruction switch loop;
-//  - kThreadedNoFuse: cached code analysis + threaded dispatch, one cell
-//                     per instruction;
-//  - kThreaded:       threaded dispatch with superinstruction fusion
-//                     (PUSH+JUMP, PUSH+JUMPI, DUP+MLOAD, PUSH+binop).
-// All three are observably identical (outcome, gas, state, logs, metrics);
-// structLog tracing forces the switch loop for the traced frames since the
-// hook observes every step.
+// Which interpreter loop executes an Evm's frames (see evm/interp.h):
+//  - kThreaded: the cached, fused code analysis under threaded dispatch;
+//  - kSwitch:   the reference per-instruction switch loop, kept as the
+//               ground truth that benches and differential tests compare
+//               the threaded loop against.
+// Both are observably identical (outcome, gas, state, logs, metrics).
+// Whatever the mode, a frame with a step hook, a switch_only analysis or a
+// doomed block runs on the switch loop (see Interpreter::Run).
 enum class DispatchMode {
   kSwitch,
-  kThreadedNoFuse,
   kThreaded,
 };
-
-// Process-wide default for newly constructed Evm instances (kThreaded).
-DispatchMode DefaultDispatchMode();
-void SetDefaultDispatchMode(DispatchMode mode);
-
-// Parses "switch" / "threaded-nofuse" / "threaded"; false on anything else.
-bool ParseDispatchMode(const std::string& name, DispatchMode* out);
-const char* DispatchModeToString(DispatchMode mode);
 
 struct ExecResult {
   Outcome outcome = Outcome::kSuccess;
@@ -117,8 +106,7 @@ class Evm {
   Evm(state::StateView* world, BlockContext block, TxContext tx)
       : world_(world),
         block_(std::move(block)),
-        tx_(std::move(tx)),
-        dispatch_mode_(DefaultDispatchMode()) {}
+        tx_(std::move(tx)) {}
 
   // Executes a message call (including plain value transfers and
   // precompiles). State changes are journaled and reverted on failure.
@@ -145,8 +133,8 @@ class Evm {
   void set_trace_hook(TraceHook* hook) { trace_hook_ = hook; }
   TraceHook* trace_hook() const { return trace_hook_; }
 
-  // Selects the interpreter loop for frames run by this Evm (defaults to
-  // the process-wide DefaultDispatchMode()).
+  // Selects the interpreter loop for frames run by this Evm (default
+  // kThreaded).
   void set_dispatch_mode(DispatchMode mode) { dispatch_mode_ = mode; }
   DispatchMode dispatch_mode() const { return dispatch_mode_; }
 
@@ -162,7 +150,7 @@ class Evm {
   BlockContext block_;
   TxContext tx_;
   TraceHook* trace_hook_ = nullptr;
-  DispatchMode dispatch_mode_;
+  DispatchMode dispatch_mode_ = DispatchMode::kThreaded;
 };
 
 }  // namespace onoff::evm

@@ -6,16 +6,6 @@
 
 #include "evm/precompiles.h"
 
-// Computed-goto direct threading needs the GNU labels-as-values extension;
-// define ONOFF_EVM_NO_COMPUTED_GOTO to force the portable switch dispatch
-// even on GCC/Clang (the differential tests exercise both).
-#if !defined(ONOFF_EVM_NO_COMPUTED_GOTO) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ONOFF_EVM_COMPUTED_GOTO 1
-#else
-#define ONOFF_EVM_COMPUTED_GOTO 0
-#endif
-
 namespace onoff::evm {
 
 const std::array<obs::Counter*, 256>* OpcodeCounters() {
@@ -96,23 +86,20 @@ void Interpreter::CopyToMemory(BytesView src, const U256& src_off,
 }
 
 ExecResult Interpreter::Run() {
-  DispatchMode mode = evm_->dispatch_mode();
   // A step hook observes every instruction, so traced frames always run on
   // the reference loop.
-  if (hook_ != nullptr) mode = DispatchMode::kSwitch;
-  if (mode == DispatchMode::kSwitch) {
+  if (hook_ != nullptr || evm_->dispatch_mode() == DispatchMode::kSwitch) {
     own_jumpdests_ = AnalyzeJumpdests(code_);
     jumpdests_ = &own_jumpdests_;
     return RunSwitch();
   }
-  bool fuse = mode == DispatchMode::kThreaded;
   if (has_override_) {
     // Init code runs once; hashing it to probe the cache would cost about
     // as much as the decode itself.
-    analysis_ = std::make_shared<const CodeAnalysis>(Analyze(code_, fuse));
+    analysis_ = std::make_shared<const CodeAnalysis>(Analyze(code_));
   } else {
     analysis_ = CodeAnalysisCache::Global().Get(
-        world_->GetCodeHash(code_addr_), code_, fuse);
+        world_->GetCodeHash(code_addr_), code_);
   }
   jumpdests_ = &analysis_->jumpdests;
   if (analysis_->switch_only) return RunSwitch();
@@ -585,19 +572,15 @@ ExecResult Interpreter::RunSwitch() {
 // Threaded dispatch over the analysis cell stream.
 // ---------------------------------------------------------------------------
 
-// Both dispatch styles share the handler bodies below; only the case labels
-// and the "advance to next cell" step differ.
-#if ONOFF_EVM_COMPUTED_GOTO
+// Computed-goto direct threading (the GNU labels-as-values extension, which
+// every compiler that builds this library supports): each handler ends by
+// jumping straight to the next cell's label.
 #define ONOFF_OPCASE(name) L_##name:
 #define ONOFF_NEXT()               \
   do {                             \
     cell = ip++;                   \
     goto* kLabels[cell->op];       \
   } while (0)
-#else
-#define ONOFF_OPCASE(name) case Handler::name:
-#define ONOFF_NEXT() break
-#endif
 
 // Halts the frame from a threaded handler: credits the opcodes of the
 // current block whose execution has begun (the cell's ops_end prefix —
@@ -629,7 +612,6 @@ ExecResult Interpreter::RunThreaded() {
   const CodeCell* cell = cells;  // currently executing cell
   const CodeBlock* pending = nullptr;  // block with unflushed counters
 
-#if ONOFF_EVM_COMPUTED_GOTO
   // Function-local so label addresses are in scope; `static const` so GCC
   // and Clang constant-initialize it (no racy first-call initialization
   // when frames run on multiple threads).
@@ -639,11 +621,6 @@ ExecResult Interpreter::RunThreaded() {
 #undef ONOFF_EVM_H_LABEL
   };
   ONOFF_NEXT();
-#else
-  for (;;) {
-    cell = ip++;
-    switch (static_cast<Handler>(cell->op)) {
-#endif
 
       // ---- Block bookkeeping ----
       ONOFF_OPCASE(BEGIN_BLOCK) {
@@ -1111,13 +1088,6 @@ ExecResult Interpreter::RunThreaded() {
         b = EvalBinop(static_cast<Handler>(cell->arg), an.pool[cell->imm], b);
         ONOFF_NEXT();
       }
-
-#if !ONOFF_EVM_COMPUTED_GOTO
-      default:
-        return Halt(Outcome::kInvalidInstruction);
-    }
-  }
-#endif
 }
 
 #undef ONOFF_BINOP_HANDLER

@@ -5,15 +5,15 @@
 //    per-instruction counter/validity/stack/gas checks. This is the
 //    semantic ground truth; structLog tracing always runs here because the
 //    hook observes every step.
-//  - RunThreaded: executes the decoded cell stream from the
-//    CodeAnalysisCache (analysis_cache.h) with per-basic-block hoisted
-//    checks and, on GCC/Clang, computed-goto direct threading. Whenever a
-//    hoisted check fails the frame is about to halt, so the loop re-enters
+//  - RunThreaded: executes the fused cell stream from the CodeAnalysisCache
+//    (analysis_cache.h) with per-basic-block hoisted checks and
+//    computed-goto direct threading. Whenever a hoisted check fails the
+//    block is doomed and the frame about to halt, so the loop re-enters
 //    RunSwitch at the current pc and lets the reference loop produce the
 //    exact outcome, gas and counters.
 //
-// The dispatch mode is selected per Evm (default: threaded with
-// superinstruction fusion); see DispatchMode in evm.h.
+// A frame runs RunThreaded unless it has a step hook or a switch_only
+// analysis, or its Evm was set to DispatchMode::kSwitch (evm.h).
 
 #ifndef ONOFFCHAIN_EVM_INTERP_H_
 #define ONOFFCHAIN_EVM_INTERP_H_

@@ -143,19 +143,10 @@ void BettingProtocol::BindSimulation(sim::Scheduler* scheduler,
   transport_ = scheduler != nullptr ? transport : nullptr;
   // Off-chain messages ride the same simulated network as transactions.
   bus_->SetTransport(transport_);
-  // When tracing is on, spans are stamped from the virtual clock so trace
-  // timestamps line up with the simulated network delays (and two runs with
-  // the same seed export byte-identical traces).
-  if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    if (sched_ != nullptr) {
-      tracer->SetClock([sched = sched_] { return sched->NowMs() * 1000; });
-    } else {
-      tracer->SetClock(nullptr);
-    }
-  }
-  // The shared observability clock follows the same binding, so ScopedTimer
-  // latencies, flight-recorder timestamps and time-series sample times all
-  // read simulated time — never a mix of wall and virtual.
+  // The shared observability clock follows the binding, so spans,
+  // ScopedTimer latencies, flight-recorder timestamps and time-series sample
+  // times all read simulated time — never a mix of wall and virtual — and
+  // two runs with the same seed export byte-identical traces.
   if (sched_ != nullptr) {
     obs::Clock::Install([sched = sched_] { return sched->NowMs() * 1000; });
   } else {

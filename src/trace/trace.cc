@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
+#include "obs/clock.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -12,13 +12,6 @@ namespace onoff::trace {
 namespace {
 
 std::atomic<Tracer*> g_tracer{nullptr};
-
-uint64_t WallClockUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::vector<TraceContext>& TlsContextStack() {
   thread_local std::vector<TraceContext> stack;
@@ -60,16 +53,6 @@ Tracer* Tracer::InstallGlobal(Tracer* tracer) {
   return g_tracer.exchange(tracer, std::memory_order_acq_rel);
 }
 
-void Tracer::SetClock(std::function<uint64_t()> now_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  clock_ = std::move(now_us);
-}
-
-uint64_t Tracer::NowUs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return clock_ ? clock_() : WallClockUs();
-}
-
 TraceContext Tracer::StartTrace() {
   static obs::Counter* started = obs::GetCounterOrNull("trace.traces_started");
   std::lock_guard<std::mutex> lock(mu_);
@@ -96,7 +79,7 @@ TraceContext Tracer::BeginSpan(const TraceContext& parent,
   span.parent_span_id = parent.span_id;
   span.name = name;
   span.category = category;
-  span.start_us = clock_ ? clock_() : WallClockUs();
+  span.start_us = obs::Clock::NowUs();
   span.args = std::move(args);
   TraceContext ctx;
   ctx.trace_id = span.trace_id;
@@ -114,7 +97,7 @@ void Tracer::EndSpan(const TraceContext& ctx, Args args) {
   if (it == open_.end()) return;
   Span span = std::move(it->second);
   open_.erase(it);
-  uint64_t now = clock_ ? clock_() : WallClockUs();
+  uint64_t now = obs::Clock::NowUs();
   span.dur_us = now >= span.start_us ? now - span.start_us : 0;
   for (auto& arg : args) span.args.push_back(std::move(arg));
   obs::FlightRecord(obs::FlightKind::kSpanEnd, span.trace_id, span.span_id,
@@ -132,7 +115,7 @@ void Tracer::Event(const TraceContext& ctx, const std::string& name,
   span.parent_span_id = ctx.span_id;
   span.name = name;
   span.category = category;
-  span.start_us = clock_ ? clock_() : WallClockUs();
+  span.start_us = obs::Clock::NowUs();
   span.instant = true;
   span.args = std::move(args);
   obs::FlightRecord(obs::FlightKind::kTraceEvent, span.trace_id, span.span_id,

@@ -4,10 +4,9 @@
 // MessageBus, the simulated transport, the tx pool, block packing and EVM
 // execution; every hop records a Span into a fixed-capacity ring buffer.
 //
-// Clocking: spans are stamped from an injected clock (the sim virtual clock
-// when a simulation is bound — making exports byte-deterministic) and from a
-// monotonic wall clock otherwise. The clock is a plain std::function so this
-// library does not depend on src/sim/ (sim links trace, not vice versa).
+// Clocking: spans are stamped from obs::Clock, the one observability time
+// source — the sim's virtual clock while a simulation is bound (making
+// exports byte-deterministic), the monotonic wall clock otherwise.
 //
 // Sampling + cost: StartTrace applies deterministic 1-in-N sampling; an
 // unsampled trace yields an invalid context (trace_id == 0) which turns every
@@ -24,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -85,11 +83,6 @@ class Tracer {
   // previous global so tests can restore it.
   static Tracer* InstallGlobal(Tracer* tracer);
 
-  // Injects the timestamp source (microseconds). The sim binds its virtual
-  // clock here; an empty function restores the monotonic wall clock.
-  void SetClock(std::function<uint64_t()> now_us);
-  uint64_t NowUs() const;
-
   // Mints a new trace id (or an invalid context when sampled out). The
   // returned context has span_id == 0: it is the parent for the root span.
   TraceContext StartTrace();
@@ -141,7 +134,6 @@ class Tracer {
   TracerConfig config_;
 
   mutable std::mutex mu_;
-  std::function<uint64_t()> clock_;              // guarded by mu_
   std::vector<Span> ring_;                       // guarded by mu_
   size_t ring_next_ = 0;                         // guarded by mu_
   std::unordered_map<uint64_t, Span> open_;      // guarded by mu_

@@ -1,13 +1,12 @@
 // The storage-access / privacy-taint dataflow engine (DESIGN §12): the
 // value-set domain, per-selector access summaries, the taint lattice and
-// its ANA13–ANA18 diagnostics, the cached-decode layer (DecodedCode must
-// agree byte-for-byte with raw decoding), and the taint-leak regression
+// its ANA13–ANA18 diagnostics, the analyzer's own decode (it must leave the
+// interpreter's code-analysis cache alone), and the taint-leak regression
 // corpus — each entry rejected by the pre-signing audit with its expected
 // diagnostic code.
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,9 @@
 #include "analysis/analyzer.h"
 #include "analysis/cfg.h"
 #include "analysis/taint.h"
+#include "contracts/betting.h"
 #include "easm/assembler.h"
+#include "evm/analysis_cache.h"
 #include "evm/opcodes.h"
 #include "onoff/signed_copy.h"
 
@@ -205,40 +206,33 @@ TEST(AccessSummaryTest, CacheReturnsSameSummaryObject) {
   EXPECT_EQ(first->ForSelector(0x11111111), nullptr);
 }
 
-// ---- Cached decode (DecodedCode vs raw decode) ---------------------------
+// ---- The analyzer decodes bytes, not the interpreter's cache -------------
 
-TEST(DecodedCodeTest, AgreesWithRawDecodeOnRandomPrograms) {
-  std::mt19937_64 rng(0xdec0de);
-  for (int trial = 0; trial < 64; ++trial) {
-    Bytes code(1 + rng() % 256);
-    for (uint8_t& b : code) b = static_cast<uint8_t>(rng());
-    DecodedCode decoded(code);
-    ASSERT_EQ(decoded.jumpdests(), ComputeJumpdests(code));
-    for (uint32_t pc = 0; pc < code.size(); ++pc) {
-      Instruction raw = DecodeInstruction(code, pc);
-      Instruction cached = decoded.At(pc);
-      ASSERT_EQ(cached.pc, raw.pc);
-      ASSERT_EQ(cached.opcode, raw.opcode);
-      ASSERT_EQ(cached.immediate_size, raw.immediate_size);
-      ASSERT_EQ(cached.truncated, raw.truncated);
-      ASSERT_EQ(cached.immediate, raw.immediate)
-          << "trial " << trial << " pc " << pc << ": "
-          << InstructionToString(raw);
-    }
-  }
-}
+TEST(AnalyzerDecodeTest, LeavesTheInterpreterCacheAlone) {
+  contracts::BettingConfig betting;
+  betting.alice = Address::FromWord(U256(0xa11ce));
+  betting.bob = Address::FromWord(U256(0xb0b));
+  betting.deposit_amount = contracts::Ether(1);
+  betting.t1 = 1100;
+  betting.t2 = 1200;
+  betting.t3 = 1300;
+  contracts::OffchainConfig offchain;
+  offchain.alice = betting.alice;
+  offchain.bob = betting.bob;
+  auto onchain_init = contracts::BuildOnChainInit(betting);
+  auto offchain_init = contracts::BuildOffChainInit(offchain);
+  ASSERT_TRUE(onchain_init.ok());
+  ASSERT_TRUE(offchain_init.ok());
 
-TEST(DecodedCodeTest, BlockMatchesRawDecodeBlock) {
-  Bytes code = Dispatcher("PUSH1 0x2a PUSH1 0x64 SSTORE");
-  DecodedCode decoded(code);
-  BasicBlock raw = DecodeBlock(code, 0);
-  BasicBlock cached = decoded.Block(0);
-  ASSERT_EQ(cached.instructions.size(), raw.instructions.size());
-  EXPECT_EQ(cached.end_pc, raw.end_pc);
-  EXPECT_EQ(cached.effects, raw.effects);
-  for (size_t i = 0; i < raw.instructions.size(); ++i) {
-    EXPECT_EQ(cached.instructions[i].immediate, raw.instructions[i].immediate);
-  }
+  const evm::CodeAnalysisCache& cache = evm::CodeAnalysisCache::Global();
+  const size_t entries = cache.size();
+  const size_t bytes = cache.bytes();
+  DeploymentReport report = AnalyzeDeployment(*onchain_init);
+  EXPECT_TRUE(report.recognized_deployer);
+  EXPECT_FALSE(report.HasErrors());
+  EXPECT_TRUE(AuditForSigning(*offchain_init).ok());
+  EXPECT_EQ(cache.size(), entries);
+  EXPECT_EQ(cache.bytes(), bytes);
 }
 
 // ---- Taint-leak regression corpus ----------------------------------------

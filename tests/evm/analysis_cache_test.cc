@@ -1,6 +1,6 @@
 // Unit tests for the code-analysis cache: decode structure (blocks, hoisted
-// gas, stack deltas, jump resolution), superinstruction fusion, cache
-// hit/miss behavior, the byte budget and its oldest-first eviction, and —
+// gas, stack deltas, jump resolution), superinstruction fusion, one entry
+// per code hash, the byte budget and its oldest-first eviction, and —
 // the TSan target — many threads concurrently resolving and executing the
 // same contract through the shared cache while other codes evict entries.
 
@@ -36,7 +36,7 @@ Bytes BigCode(uint32_t tag, size_t jumpdests = 24'000) {
 }
 
 std::shared_ptr<const CodeAnalysis> Resolve(const Bytes& code) {
-  return CodeAnalysisCache::Global().Get(CodeHash(code), code, /*fuse=*/true);
+  return CodeAnalysisCache::Global().Get(CodeHash(code), code);
 }
 
 const CodeCell* FindCell(const CodeAnalysis& an, Handler h) {
@@ -65,17 +65,17 @@ TEST(AnalysisTest, JumpdestBitmapSkipsPushImmediates) {
 }
 
 TEST(AnalysisTest, SingleBlockStaticGasIsHoisted) {
-  // PUSH1 1 PUSH1 2 ADD POP STOP: all static costs fold into one
-  // BEGIN_BLOCK charge (fusion off so each op gets a cell).
-  Bytes code{0x60, 0x01, 0x60, 0x02, 0x01, 0x50, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  // PUSH1 1 DUP1 ADD POP STOP: all static costs fold into one BEGIN_BLOCK
+  // charge. Nothing here is fusable, so each op gets a cell.
+  Bytes code{0x60, 0x01, 0x80, 0x01, 0x50, 0x00};
+  CodeAnalysis an = Analyze(code);
   ASSERT_FALSE(an.blocks.empty());
   EXPECT_EQ(an.blocks[0].base_gas,
-            gas::kVeryLow * 3 + gas::kBase);  // 2 pushes + ADD + POP
+            gas::kVeryLow * 3 + gas::kBase);  // PUSH + DUP + ADD + POP
   EXPECT_EQ(an.blocks[0].stack_req, 0);
-  // Peak height: two pushes live at once.
+  // Peak height: the pushed value and its copy live at once.
   EXPECT_EQ(an.blocks[0].stack_max, 2);
-  // Cells: BEGIN_BLOCK PUSH PUSH ADD POP STOP (+ trailing IMPLICIT_STOP).
+  // Cells: BEGIN_BLOCK PUSH DUP ADD POP STOP (+ trailing IMPLICIT_STOP).
   ASSERT_EQ(an.cells.size(), 7u);
   EXPECT_EQ(an.cells[0].op, static_cast<uint8_t>(Handler::BEGIN_BLOCK));
   EXPECT_EQ(an.cells.back().op, static_cast<uint8_t>(Handler::IMPLICIT_STOP));
@@ -85,7 +85,7 @@ TEST(AnalysisTest, CheckpointSplitsGasIntoChargeCells) {
   // PUSH1 0 MLOAD POP STOP: MLOAD is a checkpoint, so only the PUSH's cost
   // is hoisted into the block and the tail (POP) lands in a CHARGE cell.
   Bytes code{0x60, 0x00, 0x51, 0x50, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  CodeAnalysis an = Analyze(code);
   ASSERT_FALSE(an.blocks.empty());
   EXPECT_EQ(an.blocks[0].base_gas, gas::kVeryLow);  // PUSH only
   const CodeCell* charge = FindCell(an, Handler::CHARGE);
@@ -94,23 +94,24 @@ TEST(AnalysisTest, CheckpointSplitsGasIntoChargeCells) {
 }
 
 TEST(AnalysisTest, JumpTargetsResolveToBlockCells) {
-  // PUSH1 5 JUMP INVALID JUMPDEST STOP  (JUMPDEST at pc 4... recompute)
-  // code: 0:PUSH1 4  2:JUMP  3:INVALID  4:JUMPDEST  5:STOP
-  Bytes code{0x60, 0x04, 0x56, 0xfe, 0x5b, 0x00};
-  CodeAnalysis an = Analyze(code, /*fuse=*/false);
+  // A JUMP whose target is computed (not a fusable PUSH+JUMP):
+  // 0:PUSH1 5  2:DUP1  3:JUMP  4:INVALID  5:JUMPDEST  6:STOP
+  Bytes code{0x60, 0x05, 0x80, 0x56, 0xfe, 0x5b, 0x00};
+  CodeAnalysis an = Analyze(code);
+  EXPECT_EQ(CountCells(an, Handler::JUMP), 1u);
   ASSERT_EQ(an.jump_cell.size(), code.size());
-  ASSERT_GE(an.jump_cell[4], 0);
-  const CodeCell& target = an.cells[an.jump_cell[4]];
+  ASSERT_GE(an.jump_cell[5], 0);
+  const CodeCell& target = an.cells[an.jump_cell[5]];
   EXPECT_EQ(target.op, static_cast<uint8_t>(Handler::BEGIN_BLOCK));
   EXPECT_LT(an.jump_cell[1], 0);  // inside a PUSH immediate
-  EXPECT_LT(an.jump_cell[5], 0);  // STOP is no jumpdest
+  EXPECT_LT(an.jump_cell[6], 0);  // STOP is no jumpdest
 }
 
 TEST(AnalysisTest, FusionProducesSuperinstructions) {
   // PUSH+JUMP / PUSH+JUMPI / DUP+MLOAD / PUSH+binop / PUSH+PUSH+binop.
   {
     Bytes code{0x60, 0x03, 0x56, 0x5b, 0x00};  // PUSH1 3 JUMP JUMPDEST STOP
-    CodeAnalysis an = Analyze(code, true);
+    CodeAnalysis an = Analyze(code);
     EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP), 1u);
     EXPECT_EQ(CountCells(an, Handler::JUMP), 0u);
     const CodeCell* pj = FindCell(an, Handler::PUSH_JUMP);
@@ -119,20 +120,20 @@ TEST(AnalysisTest, FusionProducesSuperinstructions) {
   }
   {
     Bytes code{0x60, 0x07, 0x56, 0x00};  // invalid constant target
-    CodeAnalysis an = Analyze(code, true);
+    CodeAnalysis an = Analyze(code);
     EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP_BAD), 1u);
   }
   {
     // DUP1 MLOAD (preceded by a push so the block is well-formed)
     Bytes code{0x60, 0x00, 0x80, 0x51, 0x00};
-    CodeAnalysis an = Analyze(code, true);
+    CodeAnalysis an = Analyze(code);
     EXPECT_EQ(CountCells(an, Handler::DUP_MLOAD), 1u);
     EXPECT_EQ(CountCells(an, Handler::MLOAD), 0u);
   }
   {
     // PUSH1 2 PUSH1 3 ADD → constant-folded to a single PUSH of 5.
     Bytes code{0x60, 0x02, 0x60, 0x03, 0x01, 0x00};
-    CodeAnalysis an = Analyze(code, true);
+    CodeAnalysis an = Analyze(code);
     EXPECT_EQ(CountCells(an, Handler::PUSH), 1u);
     EXPECT_EQ(CountCells(an, Handler::PUSH_BINOP), 0u);
     const CodeCell* push = FindCell(an, Handler::PUSH);
@@ -143,43 +144,39 @@ TEST(AnalysisTest, FusionProducesSuperinstructions) {
   {
     // CALLDATASIZE PUSH1 1 ADD → PUSH+binop (no second constant).
     Bytes code{0x36, 0x60, 0x01, 0x01, 0x00};
-    CodeAnalysis an = Analyze(code, true);
+    CodeAnalysis an = Analyze(code);
     EXPECT_EQ(CountCells(an, Handler::PUSH_BINOP), 1u);
     const CodeCell* pb = FindCell(an, Handler::PUSH_BINOP);
     ASSERT_NE(pb, nullptr);
     EXPECT_EQ(pb->arg, static_cast<uint8_t>(Handler::ADD));
   }
-  // Without fusion none of the superinstructions appear.
-  Bytes code{0x60, 0x03, 0x56, 0x5b, 0x00};
-  CodeAnalysis an = Analyze(code, false);
-  EXPECT_EQ(CountCells(an, Handler::PUSH_JUMP), 0u);
-  EXPECT_EQ(CountCells(an, Handler::JUMP), 1u);
 }
 
 TEST(AnalysisTest, UndefinedOpcodeKeepsCounterByte) {
   // 0x21 is undefined; its cell is INVALID but the ops list must keep the
   // original byte so batched metrics attribute it correctly.
   Bytes code{0x60, 0x01, 0x21};
-  CodeAnalysis an = Analyze(code, true);
+  CodeAnalysis an = Analyze(code);
   EXPECT_EQ(CountCells(an, Handler::INVALID), 1u);
   bool found = false;
   for (uint8_t b : an.ops) found |= (b == 0x21);
   EXPECT_TRUE(found);
 }
 
-TEST(AnalysisCacheTest, HitsAndMissesAndFuseKeying) {
+TEST(AnalysisCacheTest, OneEntryPerCodeHash) {
   CodeAnalysisCache& cache = CodeAnalysisCache::Global();
   cache.Clear();
   Bytes code{0x60, 0x01, 0x60, 0x02, 0x01, 0x00};
   Hash32 h = CodeHash(code);
 
-  auto a1 = cache.Get(h, code, true);
-  auto a2 = cache.Get(h, code, true);
+  auto a1 = cache.Get(h, code);
+  auto a2 = cache.Get(h, code);
   EXPECT_EQ(a1.get(), a2.get());  // second call is a hit
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.bytes(), RetainedBytes(*a1));
 
-  // Same code, different fuse flag → distinct entry.
-  auto a3 = cache.Get(h, code, false);
-  EXPECT_NE(a1.get(), a3.get());
+  Bytes other{0x60, 0x01, 0x00};
+  EXPECT_NE(cache.Get(CodeHash(other), other).get(), a1.get());
   EXPECT_EQ(cache.size(), 2u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -244,7 +241,7 @@ TEST(AnalysisCacheTest, EvictedAnalysisHeldByACallerStillExecutes) {
   CodeAnalysisCache& cache = CodeAnalysisCache::Global();
   cache.Clear();
   const size_t per_callee =
-      RetainedBytes(Analyze(BigCode(0), /*fuse=*/true));
+      RetainedBytes(Analyze(BigCode(0)));
   const size_t callees = CodeAnalysisCache::kBudgetBytes / per_callee + 2;
 
   state::WorldState world;
@@ -309,8 +306,6 @@ TEST(AnalysisCacheTest, ConcurrentResolutionAndExecution) {
         world.SetCode(contract, code);
         world.ClearJournal();
         Evm evm(&world, BlockContext{}, TxContext{sender, U256(1)});
-        evm.set_dispatch_mode(i % 2 == 0 ? DispatchMode::kThreaded
-                                         : DispatchMode::kThreadedNoFuse);
         CallMessage msg;
         msg.caller = sender;
         msg.to = contract;
@@ -330,9 +325,8 @@ TEST(AnalysisCacheTest, ConcurrentResolutionAndExecution) {
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
   EXPECT_LE(CodeAnalysisCache::Global().bytes(), CodeAnalysisCache::kBudgetBytes);
-  // 2 fuse variants of the contract plus 40 large codes were resolved;
-  // fewer are retained.
-  EXPECT_LT(CodeAnalysisCache::Global().size(), 42u);
+  // The contract plus 40 large codes were resolved; fewer are retained.
+  EXPECT_LT(CodeAnalysisCache::Global().size(), 41u);
   CodeAnalysisCache::Global().Clear();
 }
 

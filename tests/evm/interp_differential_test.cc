@@ -1,13 +1,15 @@
 // Differential fuzzing of the interpreter dispatch loops: every program —
 // randomized byte soup, structured random programs, the static-analysis
 // negative corpus, and checkpoint-heavy hand-written cases — must produce
-// byte-identical results under the reference switch loop and both threaded
-// modes: outcome, gas_left, return data, logs, refund, post-state root, and
-// the per-opcode metrics counters.
+// byte-identical results under the reference switch loop and the threaded
+// loop over the fused decode: outcome, gas_left, return data, logs, refund,
+// post-state root, and the per-opcode metrics counters.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <initializer_list>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -92,8 +94,8 @@ Execution RunOnce(DispatchMode mode, const Bytes& code, const Bytes& calldata,
 }
 
 void ExpectIdentical(const Execution& ref, const Execution& got,
-                     DispatchMode mode, const std::string& label) {
-  SCOPED_TRACE(label + " mode=" + DispatchModeToString(mode));
+                     const std::string& label) {
+  SCOPED_TRACE(label);
   EXPECT_EQ(ref.result.outcome, got.result.outcome)
       << OutcomeToString(ref.result.outcome) << " vs "
       << OutcomeToString(got.result.outcome);
@@ -114,14 +116,13 @@ void ExpectIdentical(const Execution& ref, const Execution& got,
   }
 }
 
-void CheckAllModes(const Bytes& code, const Bytes& calldata, uint64_t gas,
-                   const std::string& label) {
+// Returns the reference (switch-loop) execution.
+Execution CheckAllModes(const Bytes& code, const Bytes& calldata,
+                        uint64_t gas, const std::string& label) {
   Execution ref = RunOnce(DispatchMode::kSwitch, code, calldata, gas);
-  for (DispatchMode mode :
-       {DispatchMode::kThreadedNoFuse, DispatchMode::kThreaded}) {
-    Execution got = RunOnce(mode, code, calldata, gas);
-    ExpectIdentical(ref, got, mode, label);
-  }
+  Execution got = RunOnce(DispatchMode::kThreaded, code, calldata, gas);
+  ExpectIdentical(ref, got, label);
+  return ref;
 }
 
 // ---------------------------------------------------------------------------
@@ -312,6 +313,159 @@ TEST(InterpDifferentialTest, BadJumpFusionVariants) {
                 "push-jumpi-bad-skipped");
 }
 
+// Raw bytecode with labels, for programs whose jump targets are computed.
+class LabelledCode {
+ public:
+  size_t NewLabel() {
+    label_pc_.push_back(0);
+    return label_pc_.size() - 1;
+  }
+  // Emits the JUMPDEST the label names.
+  void Bind(size_t label) {
+    label_pc_[label] = code_.size();
+    code_.push_back(0x5b);
+  }
+  void Ops(std::initializer_list<uint8_t> ops) {
+    code_.insert(code_.end(), ops);
+  }
+  // Pushes the label's pc computed from CALLVALUE (RunOnce sends 5), so
+  // the JUMP or JUMPI after it is not fused with a PUSH:
+  // `PUSH2 pc+5 CALLVALUE SWAP1 SUB` or `PUSH2 pc^5 CALLVALUE XOR`.
+  void Target(size_t label, bool use_xor) {
+    code_.push_back(0x61);  // PUSH2
+    fixups_.push_back({code_.size(), label, use_xor});
+    code_.insert(code_.end(), {0x00, 0x00, 0x34});  // imm, CALLVALUE
+    if (use_xor) {
+      code_.push_back(0x18);  // XOR
+    } else {
+      code_.insert(code_.end(), {0x90, 0x03});  // SWAP1 SUB
+    }
+  }
+  Bytes Finish() {
+    for (const Fixup& f : fixups_) {
+      size_t pc = label_pc_[f.label];
+      size_t imm = f.use_xor ? pc ^ 5 : pc + 5;
+      code_[f.at] = static_cast<uint8_t>(imm >> 8);
+      code_[f.at + 1] = static_cast<uint8_t>(imm);
+    }
+    return code_;
+  }
+
+ private:
+  struct Fixup {
+    size_t at;
+    size_t label;
+    bool use_xor;
+  };
+  Bytes code_;
+  std::vector<size_t> label_pc_;
+  std::vector<Fixup> fixups_;
+};
+
+size_t CountCells(const CodeAnalysis& an, Handler h) {
+  size_t n = 0;
+  for (const CodeCell& c : an.cells) n += c.op == static_cast<uint8_t>(h);
+  return n;
+}
+
+// The handlers fusion absorbs in codegen output still run under the fused
+// decode whenever the pattern is broken: JUMP and JUMPI on computed
+// targets, DUPs not followed by MLOAD, binops after a non-PUSH. Each
+// program is a counting loop built from those shapes that ends in doomed
+// blocks (one needs more gas than low gas levels leave, the last more
+// stack than the loop leaves), and the gas ladder dooms loop blocks too,
+// so the threaded loop's replays on the switch loop are compared as well.
+TEST(InterpDifferentialTest, PlainHandlersUnderTheFusedDecode) {
+  std::mt19937_64 rng(0x9a1a);
+  const uint64_t gas_levels[] = {0,     40,     120,   300,
+                                 1'000, 3'000, 12'000, 1'000'000};
+  int underflow_tails = 0;
+  const int kTrials = 120;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    LabelledCode b;
+    size_t loop = b.NewLabel();
+    size_t tail = b.NewLabel();
+    // Stack [counter, acc], acc on top, at every loop-body snippet.
+    b.Ops({0x60, static_cast<uint8_t>(1 + rng() % 6), 0x36});  // n, CDSIZE
+    b.Bind(loop);
+    for (int snippets = 1 + static_cast<int>(rng() % 6); snippets > 0;
+         --snippets) {
+      switch (rng() % 9) {
+        case 0:
+          b.Ops({0x80, 0x01});  // DUP1 ADD
+          break;
+        case 1:
+          b.Ops({0x36, 0x02});  // CALLDATASIZE MUL
+          break;
+        case 2:
+          b.Ops({0x81, 0x18});  // DUP2 XOR
+          break;
+        case 3:
+          b.Ops({0x34, 0x90, 0x03});  // CALLVALUE SWAP1 SUB
+          break;
+        case 4:
+          b.Ops({0x80, 0x60, 0x00, 0x52});  // DUP1 PUSH1 0 MSTORE
+          break;
+        case 5:
+          b.Ops({0x60, 0x00, 0x51, 0x01});  // PUSH1 0 MLOAD ADD
+          break;
+        case 6:
+          b.Ops({0x81, 0x81, 0x10, 0x50});  // DUP2 DUP2 LT POP
+          break;
+        case 7:
+          b.Ops({0x5a, 0x50});  // GAS POP
+          break;
+        default: {
+          // DUP1 <computed skip> JUMPI INVALID skip: — taken unless acc is 0.
+          size_t skip = b.NewLabel();
+          b.Ops({0x80});
+          b.Target(skip, rng() % 2 == 0);
+          b.Ops({0x57, 0xfe});
+          b.Bind(skip);
+          break;
+        }
+      }
+    }
+    b.Ops({0x90, 0x60, 0x01, 0x90, 0x03, 0x90});  // counter -= 1
+    b.Ops({0x81});                                // DUP2
+    b.Target(loop, rng() % 2 == 0);
+    b.Ops({0x57});  // JUMPI back while the counter is nonzero
+    b.Target(tail, rng() % 2 == 0);
+    b.Ops({0x56, 0xfe, 0x00});  // JUMP over bytes no path reaches
+    b.Bind(tail);
+    // One block of 20 x (PUSH1 0 SLOAD POP): 4 101 gas due at its entry.
+    for (int i = 0; i < 20; ++i) b.Ops({0x60, 0x00, 0x54, 0x50});
+    b.Ops({0x5b, 0x50, 0x50, 0x50, 0x00});  // needs 3 slots, finds 2
+    Bytes code = b.Finish();
+
+    CodeAnalysis an = Analyze(code);
+    ASSERT_GE(CountCells(an, Handler::JUMP), 1u);
+    ASSERT_GE(CountCells(an, Handler::JUMPI), 1u);
+    ASSERT_GE(CountCells(an, Handler::DUP), 1u);
+    ASSERT_GE(CountCells(an, Handler::SUB), 1u);
+    ASSERT_EQ(CountCells(an, Handler::PUSH_JUMP) +
+                  CountCells(an, Handler::PUSH_JUMPI) +
+                  CountCells(an, Handler::PUSH_JUMP_BAD) +
+                  CountCells(an, Handler::PUSH_JUMPI_BAD),
+              0u);
+
+    Bytes calldata(1 + rng() % 40);
+    for (auto& byte : calldata) byte = static_cast<uint8_t>(rng());
+    for (uint64_t gas : gas_levels) {
+      Execution ref = CheckAllModes(
+          code, calldata, gas,
+          "plain trial=" + std::to_string(trial) + " gas=" +
+              std::to_string(gas));
+      if (gas == gas_levels[std::size(gas_levels) - 1] &&
+          ref.result.outcome == Outcome::kStackUnderflow) {
+        ++underflow_tails;
+      }
+    }
+  }
+  // Most programs run their loop out and halt in the last doomed block.
+  EXPECT_GT(underflow_tails, kTrials / 2);
+}
+
 TEST(InterpDifferentialTest, CreateAndSelfdestruct) {
   // CREATE with init code assembled in memory (init: PUSH1 0 PUSH1 0
   // RETURN → deploys empty code), then SELFDESTRUCT to the sender.
@@ -344,7 +498,7 @@ TEST(InterpDifferentialTest, ReturndatacopyPastEnd) {
 }
 
 // The init-code path (override code, uncached analysis) must agree too:
-// run a contract creation under each mode.
+// run a contract creation under both loops.
 TEST(InterpDifferentialTest, CreateTransactionPath) {
   // Init code: SSTORE(0, 7), return runtime code {STOP}.
   Bytes init = {
@@ -354,9 +508,7 @@ TEST(InterpDifferentialTest, CreateTransactionPath) {
   };
   Execution ref;
   bool first = true;
-  for (DispatchMode mode : {DispatchMode::kSwitch,
-                            DispatchMode::kThreadedNoFuse,
-                            DispatchMode::kThreaded}) {
+  for (DispatchMode mode : {DispatchMode::kSwitch, DispatchMode::kThreaded}) {
     state::WorldState world;
     Address sender = Address::FromWord(U256(kSenderWord));
     world.CreateAccount(sender);
@@ -371,7 +523,6 @@ TEST(InterpDifferentialTest, CreateTransactionPath) {
       ref = got;
       first = false;
     } else {
-      SCOPED_TRACE(DispatchModeToString(mode));
       EXPECT_EQ(ref.result.outcome, got.result.outcome);
       EXPECT_EQ(ref.result.gas_left, got.result.gas_left);
       EXPECT_EQ(ref.result.created, got.result.created);

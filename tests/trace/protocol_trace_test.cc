@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
+#include "obs/clock.h"
 #include "onoff/protocol.h"
 #include "sim/scheduler.h"
 #include "sim/transport.h"
@@ -124,6 +127,58 @@ TEST(ProtocolTraceTest, ExportsAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(first.trace_json, second.trace_json);
   EXPECT_EQ(first.chrome_json, second.chrome_json);
   EXPECT_GT(first.trace_json.size(), 1000u);
+}
+
+// A tracer outlives the protocol that bound it to a simulation. Once
+// ~BettingProtocol has put obs::Clock back on wall time and the scheduler
+// is gone, new spans must read that clock, never the dead scheduler.
+TEST(ProtocolTraceTest, SpansFollowTheObsClockAfterTheProtocolIsGone) {
+  Tracer tracer;
+  Tracer* previous = Tracer::InstallGlobal(&tracer);
+  {
+    auto alice = secp256k1::PrivateKey::FromSeed("alice");
+    auto bob = secp256k1::PrivateKey::FromSeed("bob");
+    chain::Blockchain chain;
+    chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
+    chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
+    core::MessageBus bus;
+    contracts::OffchainConfig offchain;
+    offchain.secret_alice = U256(0xa11ce);
+    offchain.secret_bob = U256(0xb0b);
+    offchain.reveal_iterations = 5;
+
+    auto sched = std::make_unique<sim::Scheduler>();
+    auto transport = std::make_unique<sim::SimTransport>(sched.get(), 42);
+    sim::LinkConfig link;
+    link.latency_ms = 50;
+    transport->SetLink(alice.EthAddress().ToHex(), "chain", link);
+    transport->SetLink(bob.EthAddress().ToHex(), "chain", link);
+    auto protocol = std::make_unique<core::BettingProtocol>(
+        &chain, &bus, alice, bob, offchain, contracts::Ether(1));
+    protocol->BindSimulation(sched.get(), transport.get());
+    core::Behavior honest;
+    auto report = protocol->Run(honest, honest);
+    Tracer::InstallGlobal(previous);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_GT(sched->NowMs(), 0u);
+    protocol.reset();
+    transport.reset();
+    sched.reset();
+  }
+  ASSERT_FALSE(obs::Clock::IsVirtual());
+
+  TraceContext root = tracer.StartTrace();
+  const uint64_t before = obs::Clock::NowUs();
+  tracer.Event(root, "after.unbind", "test");
+  const uint64_t after = obs::Clock::NowUs();
+
+  std::vector<Span> spans = tracer.Snapshot();
+  auto it = std::find_if(spans.begin(), spans.end(), [](const Span& s) {
+    return s.name == "after.unbind";
+  });
+  ASSERT_NE(it, spans.end());
+  EXPECT_GE(it->start_us, before);
+  EXPECT_LE(it->start_us, after);
 }
 
 TEST(ProtocolTraceTest, SampledOutRunProducesNoSpans) {

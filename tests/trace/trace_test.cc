@@ -2,13 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "obs/clock.h"
+
 namespace onoff::trace {
 namespace {
 
+// Installs a settable obs::Clock, the tracer's time source, for the test's
+// lifetime and restores the wall clock on destruction (the shared_ptr keeps
+// the cell alive for any reader that raced the restore).
+class FakeClock {
+ public:
+  explicit FakeClock(uint64_t now_us)
+      : now_us_(std::make_shared<uint64_t>(now_us)) {
+    auto cell = now_us_;
+    obs::Clock::Install([cell] { return *cell; });
+  }
+  ~FakeClock() { obs::Clock::Install(nullptr); }
+  FakeClock(const FakeClock&) = delete;
+  FakeClock& operator=(const FakeClock&) = delete;
+  void Set(uint64_t now_us) { *now_us_ = now_us; }
+
+ private:
+  std::shared_ptr<uint64_t> now_us_;
+};
+
 TEST(TracerTest, RootSpanAndChildComplete) {
   Tracer tracer;
-  uint64_t fake_now = 100;
-  tracer.SetClock([&fake_now] { return fake_now; });
+  FakeClock clock(100);
 
   TraceContext root = tracer.StartTrace();
   ASSERT_TRUE(root.valid());
@@ -17,11 +39,11 @@ TEST(TracerTest, RootSpanAndChildComplete) {
   TraceContext span = tracer.BeginSpan(root, "outer", "test");
   ASSERT_TRUE(span.valid());
   EXPECT_EQ(span.trace_id, root.trace_id);
-  fake_now = 250;
+  clock.Set(250);
   TraceContext child = tracer.BeginSpan(span, "inner", "test");
-  fake_now = 300;
+  clock.Set(300);
   tracer.EndSpan(child);
-  fake_now = 400;
+  clock.Set(400);
   tracer.EndSpan(span, {{"k", "v"}});
 
   std::vector<Span> spans = tracer.Snapshot();
@@ -134,14 +156,13 @@ TEST(TracerTest, GlobalInstallRestores) {
 TEST(TracerTest, ExportsAreByteDeterministic) {
   auto build = [] {
     Tracer tracer;
-    uint64_t now = 0;
-    tracer.SetClock([&now] { return now; });
+    FakeClock clock(0);
     TraceContext root = tracer.StartTrace();
     TraceContext span =
         tracer.BeginSpan(root, "work", "test", {{"zeta", "1"}, {"alpha", "2"}});
-    now = 10;
+    clock.Set(10);
     tracer.Event(span, "tick", "test");
-    now = 42;
+    clock.Set(42);
     tracer.EndSpan(span);
     return std::make_pair(tracer.ToJson().Dump(),
                           tracer.ToChromeTrace().Dump());
