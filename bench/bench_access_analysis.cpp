@@ -1,21 +1,19 @@
-// Static access analysis as a scheduler (DESIGN §12): what the dataflow
-// pass costs per contract, how much of a betting-style block it can prove
-// conflict-free before the speculation wave, and what that proof is worth
-// in block-mining throughput.
+// Static access analysis (DESIGN §12): what the dataflow pass costs per
+// contract, and whether the access hints built from its summaries hold on
+// a betting-style parallel block.
 //
-// Three sections:
-//   analysis_cost      - cold AnalyzeProgram time and warm summary-cache
-//                        lookup per contract (the paper contracts plus a
-//                        synthetic multi-selector contract);
-//   betting_static     - a block mix of reassign() calls on distinct
-//                        betting instances (statically disjoint) and
-//                        deposit() calls (⊤, optimistic fallback): fraction
-//                        of commits proven clear statically, containment
-//                        violations (must be 0);
-//   static_scheduling  - serial vs parallel with exec_static_scheduling
-//                        off/on, on a disjoint per-sender workload.
+// Two sections:
+//   analysis_cost   - cold AnalyzeProgram time and warm summary-cache
+//                     lookup per contract (the paper contracts plus a
+//                     synthetic multi-selector contract);
+//   betting_static  - a block mix of plain transfers (known hints) and
+//                     reassign()/deposit() calls on distinct betting
+//                     instances (⊤ hints) on a parallel chain with the
+//                     containment audit on: commits, containment
+//                     violations (must be 0), and the serial state root.
 //
-// Every row re-derives the serial state root and reports `roots_match`.
+// Every row reports `roots_match`: the betting row re-derives the serial
+// root, the analysis rows execute nothing and report a trivially-true bit.
 // Writes BENCH_access_analysis.json (onoffchain-bench-v1) via --json <path>.
 
 #include <chrono>
@@ -45,30 +43,8 @@ double NowMs() {
       .count();
 }
 
-// Wraps `runtime` in init code that returns it verbatim.
-Bytes InitFor(const Bytes& runtime) {
-  if (runtime.size() > 0xffff) {
-    std::fprintf(stderr, "runtime of %zu bytes does not fit PUSH2\n",
-                 runtime.size());
-    std::exit(1);
-  }
-  auto hex_len = [&] {
-    char buf[8];
-    std::snprintf(buf, sizeof buf, "%04x",
-                  static_cast<uint16_t>(runtime.size()));
-    return std::string(buf);
-  };
-  std::string src = "PUSH2 0x" + hex_len();
-  src += "\nPUSH @runtime PUSH1 0x01 ADD\nPUSH1 0x00\nCODECOPY\n";
-  src += "PUSH2 0x" + hex_len();
-  src += " PUSH1 0x00 RETURN\nruntime: DB 0x" + ToHex(runtime) + "\n";
-  auto init = easm::Assemble(src);
-  if (!init.ok()) std::exit(1);
-  return *init;
-}
-
 // A synthetic contract with `n` selectors, each doing a read-modify-write
-// of its own storage slot — the shape the static scheduler is built for.
+// of its own storage slot — a summary with one constant slot per selector.
 Bytes PerSelectorSlotContract(size_t n) {
   // Selector i stores to slot 0x50 + i, which must fit PUSH1.
   constexpr size_t kMaxSelectors = 0x100 - 0x50;
@@ -96,15 +72,6 @@ Bytes PerSelectorSlotContract(size_t n) {
   auto code = easm::Assemble(src);
   if (!code.ok()) std::exit(1);
   return *code;
-}
-
-Bytes SelectorCalldata(uint32_t selector) {
-  Bytes data;
-  data.push_back(static_cast<uint8_t>(selector >> 24));
-  data.push_back(static_cast<uint8_t>(selector >> 16));
-  data.push_back(static_cast<uint8_t>(selector >> 8));
-  data.push_back(static_cast<uint8_t>(selector));
-  return data;
 }
 
 chain::Transaction MakeTx(const secp256k1::PrivateKey& key, uint64_t nonce,
@@ -184,14 +151,14 @@ void BenchAnalysisCost(obs::Json& results) {
   std::printf("\n");
 }
 
-// ---- Section 2: static disjointness on the betting workload --------------
+// ---- Section 2: containment audit on the betting workload ---------------
 
 void BenchBettingWorkload(obs::Json& results, uint64_t blocks) {
-  // Per block: 8 plain transfers (payment traffic, statically provable),
-  // 4 reassign() and 2 deposit() calls on distinct betting instances. The
+  // Per block: 8 plain transfers (payment traffic, known hints), 4
+  // reassign() and 2 deposit() calls on distinct betting instances. The
   // betting functions carry CALL effects (payout transfers), so their
-  // summaries are ⊤ and they ride the optimistic path; the transfers in
-  // front of them are the statically disjoint share.
+  // summaries are ⊤ and their hints unknown; the transfers' hints are the
+  // audited share.
   constexpr size_t kInstances = 8;
   constexpr size_t kTransfers = 8;
   constexpr size_t kReassigns = 4;
@@ -242,8 +209,7 @@ void BenchBettingWorkload(obs::Json& results, uint64_t blocks) {
   uint64_t total_txs = 0;
   for (uint64_t b = 0; b < blocks; ++b) {
     std::vector<chain::Transaction> txs;
-    // Statically provable head: disjoint payments. Unknown hints poison
-    // the scheduling prefix, so the ⊤ betting calls go last.
+    // Disjoint payments: hints name only intrinsic account fields.
     for (size_t i = 0; i < kTransfers; ++i) {
       size_t k = kInstances + i;
       auto recipient = secp256k1::PrivateKey::FromSeed(
@@ -275,22 +241,17 @@ void BenchBettingWorkload(obs::Json& results, uint64_t blocks) {
 
   const chain::ParallelExecStats& after = parallel.parallel_stats();
   uint64_t committed = after.committed - before.committed;
-  uint64_t clear = after.static_clear - before.static_clear;
   uint64_t violations = after.hint_violations - before.hint_violations;
-  double pct = committed > 0 ? 100.0 * static_cast<double>(clear) /
-                                   static_cast<double>(committed)
-                             : 0.0;
   bool roots_match =
       serial.state().StateRoot() == parallel.state().StateRoot();
 
-  std::printf("--- betting workload: static disjointness ---\n");
+  std::printf("--- betting workload: containment audit ---\n");
   std::printf(
-      "%llu txs over %llu blocks: %llu committed, %llu statically clear "
-      "(%.1f%%), %llu containment violations, roots %s\n\n",
+      "%llu txs over %llu blocks: %llu committed, %llu containment "
+      "violations, roots %s\n\n",
       static_cast<unsigned long long>(total_txs),
       static_cast<unsigned long long>(blocks),
       static_cast<unsigned long long>(committed),
-      static_cast<unsigned long long>(clear), pct,
       static_cast<unsigned long long>(violations),
       roots_match ? "ok" : "DIFF");
   results.Push(
@@ -303,104 +264,10 @@ void BenchBettingWorkload(obs::Json& results, uint64_t blocks) {
                obs::Json::Num(static_cast<double>(kReassigns + kDeposits)))
           .Set("txs", obs::Json::Num(static_cast<double>(total_txs)))
           .Set("committed", obs::Json::Num(static_cast<double>(committed)))
-          .Set("static_clear", obs::Json::Num(static_cast<double>(clear)))
-          .Set("static_clear_pct", obs::Json::Num(pct))
           .Set("hint_violations",
                obs::Json::Num(static_cast<double>(violations)))
           .Set("roots_match", obs::Json::Bool(roots_match)));
   if (!roots_match || violations != 0) std::exit(1);
-}
-
-// ---- Section 3: throughput with static scheduling off/on -----------------
-
-struct SchedMode {
-  const char* name;
-  chain::ExecMode exec_mode;
-  bool static_scheduling;
-};
-
-double RunDisjointWorkload(const SchedMode& mode, uint64_t blocks,
-                           size_t senders, Hash32* root_out) {
-  chain::ChainConfig config;
-  config.exec_mode = mode.exec_mode;
-  config.exec_workers = 4;
-  config.exec_static_scheduling = mode.static_scheduling;
-  config.max_txs_per_block = senders;
-  chain::Blockchain chain(config);
-
-  std::vector<secp256k1::PrivateKey> keys;
-  std::vector<uint64_t> nonces(senders, 0);
-  for (size_t i = 0; i < senders; ++i) {
-    keys.push_back(
-        secp256k1::PrivateKey::FromSeed("sched-" + std::to_string(i)));
-    chain.FundAccount(keys.back().EthAddress(), contracts::Ether(1000));
-  }
-  Bytes init = InitFor(PerSelectorSlotContract(senders));
-  auto deploy = chain.Execute(keys[0], std::nullopt, U256(), init, 2'000'000);
-  if (!deploy.ok() || !deploy->success) std::exit(1);
-  Address contract = deploy->contract_address;
-  nonces[0] = 1;
-
-  auto run_blocks = [&](uint64_t count) {
-    for (uint64_t b = 0; b < count; ++b) {
-      for (size_t i = 0; i < senders; ++i) {
-        chain::Transaction tx = MakeTx(
-            keys[i], nonces[i]++, contract, U256(),
-            SelectorCalldata(0x40000000u + static_cast<uint32_t>(i)),
-            100'000);
-        if (!chain.SubmitTransaction(tx).ok()) std::exit(1);
-      }
-      if (chain.MineBlock().transactions.size() != senders) std::exit(1);
-    }
-  };
-  run_blocks(blocks / 4 + 1);  // warmup
-  double t0 = NowMs();
-  run_blocks(blocks);
-  double wall_ms = NowMs() - t0;
-  *root_out = chain.state().StateRoot();
-  return wall_ms;
-}
-
-void BenchStaticScheduling(obs::Json& results, uint64_t blocks) {
-  constexpr size_t kSenders = 16;
-  const SchedMode modes[] = {
-      {"serial", chain::ExecMode::kSerial, false},
-      {"parallel_static_off", chain::ExecMode::kParallel, false},
-      {"parallel_static_on", chain::ExecMode::kParallel, true},
-  };
-  std::printf("--- disjoint workload: static scheduling off/on ---\n");
-  std::printf("%-20s %12s %12s %9s %6s\n", "mode", "wall (ms)", "tx/s",
-              "speedup", "roots");
-  double serial_tx_per_s = 0;
-  Hash32 serial_root{};
-  for (const SchedMode& mode : modes) {
-    Hash32 root{};
-    double wall_ms = RunDisjointWorkload(mode, blocks, kSenders, &root);
-    double txs = static_cast<double>(blocks * kSenders);
-    double tx_per_s = wall_ms > 0 ? 1000.0 * txs / wall_ms : 0.0;
-    bool is_serial = mode.exec_mode == chain::ExecMode::kSerial;
-    if (is_serial) {
-      serial_tx_per_s = tx_per_s;
-      serial_root = root;
-    }
-    double speedup = serial_tx_per_s > 0 ? tx_per_s / serial_tx_per_s : 1.0;
-    bool roots_match = root == serial_root;
-    std::printf("%-20s %12.1f %12.0f %8.2fx %6s\n", mode.name, wall_ms,
-                tx_per_s, speedup, roots_match ? "ok" : "DIFF");
-    results.Push(
-        obs::Json::Object()
-            .Set("section", obs::Json::Str("static_scheduling"))
-            .Set("mode", obs::Json::Str(mode.name))
-            .Set("blocks", obs::Json::Num(static_cast<double>(blocks)))
-            .Set("txs_per_block",
-                 obs::Json::Num(static_cast<double>(kSenders)))
-            .Set("wall_ms", obs::Json::Num(wall_ms))
-            .Set("tx_per_s", obs::Json::Num(tx_per_s))
-            .Set("speedup_vs_serial", obs::Json::Num(speedup))
-            .Set("roots_match", obs::Json::Bool(roots_match)));
-    if (!roots_match) std::exit(1);
-  }
-  std::printf("\n");
 }
 
 }  // namespace
@@ -415,12 +282,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("=== Static access analysis & pre-scheduling (%u threads) ===\n\n",
+  std::printf("=== Static access analysis (%u threads) ===\n\n",
               std::thread::hardware_concurrency());
   obs::Json results = obs::Json::Array();
   BenchAnalysisCost(results);
   BenchBettingWorkload(results, blocks);
-  BenchStaticScheduling(results, blocks);
 
   if (!json_path.empty()) {
     Status st = obs::WriteBenchJson(json_path, "access_analysis",

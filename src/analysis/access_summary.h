@@ -69,11 +69,12 @@ struct AccessSummary {
     external_reads = external_reads || other.external_reads;
   }
 
-  // True when the summary is precise enough to pre-schedule: every storage
-  // key resolved to constants, and no opcode that reaches beyond the
-  // executing contract's own storage (calls, creates, selfdestruct,
-  // external reads). Such a frame's dynamic accesses are provably
-  // contained in {self} × (reads ∪ writes).
+  // True when the summary is precise enough to bound a transaction's
+  // footprint (a known access hint): every storage key resolved to
+  // constants, and no opcode that reaches beyond the executing contract's
+  // own storage (calls, creates, selfdestruct, external reads). Such a
+  // frame's dynamic accesses are provably contained in
+  // {self} × (reads ∪ writes).
   bool StaticallySchedulable() const;
 
   std::string ToString() const;
@@ -100,9 +101,9 @@ struct ProgramAccess {
 };
 
 // Process-wide summary cache keyed by code hash, mirroring
-// evm::CodeAnalysisCache so the executor pays the dataflow cost once per
-// contract, not once per transaction. Codes whose analysis reports errors
-// yield a ⊤ summary (never schedulable, always the optimistic path).
+// evm::CodeAnalysisCache so the hint builder pays the dataflow cost once
+// per contract, not once per transaction. Codes whose analysis reports
+// errors yield a ⊤ summary (never schedulable, so an unknown hint).
 class AccessSummaryCache {
  public:
   static AccessSummaryCache& Global();

@@ -19,6 +19,9 @@ namespace onoff::chain {
 
 namespace {
 
+// ~Feb 2019, the paper's era.
+constexpr uint64_t kGenesisTimestamp = 1'550'000'000;
+
 std::string HashKey(const Hash32& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
@@ -26,7 +29,7 @@ std::string HashKey(const Hash32& h) {
 }  // namespace
 
 Blockchain::Blockchain(ChainConfig config)
-    : config_(std::move(config)), now_(config_.genesis_timestamp) {
+    : config_(std::move(config)), now_(kGenesisTimestamp) {
   // The pool packs each sender's transactions as a contiguous nonce run
   // from the account nonce; anything below it is unminable and dropped.
   pool_.set_base_nonce_provider(
@@ -44,20 +47,21 @@ Blockchain::Blockchain(ChainConfig config)
       node_store_.reset();
     }
   }
-  // Invariant auditing: an explicit config wins; otherwise $ONOFF_AUDIT
-  // supplies the spec and makes violations fatal (the CI posture).
+  // Invariant auditing: an explicit config wins and reports; otherwise
+  // $ONOFF_AUDIT supplies the spec and makes violations fatal (the CI
+  // posture).
   std::string audit_spec = config_.audit_invariants;
-  bool audit_fatal = config_.audit_fatal;
+  bool fail_fast = false;
   if (audit_spec.empty()) {
     const char* env = std::getenv("ONOFF_AUDIT");
     if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
       audit_spec = env;
-      audit_fatal = true;
+      fail_fast = true;
     }
   }
   if (!audit_spec.empty()) {
     obs::AuditorConfig sink_config;
-    sink_config.fail_fast = audit_fatal;
+    sink_config.fail_fast = fail_fast;
     auditor_ = std::make_unique<ChainAuditor>(audit_spec, sink_config);
   }
   // An audited chain without a recorder would detect violations but capture
@@ -123,8 +127,7 @@ Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
   if (tx.gas_limit < tx.IntrinsicGas()) {
     return Status::InvalidArgument("gas limit below intrinsic gas");
   }
-  if (config_.deploy_lint != DeployLint::kOff && tx.IsContractCreation() &&
-      !tx.data.empty()) {
+  if (tx.IsContractCreation() && !tx.data.empty()) {
     analysis::AnalysisOptions options;
     options.block_gas_limit = config_.block_gas_limit;
     analysis::DeploymentReport report =
@@ -136,18 +139,6 @@ Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
       ONOFF_LOG(log::Level::kWarn, "chain",
                 "deploy lint found issues in init code of tx %s",
                 ToHex0x(BytesView(tx.Hash().data(), 8)).c_str());
-      if (config_.deploy_lint == DeployLint::kEnforce) {
-        std::string first;
-        for (const analysis::Diagnostic& d : report.AllDiagnostics()) {
-          if (analysis::IsError(d.code)) {
-            first = analysis::FormatDiagnostic(d);
-            break;
-          }
-        }
-        ONOFF_LOG(log::Level::kError, "chain", "deploy rejected: %s",
-                  first.c_str());
-        return Status::AnalysisRejected("deploy lint: " + first);
-      }
     }
   }
   // Rejoinable trace context: the Transaction wire format carries no trace
@@ -518,8 +509,8 @@ TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
   // only by an actual value transfer: zero-value calls skip Transfer, and a
   // contract reading its own balance uses BALANCE, which marks the summary
   // external-reading and thus unschedulable. Gating these keys on the value
-  // is what lets zero-value calls to disjoint selectors of one shared
-  // contract co-schedule.
+  // keeps the hints of zero-value calls to disjoint selectors of one shared
+  // contract disjoint.
   if (!tx.value.IsZero()) {
     reads.insert(state::access_key::Balance(to));
     writes.insert(state::access_key::Existence(to));
@@ -546,7 +537,7 @@ TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
       summary = sel;
     }
   }
-  if (!summary->StaticallySchedulable()) return hint;  // ⊤: optimistic path
+  if (!summary->StaticallySchedulable()) return hint;  // ⊤: nothing to audit
 
   // SSTORE loads the slot before writing (and reverts re-read it), so every
   // hinted write slot is a hinted read slot too.
@@ -567,11 +558,11 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
   std::optional<state::WorldState> pre_state;
   if (config_.assert_parallel_equivalence) pre_state = state_.Clone();
 
-  // Static schedule: hints must be built against the pre-block state (code
-  // is looked up before the block's own transactions run), which is exactly
-  // what `state_` is at this point.
+  // Containment audit: hints must be built against the pre-block state
+  // (code is looked up before the block's own transactions run), which is
+  // exactly what `state_` is at this point.
   std::vector<TxAccessHint> hints;
-  if (config_.exec_static_scheduling || config_.check_static_containment) {
+  if (config_.check_static_containment) {
     hints.reserve(txs.size());
     for (const Transaction& tx : txs) hints.push_back(BuildAccessHint(tx));
   }
@@ -582,8 +573,8 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
       [this, block_number](state::StateView& view, const Transaction& tx) {
         return ExecuteTransaction(view, tx, block_number, /*quiet=*/true);
       },
-      &parallel_stats_, hints.empty() ? nullptr : &hints,
-      config_.check_static_containment);
+      &parallel_stats_,
+      config_.check_static_containment ? &hints : nullptr);
 
   // Quiet executions skip the per-tx failure telemetry; settle it here for
   // the receipts that actually made the block.

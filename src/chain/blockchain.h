@@ -30,13 +30,6 @@ class GasBoundsChecker;
 
 namespace onoff::chain {
 
-// What the node does with static-analysis findings on submitted init code.
-enum class DeployLint {
-  kOff,      // no analysis at submission time
-  kWarn,     // analyze, count findings in chain.deploy_lint_findings, accept
-  kEnforce,  // reject creation transactions whose init code has errors
-};
-
 // How a block's transactions are executed during mining.
 enum class ExecMode {
   kSerial,    // one by one on the world state (the reference semantics)
@@ -49,12 +42,7 @@ struct ChainConfig {
   // Kovan produced blocks every ~4 seconds.
   uint64_t block_interval_seconds = 4;
   Address coinbase;
-  uint64_t genesis_timestamp = 1'550'000'000;  // ~Feb 2019, the paper's era
   size_t max_txs_per_block = 200;
-  // Deploy-time lint: kWarn observes without changing consensus behavior
-  // (hand-written test programs may be deliberately odd), kEnforce turns
-  // analyzer errors into submission failures.
-  DeployLint deploy_lint = DeployLint::kWarn;
   ExecMode exec_mode = ExecMode::kSerial;
   // Worker threads for parallel execution; 0 = the shared pool sized to the
   // hardware.
@@ -75,24 +63,19 @@ struct ChainConfig {
   // window from the paper: off-chain results can be contested as long as
   // the state they commit to is still retained. 0 = keep everything.
   uint64_t state_history_blocks = 64;
-  // Parallel mining only: feed the executor static access hints from the
-  // analyzer's per-selector summaries so statically-disjoint transactions
-  // commit without dynamic conflict checks (chain/parallel_executor.h).
-  // Purely a fast path — results are byte-identical either way.
-  bool exec_static_scheduling = true;
-  // Fuzz/CI oracle: assert every transaction's recorded accesses stay
-  // inside its static hint (static ⊇ dynamic); violations are counted in
-  // chain.parallel.hint_violations and disable hints for the block's rest.
+  // Parallel mining only, a fuzz/CI oracle: build a static access hint for
+  // every transaction from the analyzer's per-selector summaries and audit
+  // each execution's recorded accesses against it (static ⊇ dynamic).
+  // Escapes are counted in chain.parallel.hint_violations; hints never
+  // decide a commit (chain/parallel_executor.h).
   bool check_static_containment = false;
   // Runtime invariant auditing (chain/chain_audit.h): "" = off, "all" or a
   // comma-separated subset of {conservation, nonce, settlement,
-  // receipt_root, timer}. When empty, the ONOFF_AUDIT environment variable
-  // supplies the spec (and makes violations fail-fast) — how CI runs the
-  // whole suite audited without touching every test.
+  // receipt_root, timer}. An explicit spec reports violations. When empty,
+  // the ONOFF_AUDIT environment variable supplies the spec and makes the
+  // first violation abort — how CI runs the whole suite audited without
+  // touching every test.
   std::string audit_invariants;
-  // Abort on the first violation (the CI posture). Explicit configs default
-  // to reporting only; the ONOFF_AUDIT env path turns this on.
-  bool audit_fatal = false;
   // > 0: own a flight recorder of this many ring slots and install it as
   // the process global for this chain's lifetime (obs/flight_recorder.h).
   // The auditor dumps its triage bundle through it on any violation.
@@ -117,7 +100,10 @@ class Blockchain {
   void FundAccount(const Address& addr, const U256& amount);
 
   // ---- Transactions ----
-  // Validates and enqueues; returns the transaction hash.
+  // Validates and enqueues; returns the transaction hash. A creation's init
+  // code is linted by the static analyzer: findings are logged and counted
+  // in chain.deploy_lint_findings, and never reject the transaction
+  // (hand-written programs may be deliberately odd).
   Result<Hash32> SubmitTransaction(const Transaction& tx);
   // Builds, signs, and submits a transaction from `key`.
   Result<Hash32> SendTransaction(const secp256k1::PrivateKey& key,
@@ -225,10 +211,11 @@ class Blockchain {
   // (checked when config_.assert_parallel_equivalence is set).
   std::vector<Receipt> ExecuteBlockParallel(const std::vector<Transaction>& txs,
                                             uint64_t block_number);
-  // Static access footprint of `tx` in the dynamic recorder's key encoding:
-  // intrinsic sender/callee/coinbase bookkeeping plus the callee's analyzer
-  // summary for the selected function. ⊤ (known == false) for contract
-  // creations and callees whose summary is not statically schedulable.
+  // Static access footprint of `tx` in the dynamic recorder's key encoding,
+  // audited by the executor under check_static_containment: intrinsic
+  // sender/callee/coinbase bookkeeping plus the callee's analyzer summary
+  // for the selected function. ⊤ (known == false) for contract creations
+  // and callees whose summary is not statically schedulable.
   TxAccessHint BuildAccessHint(const Transaction& tx) const;
   evm::BlockContext MakeBlockContext(uint64_t number, uint64_t timestamp) const;
 

@@ -9,34 +9,10 @@
 
 namespace onoff::chain {
 
-namespace {
-
-// Pre-commit static schedule: tx i is clear iff every hint up to and
-// including i is known and i's hinted reads are disjoint from the union of
-// earlier hinted writes. Clear txs commit verbatim with no dynamic conflict
-// check: dynamic ⊆ static on both sides makes static disjointness imply
-// dynamic disjointness, and the hints are state-independent so they also
-// bound any re-executed predecessor. An unknown (⊤) hint poisons everything
-// after it.
-std::vector<char> PlanStaticSchedule(const std::vector<TxAccessHint>& hints) {
-  std::vector<char> clear(hints.size(), 0);
-  state::AccessSet hinted_writes;
-  bool prefix_known = true;
-  for (size_t i = 0; i < hints.size(); ++i) {
-    const TxAccessHint& h = hints[i];
-    if (!h.known) prefix_known = false;
-    if (prefix_known && !h.reads.Intersects(hinted_writes)) clear[i] = 1;
-    if (h.known) hinted_writes.MergeFrom(h.writes);
-  }
-  return clear;
-}
-
-}  // namespace
-
 std::vector<Receipt> ParallelExecutor::ExecuteBlock(
     state::WorldState& state, const std::vector<Transaction>& txs,
     const ExecFn& execute, ParallelExecStats* stats,
-    const std::vector<TxAccessHint>* hints, bool check_containment) {
+    const std::vector<TxAccessHint>* audit_hints) {
   static obs::Counter* waves = obs::GetCounterOrNull("chain.parallel.waves");
   static obs::Counter* speculated =
       obs::GetCounterOrNull("chain.parallel.speculated");
@@ -46,8 +22,6 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       obs::GetCounterOrNull("chain.parallel.conflicts");
   static obs::Counter* reexecuted =
       obs::GetCounterOrNull("chain.parallel.reexecuted");
-  static obs::Counter* static_clear =
-      obs::GetCounterOrNull("chain.parallel.static_clear");
   static obs::Counter* hint_violations =
       obs::GetCounterOrNull("chain.parallel.hint_violations");
   static obs::Histogram* wave_us = obs::GetHistogramOrNull(
@@ -77,34 +51,26 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
   s.speculated += n;
   if (speculated != nullptr) speculated->Inc(n);
 
-  // Static schedule from the analyzer's hints, when provided for the whole
-  // block. `hints_trusted` drops to false on the first containment
-  // violation (soundness-oracle mode), downgrading the rest of the block to
-  // the plain dynamic conflict check.
-  const bool have_hints = hints != nullptr && hints->size() == n;
-  std::vector<char> clear =
-      have_hints ? PlanStaticSchedule(*hints) : std::vector<char>(n, 0);
-  bool hints_trusted = true;
+  // Containment audit: a transaction's known hint must cover what each of
+  // its executions recorded.
+  const bool audit = audit_hints != nullptr && audit_hints->size() == n;
+  auto audit_execution = [&](size_t i, const state::SpeculativeState& run) {
+    if (!audit || !(*audit_hints)[i].known) return;
+    const TxAccessHint& h = (*audit_hints)[i];
+    if (!h.reads.Covers(run.reads()) || !h.writes.Covers(run.writes())) {
+      ++s.hint_violations;
+    }
+  };
 
   // Ordered commit: transaction i's speculation is committed verbatim iff
-  // it is statically clear or its reads saw nothing any earlier transaction
-  // wrote; otherwise its overlay is discarded and it re-executes against
-  // the current committed state (the re-execution also runs on an overlay
-  // purely to capture the write set later conflict checks need — it
-  // commits unconditionally).
+  // its reads saw nothing any earlier transaction wrote; otherwise its
+  // overlay is discarded and it re-executes against the current committed
+  // state (the re-execution also runs on an overlay purely to capture the
+  // write set later conflict checks need — it commits unconditionally).
   state::AccessSet committed_writes;
   for (size_t i = 0; i < n; ++i) {
-    if (check_containment && have_hints && (*hints)[i].known) {
-      const TxAccessHint& h = (*hints)[i];
-      if (!h.reads.Covers(overlays[i]->reads()) ||
-          !h.writes.Covers(overlays[i]->writes())) {
-        ++s.hint_violations;
-        hints_trusted = false;
-      }
-    }
-    if ((hints_trusted && clear[i] != 0) ||
-        !overlays[i]->reads().Intersects(committed_writes)) {
-      if (hints_trusted && clear[i] != 0) ++s.static_clear;
+    audit_execution(i, *overlays[i]);
+    if (!overlays[i]->reads().Intersects(committed_writes)) {
       overlays[i]->ApplyTo(state);
       committed_writes.MergeFrom(overlays[i]->writes());
       ++s.committed;
@@ -113,14 +79,7 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       ++s.reexecuted;
       state::SpeculativeState retry(state);
       receipts[i] = execute(retry, txs[i]);
-      if (check_containment && have_hints && (*hints)[i].known) {
-        const TxAccessHint& h = (*hints)[i];
-        if (!h.reads.Covers(retry.reads()) ||
-            !h.writes.Covers(retry.writes())) {
-          ++s.hint_violations;
-          hints_trusted = false;
-        }
-      }
+      audit_execution(i, retry);
       retry.ApplyTo(state);
       committed_writes.MergeFrom(retry.writes());
     }
@@ -130,19 +89,15 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
   if (committed != nullptr) committed->Inc(s.committed);
   if (conflicts != nullptr) conflicts->Inc(s.conflicts);
   if (reexecuted != nullptr) reexecuted->Inc(s.reexecuted);
-  if (static_clear != nullptr && s.static_clear > 0)
-    static_clear->Inc(s.static_clear);
   if (hint_violations != nullptr && s.hint_violations > 0)
     hint_violations->Inc(s.hint_violations);
   wave_span.AddArg("conflicts", std::to_string(s.conflicts));
   wave_span.AddArg("committed", std::to_string(s.committed));
-  wave_span.AddArg("static_clear", std::to_string(s.static_clear));
   if (stats != nullptr) {
     stats->speculated += s.speculated;
     stats->committed += s.committed;
     stats->conflicts += s.conflicts;
     stats->reexecuted += s.reexecuted;
-    stats->static_clear += s.static_clear;
     stats->hint_violations += s.hint_violations;
   }
   return receipts;

@@ -35,8 +35,8 @@ namespace onoff::chain {
 // A static over-approximation of one transaction's access footprint,
 // derived from the analyzer's per-selector access summaries (DESIGN §12)
 // in the same key encoding the dynamic recorder uses. `known == false`
-// (the ⊤ hint) means the analysis could not bound the footprint — the
-// transaction takes the plain optimistic path.
+// (the ⊤ hint) means the analysis could not bound the footprint, so there
+// is nothing to audit.
 struct TxAccessHint {
   bool known = false;
   state::AccessSet reads;
@@ -48,8 +48,7 @@ struct ParallelExecStats {
   size_t committed = 0;    // speculations committed verbatim
   size_t conflicts = 0;    // speculations discarded on read/write conflict
   size_t reexecuted = 0;   // serial re-executions (== conflicts)
-  size_t static_clear = 0;     // commits proven conflict-free statically
-  size_t hint_violations = 0;  // dynamic accesses escaping a known hint
+  size_t hint_violations = 0;  // executions escaping their known hint
 };
 
 class ParallelExecutor {
@@ -68,26 +67,16 @@ class ParallelExecutor {
   // the post-block state and the result holds one receipt per transaction,
   // in block order. Not reentrant; `state` must not be touched concurrently.
   //
-  // `hints` (optional, one entry per transaction when present) carries the
-  // static access footprints from the analyzer. Before the commit pass the
-  // executor partitions the block: a transaction whose hinted reads are
-  // disjoint from the hinted writes of every earlier transaction — with all
-  // earlier hints known — is *statically clear* and commits verbatim without
-  // consulting its dynamic read set. ⊤ hints (known == false) and everything
-  // after them fall back to the dynamic conflict check, so results stay
-  // byte-identical to serial execution either way.
-  //
-  // `check_containment` turns the dynamic recorder into a soundness oracle:
-  // after each transaction finishes, its recorded accesses must be covered
-  // by its hint (static ⊇ dynamic). A violation bumps
-  // `stats->hint_violations`, and the executor stops trusting hints for the
-  // remainder of the block (every later commit re-checks dynamically).
-  std::vector<Receipt> ExecuteBlock(state::WorldState& state,
-                                    const std::vector<Transaction>& txs,
-                                    const ExecFn& execute,
-                                    ParallelExecStats* stats = nullptr,
-                                    const std::vector<TxAccessHint>* hints = nullptr,
-                                    bool check_containment = false);
+  // `audit_hints` (optional, one entry per transaction) are static access
+  // footprints claimed by the analyzer, and the executor only checks them:
+  // every execution of a transaction with a known hint — its speculation
+  // and, after a conflict, its re-execution — must record accesses the
+  // hint covers (static ⊇ dynamic), and each one that does not bumps
+  // `stats->hint_violations`. Hints never decide a commit.
+  std::vector<Receipt> ExecuteBlock(
+      state::WorldState& state, const std::vector<Transaction>& txs,
+      const ExecFn& execute, ParallelExecStats* stats = nullptr,
+      const std::vector<TxAccessHint>* audit_hints = nullptr);
 
  private:
   ThreadPool* pool_;

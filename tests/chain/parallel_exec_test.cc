@@ -1,7 +1,8 @@
 // Serial-vs-parallel equivalence: the optimistic executor must produce
 // byte-identical results to serial execution — same state roots, same
 // receipt encodings, same gas — for conflict-free blocks, heavily
-// conflicting blocks, and randomized mixes of both.
+// conflicting blocks, randomized mixes of both, and blocks whose static
+// access hints under-report.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <vector>
 
 #include "chain/blockchain.h"
+#include "chain/parallel_executor.h"
 #include "easm/assembler.h"
+#include "state/world_state.h"
 
 namespace onoff::chain {
 namespace {
@@ -211,6 +214,41 @@ TEST_F(ParallelExecTest, RandomizedWorkloadFuzz) {
         << "block " << i;
   }
   EXPECT_EQ(serial_.TotalGasUsed(), parallel_.TotalGasUsed());
+}
+
+TEST(ParallelExecutorTest, UnderReportingHintsCannotChangeABlock) {
+  // Two transactions each increment slot 1 of one account. Their hints are
+  // known but name no slot, so they under-report what both executions
+  // touch. The executor must still catch the second speculation's stale
+  // read and re-execute it, exactly as if no hints had been passed.
+  const Address account = secp256k1::PrivateKey::FromSeed("slot-owner")
+                              .EthAddress();
+  const ParallelExecutor::ExecFn increment =
+      [&](state::StateView& view, const Transaction&) {
+        view.SetStorage(account, U256(1),
+                        view.GetStorage(account, U256(1)) + U256(1));
+        return Receipt{};
+      };
+  const std::vector<Transaction> txs(2);
+
+  state::WorldState serial;
+  for (const Transaction& tx : txs) {
+    increment(serial, tx);
+    serial.ClearJournal();
+  }
+
+  std::vector<TxAccessHint> hints(txs.size());
+  for (TxAccessHint& hint : hints) hint.known = true;
+  state::WorldState parallel;
+  ParallelExecStats stats;
+  ParallelExecutor().ExecuteBlock(parallel, txs, increment, &stats, &hints);
+
+  EXPECT_EQ(parallel.GetStorage(account, U256(1)), U256(2));
+  EXPECT_EQ(parallel.StateRoot(), serial.StateRoot());
+  EXPECT_EQ(stats.committed, 1u);
+  EXPECT_EQ(stats.reexecuted, 1u);
+  // Both speculations and the re-execution escaped their hints.
+  EXPECT_EQ(stats.hint_violations, 3u);
 }
 
 }  // namespace
