@@ -6,10 +6,10 @@
 // protocol's participants.
 //
 // Gossip optionally routes through a sim::Transport: with no transport set
-// (or with the instant transport) delivery is synchronous and lossless —
-// identical to the pre-sim behaviour; with a sim::SimTransport every block
-// travels the simulated network (latency, loss, partitions, crashes) and
-// arrives when the virtual clock says it does.
+// delivery is synchronous and lossless — identical to the pre-sim
+// behaviour; with a sim::SimTransport every block travels the simulated
+// network (latency, loss, partitions, crashes) and arrives when the virtual
+// clock says it does.
 
 #ifndef ONOFFCHAIN_CHAIN_NETWORK_H_
 #define ONOFFCHAIN_CHAIN_NETWORK_H_
@@ -67,9 +67,9 @@ class Network {
   void SetTransport(sim::Transport* transport) { transport_ = transport; }
 
   // Delivers `block` to every node except `from`. Returns how many nodes
-  // accepted it so far: with a synchronous transport that is the final
-  // count; with a deferred transport deliveries land as the scheduler runs,
-  // so the caller inspects nodes (or obs counters) after driving the clock.
+  // accepted it so far: with no transport that is the final count; with a
+  // transport deliveries land as the scheduler runs, so the caller inspects
+  // nodes (or obs counters) after driving the clock.
   size_t BroadcastBlock(const Node* from, const Block& block);
 
   // Convenience: `producer` mines one block and gossips it.

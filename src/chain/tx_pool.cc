@@ -11,32 +11,18 @@
 
 namespace onoff::chain {
 
-TxPool::TxPool(TxPoolConfig config) : config_(config) {
-  if (config_.shard_count == 0) config_.shard_count = 1;
-  shards_.reserve(config_.shard_count);
-  for (size_t i = 0; i < config_.shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
+namespace {
+
+std::string HashKey(const Hash32& h) {
+  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
 
-size_t TxPool::ShardIndexFor(const Entry& entry) const {
-  if (entry.has_sender) {
-    return std::hash<Address>{}(entry.sender) % shards_.size();
-  }
-  // No recoverable sender: stripe by transaction hash (still deterministic,
-  // so a duplicate lands on the stripe that has seen it).
-  Hash32 h = entry.tx.Hash();
-  uint64_t prefix = 0;
-  for (size_t i = 0; i < sizeof(prefix); ++i) {
-    prefix = (prefix << 8) | h[i];
-  }
-  return prefix % shards_.size();
+void UpdateDepthGauge(size_t depth) {
+  static obs::Gauge* gauge = obs::GetGaugeOrNull("txpool.depth");
+  if (gauge != nullptr) gauge->Set(static_cast<int64_t>(depth));
 }
 
-void TxPool::UpdateDepthGauge() const {
-  static obs::Gauge* depth = obs::GetGaugeOrNull("txpool.depth");
-  if (depth != nullptr) depth->Set(static_cast<int64_t>(size()));
-}
+}  // namespace
 
 Status TxPool::Add(const Transaction& tx) {
   Entry entry;
@@ -46,59 +32,52 @@ Status TxPool::Add(const Transaction& tx) {
     entry.has_sender = true;
     entry.sender = *sender;
   }
-  std::string key = HashKey(tx.Hash());
-  Shard& shard = *shards_[ShardIndexFor(entry)];
+  Hash32 hash = tx.Hash();
+  entry.key = HashKey(hash);
+  size_t depth = 0;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.pending_hashes.count(key) > 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_hashes_.count(entry.key) > 0) {
       static obs::Counter* dups = obs::GetCounterOrNull("txpool.duplicates");
       if (dups != nullptr) dups->Inc();
       return Status::AlreadyExists("transaction already in pool");
     }
-    if (shard.recent_taken.count(key) > 0) {
+    if (recent_taken_.count(entry.key) > 0) {
       static obs::Counter* retaken =
           obs::GetCounterOrNull("txpool.retaken_rejected");
       if (retaken != nullptr) retaken->Inc();
       return Status::AlreadyExists(
           "transaction was recently taken (in flight or mined)");
     }
-    shard.pending_hashes.insert(std::move(key));
-    entry.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    shard.entries.push_back(std::move(entry));
+    pending_hashes_.insert(entry.key);
+    queue_.push_back(std::move(entry));
+    depth = pending_hashes_.size();
   }
-  pending_count_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter* added = obs::GetCounterOrNull("txpool.added");
   if (added != nullptr) added->Inc();
-  UpdateDepthGauge();
+  UpdateDepthGauge(depth);
+  trace::TraceContext ctx;
   if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    tracer->Event(tracer->ContextForTx(tx.Hash()), "pool.admit", "chain",
-                  {{"depth", std::to_string(size())}});
+    ctx = tracer->ContextForTx(hash);
+    tracer->Event(ctx, "pool.admit", "chain",
+                  {{"depth", std::to_string(depth)}});
   }
   if (obs::FlightRecorder::Global() != nullptr) {
-    Hash32 h = tx.Hash();
-    uint64_t trace_id = 0;
-    if (trace::Tracer* tracer = trace::Tracer::Global()) {
-      trace_id = tracer->ContextForTx(h).trace_id;
-    }
-    obs::FlightRecord(obs::FlightKind::kPoolAdmit, trace_id, tx.nonce, size(),
-                      ToHex0x(BytesView(h.data(), 8)));
+    obs::FlightRecord(obs::FlightKind::kPoolAdmit, ctx.trace_id, tx.nonce,
+                      depth, ToHex0x(BytesView(hash.data(), 8)));
   }
   return Status::OK();
 }
 
 std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
-  // Drain every stripe into a staging area; stripes are only locked for the
-  // move, so gossip Adds keep flowing while we pack (their entries carry
-  // later sequence numbers and simply miss this batch).
+  // The lock is held only to drain the queue and to put deferred entries
+  // back, so Adds keep flowing while we pack (their entries queue behind
+  // this batch and simply miss it).
   std::vector<Entry> staged;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    std::move(shard->entries.begin(), shard->entries.end(),
-              std::back_inserter(staged));
-    shard->entries.clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    staged.swap(queue_);
   }
-  std::sort(staged.begin(), staged.end(),
-            [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
 
   // Slot-preserving per-sender nonce sort: collect each sender's entry
   // indices (their slots, in submission order) and reassign that sender's
@@ -140,18 +119,15 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   };
   std::map<Address, SenderState> senders;
   uint64_t budget = gas_budget;
-  size_t taken_count = 0;
-  size_t dropped_count = 0;
   std::vector<Transaction> out;
-  for (size_t pos = 0; pos < order.size() && taken_count < max_count; ++pos) {
+  for (size_t pos = 0; pos < order.size() && out.size() < max_count; ++pos) {
     Entry& entry = staged[order[pos]];
     if (!entry.has_sender) {
       // No nonce sequence to protect: pack whenever it fits.
       if (entry.tx.gas_limit <= budget) {
         fate[order[pos]] = Fate::kTake;
         budget -= entry.tx.gas_limit;
-        out.push_back(entry.tx);
-        ++taken_count;
+        out.push_back(std::move(entry.tx));
       }
       continue;
     }
@@ -164,7 +140,6 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
     if (ss.blocked) continue;
     if (entry.tx.nonce < ss.expected) {
       fate[order[pos]] = Fate::kDrop;
-      ++dropped_count;
       static obs::Counter* stale =
           obs::GetCounterOrNull("txpool.stale_dropped");
       if (stale != nullptr) stale->Inc();
@@ -190,81 +165,67 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
     }
     fate[order[pos]] = Fate::kTake;
     budget -= entry.tx.gas_limit;
-    out.push_back(entry.tx);
+    out.push_back(std::move(entry.tx));
     ++ss.expected;
-    ++taken_count;
   }
 
-  // Redistribute: deferred entries go back to the front of their stripes
-  // (still ahead of anything added while we packed — sequence numbers keep
-  // them ordered); taken hashes enter the bounded recently-taken window;
-  // dropped hashes are simply forgotten.
-  std::vector<std::vector<Entry>> deferred(shards_.size());
-  std::vector<std::vector<std::string>> taken_keys(shards_.size());
+  // Deferred entries go back to the front of the queue, still ahead of
+  // anything added while we packed; taken hashes enter the bounded
+  // recently-taken window; dropped hashes are simply forgotten.
+  std::vector<Entry> deferred;
+  std::vector<std::string> taken_keys;
+  std::vector<std::string> dropped_keys;
   for (size_t i = 0; i < staged.size(); ++i) {
-    size_t shard_index = ShardIndexFor(staged[i]);
     switch (fate[i]) {
       case Fate::kDefer:
-        deferred[shard_index].push_back(std::move(staged[i]));
+        deferred.push_back(std::move(staged[i]));
         break;
       case Fate::kTake:
-      case Fate::kDrop: {
-        std::string key = HashKey(staged[i].tx.Hash());
-        if (fate[i] == Fate::kTake) {
-          taken_keys[shard_index].push_back(std::move(key));
-        } else {
-          std::lock_guard<std::mutex> lock(shards_[shard_index]->mu);
-          shards_[shard_index]->pending_hashes.erase(key);
-        }
+        taken_keys.push_back(std::move(staged[i].key));
         break;
-      }
+      case Fate::kDrop:
+        dropped_keys.push_back(std::move(staged[i].key));
+        break;
     }
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (deferred[s].empty() && taken_keys[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!deferred[s].empty()) {
-      shard.entries.insert(shard.entries.begin(),
-                           std::make_move_iterator(deferred[s].begin()),
-                           std::make_move_iterator(deferred[s].end()));
-    }
-    if (!taken_keys[s].empty()) {
-      for (const std::string& key : taken_keys[s]) {
-        shard.pending_hashes.erase(key);
-        shard.recent_taken.insert(key);
+  size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.insert(queue_.begin(), std::make_move_iterator(deferred.begin()),
+                  std::make_move_iterator(deferred.end()));
+    for (const std::string& key : dropped_keys) pending_hashes_.erase(key);
+    if (!taken_keys.empty()) {
+      for (const std::string& key : taken_keys) {
+        pending_hashes_.erase(key);
+        recent_taken_.insert(key);
       }
-      shard.recent_batches.push_back(std::move(taken_keys[s]));
-      while (shard.recent_batches.size() > config_.recent_take_batches) {
-        for (const std::string& key : shard.recent_batches.front()) {
-          shard.recent_taken.erase(key);
+      recent_batches_.push_back(std::move(taken_keys));
+      while (recent_batches_.size() > config_.recent_take_batches) {
+        for (const std::string& key : recent_batches_.front()) {
+          recent_taken_.erase(key);
         }
-        shard.recent_batches.pop_front();
+        recent_batches_.pop_front();
       }
     }
+    depth = pending_hashes_.size();
   }
-  pending_count_.fetch_sub(taken_count + dropped_count,
-                           std::memory_order_relaxed);
-  UpdateDepthGauge();
+  UpdateDepthGauge(depth);
   return out;
 }
 
+size_t TxPool::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_hashes_.size();
+}
+
 bool TxPool::Contains(const Hash32& tx_hash) const {
-  std::string key = HashKey(tx_hash);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->pending_hashes.count(key) > 0) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_hashes_.count(HashKey(tx_hash)) > 0;
 }
 
 bool TxPool::RecentlyTaken(const Hash32& tx_hash) const {
-  std::string key = HashKey(tx_hash);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->recent_taken.count(key) > 0) return true;
-  }
-  return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return recent_taken_.count(HashKey(tx_hash)) > 0;
 }
 
 }  // namespace onoff::chain

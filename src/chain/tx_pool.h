@@ -1,14 +1,10 @@
 // The transaction pool: pending transactions ordered per-sender by nonce,
 // popped for block inclusion under a block gas budget.
 //
-// Internally the pool is sharded by sender into lock-striped partitions so
-// concurrent Add calls (gossip / simulation threads) only contend when they
-// hit the same stripe, and Take drains stripes briefly instead of holding
-// one big pool lock while it packs. A global arrival sequence number
-// preserves the seed pool's ordering contract: submission order decides
-// which *slots* a sender's transactions occupy in the take sequence (first
-// come, first served across senders), but within one sender's slots the
-// transactions are handed out in ascending nonce order. A sender who
+// The pool is one queue in arrival order behind one mutex. Arrival order
+// decides which *slots* a sender's transactions occupy in the take sequence
+// (first come, first served across senders), but within one sender's slots
+// the transactions are handed out in ascending nonce order. A sender who
 // submits nonces {2,0,1} therefore still gets them mined as 0,1,2 instead
 // of burning gas on nonce-gap failures.
 //
@@ -31,11 +27,9 @@
 #ifndef ONOFFCHAIN_CHAIN_TX_POOL_H_
 #define ONOFFCHAIN_CHAIN_TX_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_set>
@@ -47,22 +41,19 @@
 namespace onoff::chain {
 
 struct TxPoolConfig {
-  // Lock stripes; sized for a handful of producer threads. Must be > 0.
-  size_t shard_count = 16;
-  // How many Take batches (≈ mined blocks) of taken hashes each stripe
-  // remembers for duplicate rejection before forgetting the oldest.
+  // How many non-empty Take batches (≈ mined blocks) of taken hashes the
+  // pool remembers for duplicate rejection before forgetting the oldest.
   size_t recent_take_batches = 128;
 };
 
 class TxPool {
  public:
   TxPool() : TxPool(TxPoolConfig{}) {}
-  explicit TxPool(TxPoolConfig config);
+  explicit TxPool(TxPoolConfig config) : config_(config) {}
 
   // Maps a sender to its current account nonce — the base the pool packs
   // contiguous nonce runs from. Wire-up time only (not thread-safe against
-  // concurrent Add/Take); called under the pool's stripe locks, so it must
-  // not call back into the pool.
+  // concurrent Add/Take); Take calls it outside the pool's lock.
   using BaseNonceFn = std::function<uint64_t(const Address&)>;
   void set_base_nonce_provider(BaseNonceFn fn) { base_nonce_ = std::move(fn); }
 
@@ -77,9 +68,7 @@ class TxPool {
   std::vector<Transaction> Take(size_t max_count,
                                 uint64_t gas_budget = UINT64_MAX);
 
-  size_t size() const {
-    return pending_count_.load(std::memory_order_relaxed);
-  }
+  size_t size() const;
   bool empty() const { return size() == 0; }
   // True while the transaction is pending (not yet taken).
   bool Contains(const Hash32& tx_hash) const;
@@ -89,36 +78,20 @@ class TxPool {
  private:
   struct Entry {
     Transaction tx;
+    std::string key;  // tx hash bytes, computed once at Add
     // Sender recovered once at Add; entries with an unrecoverable sender
     // keep their submission slot untouched and pack by arrival order.
     bool has_sender = false;
     Address sender;
-    uint64_t seq = 0;  // global arrival order
   };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Entry> entries;  // ascending seq
-    std::unordered_set<std::string> pending_hashes;
-    std::unordered_set<std::string> recent_taken;
-    std::deque<std::vector<std::string>> recent_batches;
-  };
-
-  static std::string HashKey(const Hash32& h) {
-    return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-  }
-
-  // Shard by sender so one sender's nonce sequence lives in one stripe and
-  // a duplicate hash always lands on the stripe that knows about it.
-  size_t ShardIndexFor(const Entry& entry) const;
-
-  void UpdateDepthGauge() const;
 
   TxPoolConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<uint64_t> next_seq_{0};
-  std::atomic<size_t> pending_count_{0};
   BaseNonceFn base_nonce_;
+  mutable std::mutex mu_;
+  std::vector<Entry> queue_;  // arrival order
+  std::unordered_set<std::string> pending_hashes_;
+  std::unordered_set<std::string> recent_taken_;
+  std::deque<std::vector<std::string>> recent_batches_;
 };
 
 }  // namespace onoff::chain

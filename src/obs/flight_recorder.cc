@@ -3,12 +3,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
 #include "obs/clock.h"
 #include "obs/metrics.h"
@@ -51,12 +51,6 @@ const char* FlightKindName(FlightKind kind) {
   switch (kind) {
     case FlightKind::kLog:
       return "log";
-    case FlightKind::kSpanBegin:
-      return "span-begin";
-    case FlightKind::kSpanEnd:
-      return "span-end";
-    case FlightKind::kTraceEvent:
-      return "trace-event";
     case FlightKind::kPoolAdmit:
       return "pool-admit";
     case FlightKind::kPoolDrop:
@@ -77,15 +71,8 @@ const char* FlightKindName(FlightKind kind) {
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(config) {
-  if (config_.stripes == 0) config_.stripes = 1;
-  if (config_.capacity < config_.stripes) config_.capacity = config_.stripes;
-  size_t per_stripe = config_.capacity / config_.stripes;
-  stripes_.reserve(config_.stripes);
-  for (size_t i = 0; i < config_.stripes; ++i) {
-    auto stripe = std::make_unique<Stripe>();
-    stripe->ring.resize(per_stripe);
-    stripes_.push_back(std::move(stripe));
-  }
+  if (config_.capacity == 0) config_.capacity = 1;
+  ring_.resize(config_.capacity);
 }
 
 FlightRecorder* FlightRecorder::Global() {
@@ -99,17 +86,10 @@ FlightRecorder* FlightRecorder::InstallGlobal(FlightRecorder* recorder) {
   return previous;
 }
 
-FlightRecorder::Stripe& FlightRecorder::StripeForThisThread() {
-  size_t index = std::hash<std::thread::id>()(std::this_thread::get_id()) %
-                 stripes_.size();
-  return *stripes_[index];
-}
-
 void FlightRecorder::Record(FlightKind kind, uint64_t trace_id, uint64_t a,
                             uint64_t b, std::string_view detail) {
   FlightEvent event;
   event.ts_us = Clock::NowUs();
-  event.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   event.trace_id = trace_id;
   event.a = a;
   event.b = b;
@@ -118,28 +98,21 @@ void FlightRecorder::Record(FlightKind kind, uint64_t trace_id, uint64_t a,
   std::memcpy(event.detail, detail.data(), n);
   event.detail[n] = '\0';
 
-  Stripe& stripe = StripeForThisThread();
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.ring[stripe.next] = event;
-  stripe.next = (stripe.next + 1) % stripe.ring.size();
-  ++stripe.recorded;
+  std::lock_guard<std::mutex> lock(mu_);
+  event.seq = seq_++;
+  ring_[next_] = event;
+  next_ = (next_ + 1) % ring_.size();
+  ++recorded_;
 }
 
 std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<FlightEvent> events;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    size_t live = std::min<uint64_t>(stripe->recorded, stripe->ring.size());
-    // Oldest-first within the stripe: the ring wraps at `next`.
-    size_t start = stripe->recorded > stripe->ring.size() ? stripe->next : 0;
-    for (size_t i = 0; i < live; ++i) {
-      events.push_back(stripe->ring[(start + i) % stripe->ring.size()]);
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (recorded_ <= ring_.size()) {
+    return std::vector<FlightEvent>(ring_.begin(), ring_.begin() + recorded_);
   }
-  std::sort(events.begin(), events.end(),
-            [](const FlightEvent& x, const FlightEvent& y) {
-              return x.seq < y.seq;
-            });
+  // Full ring: the oldest event sits at `next_`.
+  std::vector<FlightEvent> events(ring_.begin() + next_, ring_.end());
+  events.insert(events.end(), ring_.begin(), ring_.begin() + next_);
   return events;
 }
 
@@ -217,32 +190,20 @@ void FlightRecorder::InstallSignalDump() {
 }
 
 uint64_t FlightRecorder::events_recorded() const {
-  uint64_t total = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    total += stripe->recorded;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_;
 }
 
 uint64_t FlightRecorder::events_dropped() const {
-  uint64_t dropped = 0;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    if (stripe->recorded > stripe->ring.size()) {
-      dropped += stripe->recorded - stripe->ring.size();
-    }
-  }
-  return dropped;
+  std::lock_guard<std::mutex> lock(mu_);
+  return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
 }
 
 void FlightRecorder::Clear() {
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    std::fill(stripe->ring.begin(), stripe->ring.end(), FlightEvent{});
-    stripe->next = 0;
-    stripe->recorded = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  std::fill(ring_.begin(), ring_.end(), FlightEvent{});
+  next_ = 0;
+  recorded_ = 0;
 }
 
 }  // namespace onoff::obs

@@ -1,21 +1,22 @@
-// The flight recorder: a lock-striped bounded ring of recent structured
-// events — span boundaries, log lines, pool admits/drops, bus deliveries,
-// block commits, settlements, invariant violations — cheap enough to leave
-// on always. It answers "what was the system doing just before this went
-// wrong": on an invariant violation, an equivalence-assertion abort or a
-// fatal signal, the recorder dumps an `onoffchain-flightrec-v1` triage
-// bundle (recent events + a metrics snapshot + the violation report) so a
-// red run is diagnosable from the bundle alone.
+// The flight recorder: one bounded ring of recent structured events — log
+// lines, pool admits/drops, bus deliveries, block commits, settlements,
+// invariant violations — cheap enough to leave on always. Spans live only
+// in the tracer's ring; pool, bus, block, settlement and violation events
+// carry the trace id current when they were recorded, so a bundle joins a
+// trace export on that id. It answers "what was the system doing just
+// before this went wrong": on an invariant violation, an equivalence-
+// assertion abort or a fatal signal, the recorder dumps an
+// `onoffchain-flightrec-v1` triage bundle (recent events + a metrics
+// snapshot + the violation report) so a red run is diagnosable from the
+// bundle alone.
 //
-// Cost model: one Record is a thread-id hash, one short striped mutex, and a
-// fixed-size struct copy (no allocation — the detail string is truncated
-// into an inline buffer). With no recorder installed, instrumented call
-// sites pay one relaxed load.
+// Cost model: one Record is one short mutex and a fixed-size struct copy
+// (no allocation — the detail string is truncated into an inline buffer).
+// With no recorder installed, instrumented call sites pay one relaxed load.
 
 #ifndef ONOFFCHAIN_OBS_FLIGHT_RECORDER_H_
 #define ONOFFCHAIN_OBS_FLIGHT_RECORDER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -29,9 +30,6 @@ namespace onoff::obs {
 
 enum class FlightKind : uint8_t {
   kLog = 0,        // a = log level; detail = "component: message"
-  kSpanBegin,      // a = span id; detail = span name
-  kSpanEnd,        // a = span id, b = duration us; detail = span name
-  kTraceEvent,     // instant trace event; detail = event name
   kPoolAdmit,      // a = nonce, b = pool depth; detail = tx hash prefix
   kPoolDrop,       // a = nonce; detail = drop reason
   kBusDeliver,     // a = payload bytes; detail = topic
@@ -44,8 +42,8 @@ enum class FlightKind : uint8_t {
 const char* FlightKindName(FlightKind kind);
 
 // One fixed-size recorded event. `detail` is NUL-terminated and truncated;
-// `seq` is a process-wide order (merging stripes reconstructs the global
-// event order even when ts_us ties under the sim's ms-granular clock).
+// `seq` is the recorder's arrival order (it orders events even when ts_us
+// ties under the sim's ms-granular clock).
 struct FlightEvent {
   uint64_t seq = 0;
   uint64_t ts_us = 0;
@@ -57,9 +55,8 @@ struct FlightEvent {
 };
 
 struct FlightRecorderConfig {
-  // Total retained events, split evenly across the stripes.
+  // Retained events; the oldest is overwritten once the ring is full.
   size_t capacity = 4096;
-  size_t stripes = 8;
 };
 
 class FlightRecorder {
@@ -77,7 +74,7 @@ class FlightRecorder {
   void Record(FlightKind kind, uint64_t trace_id, uint64_t a, uint64_t b,
               std::string_view detail);
 
-  // All retained events merged across stripes in seq order.
+  // All retained events, oldest first (ascending seq).
   std::vector<FlightEvent> Snapshot() const;
 
   // { "schema": "onoffchain-flightrec-v1", "reason": ..., "ts_us": ...,
@@ -105,18 +102,12 @@ class FlightRecorder {
   const FlightRecorderConfig& config() const { return config_; }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<FlightEvent> ring;  // capacity-sized, wraps at next
-    size_t next = 0;
-    uint64_t recorded = 0;
-  };
-
-  Stripe& StripeForThisThread();
-
   FlightRecorderConfig config_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<uint64_t> seq_{0};
+  mutable std::mutex mu_;
+  std::vector<FlightEvent> ring_;  // capacity-sized, wraps at next_
+  size_t next_ = 0;
+  uint64_t recorded_ = 0;  // since the last Clear
+  uint64_t seq_ = 0;       // since construction
 };
 
 // The call-site helper: one relaxed load when no recorder is installed.

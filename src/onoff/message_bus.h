@@ -39,8 +39,8 @@ class MessageBus {
   void SetTransport(sim::Transport* transport) { transport_ = transport; }
 
   // Delivers to the recipient's inbox (or drops/tampers per the hooks and
-  // the transport's fault models). With a deferred transport the message
-  // lands when the scheduler runs its delivery event.
+  // the transport's fault models). With a transport the message lands when
+  // the scheduler runs its delivery event.
   void Send(Message message);
   // Broadcast helper: one copy per recipient.
   void Broadcast(const Address& from, const std::vector<Address>& recipients,

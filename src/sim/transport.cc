@@ -16,11 +16,6 @@ const std::vector<double>& DelayBucketsMs() {
 
 }  // namespace
 
-Transport* DefaultInstantTransport() {
-  static InstantTransport transport;
-  return &transport;
-}
-
 SimTransport::SimTransport(Scheduler* scheduler, uint64_t seed)
     : scheduler_(scheduler), seed_(seed) {}
 

@@ -3,13 +3,13 @@
 //
 //   Transport         the interface: deliver `bytes` from one named endpoint
 //                     to another by eventually invoking a closure
-//   InstantTransport  synchronous, lossless, zero latency — the behaviour
-//                     the repo had before src/sim/ existed; Network and
-//                     MessageBus fall back to it, so all pre-sim call sites
-//                     behave identically
 //   SimTransport      routes every message through a Scheduler with per-link
 //                     latency/jitter/loss/bandwidth models, partitions with
 //                     scheduled heals, and node crash/restart
+//
+// With no transport bound, Network and MessageBus deliver synchronously,
+// losslessly and with zero latency — the behaviour the repo had before
+// src/sim/ existed.
 //
 // Endpoints are plain strings: node names for gossip ("producer",
 // "replica0"), participant address hex for the message bus, and the
@@ -50,19 +50,6 @@ class Transport {
   virtual bool Deliver(const std::string& from, const std::string& to,
                        size_t bytes, std::function<void()> deliver) = 0;
 };
-
-// Zero-latency, lossless, synchronous delivery.
-class InstantTransport final : public Transport {
- public:
-  bool Deliver(const std::string& /*from*/, const std::string& /*to*/,
-               size_t /*bytes*/, std::function<void()> deliver) override {
-    deliver();
-    return true;
-  }
-};
-
-// The process-wide shared instant transport (stateless, so sharing is safe).
-Transport* DefaultInstantTransport();
 
 class SimTransport final : public Transport {
  public:

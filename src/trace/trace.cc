@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "obs/clock.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace onoff::trace {
@@ -84,8 +83,6 @@ TraceContext Tracer::BeginSpan(const TraceContext& parent,
   TraceContext ctx;
   ctx.trace_id = span.trace_id;
   ctx.span_id = span.span_id;
-  obs::FlightRecord(obs::FlightKind::kSpanBegin, ctx.trace_id, ctx.span_id, 0,
-                    span.name);
   open_.emplace(span.span_id, std::move(span));
   return ctx;
 }
@@ -100,8 +97,6 @@ void Tracer::EndSpan(const TraceContext& ctx, Args args) {
   uint64_t now = obs::Clock::NowUs();
   span.dur_us = now >= span.start_us ? now - span.start_us : 0;
   for (auto& arg : args) span.args.push_back(std::move(arg));
-  obs::FlightRecord(obs::FlightKind::kSpanEnd, span.trace_id, span.span_id,
-                    span.dur_us, span.name);
   Complete(std::move(span));
 }
 
@@ -118,8 +113,6 @@ void Tracer::Event(const TraceContext& ctx, const std::string& name,
   span.start_us = obs::Clock::NowUs();
   span.instant = true;
   span.args = std::move(args);
-  obs::FlightRecord(obs::FlightKind::kTraceEvent, span.trace_id, span.span_id,
-                    0, span.name);
   Complete(std::move(span));
 }
 

@@ -146,17 +146,6 @@ TEST_F(NetworkTest, ContractStatePropagates) {
   }
 }
 
-TEST_F(NetworkTest, InstantTransportMatchesSynchronousBroadcast) {
-  // The zero-latency transport is the pre-sim behaviour: the return value
-  // still counts deliveries because they land synchronously.
-  net_.SetTransport(sim::DefaultInstantTransport());
-  ASSERT_TRUE(producer_->SubmitTransaction(Transfer(0, Ether(1))).ok());
-  EXPECT_EQ(net_.ProduceAndBroadcast(producer_.get()), 3u);
-  for (auto& r : replicas_) {
-    EXPECT_EQ(r->HeadHash(), producer_->HeadHash());
-  }
-}
-
 TEST_F(NetworkTest, SimTransportDefersGossipUntilSchedulerRuns) {
   sim::Scheduler sched;
   sim::SimTransport transport(&sched, 42);

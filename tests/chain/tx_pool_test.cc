@@ -139,15 +139,28 @@ TEST(TxPoolTest, RecentlyTakenWindowIsBounded) {
   ASSERT_TRUE(pool.Add(tx).ok());
   ASSERT_EQ(pool.Take(10).size(), 1u);
   EXPECT_FALSE(pool.Add(tx).ok());
-  // Two further non-empty take batches on the same stripe push the hash out
-  // of the bounded window; afterwards the (stale, unminable) duplicate is
-  // admitted again rather than remembered forever.
+  // Two further non-empty take batches push the hash out of the bounded
+  // window; afterwards the (stale, unminable) duplicate is admitted again
+  // rather than remembered forever.
   for (uint64_t nonce : {1u, 2u}) {
     ASSERT_TRUE(pool.Add(MakeTx(alice, nonce)).ok());
     ASSERT_EQ(pool.Take(10).size(), 1u);
   }
   EXPECT_FALSE(pool.RecentlyTaken(tx.Hash()));
   EXPECT_TRUE(pool.Add(tx).ok());
+
+  // The window counts the pool's non-empty takes, whoever sent what they
+  // carried: two batches of other senders' transactions push it out too.
+  TxPool shared(config);
+  ASSERT_TRUE(shared.Add(tx).ok());
+  ASSERT_EQ(shared.Take(10).size(), 1u);
+  for (const char* seed : {"bob", "carol"}) {
+    auto other = secp256k1::PrivateKey::FromSeed(seed);
+    ASSERT_TRUE(shared.Add(MakeTx(other, 0)).ok());
+    ASSERT_EQ(shared.Take(10).size(), 1u);
+  }
+  EXPECT_FALSE(shared.RecentlyTaken(tx.Hash()));
+  EXPECT_TRUE(shared.Add(tx).ok());
 }
 
 TEST(TxPoolTest, OverBudgetSenderDoesNotBlockOthers) {
@@ -213,7 +226,7 @@ TEST(TxPoolTest, StaleNonceDropped) {
 }
 
 TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
-  // Lock-striping smoke test (runs under TSan in CI): concurrent Adds from
+  // Concurrency smoke test (runs under TSan in CI): concurrent Adds from
   // many senders while a consumer Takes. Every transaction must come out
   // exactly once, in ascending nonce order per sender.
   constexpr int kSenders = 8;

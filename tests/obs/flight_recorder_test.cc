@@ -1,6 +1,6 @@
-// Flight recorder: ring wrap accounting, seq-ordered snapshots across
-// stripes, concurrent recording, triage-bundle structure, and the
-// global-install / call-site helper contract.
+// Flight recorder: ring wrap accounting, seq-ordered snapshots, concurrent
+// recording, triage-bundle structure, and the global-install / call-site
+// helper contract.
 
 #include <cstdio>
 #include <fstream>
@@ -20,7 +20,6 @@ namespace {
 TEST(FlightRecorderTest, RecordsAndSnapshotsInSeqOrder) {
   FlightRecorderConfig config;
   config.capacity = 64;
-  config.stripes = 4;
   FlightRecorder rec(config);
   for (uint64_t i = 0; i < 10; ++i) {
     rec.Record(FlightKind::kBlockCommit, /*trace_id=*/i, /*a=*/i, /*b=*/0,
@@ -41,7 +40,6 @@ TEST(FlightRecorderTest, RecordsAndSnapshotsInSeqOrder) {
 TEST(FlightRecorderTest, RingWrapDropsOldestAndCountsThem) {
   FlightRecorderConfig config;
   config.capacity = 8;
-  config.stripes = 1;  // single stripe so wrap arithmetic is exact
   FlightRecorder rec(config);
   for (uint64_t i = 0; i < 20; ++i) {
     rec.Record(FlightKind::kPoolAdmit, 0, /*a=*/i, 0, "");

@@ -117,13 +117,5 @@ TEST(MessageBusTest, TransportSendTimeRejectionCountsAsDropped) {
   EXPECT_EQ(bus.bytes_dropped(), BytesOf("gone").size());
 }
 
-TEST(MessageBusTest, InstantTransportMatchesSynchronousDelivery) {
-  MessageBus bus;
-  bus.SetTransport(sim::DefaultInstantTransport());
-  bus.Send({Addr(1), Addr(2), "t", BytesOf("now")});
-  // No scheduler involved: the zero-latency special case lands immediately.
-  EXPECT_EQ(bus.PendingFor(Addr(2)), 1u);
-}
-
 }  // namespace
 }  // namespace onoff::core

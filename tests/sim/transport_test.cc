@@ -8,14 +8,6 @@
 namespace onoff::sim {
 namespace {
 
-TEST(InstantTransportTest, DeliversSynchronously) {
-  InstantTransport t;
-  bool delivered = false;
-  EXPECT_TRUE(t.Deliver("a", "b", 100, [&] { delivered = true; }));
-  EXPECT_TRUE(delivered);  // before any scheduler runs
-  EXPECT_EQ(DefaultInstantTransport(), DefaultInstantTransport());
-}
-
 class SimTransportTest : public ::testing::Test {
  protected:
   Scheduler sched_;

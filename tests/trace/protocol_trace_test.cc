@@ -13,6 +13,7 @@
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
 #include "obs/clock.h"
+#include "obs/flight_recorder.h"
 #include "onoff/protocol.h"
 #include "sim/scheduler.h"
 #include "sim/transport.h"
@@ -127,6 +128,37 @@ TEST(ProtocolTraceTest, ExportsAreByteIdenticalAcrossRuns) {
   EXPECT_EQ(first.trace_json, second.trace_json);
   EXPECT_EQ(first.chrome_json, second.chrome_json);
   EXPECT_GT(first.trace_json.size(), 1000u);
+}
+
+// Spans are recorded once, in the tracer's ring. The flight recorder keeps
+// the run's other events, stamped with its trace id so a triage bundle
+// still joins the trace export.
+TEST(ProtocolTraceTest, FlightRecorderHoldsNoSpans) {
+  obs::FlightRecorder recorder;
+  obs::FlightRecorder* previous =
+      obs::FlightRecorder::InstallGlobal(&recorder);
+  TracedRun run = RunTracedDispute(/*seed=*/42);
+  obs::FlightRecorder::InstallGlobal(previous);
+
+  ASSERT_FALSE(run.spans.empty());
+  EXPECT_TRUE(HasSpan(run.spans, "protocol.run"));
+  EXPECT_TRUE(HasSpan(run.spans, "pool.admit"));
+  uint64_t trace_id = run.spans.front().trace_id;
+
+  std::vector<obs::FlightEvent> events = recorder.Snapshot();
+  ASSERT_FALSE(events.empty());
+  size_t span_events = 0;
+  const obs::FlightEvent* settlement = nullptr;
+  for (const obs::FlightEvent& event : events) {
+    std::string kind = obs::FlightKindName(event.kind);
+    if (kind.find("span") != std::string::npos || kind == "trace-event") {
+      ++span_events;
+    }
+    if (event.kind == obs::FlightKind::kSettlement) settlement = &event;
+  }
+  EXPECT_EQ(span_events, 0u);
+  ASSERT_NE(settlement, nullptr);
+  EXPECT_EQ(settlement->trace_id, trace_id);
 }
 
 // A tracer outlives the protocol that bound it to a simulation. Once
