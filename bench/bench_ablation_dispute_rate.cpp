@@ -10,15 +10,11 @@
 
 #include <cstdio>
 
-#include "chain/blockchain.h"
-#include "contracts/betting.h"
+#include "bet_run.h"
 #include "obs/export.h"
-#include "onoff/protocol.h"
 
 using namespace onoff;
 using core::Behavior;
-using core::BettingProtocol;
-using core::MessageBus;
 
 namespace {
 
@@ -29,23 +25,9 @@ struct Costs {
 };
 
 uint64_t RunProtocolGas(uint64_t reveal_iterations, bool dispute) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-  MessageBus bus;
-  contracts::OffchainConfig offchain;
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = reveal_iterations;
-  BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                           contracts::Ether(1));
   Behavior behavior;
   behavior.admit_loss = !dispute;
-  auto report = protocol.Run(behavior, behavior);
-  if (!report.ok()) std::exit(1);
-  return report->TotalGas();
+  return bench::RunBet(reveal_iterations, behavior, behavior).TotalGas();
 }
 
 // All-on-chain baseline: the whole contract (escrow + reveal) is public; the
@@ -53,24 +35,15 @@ uint64_t RunProtocolGas(uint64_t reveal_iterations, bool dispute) {
 // optimistic hybrid cost plus one public execution of reveal() — measured by
 // deploying the off-chain part publicly and calling getWinner().
 uint64_t AllOnChainGas(uint64_t reveal_iterations) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  contracts::OffchainConfig offchain;
-  offchain.alice = alice.EthAddress();
-  offchain.bob = secp256k1::PrivateKey::FromSeed("bob").EthAddress();
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = reveal_iterations;
-  auto init = contracts::BuildOffChainInit(offchain);
-  auto deploy = chain.Execute(alice, std::nullopt, U256(), *init, 8'000'000);
-  auto call = chain.Execute(alice, deploy->contract_address, U256(),
-                            contracts::GetWinnerCalldata(), 8'000'000);
-  if (!call->success) std::exit(1);
+  bench::PublicOffchainDeploy deploy(reveal_iterations);
+  auto call =
+      deploy.chain.Execute(deploy.alice, deploy.receipt.contract_address,
+                           U256(), contracts::GetWinnerCalldata(), 8'000'000);
+  if (!call.ok() || !call->success) std::exit(1);
   uint64_t base = RunProtocolGas(0, /*dispute=*/false);
   // Escrow machinery (base) + public reveal deployment & execution, minus
   // the double-counted trivial reveal in `base` (negligible).
-  return base + deploy->gas_used + call->gas_used;
+  return base + deploy.receipt.gas_used + call->gas_used;
 }
 
 }  // namespace

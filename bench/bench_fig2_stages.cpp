@@ -9,39 +9,19 @@
 
 #include <cstdio>
 
+#include "bet_run.h"
 #include "obs/export.h"
 #include "onoff/protocol.h"
 
 using namespace onoff;
 using core::Behavior;
-using core::BettingProtocol;
-using core::MessageBus;
 using core::ProtocolReport;
 using core::Stage;
 
 namespace {
 
-ProtocolReport Run(Behavior alice_behavior, Behavior bob_behavior) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-  MessageBus bus;
-  contracts::OffchainConfig offchain;
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = 200;
-  BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                           contracts::Ether(1));
-  auto report = protocol.Run(alice_behavior, bob_behavior);
-  if (!report.ok()) {
-    std::fprintf(stderr, "protocol failed: %s\n",
-                 report.status().ToString().c_str());
-    std::exit(1);
-  }
-  return *report;
-}
+// reveal()'s weight in every scenario.
+constexpr uint64_t kRevealIterations = 200;
 
 obs::Json ScenarioJson(const char* title, const ProtocolReport& report) {
   obs::Json stages = obs::Json::Array();
@@ -106,22 +86,23 @@ int main(int argc, char** argv) {
   };
 
   Behavior honest;
-  scenario("all honest (optimistic settlement)", Run(honest, honest));
+  scenario("all honest (optimistic settlement)",
+           bench::RunBet(kRevealIterations, honest, honest));
 
   Behavior silent_loser;
   silent_loser.admit_loss = false;
   scenario("dishonest loser goes silent (dispute/resolve executes)",
-           Run(silent_loser, silent_loser));
+           bench::RunBet(kRevealIterations, silent_loser, silent_loser));
 
   Behavior no_deposit;
   no_deposit.make_deposit = false;
   scenario("a participant never deposits (refund round)",
-           Run(honest, no_deposit));
+           bench::RunBet(kRevealIterations, honest, no_deposit));
 
   Behavior no_sign;
   no_sign.sign_offchain_copy = false;
   scenario("a participant refuses to sign (abort before deposits)",
-           Run(honest, no_sign));
+           bench::RunBet(kRevealIterations, honest, no_sign));
 
   std::printf(
       "\nShape check: stages 1-3 cost the same in every scenario; the\n"

@@ -5,15 +5,11 @@
 
 #include <cstdio>
 
-#include "chain/blockchain.h"
-#include "contracts/betting.h"
+#include "bet_run.h"
 #include "obs/export.h"
-#include "onoff/protocol.h"
 
 using namespace onoff;
 using core::Behavior;
-using core::BettingProtocol;
-using core::MessageBus;
 
 namespace {
 
@@ -23,41 +19,19 @@ struct Exposure {
 };
 
 Exposure RunHybrid(uint64_t reveal_iterations, bool dispute) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-  MessageBus bus;
-  contracts::OffchainConfig offchain;
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = reveal_iterations;
-  BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                           contracts::Ether(1));
   Behavior behavior;
   behavior.admit_loss = !dispute;
-  auto report = protocol.Run(behavior, behavior);
-  if (!report.ok()) std::exit(1);
-  return Exposure{report->private_bytes_revealed,
-                  report->TotalOnchainBytes()};
+  core::ProtocolReport report =
+      bench::RunBet(reveal_iterations, behavior, behavior);
+  return Exposure{report.private_bytes_revealed, report.TotalOnchainBytes()};
 }
 
 Exposure RunAllOnChain(uint64_t reveal_iterations) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-  contracts::OffchainConfig offchain;
-  offchain.alice = alice.EthAddress();
-  offchain.bob = secp256k1::PrivateKey::FromSeed("bob").EthAddress();
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = reveal_iterations;
-  auto init = contracts::BuildOffChainInit(offchain);
-  auto deploy = chain.Execute(alice, std::nullopt, U256(), *init, 8'000'000);
-  size_t code = chain.GetCode(deploy->contract_address).size();
+  bench::PublicOffchainDeploy deploy(reveal_iterations);
+  size_t code = deploy.chain.GetCode(deploy.receipt.contract_address).size();
   // The whole private logic is published: init calldata + runtime code.
-  return Exposure{init->size() + code, init->size() + code};
+  size_t published = deploy.init.size() + code;
+  return Exposure{published, published};
 }
 
 }  // namespace

@@ -1,14 +1,13 @@
 // Substrate microbenchmarks (google-benchmark): the primitives every
 // protocol run leans on — keccak, SHA-256, secp256k1 sign/verify/recover,
-// RLP, trie roots, EVM interpretation and end-to-end chain transactions.
+// RLP, trie roots, EVM interpretation and signed-copy round trips.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
 
-#include "chain/blockchain.h"
+#include "chain/transaction.h"
 #include "obs/export.h"
-#include "contracts/betting.h"
 #include "crypto/keccak.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
@@ -128,20 +127,6 @@ void BM_EvmKeccakLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);  // keccaks
 }
 BENCHMARK(BM_EvmKeccakLoop);
-
-void BM_ChainTransfer(benchmark::State& state) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  chain::Blockchain chain;
-  chain.FundAccount(alice.EthAddress(), contracts::Ether(1000000));
-  for (auto _ : state) {
-    auto receipt =
-        chain.Execute(alice, bob.EthAddress(), U256(1), {}, 21'000);
-    benchmark::DoNotOptimize(receipt);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ChainTransfer);
 
 void BM_SignedCopyRoundTrip(benchmark::State& state) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");

@@ -435,14 +435,11 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
     copy.AttachSignature(from, *sig);
     return true;
   };
+  // Each ingest attaches the counterparty's signature, so after both the
+  // copy carries the two signatures made (and audited) above.
   bool alice_ok = ingest(alice_, bob_.EthAddress());
   bool bob_ok = ingest(bob_, alice_.EthAddress());
-  // Own signatures are attached locally (audited above; re-audit is a no-op
-  // failure-wise but keeps every signing path behind the same gate).
-  bool own_ok =
-      copy.AddSignature(alice_).ok() && copy.AddSignature(bob_).ok();
-  if (!alice_ok || !bob_ok || !own_ok ||
-      !copy.VerifyComplete(participants).ok()) {
+  if (!alice_ok || !bob_ok || !copy.VerifyComplete(participants).ok()) {
     report.settlement = Settlement::kAbortedTampered;
     report.correct_payout = true;  // aborted before any deposit
     return report;

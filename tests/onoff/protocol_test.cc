@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace onoff::core {
 namespace {
 
@@ -167,6 +169,36 @@ TEST_F(ProtocolTest, SignedCopiesActuallyTraverseTheBus) {
   // Both inboxes were drained by the verification step.
   EXPECT_EQ(bus_.PendingFor(alice_.EthAddress()), 0u);
   EXPECT_EQ(bus_.PendingFor(bob_.EthAddress()), 0u);
+}
+
+// Each participant signs its own copy once, auditing it first; the rest of
+// each count is the transactions the run signs and the deploy lint of each
+// contract it creates.
+TEST_F(ProtocolTest, SignsAndAuditsEachCopyOnce) {
+  obs::Registry* registry = obs::Registry::Global();
+  auto count = [registry](const char* name) -> uint64_t {
+    return registry != nullptr ? registry->CounterValue(name) : 0;
+  };
+  struct Case {
+    bool dispute;
+    uint64_t sign_ops;
+    uint64_t programs;
+  };
+  for (const Case& c : {Case{false, 8, 10}, Case{true, 9, 10}}) {
+    SCOPED_TRACE(c.dispute ? "disputed" : "honest");
+    uint64_t sign_ops = count("crypto.sign_ops");
+    uint64_t programs = count("analysis.programs");
+    Behavior behavior;
+    behavior.admit_loss = !c.dispute;
+    auto protocol = MakeProtocol();
+    auto report = protocol.Run(behavior, behavior);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->settlement,
+              c.dispute ? Settlement::kDisputed : Settlement::kOptimistic);
+    if (registry == nullptr) continue;  // metrics off (ONOFF_METRICS=0)
+    EXPECT_EQ(count("crypto.sign_ops") - sign_ops, c.sign_ops);
+    EXPECT_EQ(count("analysis.programs") - programs, c.programs);
+  }
 }
 
 TEST_F(ProtocolTest, StageAndSettlementNames) {
