@@ -3,7 +3,9 @@
 // per-block write set scales, plus the cost of copy-on-write Clone() and
 // snapshots. Every row cross-checks the incremental root against the
 // rebuilt root (`roots_match`), so the speedups are over a verified-equal
-// commitment.
+// commitment. The last section mines signed transfer blocks on an audited
+// chain of the same size, to show that the per-block audit, like the
+// commit, costs what the block touches rather than what the state holds.
 //
 // Writes BENCH_state_store.json (onoffchain-bench-v1) via --json <path>.
 
@@ -14,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "chain/blockchain.h"
 #include "obs/export.h"
+#include "obs/metrics.h"
 #include "state/world_state.h"
 #include "storage/node_store.h"
 #include "support/address.h"
@@ -55,6 +59,127 @@ state::WorldState BuildState(uint64_t accounts) {
   }
   ws.ClearJournal();
   return ws;
+}
+
+// Audited mining: 150 signed transfers a block, from 150 funded senders to
+// random accounts among `accounts` funded ones, on a serial chain with every
+// audit invariant on. The conservation and nonce invariants read the
+// block's touched set, and sweep every account only at the first audited
+// block and at heights that are multiples of state_history_blocks (64), so
+// the blocks are split by whether they swept (the audit.full_sweeps
+// counter moved). Pushes the row; false when the run cannot be trusted
+// (no metrics registry for the audit timers, a rejected transfer, a root
+// mismatch or a violation).
+bool AuditedMining(uint64_t accounts, obs::Json* results) {
+  obs::Registry* registry = obs::Registry::Global();
+  if (registry == nullptr) {
+    std::fprintf(stderr, "audited_mining reads the metrics registry, which "
+                         "ONOFF_METRICS=0 turns off\n");
+    return false;
+  }
+  constexpr size_t kSenders = 150;
+  constexpr uint64_t kBlocks = 128;
+
+  chain::ChainConfig config;
+  config.audit_invariants = "all";
+  chain::Blockchain chain(config);
+  std::vector<secp256k1::PrivateKey> senders;
+  for (size_t i = 0; i < kSenders; ++i) {
+    senders.push_back(
+        secp256k1::PrivateKey::FromSeed("state-store-" + std::to_string(i)));
+    chain.FundAccount(senders.back().EthAddress(),
+                      U256(1'000'000'000'000'000'000ull));
+  }
+  for (uint64_t i = 0; i < accounts; ++i) {
+    chain.FundAccount(AddrOf(i), U256(1'000'000 + i));
+  }
+  // The first block commits the genesis allocation and takes the audit
+  // baselines (one sweep each).
+  auto t0 = std::chrono::steady_clock::now();
+  chain.MineBlock();
+  const double genesis_ms = MsSince(t0);
+
+  auto audit_us = [registry] {
+    double sum = 0;
+    for (const char* name : {"audit.conservation_us", "audit.nonce_us"}) {
+      sum += registry->GetHistogram(name, obs::DefaultTimeBucketsUs())
+                 ->TakeSnapshot()
+                 .sum;
+    }
+    return sum;
+  };
+  struct Blocks {
+    uint64_t count = 0;
+    double mine_ms = 0;
+    double audit_us = 0;
+  } incremental, sweep;
+  uint64_t next_recipient = 0x2545F4914F6CDD1Dull;  // xorshift64 state
+  for (uint64_t block = 0; block < kBlocks; ++block) {
+    for (const secp256k1::PrivateKey& key : senders) {
+      next_recipient ^= next_recipient << 13;
+      next_recipient ^= next_recipient >> 7;
+      next_recipient ^= next_recipient << 17;
+      chain::Transaction tx;
+      tx.nonce = block;
+      tx.gas_price = U256(1);
+      tx.gas_limit = 21'000;
+      tx.to = AddrOf(next_recipient % accounts);
+      tx.value = U256(1);
+      tx.Sign(key);
+      if (!chain.SubmitTransaction(tx).ok()) {
+        std::fprintf(stderr, "audited_mining: transfer rejected\n");
+        return false;
+      }
+    }
+    const uint64_t sweeps = registry->CounterValue("audit.full_sweeps");
+    const double audit_before = audit_us();
+    t0 = std::chrono::steady_clock::now();
+    chain.MineBlock();
+    const double mine_ms = MsSince(t0);
+    Blocks& into = registry->CounterValue("audit.full_sweeps") != sweeps
+                       ? sweep
+                       : incremental;
+    ++into.count;
+    into.mine_ms += mine_ms;
+    into.audit_us += audit_us() - audit_before;
+  }
+  auto mean = [](double total, uint64_t n) { return n > 0 ? total / n : 0; };
+  const uint64_t violations = chain.auditor()->violations();
+  const bool roots_match =
+      chain.blocks().back().header.state_root ==
+      chain.state().RebuildStateRoot();
+  std::printf("%10llu %8llu %10.2f %12.0f %7llu %14.2f %14.0f %11llu %6s\n",
+              static_cast<unsigned long long>(accounts),
+              static_cast<unsigned long long>(incremental.count),
+              mean(incremental.mine_ms, incremental.count),
+              mean(incremental.audit_us, incremental.count),
+              static_cast<unsigned long long>(sweep.count),
+              mean(sweep.mine_ms, sweep.count),
+              mean(sweep.audit_us, sweep.count),
+              static_cast<unsigned long long>(violations),
+              roots_match ? "ok" : "DIFF");
+  results->Push(obs::Json::Object()
+      .Set("scenario", obs::Json::Str("audited_mining"))
+      .Set("accounts", obs::Json::Num(static_cast<double>(accounts)))
+      .Set("txs_per_block", obs::Json::Num(kSenders))
+      .Set("genesis_mine_ms", obs::Json::Num(genesis_ms))
+      .Set("blocks", obs::Json::Num(static_cast<double>(incremental.count)))
+      .Set("mine_ms", obs::Json::Num(mean(incremental.mine_ms,
+                                          incremental.count)))
+      .Set("audit_us", obs::Json::Num(mean(incremental.audit_us,
+                                           incremental.count)))
+      .Set("sweep_blocks", obs::Json::Num(static_cast<double>(sweep.count)))
+      .Set("sweep_mine_ms", obs::Json::Num(mean(sweep.mine_ms, sweep.count)))
+      .Set("sweep_audit_us",
+           obs::Json::Num(mean(sweep.audit_us, sweep.count)))
+      .Set("audit_violations",
+           obs::Json::Num(static_cast<double>(violations)))
+      .Set("roots_match", obs::Json::Bool(roots_match)));
+  if (!roots_match || violations != 0) {
+    std::fprintf(stderr, "audited_mining: root mismatch or violations\n");
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -204,6 +329,16 @@ int main(int argc, char** argv) {
                           obs::Json::Num(static_cast<double>(delta_nodes)))
                      .Set("roots_match", obs::Json::Bool(true)));
   }
+
+  // Audited mining at the largest size, after the states above are gone.
+  ws = state::WorldState();
+  std::printf(
+      "\n=== Audited mining: 150 signed transfers a block, conservation + "
+      "nonce audit ===\n\n");
+  std::printf("%10s %8s %10s %12s %7s %14s %14s %11s %6s\n", "accounts",
+              "blocks", "mine (ms)", "audit (us)", "sweeps",
+              "sweep mine ms", "sweep audit us", "violations", "roots");
+  if (!AuditedMining(base, &results)) return 1;
 
   if (!json_path.empty()) {
     Status st =

@@ -1,5 +1,6 @@
 #include "chain/blockchain.h"
 
+#include <array>
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,56 @@ constexpr uint64_t kGenesisTimestamp = 1'550'000'000;
 std::string HashKey(const Hash32& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
+
+// MineBlock's phases, in order.
+enum Phase : size_t {
+  kPack,
+  kExec,
+  kFinalize,
+  kStateRoot,
+  kRoots,
+  kAudit,
+  kPersist,
+  kPrune,
+  kPhaseCount
+};
+
+// Wall time per MineBlock phase. Each Charge() bills the time since the
+// previous one to a phase; Observe() puts each phase's total for the block
+// into chain.phase.<phase>_us, 0 for a phase that did not run, so every
+// phase histogram holds one sample per block.
+class PhaseClock {
+ public:
+  void Charge(Phase phase) {
+    const uint64_t now = obs::Clock::NowUs();
+    us_[phase] += now - last_;
+    last_ = now;
+  }
+
+  void Observe() const {
+    static const std::array<obs::Histogram*, kPhaseCount> histograms = [] {
+      const char* const kNames[kPhaseCount] = {
+          "pack", "exec",  "finalize", "state_root",
+          "roots", "audit", "persist", "prune"};
+      std::array<obs::Histogram*, kPhaseCount> out{};
+      for (size_t i = 0; i < kPhaseCount; ++i) {
+        out[i] = obs::GetHistogramOrNull(
+            std::string("chain.phase.") + kNames[i] + "_us",
+            obs::DefaultTimeBucketsUs());
+      }
+      return out;
+    }();
+    for (size_t i = 0; i < kPhaseCount; ++i) {
+      if (histograms[i] != nullptr) {
+        histograms[i]->Observe(static_cast<double>(us_[i]));
+      }
+    }
+  }
+
+ private:
+  uint64_t last_ = obs::Clock::NowUs();
+  std::array<uint64_t, kPhaseCount> us_{};
+};
 
 }  // namespace
 
@@ -62,7 +113,11 @@ Blockchain::Blockchain(ChainConfig config)
   if (!audit_spec.empty()) {
     obs::AuditorConfig sink_config;
     sink_config.fail_fast = fail_fast;
-    auditor_ = std::make_unique<ChainAuditor>(audit_spec, sink_config);
+    // Full audit sweeps run once per history window, so a state write that
+    // skipped the touched set is still caught while the state it corrupted
+    // can be disputed.
+    auditor_ = std::make_unique<ChainAuditor>(audit_spec, sink_config,
+                                              config_.state_history_blocks);
   }
   // An audited chain without a recorder would detect violations but capture
   // no evidence, so auditing implies a default-sized recorder unless one is
@@ -321,6 +376,7 @@ const Block& Blockchain::MineBlock() {
   static obs::Histogram* mine_us = obs::GetHistogramOrNull(
       "chain.mine_block_us", obs::DefaultTimeBucketsUs());
   obs::ScopedTimer mine_span(mine_us);
+  PhaseClock phases;
 
   uint64_t number = blocks_.back().header.number + 1;
 
@@ -342,9 +398,11 @@ const Block& Blockchain::MineBlock() {
   std::vector<Transaction> txs =
       pool_.Take(config_.max_txs_per_block, config_.block_gas_limit);
   trace::Tracer* tracer = trace::Tracer::Global();
+  phases.Charge(kPack);
   // Pre-execution capture: invariants snapshot the pre-block facts (balance
   // sums, per-sender nonces) the post-commit checks compare against.
   if (auditor_ != nullptr) auditor_->OnBlockStart(txs, state_);
+  phases.Charge(kAudit);
 
   // The optimistic path needs at least two transactions to overlap and is
   // mutually exclusive with per-step instrumentation (a step tracer or
@@ -363,6 +421,7 @@ const Block& Blockchain::MineBlock() {
       state_.ClearJournal();
     }
   }
+  phases.Charge(kExec);
 
   for (size_t i = 0; i < txs.size(); ++i) {
     const Transaction& tx = txs[i];
@@ -383,12 +442,15 @@ const Block& Blockchain::MineBlock() {
   }
 
   block.header.gas_used = cumulative_gas;
+  phases.Charge(kFinalize);
   // The one per-block root computation: the incremental store folds in
   // exactly the accounts/slots this block touched. The equivalence check
   // and the persistence hook below both reuse this value.
   block.header.state_root = state_.StateRoot();
+  phases.Charge(kStateRoot);
   block.header.tx_root = IndexedRoot(tx_payloads);
   block.header.receipt_root = IndexedRoot(receipt_payloads);
+  phases.Charge(kRoots);
 
   if (pending_replay_root_.has_value()) {
     if (*pending_replay_root_ != block.header.state_root) {
@@ -422,9 +484,14 @@ const Block& Blockchain::MineBlock() {
   if (auditor_ != nullptr) {
     auditor_->OnBlockCommit(block, block_receipts, state_);
   }
+  // The next block's audit reads exactly the writes made after this one,
+  // and the set stays the size of a block whether or not anyone audits.
+  state_.ClearTouched();
+  phases.Charge(kAudit);
 
   if (node_store_ != nullptr) {
     Status st = state_.PersistCommitted(*node_store_, number);
+    phases.Charge(kPersist);
     if (!st.ok()) {
       ONOFF_LOG(log::Level::kWarn, "chain",
                 "state persist failed at block %llu: %s",
@@ -433,6 +500,7 @@ const Block& Blockchain::MineBlock() {
                number >= config_.state_history_blocks) {
       node_store_->PruneBelow(number - config_.state_history_blocks + 1);
     }
+    phases.Charge(kPrune);
     // Make the block durable now: a crash later (including the divergence
     // aborts above) must not tear this block out of the log.
     Status flushed = node_store_->Flush();
@@ -442,7 +510,9 @@ const Block& Blockchain::MineBlock() {
                 static_cast<unsigned long long>(number),
                 flushed.message().c_str());
     }
+    phases.Charge(kPersist);
   }
+  phases.Observe();
 
   blocks_.push_back(std::move(block));
   now_ += config_.block_interval_seconds;

@@ -1,10 +1,12 @@
 #include "chain/chain_audit.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "support/log.h"
 #include "trace/trace.h"
 
@@ -26,11 +28,53 @@ uint64_t TraceIdForTx(const Hash32& tx_hash) {
   return AmbientTraceId();
 }
 
+// ---- full sweeps ---------------------------------------------------------
+// When a per-account invariant evaluates a block from the state's touched
+// set rather than a sweep of the whole account map. The touched set is a
+// valid window when the invariant audited an earlier block and the window
+// opened exactly once since (so it holds exactly the writes made after that
+// audit); the invariant sweeps when there is no valid window and on every
+// block whose height is a multiple of the sweep interval (0 or 1: every
+// block), which bounds how long a write that skipped the set goes unseen.
+class SweepSchedule {
+ public:
+  explicit SweepSchedule(uint64_t interval) : interval_(interval) {}
+
+  // Call once per audited block, before evaluating it.
+  void Begin(const Block& block, const state::WorldState& state) {
+    const uint64_t epoch = state.touched_epoch();
+    window_ = audited_epoch_.has_value() && epoch == *audited_epoch_ + 1;
+    audited_epoch_ = epoch;
+    sweep_ = !window_ || interval_ <= 1 ||
+             block.header.number % interval_ == 0;
+    if (sweep_) {
+      static obs::Counter* sweeps = obs::GetCounterOrNull("audit.full_sweeps");
+      if (sweeps != nullptr) sweeps->Inc();
+    }
+  }
+  // state.touched_accounts() holds exactly the writes since the last audit.
+  bool window() const { return window_; }
+  // Evaluate from a sweep of every account.
+  bool sweep() const { return sweep_; }
+
+ private:
+  uint64_t interval_;
+  std::optional<uint64_t> audited_epoch_;
+  bool window_ = false;
+  bool sweep_ = true;
+};
+
 // ---- conservation --------------------------------------------------------
 // Sum of balances == initial sum + recorded mints: transactions move value
-// (sender → recipient, sender → coinbase fee) but never create it.
+// (sender → recipient, sender → coinbase fee) but never create it. Between
+// sweeps the sum is carried forward by the touched accounts' balance deltas
+// (U256 arithmetic wraps the same way the sweep's sum does, so both are
+// exact).
 class ConservationInvariant : public BlockInvariant {
  public:
+  explicit ConservationInvariant(uint64_t sweep_interval)
+      : schedule_(sweep_interval) {}
+
   const char* name() const override { return "conservation"; }
 
   void OnBlockStart(const std::vector<Transaction>& /*txs*/,
@@ -51,18 +95,26 @@ class ConservationInvariant : public BlockInvariant {
                      const std::vector<Receipt>& /*receipts*/,
                      const state::WorldState& state,
                      obs::Auditor& sink) override {
-    U256 actual = TotalBalance(state);
-    if (actual == expected_) return;
+    schedule_.Begin(block, state);
+    if (schedule_.sweep()) {
+      total_ = TotalBalance(state);
+    } else {
+      for (const auto& [addr, pre] : state.touched_accounts()) {
+        total_ += state.GetBalance(addr);
+        total_ -= pre.balance;
+      }
+    }
+    if (total_ == expected_) return;
     obs::ViolationReport report;
     report.invariant = name();
     report.message = "sum of account balances diverged from minted supply";
     report.trace_id = AmbientTraceId();
     report.block_height = block.header.number;
     report.values = {{"expected_total", expected_.ToHex()},
-                     {"actual_total", actual.ToHex()}};
+                     {"actual_total", total_.ToHex()}};
     sink.Report(std::move(report));
     // Re-anchor so one corrupted block does not re-report forever.
-    expected_ = actual;
+    expected_ = total_;
   }
 
  private:
@@ -74,8 +126,10 @@ class ConservationInvariant : public BlockInvariant {
     return total;
   }
 
+  SweepSchedule schedule_;
   bool initialized_ = false;
   U256 expected_;
+  U256 total_;  // the sum of balances at the last audited block
 };
 
 // ---- nonce ---------------------------------------------------------------
@@ -83,26 +137,32 @@ class ConservationInvariant : public BlockInvariant {
 // its transaction count and at least its successful-transaction count, and
 // an account with no transactions in the block keeps its nonce. (Reverted
 // calls consume a nonce but report success=false, so the bounds are a range,
-// not an equality.) One pass over the account map per block; violations are
-// reported in ascending address order.
+// not an equality.) Between sweeps only the touched accounts and the
+// block's senders are checked: any other account kept its nonce. A deleted
+// account loses its baseline, so a recreated one is first-sight. Violations
+// are reported in ascending address order.
 class NonceInvariant : public BlockInvariant {
  public:
+  explicit NonceInvariant(uint64_t sweep_interval)
+      : schedule_(sweep_interval) {}
+
   const char* name() const override { return "nonce"; }
 
   void OnBlockCommit(const Block& block, const std::vector<Receipt>& receipts,
                      const state::WorldState& state,
                      obs::Auditor& sink) override {
+    schedule_.Begin(block, state);
     struct SenderTxs {
       uint64_t count = 0;
       uint64_t successful = 0;
-      Hash32 first_tx{};
+      size_t first_tx = 0;  // index into block.transactions
     };
     std::unordered_map<Address, SenderTxs> by_sender;
     for (size_t i = 0; i < block.transactions.size(); ++i) {
       auto sender = block.transactions[i].Sender();
       if (!sender.ok()) continue;  // unsigned txs never reach a block
       SenderTxs& entry = by_sender[*sender];
-      if (entry.count == 0) entry.first_tx = block.transactions[i].Hash();
+      if (entry.count == 0) entry.first_tx = i;
       ++entry.count;
       if (i < receipts.size() && receipts[i].success) ++entry.successful;
     }
@@ -115,7 +175,7 @@ class NonceInvariant : public BlockInvariant {
       const SenderTxs* txs;  // &no_txs when the account sent nothing
     };
     std::vector<Violation> violations;
-    state.ForEachAccount([&](const Address& addr, const state::Account& acc) {
+    auto check = [&](const Address& addr, const state::Account& acc) {
       const uint64_t nonce = acc.nonce;
       auto [tracked, first_sight] = last_nonce_.try_emplace(addr, nonce);
       // First sight (new sender, contract created this block at nonce 1):
@@ -143,7 +203,24 @@ class NonceInvariant : public BlockInvariant {
       if (problem != nullptr) {
         violations.push_back({addr, problem, previous, nonce, &txs});
       }
-    });
+    };
+    auto check_live = [&](const Address& addr) {
+      if (const state::Account* acc = state.Find(addr)) check(addr, *acc);
+    };
+    const auto& touched = state.touched_accounts();
+    if (schedule_.window()) {
+      for (const auto& [addr, pre] : touched) {
+        if (pre.NewIncarnation()) last_nonce_.erase(addr);
+      }
+    }
+    if (schedule_.sweep()) {
+      state.ForEachAccount(check);
+    } else {
+      for (const auto& [addr, pre] : touched) check_live(addr);
+      for (const auto& [addr, txs] : by_sender) {
+        if (touched.find(addr) == touched.end()) check_live(addr);
+      }
+    }
     std::sort(violations.begin(), violations.end(),
               [](const Violation& a, const Violation& b) {
                 return a.addr < b.addr;
@@ -154,8 +231,11 @@ class NonceInvariant : public BlockInvariant {
       report.message = v.problem;
       report.block_height = block.header.number;
       if (v.txs->count > 0) {
-        report.tx_hash = HashHex(v.txs->first_tx);
-        report.trace_id = TraceIdForTx(v.txs->first_tx);
+        // The transaction hash is computed only for a report that names
+        // it, never on a clean block.
+        const Hash32 first_tx = block.transactions[v.txs->first_tx].Hash();
+        report.tx_hash = HashHex(first_tx);
+        report.trace_id = TraceIdForTx(first_tx);
       } else {
         report.trace_id = AmbientTraceId();
       }
@@ -169,6 +249,7 @@ class NonceInvariant : public BlockInvariant {
   }
 
  private:
+  SweepSchedule schedule_;
   std::unordered_map<Address, uint64_t> last_nonce_;
 };
 
@@ -323,13 +404,14 @@ bool SpecEnables(const std::string& spec, const char* name) {
 }  // namespace
 
 std::vector<std::unique_ptr<BlockInvariant>> MakeBuiltinInvariants(
-    const std::string& spec) {
+    const std::string& spec, uint64_t sweep_interval) {
   std::vector<std::unique_ptr<BlockInvariant>> invariants;
   if (SpecEnables(spec, "conservation")) {
-    invariants.push_back(std::make_unique<ConservationInvariant>());
+    invariants.push_back(
+        std::make_unique<ConservationInvariant>(sweep_interval));
   }
   if (SpecEnables(spec, "nonce")) {
-    invariants.push_back(std::make_unique<NonceInvariant>());
+    invariants.push_back(std::make_unique<NonceInvariant>(sweep_interval));
   }
   if (SpecEnables(spec, "settlement")) {
     invariants.push_back(std::make_unique<SettlementInvariant>());
@@ -344,9 +426,12 @@ std::vector<std::unique_ptr<BlockInvariant>> MakeBuiltinInvariants(
 }
 
 ChainAuditor::ChainAuditor(const std::string& spec,
-                           obs::AuditorConfig sink_config)
-    : sink_(std::move(sink_config)),
-      invariants_(MakeBuiltinInvariants(spec)) {
+                           obs::AuditorConfig sink_config,
+                           uint64_t sweep_interval)
+    : sink_(std::move(sink_config)) {
+  for (auto& invariant : MakeBuiltinInvariants(spec, sweep_interval)) {
+    AddInvariant(std::move(invariant));
+  }
   if (invariants_.empty()) {
     ONOFF_LOG(log::Level::kWarn, "audit",
               "audit spec '%s' enables no invariants", spec.c_str());
@@ -361,8 +446,9 @@ void ChainAuditor::OnBlockStart(const std::vector<Transaction>& txs,
 void ChainAuditor::OnBlockCommit(const Block& block,
                                  const std::vector<Receipt>& receipts,
                                  const state::WorldState& state) {
-  for (auto& invariant : invariants_) {
-    invariant->OnBlockCommit(block, receipts, state, sink_);
+  for (size_t i = 0; i < invariants_.size(); ++i) {
+    obs::ScopedTimer timer(commit_us_[i]);
+    invariants_[i]->OnBlockCommit(block, receipts, state, sink_);
   }
 }
 
@@ -377,6 +463,9 @@ void ChainAuditor::OnSettlement(const SettlementAudit& settlement) {
 }
 
 void ChainAuditor::AddInvariant(std::unique_ptr<BlockInvariant> invariant) {
+  commit_us_.push_back(obs::GetHistogramOrNull(
+      std::string("audit.") + invariant->name() + "_us",
+      obs::DefaultTimeBucketsUs()));
   invariants_.push_back(std::move(invariant));
 }
 

@@ -8,7 +8,7 @@
 // Built-in invariants (spec names for ChainConfig::audit_invariants):
 //   conservation  — sum of account balances equals genesis plus recorded
 //                   mints: fees move value to the coinbase, they never
-//                   create it (checked after every block; O(accounts))
+//                   create it
 //   nonce         — per-sender nonce monotonicity: a block advances a
 //                   sender's nonce by at most its transaction count, at
 //                   least its successful count, and never changes the nonce
@@ -20,6 +20,11 @@
 //                   parallel-equivalence replay reports here before abort)
 //   timer         — block timestamps are monotonic; sim-bound disputes
 //                   resolve inside the challenge window on the virtual clock
+//
+// Conservation and nonce are checked after every block in O(accounts the
+// block touched), from WorldState::touched_accounts(), with a full sweep of
+// the account map at the first audited block and every `sweep_interval`
+// blocks after it.
 //
 // "all" (or the ONOFF_AUDIT environment variable, which CI sets) enables
 // every invariant.
@@ -35,6 +40,7 @@
 
 #include "chain/block.h"
 #include "obs/audit.h"
+#include "obs/metrics.h"
 #include "state/world_state.h"
 
 namespace onoff::chain {
@@ -82,9 +88,14 @@ class BlockInvariant {
 // The registry: owns the enabled invariants and the report sink, fans the
 // chain's hook calls out to them. `spec` is "all" or a comma-separated
 // subset of the names above (unknown names are ignored with a warning).
+// `sweep_interval` is how often, in blocks, conservation and nonce sweep
+// every account (0 or 1: every block); Blockchain passes
+// ChainConfig::state_history_blocks, so a write that skipped the touched
+// set is still caught inside the dispute window.
 class ChainAuditor {
  public:
-  ChainAuditor(const std::string& spec, obs::AuditorConfig sink_config);
+  ChainAuditor(const std::string& spec, obs::AuditorConfig sink_config,
+               uint64_t sweep_interval = 0);
 
   void OnBlockStart(const std::vector<Transaction>& txs,
                     const state::WorldState& state);
@@ -94,7 +105,8 @@ class ChainAuditor {
   void OnSettlement(const SettlementAudit& settlement);
 
   // Custom invariants plug in here (the soak fleet adds scenario-specific
-  // ones).
+  // ones). Each invariant's OnBlockCommit is timed into the histogram
+  // audit.<name>_us.
   void AddInvariant(std::unique_ptr<BlockInvariant> invariant);
 
   obs::Auditor& sink() { return sink_; }
@@ -104,12 +116,13 @@ class ChainAuditor {
  private:
   obs::Auditor sink_;
   std::vector<std::unique_ptr<BlockInvariant>> invariants_;
+  std::vector<obs::Histogram*> commit_us_;  // parallel to invariants_
 };
 
 // The built-in invariants for `spec` (factored out so tests can build a
 // corpus against individual invariants).
 std::vector<std::unique_ptr<BlockInvariant>> MakeBuiltinInvariants(
-    const std::string& spec);
+    const std::string& spec, uint64_t sweep_interval = 0);
 
 }  // namespace onoff::chain
 

@@ -7,9 +7,62 @@
 
 namespace onoff::state {
 
+Account& AccountMap::Touch(const Address& addr, bool* created) {
+  auto it = accounts_.find(addr);
+  const bool absent = it == accounts_.end();
+  Record(addr, absent ? nullptr : &it->second);
+  if (created != nullptr) *created = absent;
+  return absent ? accounts_[addr] : it->second;
+}
+
+std::optional<Account> AccountMap::Erase(const Address& addr, bool deletion) {
+  auto it = accounts_.find(addr);
+  if (it == accounts_.end()) return std::nullopt;
+  TouchedAccount& touched = Record(addr, &it->second);
+  if (deletion) ++touched.deletions;
+  std::optional<Account> removed(std::move(it->second));
+  accounts_.erase(it);
+  return removed;
+}
+
+void AccountMap::Restore(const Address& addr, Account acc) {
+  auto it = accounts_.find(addr);
+  TouchedAccount& touched =
+      Record(addr, it == accounts_.end() ? nullptr : &it->second);
+  // The window may have opened after the deletion this undoes.
+  if (touched.deletions > 0) --touched.deletions;
+  accounts_[addr] = std::move(acc);
+}
+
+TouchedAccount& AccountMap::Record(const Address& addr, const Account* acc) {
+  auto [it, first] = touched_.try_emplace(addr);
+  if (first && acc != nullptr) {
+    it->second.existed = true;
+    it->second.balance = acc->balance;
+  }
+  return it->second;
+}
+
+AccountMap AccountMap::CopyAccounts() const {
+  AccountMap copy;
+  copy.accounts_ = accounts_;
+  return copy;
+}
+
+void AccountMap::ClearTouched() {
+  // clear() keeps the bucket array, and the genesis window can leave one
+  // sized for every account, which each later clear() would zero again.
+  if (touched_.bucket_count() > 4096) {
+    touched_ = Touched();
+  } else {
+    touched_.clear();
+  }
+  ++touched_epoch_;
+}
+
 WorldState WorldState::Clone() const {
   WorldState copy;
-  copy.accounts_ = accounts_;
+  copy.accounts_ = accounts_.CopyAccounts();
   // The store copy shares every committed trie node with this state
   // (copy-on-write), so cloning costs O(accounts) map copies, not a trie
   // rebuild — and the clone's first StateRoot() only re-hashes whatever was
@@ -18,17 +71,14 @@ WorldState WorldState::Clone() const {
   return copy;
 }
 
-const Account* WorldState::Find(const Address& addr) const {
-  auto it = accounts_.find(addr);
-  return it == accounts_.end() ? nullptr : &it->second;
-}
-
 Account& WorldState::GetOrCreate(const Address& addr) {
-  auto it = accounts_.find(addr);
-  if (it != accounts_.end()) return it->second;
-  journal_.push_back(AccountCreated{addr});
-  store_.MarkAccountDirty(addr);
-  return accounts_[addr];
+  bool created = false;
+  Account& acc = accounts_.Touch(addr, &created);
+  if (created) {
+    journal_.push_back(AccountCreated{addr});
+    store_.MarkAccountDirty(addr);
+  }
+  return acc;
 }
 
 bool WorldState::Exists(const Address& addr) const {
@@ -38,10 +88,9 @@ bool WorldState::Exists(const Address& addr) const {
 void WorldState::CreateAccount(const Address& addr) { GetOrCreate(addr); }
 
 void WorldState::DeleteAccount(const Address& addr) {
-  auto it = accounts_.find(addr);
-  if (it == accounts_.end()) return;
-  journal_.push_back(AccountDeleted{addr, std::move(it->second)});
-  accounts_.erase(it);
+  std::optional<Account> removed = accounts_.Erase(addr, /*deletion=*/true);
+  if (!removed.has_value()) return;
+  journal_.push_back(AccountDeleted{addr, std::move(*removed)});
   // Wholesale removal: the committed storage trie can no longer be patched
   // slot-by-slot (a recreated account starts empty).
   store_.MarkAccountReset(addr);
@@ -155,18 +204,18 @@ void WorldState::RevertToSnapshot(Snapshot snap) {
         [this](auto&& e) {
           using T = std::decay_t<decltype(e)>;
           if constexpr (std::is_same_v<T, BalanceChange>) {
-            accounts_[e.addr].balance = e.prev;
+            accounts_.Touch(e.addr).balance = e.prev;
             store_.MarkAccountDirty(e.addr);
           } else if constexpr (std::is_same_v<T, NonceChange>) {
-            accounts_[e.addr].nonce = e.prev;
+            accounts_.Touch(e.addr).nonce = e.prev;
             store_.MarkAccountDirty(e.addr);
           } else if constexpr (std::is_same_v<T, CodeChange>) {
-            Account& acc = accounts_[e.addr];
+            Account& acc = accounts_.Touch(e.addr);
             acc.code = std::move(e.prev);
             acc.code_hash_cache.reset();
             store_.MarkAccountDirty(e.addr);
           } else if constexpr (std::is_same_v<T, StorageChange>) {
-            Account& acc = accounts_[e.addr];
+            Account& acc = accounts_.Touch(e.addr);
             if (e.prev.IsZero()) {
               acc.storage.erase(e.key);
             } else {
@@ -174,10 +223,10 @@ void WorldState::RevertToSnapshot(Snapshot snap) {
             }
             store_.MarkSlotDirty(e.addr, e.key);
           } else if constexpr (std::is_same_v<T, AccountCreated>) {
-            accounts_.erase(e.addr);
+            accounts_.Erase(e.addr, /*deletion=*/false);
             store_.MarkAccountDirty(e.addr);
           } else if constexpr (std::is_same_v<T, AccountDeleted>) {
-            accounts_[e.addr] = std::move(e.prev);
+            accounts_.Restore(e.addr, std::move(e.prev));
             // The restored account may carry arbitrary storage; rebuild its
             // storage trie from the flat map rather than patching.
             store_.MarkAccountReset(e.addr);
@@ -206,7 +255,7 @@ Hash32 WorldState::StateRoot() const {
 
 Hash32 WorldState::RebuildStateRoot() const {
   storage::SecureSharedTrie state_trie;
-  for (const auto& [addr, acc] : accounts_) {
+  accounts_.ForEach([&state_trie](const Address& addr, const Account& acc) {
     storage::SecureSharedTrie storage_trie;  // non-zero slots only
     for (const auto& [key, value] : acc.storage) {
       if (value.IsZero()) continue;
@@ -220,7 +269,7 @@ Hash32 WorldState::RebuildStateRoot() const {
     data.code_hash = Keccak256(acc.code);
     state_trie.Put(addr.view(), storage::EncodeAccountRlp(
                                     data, storage_trie.RootHash()));
-  }
+  });
   return state_trie.RootHash();
 }
 
@@ -297,7 +346,8 @@ Result<U256> WorldState::VerifyStorageProof(const Hash32& storage_root,
 std::vector<Address> WorldState::Addresses() const {
   std::vector<Address> out;
   out.reserve(accounts_.size());
-  for (const auto& [addr, acc] : accounts_) out.push_back(addr);
+  accounts_.ForEach(
+      [&out](const Address& addr, const Account&) { out.push_back(addr); });
   std::sort(out.begin(), out.end());
   return out;
 }

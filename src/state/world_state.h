@@ -42,6 +42,64 @@ struct Account {
   }
 };
 
+// An account's pre-image at its first write since the touched window
+// opened (WorldState::ClearTouched): what the per-block audit
+// (chain/chain_audit.cc) compares the post-block account against.
+struct TouchedAccount {
+  bool existed = false;
+  U256 balance;  // zero when the account did not exist
+  // Net SELFDESTRUCT deletions since then; reverting one takes it back.
+  uint32_t deletions = 0;
+
+  // The account present now, if any, is not the one that was there when
+  // the window opened.
+  bool NewIncarnation() const { return !existed || deletions > 0; }
+};
+
+// The account map behind WorldState. Find() reads; every write goes through
+// Touch(), Erase() or Restore(), which record the account's pre-image in the
+// touched set before changing it. No other code can reach a mutable
+// Account, so no balance, nonce or existence change can skip the record.
+class AccountMap {
+ public:
+  using Touched = std::unordered_map<Address, TouchedAccount>;
+
+  const Account* Find(const Address& addr) const {
+    auto it = accounts_.find(addr);
+    return it == accounts_.end() ? nullptr : &it->second;
+  }
+  // The account for writing, created if absent (`*created` says whether).
+  Account& Touch(const Address& addr, bool* created = nullptr);
+  // Removes the account; nullopt when absent. `deletion` is a SELFDESTRUCT;
+  // false undoes a creation.
+  std::optional<Account> Erase(const Address& addr, bool deletion);
+  // Puts back the account a reverted SELFDESTRUCT removed.
+  void Restore(const Address& addr, Account acc);
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [addr, acc] : accounts_) fn(addr, acc);
+  }
+  size_t size() const { return accounts_.size(); }
+  // The accounts alone, with an empty touched set.
+  AccountMap CopyAccounts() const;
+
+  const Touched& touched() const { return touched_; }
+  void ClearTouched();
+  uint64_t touched_epoch() const { return touched_epoch_; }
+
+ private:
+  friend class WorldStateTestPeer;  // tests: writes that skip the record
+
+  // The account's touched entry; a new one takes `acc` (nullptr: absent)
+  // as the pre-image.
+  TouchedAccount& Record(const Address& addr, const Account* acc);
+
+  std::unordered_map<Address, Account> accounts_;
+  Touched touched_;
+  uint64_t touched_epoch_ = 0;
+};
+
 class WorldState final : public StateView {
  public:
   using Snapshot = StateView::Snapshot;
@@ -55,10 +113,15 @@ class WorldState final : public StateView {
   WorldState(WorldState&&) = default;
   WorldState& operator=(WorldState&&) = default;
 
-  // An explicit deep copy of the accounts (the journal does not carry over).
+  // An explicit deep copy of the accounts (the journal and the touched set
+  // do not carry over).
   WorldState Clone() const;
 
   // ---- Account lifecycle ----
+  // The live account at `addr`, or nullptr.
+  const Account* Find(const Address& addr) const {
+    return accounts_.Find(addr);
+  }
   bool Exists(const Address& addr) const override;
   // Creates the account if absent; returns it either way.
   void CreateAccount(const Address& addr) override;
@@ -163,13 +226,28 @@ class WorldState final : public StateView {
 
   // Calls fn(address, account) for every live account, in unspecified
   // order: one pass over the account map, with no copy and no sort (the
-  // per-block audit sweeps).
+  // audit's full sweeps).
   template <typename Fn>
   void ForEachAccount(Fn&& fn) const {
-    for (const auto& [addr, acc] : accounts_) fn(addr, acc);
+    accounts_.ForEach(std::forward<Fn>(fn));
   }
 
+  // ---- Touched accounts (the per-block audit's input) ----
+  // Every account written since the touched window opened, with its
+  // pre-image. Reverts count as writes, so this is a superset of the
+  // accounts whose record differs from the pre-image.
+  const AccountMap::Touched& touched_accounts() const {
+    return accounts_.touched();
+  }
+  // Opens a new window (Blockchain::MineBlock, after each block's audit).
+  void ClearTouched() { accounts_.ClearTouched(); }
+  // How many windows have opened: an auditor that saw epoch e at its last
+  // block knows the set holds exactly the writes since then iff it now
+  // reads e + 1.
+  uint64_t touched_epoch() const { return accounts_.touched_epoch(); }
+
  private:
+  friend class WorldStateTestPeer;
   struct BalanceChange {
     Address addr;
     U256 prev;
@@ -198,13 +276,12 @@ class WorldState final : public StateView {
       std::variant<BalanceChange, NonceChange, CodeChange, StorageChange,
                    AccountCreated, AccountDeleted>;
 
-  const Account* Find(const Address& addr) const;
   Account& GetOrCreate(const Address& addr);
   // Fills and returns the account's code-hash memo.
   static const Hash32& CodeHashOf(const Account& acc);
   storage::StateStore::AccountLookup StoreLookup() const;
 
-  std::unordered_map<Address, Account> accounts_;
+  AccountMap accounts_;
   mutable std::vector<JournalEntry> journal_;
   // The commitment engine. Reads never consult it; every mutation (and
   // every journal revert) marks the touched account/slot dirty, and

@@ -128,6 +128,54 @@ TEST_F(AuditTest, NonceDecreaseIsCaughtForAnyAccount) {
             "account nonce decreased");
 }
 
+// A contract whose runtime is CALLER SELFDESTRUCT (0x33ff): each call
+// deletes it. A transfer to its address afterwards recreates the account
+// at nonce 0, which is a new account, not a nonce decrease.
+class RecreatedAccountTest : public AuditTest {
+ protected:
+  Address DeploySelfDestructor() {
+    Result<Bytes> init = FromHex("6133ff6000526002601ef3");
+    EXPECT_TRUE(init.ok());
+    auto receipt = chain_->Execute(alice_, std::nullopt, U256(0), *init,
+                                   200'000);
+    EXPECT_TRUE(receipt.ok() && receipt->success);
+    const Address contract = receipt->contract_address;
+    EXPECT_EQ(chain_->GetNonce(contract), 1u);
+    EXPECT_EQ(chain_->GetCode(contract), (Bytes{0x33, 0xff}));
+    return contract;
+  }
+};
+
+TEST_F(RecreatedAccountTest, RecreatedInALaterBlockIsFirstSight) {
+  const Address contract = DeploySelfDestructor();
+  auto destroyed =
+      chain_->Execute(alice_, contract, U256(0), Bytes{}, 100'000);
+  ASSERT_TRUE(destroyed.ok() && destroyed->success);
+  ASSERT_FALSE(chain_->state().Exists(contract));
+  auto recreated = chain_->Execute(bob_, contract, U256(5), Bytes{}, 100'000);
+  ASSERT_TRUE(recreated.ok() && recreated->success);
+  EXPECT_EQ(chain_->GetNonce(contract), 0u);
+  EXPECT_EQ(chain_->GetBalance(contract), U256(5));
+  CleanBlock();
+  EXPECT_EQ(chain_->auditor()->violations(), 0u);
+}
+
+TEST_F(RecreatedAccountTest, RecreatedInTheSameBlockIsFirstSight) {
+  const Address contract = DeploySelfDestructor();
+  auto destroy = chain_->SendTransaction(alice_, contract, U256(0), Bytes{},
+                                         100'000);
+  auto recreate = chain_->SendTransaction(bob_, contract, U256(5), Bytes{},
+                                          100'000);
+  ASSERT_TRUE(destroy.ok() && recreate.ok());
+  chain_->MineBlock();
+  ASSERT_TRUE(chain_->GetReceipt(*destroy)->success);
+  ASSERT_TRUE(chain_->GetReceipt(*recreate)->success);
+  EXPECT_EQ(chain_->GetNonce(contract), 0u);
+  EXPECT_EQ(chain_->GetBalance(contract), U256(5));
+  CleanBlock();
+  EXPECT_EQ(chain_->auditor()->violations(), 0u);
+}
+
 TEST_F(AuditTest, ReplayedSettlementIsCaughtBySettlementInvariant) {
   SettlementAudit settled;
   settled.game = alice_.EthAddress();  // any address works as a game id

@@ -155,6 +155,79 @@ TEST(WorldStateTest, AddressesSorted) {
   EXPECT_EQ(addrs[2], Addr(9));
 }
 
+// ---- Touched accounts ----
+
+TEST(WorldStateTest, TouchedSetKeepsThePreImageOfTheFirstWrite) {
+  WorldState ws;
+  ws.AddBalance(Addr(1), U256(10));
+  ws.ClearTouched();
+  EXPECT_TRUE(ws.touched_accounts().empty());
+  // Reads record nothing.
+  ws.GetBalance(Addr(1));
+  ws.GetNonce(Addr(2));
+  ws.GetStorage(Addr(1), U256(0));
+  EXPECT_TRUE(ws.touched_accounts().empty());
+
+  ws.AddBalance(Addr(1), U256(5));
+  ws.SetNonce(Addr(1), 3);
+  ws.SetBalance(Addr(1), U256(99));
+  ws.SetStorage(Addr(2), U256(1), U256(7));  // creates Addr(2)
+  ASSERT_EQ(ws.touched_accounts().size(), 2u);
+  const TouchedAccount& one = ws.touched_accounts().at(Addr(1));
+  EXPECT_TRUE(one.existed);
+  EXPECT_EQ(one.balance, U256(10));
+  EXPECT_FALSE(one.NewIncarnation());
+  const TouchedAccount& two = ws.touched_accounts().at(Addr(2));
+  EXPECT_FALSE(two.existed);
+  EXPECT_TRUE(two.balance.IsZero());
+  EXPECT_TRUE(two.NewIncarnation());
+}
+
+TEST(WorldStateTest, TouchedDeletionsFollowReverts) {
+  WorldState ws;
+  ws.AddBalance(Addr(1), U256(10));
+  ws.ClearTouched();
+  auto snap = ws.TakeSnapshot();
+  ws.DeleteAccount(Addr(1));
+  EXPECT_EQ(ws.touched_accounts().at(Addr(1)).deletions, 1u);
+  EXPECT_TRUE(ws.touched_accounts().at(Addr(1)).NewIncarnation());
+  // Recreated and then both steps undone: the original account is back.
+  ws.AddBalance(Addr(1), U256(1));
+  ws.RevertToSnapshot(snap);
+  EXPECT_EQ(ws.GetBalance(Addr(1)), U256(10));
+  const TouchedAccount& restored = ws.touched_accounts().at(Addr(1));
+  EXPECT_TRUE(restored.existed);
+  EXPECT_EQ(restored.deletions, 0u);
+  EXPECT_FALSE(restored.NewIncarnation());
+
+  // Undoing a creation is not a deletion.
+  snap = ws.TakeSnapshot();
+  ws.CreateAccount(Addr(3));
+  ws.RevertToSnapshot(snap);
+  EXPECT_FALSE(ws.Exists(Addr(3)));
+  EXPECT_EQ(ws.touched_accounts().at(Addr(3)).deletions, 0u);
+  EXPECT_FALSE(ws.touched_accounts().at(Addr(3)).existed);
+}
+
+TEST(WorldStateTest, ClearTouchedOpensANewWindow) {
+  WorldState ws;
+  const uint64_t epoch = ws.touched_epoch();
+  ws.AddBalance(Addr(1), U256(10));
+  ws.ClearTouched();
+  EXPECT_EQ(ws.touched_epoch(), epoch + 1);
+  ws.DeleteAccount(Addr(1));
+  ws.ClearTouched();
+  // A deletion is recorded in the window it happened in only.
+  EXPECT_TRUE(ws.touched_accounts().empty());
+  ws.AddBalance(Addr(1), U256(4));
+  EXPECT_FALSE(ws.touched_accounts().at(Addr(1)).existed);
+  EXPECT_EQ(ws.touched_accounts().at(Addr(1)).deletions, 0u);
+  // A clone starts with an empty set, like its journal.
+  WorldState clone = ws.Clone();
+  EXPECT_TRUE(clone.touched_accounts().empty());
+  EXPECT_EQ(clone.GetBalance(Addr(1)), U256(4));
+}
+
 // ---- Light-client proofs ----
 
 class StateProofTest : public ::testing::Test {
