@@ -12,6 +12,7 @@
 
 #include "bet_run.h"
 #include "obs/export.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using core::Behavior;
@@ -51,6 +52,7 @@ uint64_t AllOnChainGas(uint64_t reveal_iterations) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_ablation_dispute_rate.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf(
       "=== Ablation A: expected gas vs dispute probability ===\n\n");
   std::printf("%-14s %13s %13s %13s %14s\n", "reveal iters", "optimistic",

@@ -17,6 +17,7 @@
 #include "evm/gas.h"
 #include "obs/export.h"
 #include "onoff/signed_copy.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using core::SignedCopy;
@@ -35,6 +36,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_ablation_nparty.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf("=== Ablation B: n-party signed copies ===\n\n");
 
   // A realistic off-chain contract size (the betting example's init code is

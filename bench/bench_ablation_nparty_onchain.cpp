@@ -10,6 +10,7 @@
 #include "evm/opcodes.h"
 #include "obs/export.h"
 #include "onoff/split_contract.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using contracts::ContractWriter;
@@ -42,6 +43,7 @@ std::vector<FunctionDef> Functions() {
 int main(int argc, char** argv) {
   std::string json_path = obs::JsonPathFromArgsOrExit(
       &argc, argv, "BENCH_ablation_nparty_onchain.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf("=== Ablation B (measured): n-party dispute gas ===\n\n");
   std::printf("%-6s %16s %20s %22s\n", "n", "calldata bytes",
               "deployVI gas", "delta vs prev row");

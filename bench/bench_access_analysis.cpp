@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +31,7 @@
 #include "crypto/keccak.h"
 #include "easm/assembler.h"
 #include "obs/export.h"
+#include "support/flags.h"
 
 using namespace onoff;
 
@@ -275,12 +275,8 @@ void BenchBettingWorkload(obs::Json& results, uint64_t blocks) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_access_analysis.json");
-  uint64_t blocks = 20;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--blocks") == 0) {
-      blocks = std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
+  uint64_t blocks = flags::U64FlagFromArgs(&argc, argv, "blocks", 20);
+  flags::ExitOnLeftoverArgs(argc, argv, "[--blocks N] [--json <path>|-]");
 
   std::printf("=== Static access analysis (%u threads) ===\n\n",
               std::thread::hardware_concurrency());

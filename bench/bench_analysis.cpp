@@ -14,6 +14,7 @@
 #include "crypto/secp256k1.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "support/flags.h"
 
 using namespace onoff;
 
@@ -62,6 +63,7 @@ std::vector<Subject> BundledContracts() {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_analysis.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   constexpr int kRepetitions = 200;
 
   std::printf("=== Static analyzer throughput (pre-signing audit) ===\n\n");

@@ -10,13 +10,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "chain/validator.h"
 #include "crypto/secp256k1.h"
 #include "obs/export.h"
+#include "support/flags.h"
 #include "support/thread_pool.h"
 
 using namespace onoff;
@@ -132,16 +132,14 @@ double TimeVerify(const VerifyFixture& fx, bool parallel, int rounds,
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_crypto.json");
-  int iters = 400;
-  int blocks = 8;
-  int txs_per_block = 16;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--iters") == 0) iters = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--blocks") == 0) blocks = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--txs") == 0) {
-      txs_per_block = std::atoi(argv[i + 1]);
-    }
-  }
+  int iters =
+      static_cast<int>(flags::U64FlagFromArgs(&argc, argv, "iters", 400));
+  int blocks =
+      static_cast<int>(flags::U64FlagFromArgs(&argc, argv, "blocks", 8));
+  int txs_per_block =
+      static_cast<int>(flags::U64FlagFromArgs(&argc, argv, "txs", 16));
+  flags::ExitOnLeftoverArgs(
+      argc, argv, "[--iters N] [--blocks N] [--txs N] [--json <path>|-]");
   if (iters < 1) iters = 1;
 
   std::printf("=== secp256k1 hot path ===\n");

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "contracts/betting.h"
@@ -28,6 +27,7 @@
 #include "evm/evm.h"
 #include "obs/export.h"
 #include "state/world_state.h"
+#include "support/flags.h"
 
 using namespace onoff;
 
@@ -243,16 +243,12 @@ ProtocolResult RunProtocol(evm::DispatchMode mode, int reps) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_evm_interp.json");
-  uint64_t dense_calls = 60;
+  uint64_t dense_calls = flags::U64FlagFromArgs(&argc, argv, "calls", 60);
   uint64_t dense_iters = 0x2000;
-  int protocol_reps = 3;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--calls") == 0) {
-      dense_calls = std::strtoull(argv[i + 1], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      protocol_reps = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
-    }
-  }
+  int protocol_reps =
+      static_cast<int>(flags::U64FlagFromArgs(&argc, argv, "reps", 3));
+  flags::ExitOnLeftoverArgs(argc, argv,
+                            "[--calls N] [--reps N] [--json <path>|-]");
 
   struct ModeRow {
     const char* name;

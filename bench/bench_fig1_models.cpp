@@ -17,6 +17,7 @@
 #include "contracts/synthetic.h"
 #include "crypto/secp256k1.h"
 #include "obs/export.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using contracts::Ether;
@@ -134,6 +135,7 @@ obs::Json ModelJson(const ModelCost& cost) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_fig1_models.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf(
       "=== Fig. 1: all-on-chain vs hybrid-on/off-chain execution model ===\n\n");
   std::printf("Workload: deploy + call every function once.\n\n");

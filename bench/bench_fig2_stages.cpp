@@ -12,6 +12,7 @@
 #include "bet_run.h"
 #include "obs/export.h"
 #include "onoff/protocol.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using core::Behavior;
@@ -77,6 +78,7 @@ void PrintScenario(const char* title, const ProtocolReport& report) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_fig2_stages.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf("=== Fig. 2: the four-stage on/off-chain mechanism ===\n");
 
   obs::Json scenarios = obs::Json::Array();

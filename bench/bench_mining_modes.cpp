@@ -53,7 +53,7 @@
 #include "easm/assembler.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
-#include "sim/flags.h"
+#include "support/flags.h"
 #include "trace/structlog.h"
 #include "trace/trace.h"
 
@@ -304,8 +304,10 @@ std::vector<Row> BuildRows() {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_mining_modes.json");
-  const uint64_t blocks = sim::U64FlagFromArgs(&argc, argv, "blocks", 20);
-  const uint64_t senders = sim::U64FlagFromArgs(&argc, argv, "senders", 16);
+  const uint64_t blocks = flags::U64FlagFromArgs(&argc, argv, "blocks", 20);
+  const uint64_t senders = flags::U64FlagFromArgs(&argc, argv, "senders", 16);
+  flags::ExitOnLeftoverArgs(argc, argv,
+                            "[--blocks N] [--senders N] [--json <path>|-]");
   if (blocks == 0 || senders == 0) {
     std::fprintf(stderr, "--blocks and --senders must be at least 1\n");
     return 2;

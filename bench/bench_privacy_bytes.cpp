@@ -7,6 +7,7 @@
 
 #include "bet_run.h"
 #include "obs/export.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using core::Behavior;
@@ -39,6 +40,7 @@ Exposure RunAllOnChain(uint64_t reveal_iterations) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_privacy_bytes.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf("=== Ablation C: private bytes exposed on-chain ===\n\n");
   std::printf("%-14s %22s %22s %22s\n", "reveal iters",
               "all-on-chain (bytes)", "hybrid optimistic", "hybrid disputed");

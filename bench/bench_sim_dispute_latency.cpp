@@ -21,10 +21,10 @@
 #include "contracts/betting.h"
 #include "obs/export.h"
 #include "onoff/protocol.h"
-#include "sim/flags.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/transport.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using core::Behavior;
@@ -167,10 +167,15 @@ Cell RunCell(uint64_t base_seed, uint64_t challenge_ms, uint64_t latency_ms,
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_sim_dispute_latency.json");
+  const uint64_t seed = flags::U64FlagFromArgs(&argc, argv, "sim-seed", 42);
+  const uint64_t trials = flags::U64FlagFromArgs(&argc, argv, "trials", 12);
   // Pin a single sweep point when given explicitly (sentinel defaults).
-  uint64_t only_latency = sim::U64FlagFromArgs(&argc, argv, "sim-latency-ms", 0);
-  double only_loss = sim::DoubleFlagFromArgs(&argc, argv, "sim-loss", -1.0);
-  sim::SimFlags flags = sim::SimFlagsFromArgs(&argc, argv);
+  uint64_t only_latency =
+      flags::U64FlagFromArgs(&argc, argv, "sim-latency-ms", 0);
+  double only_loss = flags::DoubleFlagFromArgs(&argc, argv, "sim-loss", -1.0);
+  flags::ExitOnLeftoverArgs(argc, argv,
+                            "[--sim-seed N] [--trials N] [--sim-latency-ms N] "
+                            "[--sim-loss P] [--json <path>|-]");
 
   std::vector<uint64_t> challenges = {250, 1000, 4000, 8000};
   std::vector<uint64_t> latencies = {10, 125, 500, 2000, 4000};
@@ -183,7 +188,7 @@ int main(int argc, char** argv) {
       "seed=%" PRIu64 " trials=%" PRIu64
       " per cell; jitter = latency/4; a dishonest loser goes silent and the\n"
       "winner races the challenge period with retransmission every %ums.\n",
-      flags.seed, flags.trials, 250u);
+      seed, trials, 250u);
 
   obs::Json rows = obs::Json::Array();
   for (double loss : losses) {
@@ -197,7 +202,7 @@ int main(int argc, char** argv) {
       std::printf("%-16" PRIu64, latency);
       double last_mean = 0;
       for (uint64_t challenge : challenges) {
-        Cell cell = RunCell(flags.seed, challenge, latency, loss, flags.trials);
+        Cell cell = RunCell(seed, challenge, latency, loss, trials);
         std::printf("  %-9.2f", cell.success_rate());
         last_mean = cell.mean_dispute_ms;
         rows.Push(obs::Json::Object()
@@ -228,7 +233,7 @@ int main(int argc, char** argv) {
                            12000ull}) {
     // T3 sits at virtual 300'000ms (t3_offset 300s).
     TrialOutcome out =
-        RunDisputeTrial(flags.seed, 50, 0, 0.0, /*challenge_ms=*/8000,
+        RunDisputeTrial(seed, 50, 0, 0.0, /*challenge_ms=*/8000,
                         /*partition_start_ms=*/299'000,
                         /*partition_heal_ms=*/300'000 + past_t3);
     std::printf("%-24" PRIu64 " %-10s %" PRIu64 "\n", past_t3,
@@ -252,8 +257,8 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     obs::Json results = obs::Json::Object();
-    results.Set("seed", obs::Json::Uint(flags.seed))
-        .Set("trials", obs::Json::Uint(flags.trials))
+    results.Set("seed", obs::Json::Uint(seed))
+        .Set("trials", obs::Json::Uint(trials))
         .Set("audit_violations", obs::Json::Uint(g_audit_violations))
         .Set("rows", std::move(rows))
         .Set("partition_sweep", std::move(partition_rows));

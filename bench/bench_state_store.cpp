@@ -11,8 +11,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "state/world_state.h"
 #include "storage/node_store.h"
 #include "support/address.h"
+#include "support/flags.h"
 #include "support/u256.h"
 
 using namespace onoff;
@@ -188,13 +187,12 @@ int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_state_store.json");
   std::vector<uint64_t> account_counts = {1'000, 10'000, 100'000};
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--accounts") == 0) {
-      // One explicit size instead of the default sweep (e.g. 1000000 for
-      // the EXPERIMENTS.md scaling row).
-      account_counts = {std::strtoull(argv[i + 1], nullptr, 10)};
-    }
+  // One explicit size instead of the default sweep (e.g. 1000000 for the
+  // EXPERIMENTS.md scaling row).
+  if (uint64_t accounts = flags::U64FlagFromArgs(&argc, argv, "accounts", 0)) {
+    account_counts = {accounts};
   }
+  flags::ExitOnLeftoverArgs(argc, argv, "[--accounts N] [--json <path>|-]");
 
   obs::Json results = obs::Json::Array();
 

@@ -16,6 +16,7 @@
 #include "contracts/betting.h"
 #include "crypto/secp256k1.h"
 #include "obs/export.h"
+#include "support/flags.h"
 
 using namespace onoff;
 using contracts::BettingConfig;
@@ -92,6 +93,7 @@ Measurement MeasureDispute(uint64_t reveal_iterations) {
 int main(int argc, char** argv) {
   std::string json_path =
       obs::JsonPathFromArgsOrExit(&argc, argv, "BENCH_table2_gas.json");
+  flags::ExitOnLeftoverArgs(argc, argv, "[--json <path>|-]");
   std::printf("=== Table II: gas cost of the dispute extra functions ===\n\n");
   std::printf("Paper reports (Kovan, Solidity 0.4.24):\n");
   std::printf("  deployVerifiedInstance()   225082 + reveal()\n");

@@ -22,6 +22,17 @@ Selector SelectorOf(std::string_view signature) {
   return {h[0], h[1], h[2], h[3]};
 }
 
+uint32_t SelectorWord(std::string_view signature) {
+  Selector sel = SelectorOf(signature);
+  return *SelectorWord(BytesView(sel.data(), sel.size()));
+}
+
+std::optional<uint32_t> SelectorWord(BytesView calldata) {
+  if (calldata.size() < 4) return std::nullopt;
+  return (uint32_t{calldata[0]} << 24) | (uint32_t{calldata[1]} << 16) |
+         (uint32_t{calldata[2]} << 8) | uint32_t{calldata[3]};
+}
+
 Bytes EncodeArgs(const std::vector<Value>& args) {
   // Head: one word per argument (value or tail offset). Tail: dynamic data.
   size_t head_size = args.size() * 32;

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,6 +70,12 @@ using Selector = std::array<uint8_t, 4>;
 
 // keccak256("name(type,...)")[0..4).
 Selector SelectorOf(std::string_view signature);
+
+// The selector as the big-endian word a dispatcher compares (the analyzer's
+// FunctionReport::selector): of a signature, or of calldata's first four
+// bytes (nullopt when the calldata is shorter).
+uint32_t SelectorWord(std::string_view signature);
+std::optional<uint32_t> SelectorWord(BytesView calldata);
 
 // Head/tail-encodes the arguments (no selector).
 Bytes EncodeArgs(const std::vector<Value>& args);

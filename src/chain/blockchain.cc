@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
+#include "abi/abi.h"
 #include "analysis/access_summary.h"
 #include "analysis/analyzer.h"
 #include "chain/parallel_executor.h"
@@ -598,12 +600,8 @@ TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
   std::shared_ptr<const analysis::ProgramAccess> access =
       analysis::AccessSummaryCache::Global().Get(state_.GetCodeHash(to), code);
   const analysis::AccessSummary* summary = &access->program;
-  if (tx.data.size() >= 4) {
-    uint32_t selector = (static_cast<uint32_t>(tx.data[0]) << 24) |
-                        (static_cast<uint32_t>(tx.data[1]) << 16) |
-                        (static_cast<uint32_t>(tx.data[2]) << 8) |
-                        static_cast<uint32_t>(tx.data[3]);
-    if (const analysis::AccessSummary* sel = access->ForSelector(selector)) {
+  if (std::optional<uint32_t> selector = abi::SelectorWord(tx.data)) {
+    if (const analysis::AccessSummary* sel = access->ForSelector(*selector)) {
       summary = sel;
     }
   }

@@ -1,5 +1,6 @@
 #include "contracts/betting.h"
 
+#include "analysis/analyzer.h"
 #include "contracts/codegen.h"
 #include "crypto/keccak.h"
 #include "evm/opcodes.h"
@@ -294,9 +295,7 @@ Result<Bytes> BuildOffChainRuntime(const OffchainConfig& cfg) {
   w.RequireCallerIsEither(cfg.alice, cfg.bob);
   EmitReveal(w, cfg);                // [winner]
   // calldata = selector ++ winner at memory 0x40.
-  abi::Selector sel = abi::SelectorOf(kEnforceSig);
-  U256 sel_word = U256::FromBigEndianTruncating(BytesView(sel.data(), 4))
-                  << 224;
+  U256 sel_word = U256(abi::SelectorWord(kEnforceSig)) << 224;
   w.PushU(sel_word);
   w.PushU(U256(0x40));
   w.b().Op(Opcode::MSTORE);
@@ -362,5 +361,26 @@ Bytes ReturnDisputeResolutionCalldata(const Address& onchain_addr) {
 }
 
 Bytes GetWinnerCalldata() { return abi::EncodeCall(kGetWinnerSig, {}); }
+
+analysis::AnalysisOptions OnChainPolicy() {
+  analysis::AnalysisOptions options;
+  for (std::string_view sig : {kDepositSig, kRefundOneSig, kRefundTwoSig,
+                               kReassignSig, kDeploySig, kEnforceSig}) {
+    options.function_names[abi::SelectorWord(sig)] = sig;
+    if (sig != kDeploySig) {
+      options.light_selectors.push_back(abi::SelectorWord(sig));
+    }
+  }
+  return options;
+}
+
+analysis::AnalysisOptions OffChainPolicy() {
+  analysis::AnalysisOptions options;
+  for (std::string_view sig : {kGetWinnerSig, kReturnSig}) {
+    options.function_names[abi::SelectorWord(sig)] = sig;
+  }
+  options.private_selectors.push_back(abi::SelectorWord(kGetWinnerSig));
+  return options;
+}
 
 }  // namespace onoff::contracts

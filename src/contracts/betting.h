@@ -29,6 +29,10 @@
 #include "support/status.h"
 #include "support/u256.h"
 
+namespace onoff::analysis {
+struct AnalysisOptions;
+}  // namespace onoff::analysis
+
 namespace onoff::contracts {
 
 // 10^18 wei.
@@ -101,6 +105,15 @@ Bytes DeployVerifiedInstanceCalldata(const Bytes& offchain_bytecode,
 Bytes EnforceDisputeResolutionCalldata(bool winner);
 Bytes ReturnDisputeResolutionCalldata(const Address& onchain_addr);
 Bytes GetWinnerCalldata();
+
+// The paper's classification of the pair as analyzer policy, with every
+// function named. Each on-chain entry point except the CREATE-ing
+// deployVerifiedInstance is light: its gas bound must sit below the block
+// gas limit. The off-chain getWinner() is private: it reads the secrets, so
+// it must not leak them into state. returnDisputeResolution is the
+// sanctioned CALL path and stays unclassified.
+analysis::AnalysisOptions OnChainPolicy();
+analysis::AnalysisOptions OffChainPolicy();
 
 }  // namespace onoff::contracts
 

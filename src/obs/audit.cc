@@ -1,6 +1,5 @@
 #include "obs/audit.h"
 
-#include <atomic>
 #include <cstdlib>
 
 #include "obs/clock.h"
@@ -9,6 +8,13 @@
 #include "support/log.h"
 
 namespace onoff::obs {
+
+namespace {
+
+// Reports retained for inspection; later ones are still counted.
+constexpr size_t kKeptReports = 64;
+
+}  // namespace
 
 Json ViolationReport::ToJson() const {
   Json values_json = Json::Object();
@@ -49,31 +55,18 @@ void Auditor::Report(ViolationReport report) {
   FlightRecord(FlightKind::kViolation, report.trace_id, report.block_height,
                0, report.invariant);
   Json report_json = report.ToJson();
+  bool first_of_invariant = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++total_;
-    if (reports_.size() < config_.keep) {
+    first_of_invariant = seen_.insert(report.invariant).second;
+    if (reports_.size() < kKeptReports) {
       reports_.push_back(std::move(report));
     }
   }
-  if (config_.dump_flight) {
+  if (config_.dump_flight && first_of_invariant) {
     if (FlightRecorder* recorder = FlightRecorder::Global()) {
-      if (!config_.dump_dir.empty()) {
-        // A scoped override beats mutating the environment (tests share the
-        // process): build the path the same way DumpOnIncident does.
-        static std::atomic<uint64_t> incident{0};
-        std::string path =
-            config_.dump_dir + "/onoffchain-flightrec-audit-" +
-            std::to_string(incident.fetch_add(1)) + ".json";
-        Status st = recorder->DumpTriageBundle(path, "invariant-violation",
-                                               &report_json);
-        if (!st.ok()) {
-          ONOFF_LOG(log::Level::kWarn, "audit", "%s",
-                    st.ToString().c_str());
-        }
-      } else {
-        recorder->DumpOnIncident("invariant-violation", &report_json);
-      }
+      recorder->DumpOnIncident("invariant-violation", &report_json);
     }
   }
   if (config_.fail_fast) {

@@ -2,14 +2,16 @@
 // they watch (chain/chain_audit.h); what lives here is the part every layer
 // shares: the structured ViolationReport and the Auditor that collects
 // reports, counts them into the metrics registry, triggers a flight-recorder
-// triage dump, and — in fail-fast mode — aborts the process so CI turns a
-// silent correctness bug into a red run with a bundle attached.
+// triage dump for the first violation of each invariant, and — in fail-fast
+// mode — aborts the process so CI turns a silent correctness bug into a red
+// run with a bundle attached.
 
 #ifndef ONOFFCHAIN_OBS_AUDIT_H_
 #define ONOFFCHAIN_OBS_AUDIT_H_
 
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,12 +40,10 @@ struct AuditorConfig {
   // Abort the process after reporting (the CI posture: a violated invariant
   // is a consensus bug, not a log line). Tests run with this off.
   bool fail_fast = false;
-  // Dump a flight-recorder triage bundle per violation (no-op when no
-  // recorder is installed). `dump_dir` overrides $ONOFF_FLIGHTREC_DIR.
+  // Dump a flight-recorder triage bundle into $ONOFF_FLIGHTREC_DIR for the
+  // first violation of each invariant (no-op when no recorder is
+  // installed). A persistent fault is one bundle, not one per block.
   bool dump_flight = true;
-  std::string dump_dir;
-  // Reports retained for inspection; older ones are dropped (still counted).
-  size_t keep = 64;
 };
 
 class Auditor {
@@ -51,19 +51,22 @@ class Auditor {
   explicit Auditor(AuditorConfig config = {});
 
   // Stamps, records, counts (audit.violations + audit.violations.<name>),
-  // logs, dumps the triage bundle, and aborts under fail_fast.
+  // logs, dumps the triage bundle on its invariant's first violation, and
+  // aborts under fail_fast.
   void Report(ViolationReport report);
 
   uint64_t violations() const;
   std::vector<ViolationReport> Reports() const;
+  // Forgets the kept reports and the count; an invariant that has dumped
+  // its bundle does not dump again.
   void Clear();
-  const AuditorConfig& config() const { return config_; }
 
  private:
   AuditorConfig config_;
   mutable std::mutex mu_;
   std::vector<ViolationReport> reports_;
   uint64_t total_ = 0;
+  std::set<std::string> seen_;  // invariants reported at least once
 };
 
 }  // namespace onoff::obs

@@ -2,9 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <utility>
+
+#include "support/flags.h"
 
 namespace onoff::obs {
 
@@ -31,29 +32,9 @@ Status WriteBenchJson(const std::string& path, const std::string& bench_name,
 Result<std::string> JsonPathFromArgs(int* argc, char** argv,
                                      std::string default_path) {
   std::string path = std::move(default_path);
-  int occurrences = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strncmp(arg, "--json=", 7) == 0) {
-      value = arg + 7;
-    } else if (std::strncmp(arg, "--metrics-json=", 15) == 0) {
-      value = arg + 15;
-    } else if ((std::strcmp(arg, "--json") == 0 ||
-                std::strcmp(arg, "--metrics-json") == 0) &&
-               i + 1 < *argc) {
-      value = argv[++i];
-    }
-    if (value != nullptr) {
-      ++occurrences;
-      path = value;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  argv[out] = nullptr;
+  int occurrences =
+      flags::StringFlagFromArgs(argc, argv, "json", &path) +
+      flags::StringFlagFromArgs(argc, argv, "metrics-json", &path);
   if (occurrences > 1) {
     return Status::InvalidArgument(
         "--json/--metrics-json given " + std::to_string(occurrences) +

@@ -24,7 +24,8 @@ namespace onoff::obs {
 Status WriteBenchJson(const std::string& path, const std::string& bench_name,
                       Json results);
 
-// Parses and removes the JSON output-path flag from argv, compacting argc.
+// Parses and removes the JSON output-path flag from argv with the shared
+// parser (support/flags.h), compacting argc.
 // One flag, two spellings: "--json <path>" / "--json=<path>" and the alias
 // "--metrics-json <path>" / "--metrics-json=<path>" — every bench and CLI
 // subcommand documents them identically. Returns the flag value,

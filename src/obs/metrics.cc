@@ -88,13 +88,6 @@ double Histogram::QuantileFromBuckets(const std::vector<double>& bounds,
   return 0;
 }
 
-void Histogram::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0;
-}
-
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        size_t count) {
   std::vector<double> bounds;
@@ -166,13 +159,6 @@ int64_t Registry::GaugeValue(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0 : it->second->Value();
-}
-
-void Registry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 Registry::InstrumentSnapshot Registry::Snapshot() const {

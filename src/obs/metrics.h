@@ -36,7 +36,6 @@ class Counter {
  public:
   void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -48,7 +47,6 @@ class Gauge {
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
   void Add(int64_t d) { value_.fetch_add(d, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -88,7 +86,6 @@ class Histogram {
   static double QuantileFromBuckets(const std::vector<double>& bounds,
                                     const std::vector<uint64_t>& buckets,
                                     double q);
-  void Reset();
 
  private:
   const std::vector<double> bounds_;
@@ -110,9 +107,7 @@ const std::vector<double>& DefaultGasBuckets();
 
 // A thread-safe named-instrument registry. Instruments are created on first
 // use and live as long as the registry, so returned pointers are stable and
-// safe to cache. Most code uses the process-global instance via Global();
-// components that need deterministic, always-on accounting (e.g. the
-// protocol driver's per-stage ledger) own a private instance.
+// safe to cache. Code uses the process-global instance via Global().
 class Registry {
  public:
   Registry() = default;
@@ -132,9 +127,6 @@ class Registry {
   // Point reads; 0 when the instrument does not exist.
   uint64_t CounterValue(const std::string& name) const;
   int64_t GaugeValue(const std::string& name) const;
-
-  // Zeroes every instrument (bucket layouts are kept).
-  void Reset();
 
   // JSON export:
   //   { "schema": "onoffchain-metrics-v1",

@@ -7,6 +7,7 @@
 
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace onoff::core {
@@ -20,10 +21,6 @@ constexpr char kChainEndpoint[] = "chain";
 // Approximate RLP transaction envelope overhead on the wire (nonce, gas
 // fields, signature) added to the calldata size.
 constexpr size_t kTxEnvelopeBytes = 110;
-
-std::string StageKey(Stage stage, const char* field) {
-  return "stage." + std::to_string(static_cast<int>(stage)) + "." + field;
-}
 
 // A transaction in flight through the simulated network.
 struct PendingCall {
@@ -158,10 +155,6 @@ BettingProtocol::~BettingProtocol() {
   if (sched_ != nullptr) obs::Clock::Install(nullptr);
 }
 
-obs::Counter* BettingProtocol::StageCounter(Stage stage, const char* field) {
-  return stage_registry_.GetCounter(StageKey(stage, field));
-}
-
 uint64_t BettingProtocol::VirtualMs(uint64_t unix_ts) const {
   uint64_t offset_s = unix_ts > run_start_ts_ ? unix_ts - run_start_ts_ : 0;
   return base_virtual_ms_ + offset_s * 1000;
@@ -248,15 +241,16 @@ Result<chain::Receipt> BettingProtocol::Transact(
           : ExecuteViaSim(from, to, value, std::move(data), gas_limit,
                           deadline_ms);
   if (!receipt.ok()) return receipt;
-  StageCounter(stage, "gas_used")->Inc(receipt->gas_used);
-  StageCounter(stage, "onchain_bytes")->Inc(data_size);
-  StageCounter(stage, "transactions")->Inc();
+  StageReport& ledger = StageOf(stage);
+  ledger.gas_used += receipt->gas_used;
+  ledger.onchain_bytes += data_size;
+  ++ledger.transactions;
   return receipt;
 }
 
 Result<ProtocolReport> BettingProtocol::Run(const Behavior& alice_behavior,
                                             const Behavior& bob_behavior) {
-  stage_registry_.Reset();
+  stages_ = {};
   // Root of the causal trace: everything this run touches — off-chain
   // messages, network hops, pool admission, block inclusion, EVM frames —
   // inherits this context and shares one trace id.
@@ -271,22 +265,9 @@ Result<ProtocolReport> BettingProtocol::Run(const Behavior& alice_behavior,
     tracer->Event(run_span.context(), "protocol.settled", "protocol",
                   {{"settlement", SettlementName(report.settlement)}});
   }
-  // Materialise the StageReport view from the per-run ledger. Every path —
-  // aborts, refunds, optimistic, disputed — funnels through here, so the
-  // view is complete regardless of where RunImpl settled.
-  for (int i = 0; i < kNumStages; ++i) {
-    Stage stage = static_cast<Stage>(i);
-    StageReport& s = report.stages[i];
-    s.gas_used = stage_registry_.CounterValue(StageKey(stage, "gas_used"));
-    s.onchain_bytes = static_cast<size_t>(
-        stage_registry_.CounterValue(StageKey(stage, "onchain_bytes")));
-    s.offchain_messages = static_cast<size_t>(
-        stage_registry_.CounterValue(StageKey(stage, "offchain_messages")));
-    s.offchain_bytes = static_cast<size_t>(
-        stage_registry_.CounterValue(StageKey(stage, "offchain_bytes")));
-    s.transactions = static_cast<int>(
-        stage_registry_.CounterValue(StageKey(stage, "transactions")));
-  }
+  // Every path — aborts, refunds, optimistic, disputed — funnels through
+  // here, so the report's stages are complete wherever RunImpl settled.
+  report.stages = stages_;
   run_span.AddArg("settlement", SettlementName(report.settlement));
   run_span.AddArg("gas_used", std::to_string(report.TotalGas()));
   // Settlement boundary: hand the terminal facts to the chain's invariant
@@ -362,8 +343,7 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   }
   Address onchain = deploy_receipt.contract_address;
   report.onchain_contract = onchain;
-  StageCounter(Stage::kDeploySign, "onchain_bytes")
-      ->Inc(chain_->GetCode(onchain).size());
+  StageOf(Stage::kDeploySign).onchain_bytes += chain_->GetCode(onchain).size();
 
   // Both participants must hold a fully signed copy before any deposit.
   // Each signs their own locally generated copy and broadcasts it over the
@@ -399,10 +379,10 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   } else {
     signing_ok = false;
   }
-  StageCounter(Stage::kDeploySign, "offchain_messages")
-      ->Inc(bus_->messages_sent() - msgs_before);
-  StageCounter(Stage::kDeploySign, "offchain_bytes")
-      ->Inc(bus_->bytes_sent() - bytes_before);
+  StageOf(Stage::kDeploySign).offchain_messages +=
+      bus_->messages_sent() - msgs_before;
+  StageOf(Stage::kDeploySign).offchain_bytes +=
+      bus_->bytes_sent() - bytes_before;
 
   if (!signing_ok) {
     report.settlement = Settlement::kAbortedUnsigned;
@@ -589,8 +569,8 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   Address instance = Address::FromWord(chain_->GetStorage(
       onchain, U256(contracts::betting_slots::kDeployedAddr)));
   report.verified_instance = instance;
-  StageCounter(Stage::kDisputeResolve, "onchain_bytes")
-      ->Inc(chain_->GetCode(instance).size());
+  StageOf(Stage::kDisputeResolve).onchain_bytes +=
+      chain_->GetCode(instance).size();
 
   Result<chain::Receipt> resolve_r =
       Transact(winner, instance, U256(),

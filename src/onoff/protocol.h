@@ -12,10 +12,9 @@
 // dishonest behaviours (refusing to sign, refusing to deposit, refusing to
 // admit a loss) force the protocol down the corresponding paths. The driver
 // records per-stage gas, on-chain bytes and off-chain message traffic — the
-// quantities the evaluation section reports — in a private obs::Registry it
-// owns; the public StageReport array is a view materialised from registry
-// reads when Run() returns, so the reported numbers are deterministic even
-// when process-global metrics are disabled.
+// quantities the evaluation section reports — in a plain per-run ledger it
+// copies into the report's StageReport array, so the reported numbers are
+// deterministic even when process-global metrics are disabled.
 
 #ifndef ONOFFCHAIN_ONOFF_PROTOCOL_H_
 #define ONOFFCHAIN_ONOFF_PROTOCOL_H_
@@ -27,7 +26,6 @@
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
 #include "crypto/secp256k1.h"
-#include "obs/metrics.h"
 #include "onoff/message_bus.h"
 #include "onoff/signed_copy.h"
 #include "sim/scheduler.h"
@@ -147,13 +145,13 @@ class BettingProtocol {
                              const Behavior& bob_behavior);
 
  private:
-  // The protocol lifecycle; stage stats accumulate in stage_registry_ and
-  // are folded into the report by Run().
+  // The protocol lifecycle; stage stats accumulate in stages_ and are
+  // copied into the report by Run().
   Result<ProtocolReport> RunImpl(const Behavior& alice_behavior,
                                  const Behavior& bob_behavior);
 
   // Sends a transaction (nullopt `to` = contract creation) and accumulates
-  // its stats under `stage` in stage_registry_. Unbound, `deadline_ms` is
+  // its stats under `stage` in stages_. Unbound, `deadline_ms` is
   // ignored; sim-bound, the transaction travels through the transport with
   // retransmission until the absolute virtual-time deadline, and missing it
   // returns StatusCode::kFailedPrecondition.
@@ -176,8 +174,9 @@ class BettingProtocol {
   // flight) and advances the chain clock to match.
   void AdvanceChainTo(uint64_t unix_ts);
 
-  // The per-stage instrument "stage.<index>.<field>" in stage_registry_.
-  obs::Counter* StageCounter(Stage stage, const char* field);
+  StageReport& StageOf(Stage stage) {
+    return stages_[static_cast<size_t>(stage)];
+  }
 
   chain::Blockchain* chain_;
   MessageBus* bus_;
@@ -186,9 +185,8 @@ class BettingProtocol {
   contracts::OffchainConfig offchain_;
   U256 deposit_amount_;
   ProtocolTiming timing_;
-  // Per-run stage ledger. Always on (independent of ONOFF_METRICS) so the
-  // StageReport view stays exact; reset at the top of every Run().
-  obs::Registry stage_registry_;
+  // Per-run stage ledger, reset at the top of every Run().
+  std::array<StageReport, kNumStages> stages_;
   // Simulation binding (nullptr = synchronous).
   sim::Scheduler* sched_ = nullptr;
   sim::Transport* transport_ = nullptr;

@@ -24,12 +24,6 @@ std::vector<const FunctionDef*> Select(const std::vector<FunctionDef>& fns,
   return out;
 }
 
-uint32_t SelectorWord(std::string_view signature) {
-  abi::Selector sel = abi::SelectorOf(signature);
-  return (uint32_t{sel[0]} << 24) | (uint32_t{sel[1]} << 16) |
-         (uint32_t{sel[2]} << 8) | uint32_t{sel[3]};
-}
-
 }  // namespace
 
 std::string DeploySignatureFor(size_t n) {
@@ -175,9 +169,7 @@ Result<SplitContracts> SplitContract(
     w.BeginFunction(f_return);
     w.RequireCallerIsOneOf(cfg.participants);
     heavy[cfg.resolver_index]->body(w);  // [result]
-    abi::Selector sel = abi::SelectorOf(kEnforceSig);
-    U256 sel_word = U256::FromBigEndianTruncating(BytesView(sel.data(), 4))
-                    << 224;
+    U256 sel_word = U256(abi::SelectorWord(kEnforceSig)) << 224;
     // Stage calldata at 0x40 (the resolver may have used [0x00, 0x40)).
     w.PushU(sel_word);
     w.PushU(U256(0x40));
@@ -206,15 +198,15 @@ Result<SplitContracts> SplitContract(
   {
     analysis::AnalysisOptions& on = out.onchain_audit;
     for (const FunctionDef* f : light) {
-      on.light_selectors.push_back(SelectorWord(f->signature));
+      on.light_selectors.push_back(abi::SelectorWord(f->signature));
     }
     // deployVerifiedInstance is exempt: CREATE of the verified instance is
     // legitimately unbounded from the analyzer's point of view.
-    on.light_selectors.push_back(SelectorWord(kSubmitSig));
-    on.light_selectors.push_back(SelectorWord(kFinalizeSig));
-    on.light_selectors.push_back(SelectorWord(kEnforceSig));
+    on.light_selectors.push_back(abi::SelectorWord(kSubmitSig));
+    on.light_selectors.push_back(abi::SelectorWord(kFinalizeSig));
+    on.light_selectors.push_back(abi::SelectorWord(kEnforceSig));
     for (const std::string& sig : out.onchain_signatures) {
-      on.function_names[SelectorWord(sig)] = sig;
+      on.function_names[abi::SelectorWord(sig)] = sig;
     }
     analysis::AnalysisReport report =
         analysis::AnalyzeProgram(out.onchain_runtime, on);
@@ -226,12 +218,12 @@ Result<SplitContracts> SplitContract(
 
     analysis::AnalysisOptions& off = out.offchain_audit;
     for (const FunctionDef* f : heavy) {
-      off.private_selectors.push_back(SelectorWord(f->signature));
+      off.private_selectors.push_back(abi::SelectorWord(f->signature));
     }
     // returnDisputeResolution deliberately CALLs the on-chain contract; it
     // is the one sanctioned state-touching path and stays unclassified.
     for (const std::string& sig : out.offchain_signatures) {
-      off.function_names[SelectorWord(sig)] = sig;
+      off.function_names[abi::SelectorWord(sig)] = sig;
     }
     report = analysis::AnalyzeProgram(out.offchain_runtime, off);
     if (report.HasErrors()) {

@@ -1,69 +1,18 @@
 #include "sim/flags.h"
 
-#include <cstdlib>
-#include <cstring>
+#include "support/flags.h"
 
 namespace onoff::sim {
 
-namespace {
-
-// Extracts the last "--<name> <v>" / "--<name>=<v>" occurrence, removing
-// every occurrence from argv. Returns whether a value was found.
-bool StringFlagFromArgs(int* argc, char** argv, const std::string& name,
-                        std::string* value) {
-  std::string flag = "--" + name;
-  std::string flag_eq = flag + "=";
-  bool found = false;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, flag_eq.c_str(), flag_eq.size()) == 0) {
-      *value = arg + flag_eq.size();
-      found = true;
-    } else if (flag == arg && i + 1 < *argc) {
-      *value = argv[++i];
-      found = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return found;
-}
-
-}  // namespace
-
-uint64_t U64FlagFromArgs(int* argc, char** argv, const std::string& name,
-                         uint64_t default_value) {
-  std::string value;
-  if (!StringFlagFromArgs(argc, argv, name, &value)) return default_value;
-  char* end = nullptr;
-  uint64_t parsed = std::strtoull(value.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0' && !value.empty()) ? parsed
-                                                            : default_value;
-}
-
-double DoubleFlagFromArgs(int* argc, char** argv, const std::string& name,
-                          double default_value) {
-  std::string value;
-  if (!StringFlagFromArgs(argc, argv, name, &value)) return default_value;
-  char* end = nullptr;
-  double parsed = std::strtod(value.c_str(), &end);
-  return (end != nullptr && *end == '\0' && !value.empty()) ? parsed
-                                                            : default_value;
-}
-
-SimFlags SimFlagsFromArgs(int* argc, char** argv, SimFlags defaults) {
-  SimFlags flags = defaults;
-  flags.seed = U64FlagFromArgs(argc, argv, "sim-seed", defaults.seed);
-  flags.latency_ms =
-      U64FlagFromArgs(argc, argv, "sim-latency-ms", defaults.latency_ms);
-  flags.jitter_ms =
-      U64FlagFromArgs(argc, argv, "sim-jitter-ms", defaults.jitter_ms);
-  flags.loss = DoubleFlagFromArgs(argc, argv, "sim-loss", defaults.loss);
-  flags.trials = U64FlagFromArgs(argc, argv, "trials", defaults.trials);
-  return flags;
+SimFlags SimFlagsFromArgs(int* argc, char** argv) {
+  SimFlags out;
+  out.seed = flags::U64FlagFromArgs(argc, argv, "sim-seed", out.seed);
+  out.latency_ms =
+      flags::U64FlagFromArgs(argc, argv, "sim-latency-ms", out.latency_ms);
+  out.jitter_ms =
+      flags::U64FlagFromArgs(argc, argv, "sim-jitter-ms", out.jitter_ms);
+  out.loss = flags::DoubleFlagFromArgs(argc, argv, "sim-loss", out.loss);
+  return out;
 }
 
 }  // namespace onoff::sim

@@ -1,36 +1,24 @@
-// Shared parsing for the simulator's command-line flags (--sim-seed,
-// --sim-latency-ms, --sim-loss, ...), in the same strip-from-argv style as
-// obs::JsonPathFromArgs so benches and the CLI can layer sim flags on top
-// of their own argument handling.
+// The simulator's network flags (--sim-seed, --sim-latency-ms,
+// --sim-jitter-ms, --sim-loss), parsed with the shared argv parser in
+// support/flags.h so the CLI can layer them on top of its own flags.
 
 #ifndef ONOFFCHAIN_SIM_FLAGS_H_
 #define ONOFFCHAIN_SIM_FLAGS_H_
 
 #include <cstdint>
-#include <string>
 
 namespace onoff::sim {
 
-// Parses and removes "--<name> <value>" / "--<name>=<value>" from argv,
-// compacting argc. Returns the last occurrence's value, or `default_value`
-// when absent or unparsable.
-uint64_t U64FlagFromArgs(int* argc, char** argv, const std::string& name,
-                         uint64_t default_value);
-double DoubleFlagFromArgs(int* argc, char** argv, const std::string& name,
-                          double default_value);
-
-// The conventional simulator flag set. Parsed by SimFlagsFromArgs, which
-// strips --sim-seed, --sim-latency-ms, --sim-jitter-ms, --sim-loss and
-// --trials from argv.
 struct SimFlags {
   uint64_t seed = 42;
   uint64_t latency_ms = 50;
   uint64_t jitter_ms = 0;
   double loss = 0.0;
-  uint64_t trials = 12;
 };
 
-SimFlags SimFlagsFromArgs(int* argc, char** argv, SimFlags defaults = {});
+// Strips the four flags from argv; an unparsable value stays behind for the
+// caller's leftover check.
+SimFlags SimFlagsFromArgs(int* argc, char** argv);
 
 }  // namespace onoff::sim
 

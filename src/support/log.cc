@@ -6,6 +6,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
+#include <string_view>
+
+#include "support/flags.h"
 
 namespace onoff::log {
 
@@ -14,7 +18,8 @@ namespace {
 std::atomic<int>& LevelStore() {
   static std::atomic<int> level = [] {
     const char* env = std::getenv("ONOFF_LOG_LEVEL");
-    Level initial = env != nullptr ? LevelFromString(env) : Level::kInfo;
+    Level initial = env != nullptr ? LevelFromString(env).value_or(Level::kInfo)
+                                   : Level::kInfo;
     return static_cast<int>(initial);
   }();
   return level;
@@ -35,7 +40,7 @@ std::atomic<RecordHook>& RecordHookStore() {
   return hook;
 }
 
-bool EqualsIgnoreCase(const std::string& a, const char* b) {
+bool EqualsIgnoreCase(std::string_view a, const char* b) {
   if (a.size() != std::strlen(b)) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (std::tolower(static_cast<unsigned char>(a[i])) != b[i]) return false;
@@ -63,12 +68,12 @@ const char* LevelName(Level level) {
   return "unknown";
 }
 
-Level LevelFromString(const std::string& text, Level fallback) {
+std::optional<Level> LevelFromString(std::string_view text) {
   for (Level level : {Level::kTrace, Level::kDebug, Level::kInfo, Level::kWarn,
                       Level::kError, Level::kOff}) {
     if (EqualsIgnoreCase(text, LevelName(level))) return level;
   }
-  return fallback;
+  return std::nullopt;
 }
 
 Level GetLevel() { return static_cast<Level>(LevelStore().load(std::memory_order_relaxed)); }
@@ -78,28 +83,11 @@ void SetLevel(Level level) {
 }
 
 Level LevelFromArgs(int* argc, char** argv) {
-  const char* kFlag = "--log-level";
-  const size_t kFlagLen = std::strlen(kFlag);
-  std::string value;
-  bool found = false;
-  int out = 0;
-  for (int i = 0; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, kFlag) == 0 && i + 1 < *argc) {
-      value = argv[i + 1];
-      found = true;
-      ++i;
-      continue;
-    }
-    if (std::strncmp(arg, kFlag, kFlagLen) == 0 && arg[kFlagLen] == '=') {
-      value = arg + kFlagLen + 1;
-      found = true;
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  if (found) SetLevel(LevelFromString(value, GetLevel()));
+  flags::FlagFromArgs(argc, argv, "log-level", [](const char* value) {
+    std::optional<Level> level = LevelFromString(value);
+    if (level) SetLevel(*level);
+    return level.has_value();
+  });
   return GetLevel();
 }
 

@@ -15,7 +15,8 @@
 #define ONOFFCHAIN_SUPPORT_LOG_H_
 
 #include <cstdio>
-#include <string>
+#include <optional>
+#include <string_view>
 
 namespace onoff::log {
 
@@ -30,8 +31,8 @@ enum class Level : int {
 
 const char* LevelName(Level level);
 // Parses "trace" / "debug" / "info" / "warn" / "error" / "off"
-// (case-insensitive); defaults to `fallback` on anything else.
-Level LevelFromString(const std::string& text, Level fallback = Level::kInfo);
+// (case-insensitive); nullopt on anything else.
+std::optional<Level> LevelFromString(std::string_view text);
 
 // The process-global threshold. Records below it are dropped. The initial
 // value comes from ONOFF_LOG_LEVEL (default: info).
@@ -40,8 +41,9 @@ void SetLevel(Level level);
 inline bool Enabled(Level level) { return level >= GetLevel(); }
 
 // Parses and removes "--log-level <value>" / "--log-level=<value>" from
-// argv (compacting argc) and applies it via SetLevel. Returns the applied
-// level (the env/default level when the flag is absent).
+// argv (compacting argc; support/flags.h) and applies it via SetLevel; an
+// unknown level stays in argv for the caller's leftover check. Returns the
+// applied level (the env/default level when the flag is absent).
 Level LevelFromArgs(int* argc, char** argv);
 
 // Emits one record through the single writer. `component` names the

@@ -1,7 +1,9 @@
 #include "trace/bounds.h"
 
 #include <cstdio>
+#include <optional>
 
+#include "abi/abi.h"
 #include "obs/metrics.h"
 
 namespace onoff::trace {
@@ -70,13 +72,9 @@ std::optional<GasBoundsChecker::Violation> GasBoundsChecker::CheckCall(
   // Resolve the dispatched function from the calldata selector; fall back to
   // the whole-program bound when there is no dispatch match.
   const analysis::FunctionReport* fn = nullptr;
-  if (calldata.size() >= 4 && !report.functions.empty()) {
-    uint32_t selector = (static_cast<uint32_t>(calldata[0]) << 24) |
-                        (static_cast<uint32_t>(calldata[1]) << 16) |
-                        (static_cast<uint32_t>(calldata[2]) << 8) |
-                        static_cast<uint32_t>(calldata[3]);
+  if (std::optional<uint32_t> selector = abi::SelectorWord(calldata)) {
     for (const analysis::FunctionReport& f : report.functions) {
-      if (f.selector == selector) {
+      if (f.selector == *selector) {
         fn = &f;
         break;
       }

@@ -10,6 +10,7 @@
 #include <optional>
 #include <string>
 
+#include "abi/abi.h"
 #include "analysis/analyzer.h"
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
@@ -71,9 +72,7 @@ class AnalysisSoundnessTest : public ::testing::Test {
     if (!receipt.ok()) return chain::Receipt{};
     EXPECT_TRUE(receipt->success);
     EXPECT_GE(calldata.size(), 4u);
-    uint32_t selector = (uint32_t{calldata[0]} << 24) |
-                        (uint32_t{calldata[1]} << 16) |
-                        (uint32_t{calldata[2]} << 8) | uint32_t{calldata[3]};
+    std::optional<uint32_t> selector = abi::SelectorWord(calldata);
     const FunctionReport* fn = nullptr;
     for (const FunctionReport& f : report.functions) {
       if (f.selector == selector) fn = &f;
@@ -201,12 +200,9 @@ TEST_F(AnalysisSoundnessTest, BettingClassificationMachineChecked) {
   // private inputs into state).
   auto onchain = AnalyzeRuntime(contracts::BuildOnChainRuntime(config_));
   ASSERT_TRUE(onchain.ok()) << onchain.status().ToString();
-  Bytes deploy_selector_probe = contracts::DeployVerifiedInstanceCalldata(
-      Bytes{}, 0, U256(), U256(), 0, U256(), U256());
-  uint32_t deploy_selector = (uint32_t{deploy_selector_probe[0]} << 24) |
-                             (uint32_t{deploy_selector_probe[1]} << 16) |
-                             (uint32_t{deploy_selector_probe[2]} << 8) |
-                             uint32_t{deploy_selector_probe[3]};
+  std::optional<uint32_t> deploy_selector =
+      abi::SelectorWord(contracts::DeployVerifiedInstanceCalldata(
+          Bytes{}, 0, U256(), U256(), 0, U256(), U256()));
   ASSERT_FALSE(onchain->functions.empty());
   for (const FunctionReport& f : onchain->functions) {
     if (f.selector == deploy_selector) {
@@ -219,11 +215,8 @@ TEST_F(AnalysisSoundnessTest, BettingClassificationMachineChecked) {
 
   auto offchain = AnalyzeRuntime(contracts::BuildOffChainRuntime(offchain_));
   ASSERT_TRUE(offchain.ok()) << offchain.status().ToString();
-  Bytes winner_calldata = contracts::GetWinnerCalldata();
-  uint32_t winner_selector = (uint32_t{winner_calldata[0]} << 24) |
-                             (uint32_t{winner_calldata[1]} << 16) |
-                             (uint32_t{winner_calldata[2]} << 8) |
-                             uint32_t{winner_calldata[3]};
+  std::optional<uint32_t> winner_selector =
+      abi::SelectorWord(contracts::GetWinnerCalldata());
   bool found = false;
   for (const FunctionReport& f : offchain->functions) {
     if (f.selector != winner_selector) continue;

@@ -8,6 +8,8 @@
 
 #include "chain/chain_audit.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -30,14 +32,46 @@ namespace {
 using contracts::Ether;
 using secp256k1::PrivateKey;
 
+// Points $ONOFF_FLIGHTREC_DIR at a fresh directory under the test temp dir
+// for one test, and removes it afterwards, so incident dumps neither land in
+// the working directory nor pile up in the system temp dir.
+class ScopedDumpDir {
+ public:
+  ScopedDumpDir()
+      : path_(::testing::TempDir() + "/audit_test_" +
+              std::to_string(static_cast<unsigned>(::getpid())) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
+    std::filesystem::create_directories(path_);
+    setenv("ONOFF_FLIGHTREC_DIR", path_.c_str(), 1);
+  }
+  ScopedDumpDir(const ScopedDumpDir&) = delete;
+  ScopedDumpDir& operator=(const ScopedDumpDir&) = delete;
+  ~ScopedDumpDir() {
+    unsetenv("ONOFF_FLIGHTREC_DIR");
+    std::filesystem::remove_all(path_);
+  }
+
+  const std::string& path() const { return path_; }
+  size_t Bundles() const {
+    size_t count = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(path_)) {
+      if (entry.path().filename().string().rfind("onoffchain-flightrec-", 0) ==
+          0) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
+ private:
+  std::string path_;
+};
+
 class AuditTest : public ::testing::Test {
  protected:
   AuditTest()
       : alice_(PrivateKey::FromSeed("alice")),
         bob_(PrivateKey::FromSeed("bob")) {
-    // Incident dumps from the chain-owned auditor land in the test tempdir,
-    // not the working directory.
-    setenv("ONOFF_FLIGHTREC_DIR", ::testing::TempDir().c_str(), 1);
     chain::ChainConfig config;
     config.audit_invariants = "all";
     chain_ = std::make_unique<chain::Blockchain>(config);
@@ -64,6 +98,7 @@ class AuditTest : public ::testing::Test {
     }
   }
 
+  ScopedDumpDir dumps_;
   PrivateKey alice_;
   PrivateKey bob_;
   std::unique_ptr<chain::Blockchain> chain_;
@@ -90,6 +125,20 @@ TEST_F(AuditTest, MintedBalanceIsCaughtByConservation) {
   EXPECT_EQ(report.values[0].first, "expected_total");
   EXPECT_EQ(report.values[1].first, "actual_total");
   EXPECT_NE(report.values[0].second, report.values[1].second);
+}
+
+// A persistent fault on a report-only chain is reported at every block but
+// dumped once: only an invariant's first violation writes a triage bundle.
+TEST_F(AuditTest, PersistentFaultDumpsOneBundlePerInvariant) {
+  CleanBlock();
+  for (int i = 0; i < 10; ++i) {
+    chain_->mutable_state_for_test().AddBalance(bob_.EthAddress(), Ether(1));
+    CleanBlock();
+  }
+  EXPECT_EQ(chain_->auditor()->violations(), 10u);
+  EXPECT_EQ(chain_->auditor()->sink().Reports().size(), 10u);
+  ExpectOnlyInvariant("conservation");
+  EXPECT_EQ(dumps_.Bundles(), 1u);
 }
 
 TEST_F(AuditTest, LegitimateMintIsNotAViolation) {
@@ -439,20 +488,13 @@ TEST_F(NonceCorpusTest, ReportsArriveInAscendingAddressOrder) {
 }
 
 // A violation with a global flight recorder installed dumps a schema-tagged
-// triage bundle into the configured directory.
+// triage bundle into $ONOFF_FLIGHTREC_DIR.
 TEST_F(AuditTest, ViolationDumpsTriageBundleIntoDumpDir) {
-  std::string dump_dir =
-      ::testing::TempDir() + "/audit_test_dumps_" +
-      std::to_string(static_cast<unsigned>(::getpid()));
-  std::filesystem::create_directories(dump_dir);
-
   obs::FlightRecorder recorder;
   obs::FlightRecorder* previous = obs::FlightRecorder::InstallGlobal(&recorder);
   recorder.Record(obs::FlightKind::kSettlement, 7, 21'000, 0, "disputed");
 
-  obs::AuditorConfig sink_config;
-  sink_config.dump_dir = dump_dir;
-  ChainAuditor audited("settlement", sink_config);
+  ChainAuditor audited("settlement", obs::AuditorConfig{});
   SettlementAudit settled;
   settled.game = alice_.EthAddress();
   settled.settlement = "disputed";
@@ -465,7 +507,7 @@ TEST_F(AuditTest, ViolationDumpsTriageBundleIntoDumpDir) {
   obs::FlightRecorder::InstallGlobal(previous);
 
   bool found = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dump_dir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dumps_.path())) {
     std::ifstream in(entry.path());
     std::stringstream buf;
     buf << in.rdbuf();
@@ -476,8 +518,7 @@ TEST_F(AuditTest, ViolationDumpsTriageBundleIntoDumpDir) {
     EXPECT_NE(buf.str().find("\"invariant-violation\""), std::string::npos);
     found = true;
   }
-  EXPECT_TRUE(found) << "no triage bundle written to " << dump_dir;
-  std::filesystem::remove_all(dump_dir);
+  EXPECT_TRUE(found) << "no triage bundle written to " << dumps_.path();
 }
 
 // The negative corpus: every betting settlement path runs under full
@@ -489,7 +530,6 @@ class AuditNegativeTest : public ::testing::Test {
   // violations).
   std::pair<core::Settlement, uint64_t> RunAudited(core::Behavior alice_b,
                                                    core::Behavior bob_b) {
-    setenv("ONOFF_FLIGHTREC_DIR", ::testing::TempDir().c_str(), 1);
     auto alice = PrivateKey::FromSeed("alice");
     auto bob = PrivateKey::FromSeed("bob");
     chain::ChainConfig config;
@@ -509,6 +549,8 @@ class AuditNegativeTest : public ::testing::Test {
     if (!report.ok()) return {core::Settlement::kAbortedUnsigned, UINT64_MAX};
     return {report->settlement, chain.auditor()->violations()};
   }
+
+  ScopedDumpDir dumps_;
 };
 
 TEST_F(AuditNegativeTest, AllSettlementPathsAuditClean) {

@@ -6,11 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "abi/abi.h"
 #include "analysis/analyzer.h"
 #include "contracts/betting.h"
 #include "contracts/synthetic.h"
@@ -22,26 +17,6 @@ namespace {
 using analysis::AnalysisOptions;
 using analysis::AnalyzeDeployment;
 using analysis::DeploymentReport;
-
-uint32_t SelectorWord(std::string_view signature) {
-  abi::Selector sel = abi::SelectorOf(signature);
-  return (uint32_t{sel[0]} << 24) | (uint32_t{sel[1]} << 16) |
-         (uint32_t{sel[2]} << 8) | uint32_t{sel[3]};
-}
-
-AnalysisOptions Policy(const std::vector<std::string>& light,
-                       const std::vector<std::string>& priv) {
-  AnalysisOptions options;
-  for (const std::string& sig : light) {
-    options.light_selectors.push_back(SelectorWord(sig));
-    options.function_names[SelectorWord(sig)] = sig;
-  }
-  for (const std::string& sig : priv) {
-    options.private_selectors.push_back(SelectorWord(sig));
-    options.function_names[SelectorWord(sig)] = sig;
-  }
-  return options;
-}
 
 void ExpectClean(const Result<Bytes>& init, const AnalysisOptions& options,
                  const char* what) {
@@ -67,20 +42,14 @@ BettingConfig TestBettingConfig() {
 TEST(CodegenLintTest, BettingOnChainPassesWithLightPolicy) {
   // Every entry point except the CREATE-ing dispute weapon is declared
   // light: the analyzer must prove them bounded under the block gas limit.
-  ExpectClean(BuildOnChainInit(TestBettingConfig()),
-              Policy({"deposit()", "refundRoundOne()", "refundRoundTwo()",
-                      "reassign()", "enforceDisputeResolution(bool)"},
-                     {}),
+  ExpectClean(BuildOnChainInit(TestBettingConfig()), OnChainPolicy(),
               "betting on-chain");
 }
 
 TEST(CodegenLintTest, BettingOnChainWithSecurityDepositPasses) {
   BettingConfig config = TestBettingConfig();
   config.security_deposit = Ether(1) / U256(2);
-  ExpectClean(BuildOnChainInit(config),
-              Policy({"deposit()", "refundRoundOne()", "refundRoundTwo()",
-                      "reassign()", "enforceDisputeResolution(bool)"},
-                     {}),
+  ExpectClean(BuildOnChainInit(config), OnChainPolicy(),
               "betting on-chain with security deposit");
 }
 
@@ -94,7 +63,7 @@ TEST(CodegenLintTest, BettingOffChainPassesWithPrivatePolicy) {
   // getWinner() sees the private secrets and must not be able to leak
   // them; returnDisputeResolution() is the sanctioned CALL path and stays
   // unclassified.
-  ExpectClean(BuildOffChainInit(config), Policy({}, {"getWinner()"}),
+  ExpectClean(BuildOffChainInit(config), OffChainPolicy(),
               "betting off-chain");
 }
 

@@ -1,4 +1,4 @@
-// onoffchain command-line utility.
+// onoffchain command-line utility: the participants' offline steps.
 //
 //   onoffchain_cli keygen <seed>             derive a key + address
 //   onoffchain_cli selector <signature>      4-byte ABI selector
@@ -18,13 +18,9 @@
 //       text: per-program function summaries (selector, gas bound, effects,
 //       storage reads/writes, schedulability) and diagnostics (code, name,
 //       severity, pc, line, selector, message). Exit codes are unchanged.
-//   onoffchain_cli simdispute [--sim-seed N] [--sim-latency-ms N]
-//                             [--sim-jitter-ms N] [--sim-loss P] [--trials N]
-//       run the full protocol with a dishonest loser on the deterministic
-//       network simulator and report how the dispute settled
 //   onoffchain_cli trace [sim flags] [--chrome-json <path>]
 //                        [--trace-json <path>] [--structlog <path>]
-//                        [--check-bounds] [--sample-every N]
+//                        [--check-bounds]
 //       run the bundled dispute scenario with end-to-end causal tracing: one
 //       trace id links message-bus delivery, network hops, tx-pool admission,
 //       block inclusion, EVM call frames and settlement. Exports Chrome
@@ -32,14 +28,21 @@
 //       onoffchain-trace-v1 span dump, and optionally a per-opcode structLog;
 //       --check-bounds verifies observed gas against the static analyzer's
 //       bounds and exits nonzero on a violation.
-//   onoffchain_cli health [sim flags] [--timeseries-json <path>]
+//   onoffchain_cli health [sim flags] [--trials N] [--timeseries-json <path>]
 //                         [--flightrec-json <path>]
-//       run the sim dispute workload with the invariant auditor, flight
-//       recorder and time-series sampler all on, then print a one-screen
-//       health summary (settlements, violations, recorder pressure, latency
-//       quantiles). --timeseries-json writes the onoffchain-timeseries-v1
-//       series; --flightrec-json writes an onoffchain-flightrec-v1 triage
-//       bundle. Exits nonzero on any invariant violation.
+//       run N (default 4) sim dispute trials, alternating the optimistic and
+//       dispute paths, with the invariant auditor, flight recorder and
+//       time-series sampler all on, then print a one-screen health summary
+//       (settlements, violations, recorder pressure, latency quantiles).
+//       --timeseries-json writes the onoffchain-timeseries-v1 series;
+//       --flightrec-json writes an onoffchain-flightrec-v1 triage bundle.
+//       Exits nonzero on any invariant violation.
+//   onoffchain_cli storage [dbPath] [blocks] [history]
+//       mine balance churn into the persistent node store and print its
+//       growth, pruning and a historical lookup per block
+//
+// sim flags: --sim-seed N, --sim-latency-ms N, --sim-jitter-ms N and
+// --sim-loss P set the participant->chain links of the simulated network.
 //
 // Any command additionally accepts the unified JSON output flag
 //   --json <path>|-   JSON output path (alias: --metrics-json; '-' skips the
@@ -48,17 +51,20 @@
 // onoffchain-metrics-v1 schema after the command runs (given more than once,
 // the tool exits 2 instead of silently keeping the last value); and
 // --log-level <trace|debug|info|warn|error|off> to filter the structured
-// diagnostics the library layers emit on stderr.
+// diagnostics the library layers emit on stderr. An argument a command does
+// not understand, or a number that does not parse, exits 2 before the
+// command does any work.
 //
 // Everything runs fully offline against the in-repo substrate.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "abi/abi.h"
@@ -78,6 +84,7 @@
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/transport.h"
+#include "support/flags.h"
 #include "support/log.h"
 #include "trace/bounds.h"
 #include "trace/structlog.h"
@@ -87,11 +94,15 @@ using namespace onoff;
 
 namespace {
 
-int Usage() {
+// Exit status 2: what was not understood (when known), then the usage line.
+int Usage(const Status& why = Status::OK()) {
+  if (!why.ok()) {
+    std::fprintf(stderr, "onoffchain_cli: %s\n", why.message().c_str());
+  }
   std::fprintf(stderr,
                "usage: onoffchain_cli "
                "<keygen|selector|keccak|asm|disasm|sign|betting|lint|"
-               "simdispute|trace|health|parexec|storage> args...\n");
+               "trace|health|storage> args...\n");
   return 2;
 }
 
@@ -127,15 +138,22 @@ int CmdKeccak(const std::string& arg) {
   return 0;
 }
 
-int CmdAsm(const std::string& path) {
+// The whole file, or nullopt (logged) when it cannot be opened.
+std::optional<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     ONOFF_LOG(log::Level::kError, "cli", "cannot open %s", path.c_str());
-    return 1;
+    return std::nullopt;
   }
   std::stringstream buf;
   buf << in.rdbuf();
-  auto code = easm::Assemble(buf.str());
+  return buf.str();
+}
+
+int CmdAsm(const std::string& path) {
+  std::optional<std::string> source = ReadFile(path);
+  if (!source) return 1;
+  auto code = easm::Assemble(*source);
   if (!code.ok()) {
     ONOFF_LOG(log::Level::kError, "cli", "%s", code.status().ToString().c_str());
     return 1;
@@ -170,18 +188,25 @@ int CmdSign(const std::string& seed, const std::string& data_arg) {
   return 0;
 }
 
-int CmdBetting(const std::string& alice_seed, const std::string& bob_seed,
-               uint64_t reveal_iters) {
-  auto alice = secp256k1::PrivateKey::FromSeed(alice_seed);
-  auto bob = secp256k1::PrivateKey::FromSeed(bob_seed);
-
+// The on-chain contract `betting` and `lint --bundled` generate: a 1-ether
+// bet with fixed T1..T3, so the bytecode is reproducible.
+contracts::BettingConfig BettingFor(const Address& alice, const Address& bob) {
   contracts::BettingConfig cfg;
-  cfg.alice = alice.EthAddress();
-  cfg.bob = bob.EthAddress();
+  cfg.alice = alice;
+  cfg.bob = bob;
   cfg.deposit_amount = contracts::Ether(1);
   cfg.t1 = 1'000'000'100;
   cfg.t2 = 1'000'000'200;
   cfg.t3 = 1'000'000'300;
+  return cfg;
+}
+
+int CmdBetting(const std::string& alice_seed, const std::string& bob_seed,
+               uint64_t reveal_iters) {
+  auto alice = secp256k1::PrivateKey::FromSeed(alice_seed);
+  auto bob = secp256k1::PrivateKey::FromSeed(bob_seed);
+  contracts::BettingConfig cfg =
+      BettingFor(alice.EthAddress(), bob.EthAddress());
 
   contracts::OffchainConfig off;
   off.alice = cfg.alice;
@@ -222,43 +247,7 @@ int CmdBetting(const std::string& alice_seed, const std::string& bob_seed,
   return 0;
 }
 
-// Prints one program's analysis report; returns the number of errors.
-int PrintAnalysis(const std::string& title,
-                  const analysis::AnalysisReport& report,
-                  const easm::SourceMap* map = nullptr) {
-  std::printf("%s: %zu bytes, %zu blocks, %zu edges, program bound %s\n",
-              title.c_str(), report.code_size, report.cfg.blocks.size(),
-              report.cfg.EdgeCount(), report.program_bound.ToString().c_str());
-  for (const analysis::FunctionReport& fn : report.functions) {
-    std::printf("  fn %-44s entry 0x%04x gas <= %-10s%s\n", fn.name.c_str(),
-                fn.entry_pc, fn.gas_bound.ToString().c_str(),
-                fn.has_loop ? "  (loop)" : "");
-  }
-  int errors = 0;
-  for (const analysis::Diagnostic& d : report.diagnostics) {
-    if (analysis::IsError(d.code)) ++errors;
-    std::printf("  %s\n", analysis::FormatDiagnostic(d, map).c_str());
-  }
-  return errors;
-}
-
-int PrintDeploymentAnalysis(const std::string& title, BytesView init_code,
-                            const analysis::AnalysisOptions& options) {
-  analysis::DeploymentReport report =
-      analysis::AnalyzeDeployment(init_code, options);
-  int errors = 0;
-  if (report.recognized_deployer) {
-    errors += PrintAnalysis(title + " [deployer prologue]", report.init);
-    errors += PrintAnalysis(title + " [runtime]", *report.runtime);
-    std::printf("  deploy bound (incl. code deposit): %s\n",
-                report.DeployGasBound().ToString().c_str());
-  } else {
-    errors += PrintAnalysis(title, report.init);
-  }
-  return errors;
-}
-
-// ---- lint --json: the onoffchain-lint-v1 document ----
+// ---- lint: one walk, rendered as text or as onoffchain-lint-v1 ----
 
 obs::Json GasBoundJson(const analysis::GasBound& bound) {
   return bound.bounded ? obs::Json::Uint(bound.gas) : obs::Json::Null();
@@ -291,104 +280,108 @@ obs::Json AccessJson(const analysis::AccessSummary& access) {
   return j;
 }
 
-// Appends one program entry to `programs`; returns its error count.
-int CollectAnalysisJson(obs::Json* programs, const std::string& title,
-                        const analysis::AnalysisReport& report,
-                        const easm::SourceMap* map = nullptr) {
-  obs::Json j = obs::Json::Object();
-  j.Set("title", obs::Json::Str(title));
-  j.Set("code_size", obs::Json::Uint(report.code_size));
-  j.Set("blocks", obs::Json::Uint(report.cfg.blocks.size()));
-  j.Set("edges", obs::Json::Uint(report.cfg.EdgeCount()));
-  j.Set("gas_bound", GasBoundJson(report.program_bound));
-  j.Set("access", AccessJson(report.program_access));
-  obs::Json fns = obs::Json::Array();
-  for (const analysis::FunctionReport& fn : report.functions) {
-    obs::Json f = obs::Json::Object();
-    f.Set("selector", obs::Json::Uint(fn.selector));
-    f.Set("name", obs::Json::Str(fn.name));
-    f.Set("entry_pc", obs::Json::Uint(fn.entry_pc));
-    f.Set("gas_bound", GasBoundJson(fn.gas_bound));
-    f.Set("has_loop", obs::Json::Bool(fn.has_loop));
-    f.Set("access", AccessJson(fn.access));
-    fns.Push(std::move(f));
-  }
-  j.Set("functions", std::move(fns));
-  int errors = 0;
-  obs::Json diags = obs::Json::Array();
-  for (const analysis::Diagnostic& d : report.diagnostics) {
-    if (analysis::IsError(d.code)) ++errors;
-    diags.Push(DiagnosticJson(d, map));
-  }
-  j.Set("diagnostics", std::move(diags));
-  j.Set("errors", obs::Json::Int(errors));
-  programs->Push(std::move(j));
-  return errors;
-}
+// One pass over each deployment's programs, their functions and their
+// diagnostics, printed as text or collected into the onoffchain-lint-v1
+// document; Finish() ends the walk.
+class LintWalk {
+ public:
+  explicit LintWalk(bool json) : json_(json) {}
 
-int CollectDeploymentJson(obs::Json* programs, const std::string& title,
-                          BytesView init_code,
-                          const analysis::AnalysisOptions& options) {
-  analysis::DeploymentReport report =
-      analysis::AnalyzeDeployment(init_code, options);
-  int errors = 0;
-  if (report.recognized_deployer) {
-    errors += CollectAnalysisJson(programs, title + " [deployer prologue]",
-                                  report.init);
-    errors += CollectAnalysisJson(programs, title + " [runtime]",
-                                  *report.runtime);
-  } else {
-    errors += CollectAnalysisJson(programs, title, report.init);
+  // A deployment is its deployer prologue and its runtime when a
+  // recognised deployer wraps it, else one program.
+  void Deployment(const std::string& title, BytesView init_code,
+                  const analysis::AnalysisOptions& options) {
+    analysis::DeploymentReport report =
+        analysis::AnalyzeDeployment(init_code, options);
+    if (!report.recognized_deployer) {
+      Program(title, report.init);
+      return;
+    }
+    Program(title + " [deployer prologue]", report.init);
+    Program(title + " [runtime]", *report.runtime);
+    if (!json_) {
+      std::printf("  deploy bound (incl. code deposit): %s\n",
+                  report.DeployGasBound().ToString().c_str());
+    }
   }
-  return errors;
-}
 
-int EmitLintJson(obs::Json programs, int errors) {
-  obs::Json doc = obs::Json::Object();
-  doc.Set("schema", obs::Json::Str("onoffchain-lint-v1"));
-  doc.Set("programs", std::move(programs));
-  doc.Set("errors", obs::Json::Int(errors));
-  std::printf("%s\n", doc.Dump().c_str());
-  return errors == 0 ? 0 : 1;
-}
-
-uint32_t SelectorWord(std::string_view signature) {
-  abi::Selector sel = abi::SelectorOf(signature);
-  return (uint32_t{sel[0]} << 24) | (uint32_t{sel[1]} << 16) |
-         (uint32_t{sel[2]} << 8) | uint32_t{sel[3]};
-}
-
-// Options naming every signature, declaring `light` bounded-below-limit and
-// `priv` state-leak-free.
-analysis::AnalysisOptions PolicyFor(const std::vector<std::string>& names,
-                                    const std::vector<std::string>& light,
-                                    const std::vector<std::string>& priv) {
-  analysis::AnalysisOptions options;
-  for (const std::string& sig : names) {
-    options.function_names[SelectorWord(sig)] = sig;
+  void Program(const std::string& title,
+               const analysis::AnalysisReport& report,
+               const easm::SourceMap* map = nullptr) {
+    if (!json_) {
+      std::printf("%s: %zu bytes, %zu blocks, %zu edges, program bound %s\n",
+                  title.c_str(), report.code_size, report.cfg.blocks.size(),
+                  report.cfg.EdgeCount(),
+                  report.program_bound.ToString().c_str());
+    }
+    obs::Json fns = obs::Json::Array();
+    for (const analysis::FunctionReport& fn : report.functions) {
+      if (!json_) {
+        std::printf("  fn %-44s entry 0x%04x gas <= %-10s%s\n",
+                    fn.name.c_str(), fn.entry_pc,
+                    fn.gas_bound.ToString().c_str(),
+                    fn.has_loop ? "  (loop)" : "");
+        continue;
+      }
+      obs::Json f = obs::Json::Object();
+      f.Set("selector", obs::Json::Uint(fn.selector));
+      f.Set("name", obs::Json::Str(fn.name));
+      f.Set("entry_pc", obs::Json::Uint(fn.entry_pc));
+      f.Set("gas_bound", GasBoundJson(fn.gas_bound));
+      f.Set("has_loop", obs::Json::Bool(fn.has_loop));
+      f.Set("access", AccessJson(fn.access));
+      fns.Push(std::move(f));
+    }
+    int errors = 0;
+    obs::Json diags = obs::Json::Array();
+    for (const analysis::Diagnostic& d : report.diagnostics) {
+      if (analysis::IsError(d.code)) ++errors;
+      if (json_) {
+        diags.Push(DiagnosticJson(d, map));
+      } else {
+        std::printf("  %s\n", analysis::FormatDiagnostic(d, map).c_str());
+      }
+    }
+    errors_ += errors;
+    if (!json_) return;
+    obs::Json j = obs::Json::Object();
+    j.Set("title", obs::Json::Str(title));
+    j.Set("code_size", obs::Json::Uint(report.code_size));
+    j.Set("blocks", obs::Json::Uint(report.cfg.blocks.size()));
+    j.Set("edges", obs::Json::Uint(report.cfg.EdgeCount()));
+    j.Set("gas_bound", GasBoundJson(report.program_bound));
+    j.Set("access", AccessJson(report.program_access));
+    j.Set("functions", std::move(fns));
+    j.Set("diagnostics", std::move(diags));
+    j.Set("errors", obs::Json::Int(errors));
+    programs_.Push(std::move(j));
   }
-  for (const std::string& sig : light) {
-    options.light_selectors.push_back(SelectorWord(sig));
-  }
-  for (const std::string& sig : priv) {
-    options.private_selectors.push_back(SelectorWord(sig));
-  }
-  return options;
-}
 
-int CmdLintBundled(bool json) {
-  auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  int errors = 0;
-  obs::Json programs = obs::Json::Array();
+  // Prints the JSON document, or in text the `summary` error count line
+  // when asked; the exit status is nonzero on any error finding.
+  int Finish(bool summary) {
+    if (json_) {
+      obs::Json doc = obs::Json::Object();
+      doc.Set("schema", obs::Json::Str("onoffchain-lint-v1"));
+      doc.Set("programs", std::move(programs_));
+      doc.Set("errors", obs::Json::Int(errors_));
+      std::printf("%s\n", doc.Dump().c_str());
+    } else if (summary) {
+      std::printf("%d error(s) across bundled contracts\n", errors_);
+    }
+    return errors_ == 0 ? 0 : 1;
+  }
 
-  contracts::BettingConfig cfg;
-  cfg.alice = alice.EthAddress();
-  cfg.bob = bob.EthAddress();
-  cfg.deposit_amount = contracts::Ether(1);
-  cfg.t1 = 1'000'000'100;
-  cfg.t2 = 1'000'000'200;
-  cfg.t3 = 1'000'000'300;
+ private:
+  bool json_;
+  int errors_ = 0;
+  obs::Json programs_ = obs::Json::Array();
+};
+
+int LintBundled(LintWalk& lint) {
+  contracts::BettingConfig cfg =
+      BettingFor(secp256k1::PrivateKey::FromSeed("alice").EthAddress(),
+                 secp256k1::PrivateKey::FromSeed("bob").EthAddress());
   contracts::OffchainConfig off;
   off.alice = cfg.alice;
   off.bob = cfg.bob;
@@ -399,29 +392,9 @@ int CmdLintBundled(bool json) {
     ONOFF_LOG(log::Level::kError, "cli", "betting generation failed");
     return 1;
   }
-  const std::string deploy_sig =
-      "deployVerifiedInstance(bytes,uint8,bytes32,bytes32,uint8,bytes32,"
-      "bytes32)";
-  analysis::AnalysisOptions betting_on_policy = PolicyFor(
-      {"deposit()", "refundRoundOne()", "refundRoundTwo()", "reassign()",
-       deploy_sig, "enforceDisputeResolution(bool)"},
-      {"deposit()", "refundRoundOne()", "refundRoundTwo()", "reassign()",
-       "enforceDisputeResolution(bool)"},
-      {});
-  analysis::AnalysisOptions betting_off_policy =
-      PolicyFor({"getWinner()", "returnDisputeResolution(address)"}, {},
-                {"getWinner()"});
-  if (json) {
-    errors += CollectDeploymentJson(&programs, "betting on-chain",
-                                    *betting_on, betting_on_policy);
-    errors += CollectDeploymentJson(&programs, "betting off-chain",
-                                    *betting_off, betting_off_policy);
-  } else {
-    errors += PrintDeploymentAnalysis("betting on-chain", *betting_on,
-                                      betting_on_policy);
-    errors += PrintDeploymentAnalysis("betting off-chain", *betting_off,
-                                      betting_off_policy);
-  }
+  lint.Deployment("betting on-chain", *betting_on, contracts::OnChainPolicy());
+  lint.Deployment("betting off-chain", *betting_off,
+                  contracts::OffChainPolicy());
 
   contracts::SyntheticConfig synth;
   auto whole = contracts::BuildWholeInit(synth);
@@ -431,61 +404,42 @@ int CmdLintBundled(bool json) {
     ONOFF_LOG(log::Level::kError, "cli", "synthetic generation failed");
     return 1;
   }
-  if (json) {
-    errors += CollectDeploymentJson(&programs, "synthetic whole", *whole, {});
-    errors += CollectDeploymentJson(&programs, "synthetic hybrid on-chain",
-                                    *hybrid_on, {});
-    errors += CollectDeploymentJson(&programs, "synthetic hybrid off-chain",
-                                    *hybrid_off, {});
-    return EmitLintJson(std::move(programs), errors);
-  }
-  errors += PrintDeploymentAnalysis("synthetic whole", *whole, {});
-  errors += PrintDeploymentAnalysis("synthetic hybrid on-chain", *hybrid_on, {});
-  errors +=
-      PrintDeploymentAnalysis("synthetic hybrid off-chain", *hybrid_off, {});
-
-  std::printf("%d error(s) across bundled contracts\n", errors);
-  return errors == 0 ? 0 : 1;
+  lint.Deployment("synthetic whole", *whole, {});
+  lint.Deployment("synthetic hybrid on-chain", *hybrid_on, {});
+  lint.Deployment("synthetic hybrid off-chain", *hybrid_off, {});
+  return lint.Finish(/*summary=*/true);
 }
 
-int CmdLint(const std::string& arg, bool json) {
-  if (arg == "--bundled") return CmdLintBundled(json);
+int CmdLint(int argc, char** argv) {
+  LintWalk lint(flags::SwitchFromArgs(&argc, argv, "json"));
+  const bool bundled = flags::SwitchFromArgs(&argc, argv, "bundled");
+  if (Status st = flags::LeftoverArgs(argc, argv, bundled ? 0 : 1); !st.ok()) {
+    return Usage(st);
+  }
+  if (bundled) return LintBundled(lint);
+  if (argc != 2) return Usage();
+  const std::string arg = argv[1];
 
   // .easm files are assembled with a source map so diagnostics carry
   // line/label positions; everything else is hex (inline or in a file).
   if (arg.size() > 5 && arg.rfind(".easm") == arg.size() - 5) {
-    std::ifstream in(arg);
-    if (!in) {
-      ONOFF_LOG(log::Level::kError, "cli", "cannot open %s", arg.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
+    std::optional<std::string> source = ReadFile(arg);
+    if (!source) return 1;
     easm::SourceMap map;
-    auto code = easm::AssembleWithMap(buf.str(), &map);
+    auto code = easm::AssembleWithMap(*source, &map);
     if (!code.ok()) {
       ONOFF_LOG(log::Level::kError, "cli", "%s", code.status().ToString().c_str());
       return 1;
     }
-    analysis::AnalysisReport report = analysis::AnalyzeProgram(*code);
-    if (json) {
-      obs::Json programs = obs::Json::Array();
-      int errors = CollectAnalysisJson(&programs, arg, report, &map);
-      return EmitLintJson(std::move(programs), errors);
-    }
-    return PrintAnalysis(arg, report, &map) == 0 ? 0 : 1;
+    lint.Program(arg, analysis::AnalyzeProgram(*code), &map);
+    return lint.Finish(/*summary=*/false);
   }
 
   std::string hex = arg;
   if (hex.rfind("0x", 0) != 0) {
-    std::ifstream in(arg);
-    if (!in) {
-      ONOFF_LOG(log::Level::kError, "cli", "cannot open %s", arg.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    hex = buf.str();
+    std::optional<std::string> text = ReadFile(arg);
+    if (!text) return 1;
+    hex = *text;
     while (!hex.empty() && (hex.back() == '\n' || hex.back() == '\r' ||
                             hex.back() == ' ')) {
       hex.pop_back();
@@ -496,126 +450,54 @@ int CmdLint(const std::string& arg, bool json) {
     ONOFF_LOG(log::Level::kError, "cli", "%s", code.status().ToString().c_str());
     return 1;
   }
-  if (json) {
-    obs::Json programs = obs::Json::Array();
-    int errors = CollectDeploymentJson(&programs, arg, *code, {});
-    return EmitLintJson(std::move(programs), errors);
-  }
-  return PrintDeploymentAnalysis(arg, *code, {}) == 0 ? 0 : 1;
+  lint.Deployment(arg, *code, {});
+  return lint.Finish(/*summary=*/false);
 }
 
-int CmdSimDispute(const sim::SimFlags& flags) {
-  std::printf("sim: seed=%llu latency=%llums jitter=%llums loss=%.2f "
-              "trials=%llu\n",
-              static_cast<unsigned long long>(flags.seed),
-              static_cast<unsigned long long>(flags.latency_ms),
-              static_cast<unsigned long long>(flags.jitter_ms), flags.loss,
-              static_cast<unsigned long long>(flags.trials));
-  uint64_t resolved = 0;
-  for (uint64_t trial = 0; trial < flags.trials; ++trial) {
-    auto alice = secp256k1::PrivateKey::FromSeed("alice");
-    auto bob = secp256k1::PrivateKey::FromSeed("bob");
-    chain::Blockchain chain;
-    chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
-    chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-    core::MessageBus bus;
-    contracts::OffchainConfig offchain;
-    offchain.secret_alice = U256(0xa11ce);
-    offchain.secret_bob = U256(0xb0b);
-    offchain.reveal_iterations = 20;
+// ---- trace and health: the simulated dispute ----
 
-    sim::Scheduler sched;
-    uint64_t state = flags.seed;
-    (void)sim::SplitMix64(&state);
-    state ^= trial;
-    sim::SimTransport transport(&sched, sim::SplitMix64(&state));
-    // Faults apply to the participant->chain links (the race the dispute
-    // path cares about); the off-chain bus keeps identity links so every
-    // trial reaches the dispute stage instead of aborting unsigned.
-    sim::LinkConfig cfg;
-    cfg.latency_ms = flags.latency_ms;
-    cfg.jitter_ms = flags.jitter_ms;
-    cfg.loss = flags.loss;
-    transport.SetLink(alice.EthAddress().ToHex(), "chain", cfg);
-    transport.SetLink(bob.EthAddress().ToHex(), "chain", cfg);
+// The bet `trace` and `health` run: alice and bob (funded by the caller)
+// stake 1 ether on a 20-iteration reveal over a fresh simulated network
+// seeded with `transport_seed`, both behaving as `behavior`. `net`'s
+// latency, jitter and loss apply to the participant->chain links only (the
+// race the dispute path cares about); the off-chain bus keeps identity
+// links so every run reaches the dispute stage instead of aborting unsigned.
+Result<core::ProtocolReport> RunSimBet(chain::Blockchain* chain,
+                                       const secp256k1::PrivateKey& alice,
+                                       const secp256k1::PrivateKey& bob,
+                                       const sim::SimFlags& net,
+                                       uint64_t transport_seed,
+                                       const core::Behavior& behavior) {
+  core::MessageBus bus;
+  contracts::OffchainConfig offchain;
+  offchain.secret_alice = U256(0xa11ce);
+  offchain.secret_bob = U256(0xb0b);
+  offchain.reveal_iterations = 20;
 
-    core::BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                                   contracts::Ether(1));
-    protocol.BindSimulation(&sched, &transport);
-    core::Behavior dishonest;
-    dishonest.admit_loss = false;
-    auto report = protocol.Run(dishonest, dishonest);
-    if (!report.ok()) {
-      std::printf("trial %llu: run failed: %s\n",
-                  static_cast<unsigned long long>(trial),
-                  report.status().ToString().c_str());
-      continue;
-    }
-    bool ok = report->settlement == core::Settlement::kDisputed &&
-              report->correct_payout;
-    if (ok) ++resolved;
-    std::printf("trial %llu: settlement=%s payout=%s dispute_ms=%llu "
-                "gas=%llu revealed=%zu delivered=%llu dropped=%llu\n",
-                static_cast<unsigned long long>(trial),
-                core::SettlementName(report->settlement),
-                report->correct_payout ? "correct" : "WRONG",
-                static_cast<unsigned long long>(report->dispute_ms),
-                static_cast<unsigned long long>(report->TotalGas()),
-                report->private_bytes_revealed,
-                static_cast<unsigned long long>(transport.stats().delivered),
-                static_cast<unsigned long long>(
-                    transport.stats().dropped_total()));
-  }
-  std::printf("resolved %llu/%llu disputes within the %llums challenge "
-              "period\n",
-              static_cast<unsigned long long>(resolved),
-              static_cast<unsigned long long>(flags.trials),
-              static_cast<unsigned long long>(
-                  core::ProtocolTiming{}.challenge_period_ms));
-  return 0;
+  sim::Scheduler sched;
+  sim::SimTransport transport(&sched, transport_seed);
+  sim::LinkConfig link;
+  link.latency_ms = net.latency_ms;
+  link.jitter_ms = net.jitter_ms;
+  link.loss = net.loss;
+  transport.SetLink(alice.EthAddress().ToHex(), "chain", link);
+  transport.SetLink(bob.EthAddress().ToHex(), "chain", link);
+
+  core::BettingProtocol protocol(chain, &bus, alice, bob, offchain,
+                                 contracts::Ether(1));
+  protocol.BindSimulation(&sched, &transport);
+  return protocol.Run(behavior, behavior);
 }
 
-// ---- health: the soak-triage one-screen summary ----
-
-struct HealthFlags {
+int CmdHealth(int argc, char** argv) {
+  const sim::SimFlags net = sim::SimFlagsFromArgs(&argc, argv);
+  const uint64_t trials = flags::U64FlagFromArgs(&argc, argv, "trials", 4);
   std::string timeseries_json;
   std::string flightrec_json;
-};
+  flags::StringFlagFromArgs(&argc, argv, "timeseries-json", &timeseries_json);
+  flags::StringFlagFromArgs(&argc, argv, "flightrec-json", &flightrec_json);
+  if (Status st = flags::LeftoverArgs(argc, argv); !st.ok()) return Usage(st);
 
-// Strips --timeseries-json/--flightrec-json ("--flag value" and
-// "--flag=value") from argv.
-HealthFlags HealthFlagsFromArgs(int* argc, char** argv) {
-  HealthFlags flags;
-  auto take_value = [&](int i, const char* name, std::string* out) {
-    std::string arg = argv[i];
-    std::string prefix = std::string(name) + "=";
-    if (arg == name && i + 1 < *argc) {
-      *out = argv[i + 1];
-      return 2;
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      *out = arg.substr(prefix.size());
-      return 1;
-    }
-    return 0;
-  };
-  int out_i = 0;
-  for (int i = 0; i < *argc;) {
-    int eaten = take_value(i, "--timeseries-json", &flags.timeseries_json);
-    if (eaten == 0) {
-      eaten = take_value(i, "--flightrec-json", &flags.flightrec_json);
-    }
-    if (eaten == 0) {
-      argv[out_i++] = argv[i++];
-    } else {
-      i += eaten;
-    }
-  }
-  *argc = out_i;
-  return flags;
-}
-
-int CmdHealth(const sim::SimFlags& flags, const HealthFlags& health) {
   // One chain across every trial, with all three observability subsystems
   // on: the auditor watches each block and settlement, the chain-owned
   // flight recorder captures the event stream, and the sampler snapshots
@@ -630,35 +512,19 @@ int CmdHealth(const sim::SimFlags& flags, const HealthFlags& health) {
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
   chain.FundAccount(alice.EthAddress(), contracts::Ether(1000));
   chain.FundAccount(bob.EthAddress(), contracts::Ether(1000));
-  core::MessageBus bus;
-  contracts::OffchainConfig offchain;
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = 20;
 
   std::map<std::string, uint64_t> settlements;
   uint64_t run_failures = 0;
-  for (uint64_t trial = 0; trial < flags.trials; ++trial) {
-    sim::Scheduler sched;
-    uint64_t state = flags.seed;
+  for (uint64_t trial = 0; trial < trials; ++trial) {
+    uint64_t state = net.seed;
     (void)sim::SplitMix64(&state);
     state ^= trial;
-    sim::SimTransport transport(&sched, sim::SplitMix64(&state));
-    sim::LinkConfig cfg;
-    cfg.latency_ms = flags.latency_ms;
-    cfg.jitter_ms = flags.jitter_ms;
-    cfg.loss = flags.loss;
-    transport.SetLink(alice.EthAddress().ToHex(), "chain", cfg);
-    transport.SetLink(bob.EthAddress().ToHex(), "chain", cfg);
-
-    core::BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                                   contracts::Ether(1));
-    protocol.BindSimulation(&sched, &transport);
     // Alternate the optimistic and dispute paths so both settlement
     // boundaries (and both invariant families) exercise.
     core::Behavior behavior;
     behavior.admit_loss = trial % 2 == 0;
-    auto report = protocol.Run(behavior, behavior);
+    auto report = RunSimBet(&chain, alice, bob, net, sim::SplitMix64(&state),
+                            behavior);
     if (!report.ok()) {
       ++run_failures;
       ONOFF_LOG(log::Level::kWarn, "cli", "health trial %llu failed: %s",
@@ -672,10 +538,10 @@ int CmdHealth(const sim::SimFlags& flags, const HealthFlags& health) {
   std::printf("=== onoffchain health ===\n");
   std::printf("workload: %llu sim dispute trials (seed=%llu latency=%llums "
               "jitter=%llums loss=%.2f), %llu failed\n",
-              static_cast<unsigned long long>(flags.trials),
-              static_cast<unsigned long long>(flags.seed),
-              static_cast<unsigned long long>(flags.latency_ms),
-              static_cast<unsigned long long>(flags.jitter_ms), flags.loss,
+              static_cast<unsigned long long>(trials),
+              static_cast<unsigned long long>(net.seed),
+              static_cast<unsigned long long>(net.latency_ms),
+              static_cast<unsigned long long>(net.jitter_ms), net.loss,
               static_cast<unsigned long long>(run_failures));
   std::printf("settlements:");
   for (const auto& [name, count] : settlements) {
@@ -729,21 +595,21 @@ int CmdHealth(const sim::SimFlags& flags, const HealthFlags& health) {
   }
 
   int rc = violations == 0 && run_failures == 0 ? 0 : 1;
-  if (!health.timeseries_json.empty()) {
+  if (!timeseries_json.empty()) {
     if (series == nullptr) {
       ONOFF_LOG(log::Level::kWarn, "cli",
                 "timeseries sampler is off; not writing %s",
-                health.timeseries_json.c_str());
+                timeseries_json.c_str());
     } else {
-      Status st = series->WriteJsonFile(health.timeseries_json);
+      Status st = series->WriteJsonFile(timeseries_json);
       if (!st.ok()) {
         ONOFF_LOG(log::Level::kError, "cli", "%s", st.ToString().c_str());
         rc = 1;
       }
     }
   }
-  if (!health.flightrec_json.empty() && recorder != nullptr) {
-    Status st = recorder->DumpTriageBundle(health.flightrec_json,
+  if (!flightrec_json.empty() && recorder != nullptr) {
+    Status st = recorder->DumpTriageBundle(flightrec_json,
                                            "health-export", nullptr);
     if (!st.ok()) {
       ONOFF_LOG(log::Level::kError, "cli", "%s", st.ToString().c_str());
@@ -751,57 +617,6 @@ int CmdHealth(const sim::SimFlags& flags, const HealthFlags& health) {
     }
   }
   return rc;
-}
-
-struct TraceFlags {
-  std::string chrome_json;
-  std::string trace_json;
-  std::string structlog_json;
-  bool check_bounds = false;
-  uint64_t sample_every = 1;
-};
-
-// Strips --chrome-json/--trace-json/--structlog/--check-bounds/--sample-every
-// from argv (both "--flag value" and "--flag=value" spellings).
-TraceFlags TraceFlagsFromArgs(int* argc, char** argv) {
-  TraceFlags flags;
-  auto take_value = [&](int* i, const char* name, std::string* out) {
-    std::string arg = argv[*i];
-    std::string prefix = std::string(name) + "=";
-    if (arg == name && *i + 1 < *argc) {
-      *out = argv[*i + 1];
-      return 2;
-    }
-    if (arg.rfind(prefix, 0) == 0) {
-      *out = arg.substr(prefix.size());
-      return 1;
-    }
-    return 0;
-  };
-  int out_i = 0;
-  for (int i = 0; i < *argc;) {
-    std::string value;
-    int eaten = take_value(&i, "--chrome-json", &flags.chrome_json);
-    if (eaten == 0) eaten = take_value(&i, "--trace-json", &flags.trace_json);
-    if (eaten == 0) {
-      eaten = take_value(&i, "--structlog", &flags.structlog_json);
-    }
-    if (eaten == 0 && (eaten = take_value(&i, "--sample-every", &value)) > 0) {
-      flags.sample_every = std::strtoull(value.c_str(), nullptr, 10);
-      if (flags.sample_every == 0) flags.sample_every = 1;
-    }
-    if (eaten == 0 && std::strcmp(argv[i], "--check-bounds") == 0) {
-      flags.check_bounds = true;
-      eaten = 1;
-    }
-    if (eaten == 0) {
-      argv[out_i++] = argv[i++];
-    } else {
-      i += eaten;
-    }
-  }
-  *argc = out_i;
-  return flags;
 }
 
 int WriteJsonFile(const obs::Json& json, const std::string& path) {
@@ -843,12 +658,19 @@ void PrintSpanTree(const std::vector<trace::Span>& spans) {
   walk(0, 0);
 }
 
-int CmdTrace(const sim::SimFlags& sim_flags, const TraceFlags& flags) {
-  trace::TracerConfig tracer_config;
-  tracer_config.sample_every = flags.sample_every;
-  trace::Tracer tracer(tracer_config);
-  trace::Tracer* previous = trace::Tracer::InstallGlobal(&tracer);
+int CmdTrace(int argc, char** argv) {
+  const sim::SimFlags net = sim::SimFlagsFromArgs(&argc, argv);
+  std::string chrome_json;
+  std::string trace_json;
+  std::string structlog_json;
+  flags::StringFlagFromArgs(&argc, argv, "chrome-json", &chrome_json);
+  flags::StringFlagFromArgs(&argc, argv, "trace-json", &trace_json);
+  flags::StringFlagFromArgs(&argc, argv, "structlog", &structlog_json);
+  const bool check_bounds = flags::SwitchFromArgs(&argc, argv, "check-bounds");
+  if (Status st = flags::LeftoverArgs(argc, argv); !st.ok()) return Usage(st);
 
+  trace::Tracer tracer;
+  trace::Tracer* previous = trace::Tracer::InstallGlobal(&tracer);
   trace::StructLogTracer structlog;
   trace::GasBoundsChecker bounds;
 
@@ -857,31 +679,14 @@ int CmdTrace(const sim::SimFlags& sim_flags, const TraceFlags& flags) {
   chain::Blockchain chain;
   chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
   chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-  if (!flags.structlog_json.empty()) chain.set_step_tracer(&structlog);
-  if (flags.check_bounds) chain.set_bounds_checker(&bounds);
+  if (!structlog_json.empty()) chain.set_step_tracer(&structlog);
+  if (check_bounds) chain.set_bounds_checker(&bounds);
 
-  core::MessageBus bus;
-  contracts::OffchainConfig offchain;
-  offchain.secret_alice = U256(0xa11ce);
-  offchain.secret_bob = U256(0xb0b);
-  offchain.reveal_iterations = 20;
-
-  sim::Scheduler sched;
-  uint64_t state = sim_flags.seed;
-  sim::SimTransport transport(&sched, sim::SplitMix64(&state));
-  sim::LinkConfig cfg;
-  cfg.latency_ms = sim_flags.latency_ms;
-  cfg.jitter_ms = sim_flags.jitter_ms;
-  cfg.loss = sim_flags.loss;
-  transport.SetLink(alice.EthAddress().ToHex(), "chain", cfg);
-  transport.SetLink(bob.EthAddress().ToHex(), "chain", cfg);
-
-  core::BettingProtocol protocol(&chain, &bus, alice, bob, offchain,
-                                 contracts::Ether(1));
-  protocol.BindSimulation(&sched, &transport);
+  uint64_t state = net.seed;
   core::Behavior dishonest;
   dishonest.admit_loss = false;
-  auto report = protocol.Run(dishonest, dishonest);
+  auto report = RunSimBet(&chain, alice, bob, net, sim::SplitMix64(&state),
+                          dishonest);
   trace::Tracer::InstallGlobal(previous);
   if (!report.ok()) {
     ONOFF_LOG(log::Level::kError, "cli", "traced run failed: %s",
@@ -912,20 +717,20 @@ int CmdTrace(const sim::SimFlags& sim_flags, const TraceFlags& flags) {
   }
 
   int rc = 0;
-  if (!flags.trace_json.empty()) {
-    rc |= WriteJsonFile(tracer.ToJson(), flags.trace_json);
+  if (!trace_json.empty()) {
+    rc |= WriteJsonFile(tracer.ToJson(), trace_json);
   }
-  if (!flags.chrome_json.empty()) {
-    rc |= WriteJsonFile(tracer.ToChromeTrace(), flags.chrome_json);
+  if (!chrome_json.empty()) {
+    rc |= WriteJsonFile(tracer.ToChromeTrace(), chrome_json);
   }
-  if (!flags.structlog_json.empty()) {
+  if (!structlog_json.empty()) {
     std::printf("structLog: %llu steps (%llu dropped), %zu frames\n",
                 static_cast<unsigned long long>(structlog.steps_seen()),
                 static_cast<unsigned long long>(structlog.records_dropped()),
                 structlog.frames().size());
-    rc |= WriteJsonFile(structlog.ToJson(), flags.structlog_json);
+    rc |= WriteJsonFile(structlog.ToJson(), structlog_json);
   }
-  if (flags.check_bounds) {
+  if (check_bounds) {
     std::printf("gas bounds: %llu checks, %llu violations\n",
                 static_cast<unsigned long long>(bounds.checks()),
                 static_cast<unsigned long long>(bounds.violations()));
@@ -934,78 +739,11 @@ int CmdTrace(const sim::SimFlags& sim_flags, const TraceFlags& flags) {
   return rc;
 }
 
-// Demo/diagnostic for the optimistic parallel executor: mines `blocks`
-// blocks of `senders` value transfers under ExecMode::kParallel with the
-// serial-equivalence assertion enabled, then reports the speculation
-// counters. Exits non-zero if any block fails to pack fully (the
-// equivalence assertion aborts on its own if parallel diverges).
-int CmdParexec(size_t senders, uint64_t blocks) {
-  chain::ChainConfig config;
-  config.exec_mode = chain::ExecMode::kParallel;
-  config.assert_parallel_equivalence = true;
-  config.max_txs_per_block = senders;
-  chain::Blockchain bc(config);
-
-  std::vector<secp256k1::PrivateKey> keys;
-  for (size_t i = 0; i < senders; ++i) {
-    keys.push_back(
-        secp256k1::PrivateKey::FromSeed("parexec-" + std::to_string(i)));
-    bc.FundAccount(keys.back().EthAddress(), contracts::Ether(10));
-  }
-  uint64_t last_block = 0;
-  for (uint64_t b = 0; b < blocks; ++b) {
-    for (size_t i = 0; i < senders; ++i) {
-      // Half the senders pay a shared recipient (conflicting), half pay
-      // their own (disjoint), so both commit paths run.
-      Address to = i % 2 == 0 ? keys[0].EthAddress()
-                              : keys[(i + 1) % senders].EthAddress();
-      auto hash = bc.SendTransaction(keys[i], to, U256(1), {}, 21'000);
-      if (!hash.ok()) {
-        std::fprintf(stderr, "submit failed: %s\n",
-                     hash.status().ToString().c_str());
-        return 1;
-      }
-    }
-    const chain::Block& block = bc.MineBlock();
-    last_block = block.header.number;
-    if (block.transactions.size() != senders) {
-      std::fprintf(stderr, "block %llu packed %zu/%zu txs\n",
-                   static_cast<unsigned long long>(block.header.number),
-                   block.transactions.size(), senders);
-      return 1;
-    }
-  }
-  std::printf("mined %llu parallel blocks x %zu txs, final state root %s\n",
-              static_cast<unsigned long long>(last_block), senders,
-              ToHex0x(BytesView(bc.blocks().back().header.state_root.data(),
-                                32))
-                  .c_str());
-  if (obs::Registry* reg = obs::Registry::Global()) {
-    std::printf("  speculation waves:  %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.waves")));
-    std::printf("  txs speculated:     %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.speculated")));
-    std::printf("  committed verbatim: %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.committed")));
-    std::printf("  conflicts:          %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.conflicts")));
-    std::printf("  re-executed:        %llu\n",
-                static_cast<unsigned long long>(
-                    reg->CounterValue("chain.parallel.reexecuted")));
-  }
-  std::printf("serial-equivalence assertion held for every block\n");
-  return 0;
-}
-
-// Demo/diagnostic for the persistent authenticated state store: mines
-// `blocks` blocks of balance churn with persistence into `db_path`, prints
-// the node-store growth per block, demonstrates a historical lookup against
-// a pruned-out vs retained root, and compacts the log. Run it twice on the
-// same path to see the log replay restore the store.
+// The persistent authenticated state store: mines `blocks` blocks of
+// balance churn with persistence into `db_path`, prints the node-store
+// growth per block, and demonstrates a historical lookup against a
+// pruned-out vs retained root. Run it twice on the same path to see the
+// log replay restore the store.
 int CmdStorage(const std::string& db_path, uint64_t blocks,
                uint64_t history) {
   chain::ChainConfig config;
@@ -1067,79 +805,57 @@ int CmdStorage(const std::string& db_path, uint64_t blocks,
   return 0;
 }
 
+// Each subcommand sees argv from its own name on, takes its flags and leaves
+// only its operands; anything else is a usage error, caught before the
+// command does any work.
 int Dispatch(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string cmd = argv[1];
-  if (cmd == "keygen" && argc == 3) return CmdKeygen(argv[2]);
-  if (cmd == "selector" && argc == 3) return CmdSelector(argv[2]);
-  if (cmd == "keccak" && argc == 3) return CmdKeccak(argv[2]);
-  if (cmd == "asm" && argc == 3) return CmdAsm(argv[2]);
-  if (cmd == "disasm" && argc == 3) return CmdDisasm(argv[2]);
-  if (cmd == "sign" && argc == 4) return CmdSign(argv[2], argv[3]);
-  if (cmd == "lint" && argc == 3) return CmdLint(argv[2], /*json=*/false);
-  if (cmd == "lint" && argc == 4 && std::strcmp(argv[2], "--json") == 0) {
-    return CmdLint(argv[3], /*json=*/true);
+  const std::string cmd = argv[1];
+  --argc;
+  ++argv;
+  if (cmd == "lint") return CmdLint(argc, argv);
+  if (cmd == "trace") return CmdTrace(argc, argv);
+  if (cmd == "health") return CmdHealth(argc, argv);
+  if (Status st = flags::LeftoverArgs(argc, argv, 3); !st.ok()) {
+    return Usage(st);
   }
-  if (cmd == "parexec" && argc >= 2 && argc <= 4) {
-    size_t senders = argc >= 3 ? std::strtoull(argv[2], nullptr, 10) : 8;
-    uint64_t blocks = argc == 4 ? std::strtoull(argv[3], nullptr, 10) : 4;
-    if (senders < 2 || blocks == 0) return Usage();
-    return CmdParexec(senders, blocks);
+  const int operands = argc - 1;
+  if (cmd == "keygen" && operands == 1) return CmdKeygen(argv[1]);
+  if (cmd == "selector" && operands == 1) return CmdSelector(argv[1]);
+  if (cmd == "keccak" && operands == 1) return CmdKeccak(argv[1]);
+  if (cmd == "asm" && operands == 1) return CmdAsm(argv[1]);
+  if (cmd == "disasm" && operands == 1) return CmdDisasm(argv[1]);
+  if (cmd == "sign" && operands == 2) return CmdSign(argv[1], argv[2]);
+  if (cmd == "betting" && (operands == 2 || operands == 3)) {
+    std::optional<uint64_t> iters =
+        operands == 3 ? flags::ParseU64(argv[3]) : uint64_t{10};
+    if (!iters) return Usage();
+    return CmdBetting(argv[1], argv[2], *iters);
   }
-  if (cmd == "betting" && (argc == 4 || argc == 5)) {
-    return CmdBetting(argv[2], argv[3],
-                      argc == 5 ? std::strtoull(argv[4], nullptr, 10) : 10);
-  }
-  if (cmd == "storage" && argc >= 2 && argc <= 5) {
-    std::string db_path = argc >= 3 ? argv[2] : "";
-    uint64_t blocks = argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 8;
-    uint64_t history = argc == 5 ? std::strtoull(argv[4], nullptr, 10) : 4;
-    if (blocks == 0) return Usage();
-    return CmdStorage(db_path, blocks, history);
+  if (cmd == "storage") {
+    std::optional<uint64_t> blocks =
+        operands >= 2 ? flags::ParseU64(argv[2]) : uint64_t{8};
+    std::optional<uint64_t> history =
+        operands == 3 ? flags::ParseU64(argv[3]) : uint64_t{4};
+    if (!blocks || *blocks == 0 || !history) return Usage();
+    return CmdStorage(operands >= 1 ? argv[1] : "", *blocks, *history);
   }
   return Usage();
-}
-
-int DispatchWithSimFlags(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "simdispute") == 0) {
-    sim::SimFlags defaults;
-    defaults.trials = 3;
-    sim::SimFlags flags = sim::SimFlagsFromArgs(&argc, argv, defaults);
-    if (argc != 2) return Usage();  // leftover unknown arguments
-    return CmdSimDispute(flags);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "trace") == 0) {
-    TraceFlags trace_flags = TraceFlagsFromArgs(&argc, argv);
-    sim::SimFlags defaults;
-    defaults.trials = 1;
-    sim::SimFlags sim_flags = sim::SimFlagsFromArgs(&argc, argv, defaults);
-    if (argc != 2) return Usage();  // leftover unknown arguments
-    return CmdTrace(sim_flags, trace_flags);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "health") == 0) {
-    HealthFlags health_flags = HealthFlagsFromArgs(&argc, argv);
-    sim::SimFlags defaults;
-    defaults.trials = 4;
-    sim::SimFlags sim_flags = sim::SimFlagsFromArgs(&argc, argv, defaults);
-    if (argc != 2) return Usage();  // leftover unknown arguments
-    return CmdHealth(sim_flags, health_flags);
-  }
-  return Dispatch(argc, argv);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  log::SetLevel(log::LevelFromArgs(&argc, argv));
+  log::LevelFromArgs(&argc, argv);
   // `lint --json` selects the lint document format; mask it from the
   // generic --json/--metrics-json extraction (which would treat the next
   // argument as the metrics output path). --metrics-json still works.
-  bool lint_json = argc >= 3 && std::strcmp(argv[1], "lint") == 0 &&
-                   std::strcmp(argv[2], "--json") == 0;
+  bool lint_json = argc >= 3 && std::string_view(argv[1]) == "lint" &&
+                   std::string_view(argv[2]) == "--json";
   if (lint_json) argv[2] = const_cast<char*>("--lint-json");
   std::string metrics_path = obs::JsonPathFromArgsOrExit(&argc, argv, "");
   if (lint_json) argv[2] = const_cast<char*>("--json");
-  int rc = DispatchWithSimFlags(argc, argv);
+  int rc = Dispatch(argc, argv);
   if (!metrics_path.empty()) {
     obs::Registry* registry = obs::Registry::Global();
     if (registry == nullptr) {
