@@ -1,6 +1,7 @@
 // Signature hot-path microbenchmarks: sign / verify / recover ops/sec on the
 // library's secp256k1 path, the field kernels behind them, keccak256 of a
-// hash-sized input and of a full trie branch node, and end-to-end chain
+// hash-sized input, of a full trie branch node and of 64 KiB, SHA-256 of
+// 32 B and 64 KiB, the RLP encoding of a transaction, and end-to-end chain
 // verification with serial vs parallel sender pre-recovery. Emits
 // BENCH_crypto.json (onoffchain-bench-v1 schema).
 //
@@ -15,6 +16,7 @@
 
 #include "chain/validator.h"
 #include "crypto/secp256k1.h"
+#include "crypto/sha256.h"
 #include "obs/export.h"
 #include "support/flags.h"
 #include "support/thread_pool.h"
@@ -192,22 +194,44 @@ int main(int argc, char** argv) {
   PrintOp("field inv", field_inv);
   if (elem.IsZero()) std::printf("(unreachable)\n");  // keep elem live
 
-  // Keccak-256 of 32 bytes (a key or code hash: one permutation) and of 532
-  // bytes (a full 16-child branch node: four). Each digest is folded into
-  // the next input, so the calls cannot be hoisted.
+  // Keccak-256 of 32 bytes (a key or code hash: one permutation), of 532
+  // bytes (a full 16-child branch node: four) and of 64 KiB, and SHA-256
+  // (the precompile) of 32 bytes and 64 KiB. Each digest is folded into the
+  // next input, so the calls cannot be hoisted.
   Hash32 digest = digests[0];
-  auto time_keccak = [&digest](int calls, size_t len) {
+  auto time_hash = [&digest](int calls, size_t len, Hash32 (*hash)(BytesView)) {
     Bytes input(len, 0xa5);
     return TimeOp(calls, [&](int) {
       std::copy(digest.begin(), digest.end(), input.begin());
-      digest = Keccak256(input);
+      digest = hash(input);
     });
   };
-  double keccak_32 = time_keccak(iters * 250, 32);
+  double keccak_32 = time_hash(iters * 250, 32, &Keccak256);
   PrintOp("keccak256 32 B", keccak_32);
-  double keccak_532 = time_keccak(iters * 50, 532);
+  double keccak_532 = time_hash(iters * 50, 532, &Keccak256);
   PrintOp("keccak256 532 B", keccak_532);
+  double keccak_64k = time_hash(iters, 65536, &Keccak256);
+  PrintOp("keccak256 64 KiB", keccak_64k);
+  double sha256_32 = time_hash(iters * 250, 32, &Sha256);
+  PrintOp("sha256 32 B", sha256_32);
+  double sha256_64k = time_hash(iters, 65536, &Sha256);
+  PrintOp("sha256 64 KiB", sha256_64k);
   if (digest == Hash32{}) std::printf("(unreachable)\n");  // keep digest live
+
+  // RLP encoding of a call transaction with 200 bytes of calldata; the
+  // encoded sizes are summed so the calls cannot be dropped.
+  chain::Transaction rlp_tx;
+  rlp_tx.nonce = 42;
+  rlp_tx.gas_price = U256(20);
+  rlp_tx.gas_limit = 100'000;
+  rlp_tx.to = Address();
+  rlp_tx.data = Bytes(200, 0x60);
+  size_t encoded_bytes = 0;
+  double rlp_encode = TimeOp(iters * 50, [&](int) {
+    encoded_bytes += rlp_tx.Encode().size();
+  });
+  PrintOp("rlp encode tx", rlp_encode);
+  if (encoded_bytes == 0) std::printf("(unreachable)\n");  // keep it live
 
   // End-to-end: verify a freshly built chain, serial vs parallel sender
   // pre-recovery, as a node would run it.
@@ -236,6 +260,10 @@ int main(int argc, char** argv) {
           .Set("field_inv", OpJson(field_inv))
           .Set("keccak256_32", OpJson(keccak_32))
           .Set("keccak256_532", OpJson(keccak_532))
+          .Set("keccak256_65536", OpJson(keccak_64k))
+          .Set("sha256_32", OpJson(sha256_32))
+          .Set("sha256_65536", OpJson(sha256_64k))
+          .Set("rlp_encode_tx", OpJson(rlp_encode))
           .Set("verify_chain",
                obs::Json::Object()
                    .Set("blocks", obs::Json::Int(blocks))

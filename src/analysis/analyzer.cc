@@ -77,123 +77,56 @@ GasBound PerWordCost(uint64_t per_word, std::optional<uint64_t> bytes) {
 
 // An upper bound on what the interpreter charges for `ins`, given the
 // abstract stack BEFORE the instruction executes. Callers have already
-// verified the stack holds at least stack_in items.
+// verified the stack holds at least stack_in items. Every execution pays
+// the opcode table's static_gas; the opcodes whose charge has a runtime-
+// dependent part add its worst case.
 GasBound InstrWorstGas(const Instruction& ins, const AbstractStack& stack,
                        const AnalysisOptions& opt) {
   uint8_t op = ins.opcode;
   uint64_t maxd = opt.max_dynamic_bytes;
-  if (evm::IsPush(op) || evm::IsDup(op) || evm::IsSwap(op)) {
-    return GasBound{true, gas::kVeryLow};
-  }
+  GasBound fixed{true, GetOpcodeInfo(op).static_gas};
   if (evm::IsLog(op)) {
-    uint64_t topics = static_cast<uint64_t>(evm::LogTopics(op));
-    GasBound cost{true, gas::kLog + topics * gas::kLogTopic};
     std::optional<uint64_t> bytes = WorstBytes(At(stack, 1), maxd);
     if (!bytes.has_value()) return GasBound::Unbounded();
-    cost = cost + GasBound{true, gas::kLogData * *bytes};
-    return cost + MemCost(At(stack, 0), At(stack, 1), maxd);
+    return fixed + GasBound{true, gas::kLogData * *bytes} +
+           MemCost(At(stack, 0), At(stack, 1), maxd);
   }
   switch (static_cast<Opcode>(op)) {
-    case Opcode::STOP:
-      return GasBound{true, 0};
-    case Opcode::ADD:
-    case Opcode::SUB:
-    case Opcode::LT:
-    case Opcode::GT:
-    case Opcode::SLT:
-    case Opcode::SGT:
-    case Opcode::EQ:
-    case Opcode::ISZERO:
-    case Opcode::AND:
-    case Opcode::OR:
-    case Opcode::XOR:
-    case Opcode::NOT:
-    case Opcode::BYTE:
-    case Opcode::SHL:
-    case Opcode::SHR:
-    case Opcode::SAR:
-    case Opcode::CALLDATALOAD:
-      return GasBound{true, gas::kVeryLow};
-    case Opcode::MUL:
-    case Opcode::DIV:
-    case Opcode::SDIV:
-    case Opcode::MOD:
-    case Opcode::SMOD:
-    case Opcode::SIGNEXTEND:
-      return GasBound{true, gas::kLow};
-    case Opcode::ADDMOD:
-    case Opcode::MULMOD:
-      return GasBound{true, gas::kMid};
     case Opcode::EXP: {
       const AbstractValue& exponent = At(stack, 1);
       uint64_t bytes = 32;
       if (exponent.known) {
         bytes = static_cast<uint64_t>((exponent.value.BitLength() + 7) / 8);
       }
-      return GasBound{true, gas::kExp + gas::kExpByte * bytes};
+      return fixed + GasBound{true, gas::kExpByte * bytes};
     }
     case Opcode::SHA3: {
       GasBound words = PerWordCost(gas::kSha3Word, WorstBytes(At(stack, 1), maxd));
-      return GasBound{true, gas::kSha3} + words +
-             MemCost(At(stack, 0), At(stack, 1), maxd);
+      return fixed + words + MemCost(At(stack, 0), At(stack, 1), maxd);
     }
-    case Opcode::ADDRESS:
-    case Opcode::ORIGIN:
-    case Opcode::CALLER:
-    case Opcode::CALLVALUE:
-    case Opcode::CALLDATASIZE:
-    case Opcode::CODESIZE:
-    case Opcode::GASPRICE:
-    case Opcode::RETURNDATASIZE:
-    case Opcode::COINBASE:
-    case Opcode::TIMESTAMP:
-    case Opcode::NUMBER:
-    case Opcode::DIFFICULTY:
-    case Opcode::GASLIMIT:
-    case Opcode::POP:
-    case Opcode::PC:
-    case Opcode::MSIZE:
-    case Opcode::GAS:
-      return GasBound{true, gas::kBase};
-    case Opcode::BALANCE:
-      return GasBound{true, gas::kBalance};
-    case Opcode::EXTCODESIZE:
-      return GasBound{true, gas::kExtCode};
-    case Opcode::BLOCKHASH:
-      return GasBound{true, gas::kBlockhash};
     case Opcode::CALLDATACOPY:
     case Opcode::CODECOPY:
     case Opcode::RETURNDATACOPY:
-      return GasBound{true, gas::kVeryLow} +
-             PerWordCost(gas::kCopy, WorstBytes(At(stack, 2), maxd)) +
+      return fixed + PerWordCost(gas::kCopy, WorstBytes(At(stack, 2), maxd)) +
              MemCost(At(stack, 0), At(stack, 2), maxd);
     case Opcode::EXTCODECOPY:
-      return GasBound{true, gas::kExtCode} +
-             PerWordCost(gas::kCopy, WorstBytes(At(stack, 3), maxd)) +
+      return fixed + PerWordCost(gas::kCopy, WorstBytes(At(stack, 3), maxd)) +
              MemCost(At(stack, 1), At(stack, 3), maxd);
     case Opcode::MLOAD:
     case Opcode::MSTORE:
-      return GasBound{true, gas::kVeryLow} +
+      return fixed +
              MemCost(At(stack, 0), AbstractValue::Constant(U256(32)), maxd);
     case Opcode::MSTORE8:
-      return GasBound{true, gas::kVeryLow} +
+      return fixed +
              MemCost(At(stack, 0), AbstractValue::Constant(U256(1)), maxd);
-    case Opcode::SLOAD:
-      return GasBound{true, gas::kSload};
     case Opcode::SSTORE:
       // Worst case: writing a non-zero value into an empty slot.
-      return GasBound{true, gas::kSstoreSet};
-    case Opcode::JUMP:
-      return GasBound{true, gas::kMid};
-    case Opcode::JUMPI:
-      return GasBound{true, gas::kHigh};
-    case Opcode::JUMPDEST:
-      return GasBound{true, gas::kJumpdest};
+      return fixed + GasBound{true, gas::kSstoreSet};
     case Opcode::RETURN:
     case Opcode::REVERT:
-      return MemCost(At(stack, 0), At(stack, 1), maxd);
+      return fixed + MemCost(At(stack, 0), At(stack, 1), maxd);
     case Opcode::SELFDESTRUCT:
-      return GasBound{true, gas::kSelfdestruct + gas::kCallNewAccount};
+      return fixed + GasBound{true, gas::kCallNewAccount};
     case Opcode::CREATE:
     case Opcode::CREATE2:
       // Forwards all but one 64th of the remaining gas.
@@ -204,7 +137,7 @@ GasBound InstrWorstGas(const Instruction& ins, const AbstractStack& stack,
     case Opcode::STATICCALL: {
       bool has_value = op == static_cast<uint8_t>(Opcode::CALL) ||
                        op == static_cast<uint8_t>(Opcode::CALLCODE);
-      GasBound cost{true, gas::kCall};
+      GasBound cost = fixed;
       size_t in_off_depth = has_value ? 3 : 2;
       if (has_value) {
         const AbstractValue& value = At(stack, 2);
@@ -228,7 +161,7 @@ GasBound InstrWorstGas(const Instruction& ins, const AbstractStack& stack,
       return cost + GasBound{true, gas_req.value.low64()};
     }
     default:
-      return GasBound{true, 0};
+      return fixed;
   }
 }
 

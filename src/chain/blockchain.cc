@@ -460,25 +460,14 @@ const Block& Blockchain::MineBlock() {
                 "parallel state root diverged from serial in block %llu",
                 static_cast<unsigned long long>(number));
       obs::ViolationReport report;
-      report.invariant = "receipt_root";
       report.message = "parallel state root diverged from serial replay";
       report.block_height = number;
-      report.trace_id = trace::CurrentContext().trace_id;
       report.values = {
           {"serial_root",
            ToHex0x(BytesView(pending_replay_root_->data(), 32))},
           {"parallel_root",
            ToHex0x(BytesView(block.header.state_root.data(), 32))}};
-      // Capture evidence before dying: through the auditor sink when one is
-      // configured (it logs, counts and dumps), else straight to the
-      // recorder.
-      if (auditor_ != nullptr) {
-        auditor_->sink().Report(std::move(report));
-      } else if (obs::FlightRecorder* rec = obs::FlightRecorder::Global()) {
-        obs::Json violation = report.ToJson();
-        rec->DumpOnIncident("equivalence-abort", &violation);
-      }
-      std::abort();
+      AbortOnDivergence(std::move(report));
     }
     pending_replay_root_.reset();
   }
@@ -663,19 +652,11 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
                   "block %llu",
                   i, static_cast<unsigned long long>(block_number));
         obs::ViolationReport report;
-        report.invariant = "receipt_root";
         report.message = "parallel receipt diverged from serial replay";
         report.block_height = block_number;
         report.tx_hash = ToHex0x(BytesView(receipts[i].tx_hash.data(), 32));
-        report.trace_id = trace::CurrentContext().trace_id;
         report.values = {{"tx_index", std::to_string(i)}};
-        if (auditor_ != nullptr) {
-          auditor_->sink().Report(std::move(report));
-        } else if (obs::FlightRecorder* rec = obs::FlightRecorder::Global()) {
-          obs::Json violation = report.ToJson();
-          rec->DumpOnIncident("equivalence-abort", &violation);
-        }
-        std::abort();
+        AbortOnDivergence(std::move(report));
       }
     }
     // Defer the root comparison: MineBlock computes the live state's root
@@ -684,6 +665,20 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
     pending_replay_root_ = replay.StateRoot();
   }
   return receipts;
+}
+
+void Blockchain::AbortOnDivergence(obs::ViolationReport report) {
+  report.invariant = "receipt_root";
+  report.trace_id = trace::CurrentContext().trace_id;
+  // Capture evidence before dying: through the auditor sink when one is
+  // configured (it logs, counts and dumps), else straight to the recorder.
+  if (auditor_ != nullptr) {
+    auditor_->sink().Report(std::move(report));
+  } else if (obs::FlightRecorder* rec = obs::FlightRecorder::Global()) {
+    obs::Json violation = report.ToJson();
+    rec->DumpOnIncident("equivalence-abort", &violation);
+  }
+  std::abort();
 }
 
 void Blockchain::MineAllPending() {

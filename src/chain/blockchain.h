@@ -218,6 +218,10 @@ class Blockchain {
   // and callees whose summary is not statically schedulable.
   TxAccessHint BuildAccessHint(const Transaction& tx) const;
   evm::BlockContext MakeBlockContext(uint64_t number, uint64_t timestamp) const;
+  // A parallel result that differs from the serial replay: files `report`
+  // as a `receipt_root` violation (through the auditor's sink when auditing,
+  // else as an `equivalence-abort` bundle), then aborts.
+  [[noreturn]] void AbortOnDivergence(obs::ViolationReport report);
 
   ChainConfig config_;
   state::WorldState state_;

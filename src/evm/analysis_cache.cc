@@ -1,5 +1,6 @@
 #include "evm/analysis_cache.h"
 
+#include <array>
 #include <cassert>
 #include <string>
 
@@ -15,187 +16,24 @@ namespace {
 // the u16 fields safe while preserving "always fails the entry check".
 constexpr long kStackSentinel = static_cast<long>(gas::kMaxStack) + 1;
 
-Handler HandlerFor(uint8_t op) {
-  if (IsPush(op)) return Handler::PUSH;
-  if (IsDup(op)) return Handler::DUP;
-  if (IsSwap(op)) return Handler::SWAP;
-  if (IsLog(op)) return Handler::LOG;
-  switch (static_cast<Opcode>(op)) {
+// Opcode byte -> the handler of its name, expanded from the handler list;
+// JUMPDEST (which opens a block and has no cell) and undefined bytes map
+// to INVALID.
+constexpr std::array<Handler, 256> kHandlerOf = [] {
+  std::array<Handler, 256> table{};
+  table.fill(Handler::INVALID);
 #define ONOFF_EVM_H_MAP(name) \
-  case Opcode::name:          \
-    return Handler::name;
-    ONOFF_EVM_H_MAP(STOP)
-    ONOFF_EVM_H_MAP(ADD)
-    ONOFF_EVM_H_MAP(MUL)
-    ONOFF_EVM_H_MAP(SUB)
-    ONOFF_EVM_H_MAP(DIV)
-    ONOFF_EVM_H_MAP(SDIV)
-    ONOFF_EVM_H_MAP(MOD)
-    ONOFF_EVM_H_MAP(SMOD)
-    ONOFF_EVM_H_MAP(ADDMOD)
-    ONOFF_EVM_H_MAP(MULMOD)
-    ONOFF_EVM_H_MAP(EXP)
-    ONOFF_EVM_H_MAP(SIGNEXTEND)
-    ONOFF_EVM_H_MAP(LT)
-    ONOFF_EVM_H_MAP(GT)
-    ONOFF_EVM_H_MAP(SLT)
-    ONOFF_EVM_H_MAP(SGT)
-    ONOFF_EVM_H_MAP(EQ)
-    ONOFF_EVM_H_MAP(ISZERO)
-    ONOFF_EVM_H_MAP(AND)
-    ONOFF_EVM_H_MAP(OR)
-    ONOFF_EVM_H_MAP(XOR)
-    ONOFF_EVM_H_MAP(NOT)
-    ONOFF_EVM_H_MAP(BYTE)
-    ONOFF_EVM_H_MAP(SHL)
-    ONOFF_EVM_H_MAP(SHR)
-    ONOFF_EVM_H_MAP(SAR)
-    ONOFF_EVM_H_MAP(SHA3)
-    ONOFF_EVM_H_MAP(ADDRESS)
-    ONOFF_EVM_H_MAP(BALANCE)
-    ONOFF_EVM_H_MAP(ORIGIN)
-    ONOFF_EVM_H_MAP(CALLER)
-    ONOFF_EVM_H_MAP(CALLVALUE)
-    ONOFF_EVM_H_MAP(CALLDATALOAD)
-    ONOFF_EVM_H_MAP(CALLDATASIZE)
-    ONOFF_EVM_H_MAP(CALLDATACOPY)
-    ONOFF_EVM_H_MAP(CODESIZE)
-    ONOFF_EVM_H_MAP(CODECOPY)
-    ONOFF_EVM_H_MAP(GASPRICE)
-    ONOFF_EVM_H_MAP(EXTCODESIZE)
-    ONOFF_EVM_H_MAP(EXTCODECOPY)
-    ONOFF_EVM_H_MAP(RETURNDATASIZE)
-    ONOFF_EVM_H_MAP(RETURNDATACOPY)
-    ONOFF_EVM_H_MAP(BLOCKHASH)
-    ONOFF_EVM_H_MAP(COINBASE)
-    ONOFF_EVM_H_MAP(TIMESTAMP)
-    ONOFF_EVM_H_MAP(NUMBER)
-    ONOFF_EVM_H_MAP(DIFFICULTY)
-    ONOFF_EVM_H_MAP(GASLIMIT)
-    ONOFF_EVM_H_MAP(POP)
-    ONOFF_EVM_H_MAP(MLOAD)
-    ONOFF_EVM_H_MAP(MSTORE)
-    ONOFF_EVM_H_MAP(MSTORE8)
-    ONOFF_EVM_H_MAP(SLOAD)
-    ONOFF_EVM_H_MAP(SSTORE)
-    ONOFF_EVM_H_MAP(JUMP)
-    ONOFF_EVM_H_MAP(JUMPI)
-    ONOFF_EVM_H_MAP(PC)
-    ONOFF_EVM_H_MAP(MSIZE)
-    ONOFF_EVM_H_MAP(GAS)
-    ONOFF_EVM_H_MAP(CREATE)
-    ONOFF_EVM_H_MAP(CALL)
-    ONOFF_EVM_H_MAP(CALLCODE)
-    ONOFF_EVM_H_MAP(RETURN)
-    ONOFF_EVM_H_MAP(DELEGATECALL)
-    ONOFF_EVM_H_MAP(CREATE2)
-    ONOFF_EVM_H_MAP(STATICCALL)
-    ONOFF_EVM_H_MAP(REVERT)
-    ONOFF_EVM_H_MAP(SELFDESTRUCT)
+  table[static_cast<uint8_t>(Opcode::name)] = Handler::name;
+#define ONOFF_EVM_H_MAP_RANGE(name, first, last)     \
+  for (int op = static_cast<int>(Opcode::first);     \
+       op <= static_cast<int>(Opcode::last); ++op) { \
+    table[op] = Handler::name;                       \
+  }
+  ONOFF_EVM_OPCODE_HANDLERS(ONOFF_EVM_H_MAP, ONOFF_EVM_H_MAP_RANGE)
 #undef ONOFF_EVM_H_MAP
-    default:
-      return Handler::INVALID;
-  }
-}
-
-// The fixed cost the switch interpreter charges via one UseGas for
-// "simple" ops. Checkpoint ops charge themselves in their handlers, so
-// they never route through here (returning 0 keeps that invariant even if
-// they did).
-uint64_t StaticCost(uint8_t op) {
-  if (IsPush(op) || IsDup(op) || IsSwap(op)) return gas::kVeryLow;
-  switch (static_cast<Opcode>(op)) {
-    case Opcode::ADD:
-    case Opcode::SUB:
-    case Opcode::LT:
-    case Opcode::GT:
-    case Opcode::SLT:
-    case Opcode::SGT:
-    case Opcode::EQ:
-    case Opcode::ISZERO:
-    case Opcode::AND:
-    case Opcode::OR:
-    case Opcode::XOR:
-    case Opcode::NOT:
-    case Opcode::BYTE:
-    case Opcode::SHL:
-    case Opcode::SHR:
-    case Opcode::SAR:
-    case Opcode::CALLDATALOAD:
-      return gas::kVeryLow;
-    case Opcode::MUL:
-    case Opcode::DIV:
-    case Opcode::SDIV:
-    case Opcode::MOD:
-    case Opcode::SMOD:
-    case Opcode::SIGNEXTEND:
-      return gas::kLow;
-    case Opcode::ADDMOD:
-    case Opcode::MULMOD:
-    case Opcode::JUMP:
-      return gas::kMid;
-    case Opcode::JUMPI:
-      return gas::kHigh;
-    case Opcode::ADDRESS:
-    case Opcode::ORIGIN:
-    case Opcode::CALLER:
-    case Opcode::CALLVALUE:
-    case Opcode::CALLDATASIZE:
-    case Opcode::CODESIZE:
-    case Opcode::GASPRICE:
-    case Opcode::RETURNDATASIZE:
-    case Opcode::COINBASE:
-    case Opcode::TIMESTAMP:
-    case Opcode::NUMBER:
-    case Opcode::DIFFICULTY:
-    case Opcode::GASLIMIT:
-    case Opcode::POP:
-    case Opcode::PC:
-    case Opcode::MSIZE:
-      return gas::kBase;
-    case Opcode::BALANCE:
-      return gas::kBalance;
-    case Opcode::EXTCODESIZE:
-      return gas::kExtCode;
-    case Opcode::SLOAD:
-      return gas::kSload;
-    case Opcode::BLOCKHASH:
-      return gas::kBlockhash;
-    case Opcode::JUMPDEST:
-      return gas::kJumpdest;
-    default:
-      return 0;
-  }
-}
-
-// Ops whose handler must run with the exact gas the switch interpreter
-// would have at that pc: they observe gas (GAS, CALL-family forwarding),
-// charge dynamic gas, or can fail for a non-gas reason mid-block.
-bool IsCheckpoint(uint8_t op) {
-  if (IsLog(op)) return true;
-  switch (static_cast<Opcode>(op)) {
-    case Opcode::SHA3:
-    case Opcode::CALLDATACOPY:
-    case Opcode::CODECOPY:
-    case Opcode::EXTCODECOPY:
-    case Opcode::RETURNDATACOPY:
-    case Opcode::EXP:
-    case Opcode::MLOAD:
-    case Opcode::MSTORE:
-    case Opcode::MSTORE8:
-    case Opcode::SSTORE:
-    case Opcode::GAS:
-    case Opcode::CREATE:
-    case Opcode::CREATE2:
-    case Opcode::CALL:
-    case Opcode::CALLCODE:
-    case Opcode::DELEGATECALL:
-    case Opcode::STATICCALL:
-      return true;
-    default:
-      return false;
-  }
-}
+#undef ONOFF_EVM_H_MAP_RANGE
+  return table;
+}();
 
 }  // namespace
 
@@ -271,34 +109,12 @@ U256 EvalBinop(Handler h, const U256& a, const U256& b) {
 }
 
 bool IsFusableBinop(uint8_t op) {
-  switch (static_cast<Opcode>(op)) {
-    case Opcode::ADD:
-    case Opcode::MUL:
-    case Opcode::SUB:
-    case Opcode::DIV:
-    case Opcode::SDIV:
-    case Opcode::MOD:
-    case Opcode::SMOD:
-    case Opcode::SIGNEXTEND:
-    case Opcode::LT:
-    case Opcode::GT:
-    case Opcode::SLT:
-    case Opcode::SGT:
-    case Opcode::EQ:
-    case Opcode::AND:
-    case Opcode::OR:
-    case Opcode::XOR:
-    case Opcode::BYTE:
-    case Opcode::SHL:
-    case Opcode::SHR:
-    case Opcode::SAR:
-      return true;
-    default:
-      return false;
-  }
+  const OpcodeInfo& info = GetOpcodeInfo(op);
+  return info.defined && !info.dynamic_gas && info.stack_in == 2 &&
+         info.stack_out == 1;
 }
 
-Handler BinopHandler(uint8_t op) { return HandlerFor(op); }
+Handler BinopHandler(uint8_t op) { return kHandlerOf[op]; }
 
 CodeAnalysis Analyze(const Bytes& code) {
   CodeAnalysis an;
@@ -377,7 +193,8 @@ CodeAnalysis Analyze(const Bytes& code) {
     open = true;
   };
 
-  // Records one original opcode: counters list + stack accounting.
+  // Records one original opcode: counters list, stack accounting, and its
+  // gas hoisted into the segment unless its handler charges it.
   auto account = [&](uint8_t byte) {
     an.ops.push_back(byte);
     const OpcodeInfo& info = GetOpcodeInfo(byte);
@@ -387,6 +204,7 @@ CodeAnalysis Analyze(const Bytes& code) {
       h += static_cast<long>(info.stack_out) - need;
       if (h > maxh) maxh = h;
     }
+    if (!info.dynamic_gas) seg_gas += info.static_gas;
   };
 
   auto emit = [&](Handler hd, uint32_t imm, size_t pc, uint8_t arg) {
@@ -425,7 +243,6 @@ CodeAnalysis Analyze(const Bytes& code) {
       open_block(pc);  // a jump target always begins a fresh block
       an.jump_cell[pc] = static_cast<int32_t>(blk_cell);
       account(byte);
-      seg_gas += gas::kJumpdest;
       ++pc;
       continue;
     }
@@ -447,7 +264,6 @@ CodeAnalysis Analyze(const Bytes& code) {
         if (b2 == static_cast<uint8_t>(Opcode::JUMP)) {
           account(byte);
           account(b2);
-          seg_gas += gas::kVeryLow + gas::kMid;
           bool ok = v.FitsUint64() && v.low64() < n && an.jumpdests[v.low64()];
           if (ok) {
             uint32_t ci = emit(Handler::PUSH_JUMP, 0, pc, 0);
@@ -462,7 +278,6 @@ CodeAnalysis Analyze(const Bytes& code) {
         if (b2 == static_cast<uint8_t>(Opcode::JUMPI)) {
           account(byte);
           account(b2);
-          seg_gas += gas::kVeryLow + gas::kHigh;
           bool ok = v.FitsUint64() && v.low64() < n && an.jumpdests[v.low64()];
           uint32_t ci = emit(
               ok ? Handler::PUSH_JUMPI : Handler::PUSH_JUMPI_BAD, 0, pc, 0);
@@ -480,10 +295,9 @@ CodeAnalysis Analyze(const Bytes& code) {
             account(byte);
             account(b2);
             account(b3);
-            seg_gas += 2 * gas::kVeryLow + StaticCost(b3);
             // The second push is on top, so it binds to the switch's
             // first-popped operand.
-            U256 folded = EvalBinop(HandlerFor(b3), v2, v);
+            U256 folded = EvalBinop(kHandlerOf[b3], v2, v);
             emit(Handler::PUSH, pool_index(folded), pc, 0);
             pc = after2 + 1;
             continue;
@@ -492,15 +306,13 @@ CodeAnalysis Analyze(const Bytes& code) {
         if (IsFusableBinop(b2)) {
           account(byte);
           account(b2);
-          seg_gas += gas::kVeryLow + StaticCost(b2);
           emit(Handler::PUSH_BINOP, pool_index(v), pc,
-               static_cast<uint8_t>(HandlerFor(b2)));
+               static_cast<uint8_t>(kHandlerOf[b2]));
           pc = after + 1;
           continue;
         }
       }
       account(byte);
-      seg_gas += gas::kVeryLow;
       emit(Handler::PUSH, pool_index(v), pc, 0);
       pc = after;
       continue;
@@ -508,8 +320,7 @@ CodeAnalysis Analyze(const Bytes& code) {
     if (IsDup(byte)) {
       if (pc + 1 < n && code[pc + 1] == static_cast<uint8_t>(Opcode::MLOAD)) {
         account(byte);
-        account(code[pc + 1]);
-        seg_gas += gas::kVeryLow;  // the DUP; MLOAD charges itself
+        account(code[pc + 1]);  // MLOAD charges itself
         flush_segment();
         emit(Handler::DUP_MLOAD, 0, pc,
              static_cast<uint8_t>(DupDepth(byte)));
@@ -518,37 +329,26 @@ CodeAnalysis Analyze(const Bytes& code) {
         continue;
       }
       account(byte);
-      seg_gas += gas::kVeryLow;
       emit(Handler::DUP, 0, pc, static_cast<uint8_t>(DupDepth(byte)));
       ++pc;
       continue;
     }
     if (IsSwap(byte)) {
       account(byte);
-      seg_gas += gas::kVeryLow;
       emit(Handler::SWAP, 0, pc, static_cast<uint8_t>(SwapDepth(byte)));
       ++pc;
       continue;
     }
-    if (IsLog(byte)) {
-      account(byte);
-      flush_segment();
-      emit(Handler::LOG, 0, pc, static_cast<uint8_t>(LogTopics(byte)));
-      charge = emit(Handler::CHARGE, 0, pc + 1, 0);
-      ++pc;
-      continue;
-    }
     account(byte);
-    if (IsCheckpoint(byte)) {
+    emit(kHandlerOf[byte], 0, pc,
+         IsLog(byte) ? static_cast<uint8_t>(LogTopics(byte)) : 0);
+    if (info.dynamic_gas && !info.terminator) {
+      // A checkpoint charges its own gas; the static gas of the ops after
+      // it hangs off a CHARGE cell.
       flush_segment();
-      emit(HandlerFor(byte), 0, pc, 0);
       charge = emit(Handler::CHARGE, 0, pc + 1, 0);
-      ++pc;
-      continue;
-    }
-    seg_gas += StaticCost(byte);
-    emit(HandlerFor(byte), 0, pc, 0);
-    if (info.terminator || byte == static_cast<uint8_t>(Opcode::JUMPI)) {
+    } else if (info.terminator ||
+               byte == static_cast<uint8_t>(Opcode::JUMPI)) {
       close_block();
     }
     ++pc;

@@ -20,11 +20,12 @@
 // cell stream must be byte-identical to the reference switch interpreter
 // in every observable — outcome, gas accounting, state, logs, output, and
 // per-opcode metric totals. The two load-bearing rules are
-//   1. gas is hoisted only across "simple" ops (fixed static cost, no
-//      failure mode besides gas); every op that observes gas, charges
-//      dynamic gas, or can fail for a non-gas reason is a *checkpoint*
-//      whose handler replicates the switch sequence exactly, so remaining
-//      gas at every checkpoint equals the switch interpreter's; and
+//   1. gas is hoisted only across ops without OpcodeInfo::dynamic_gas
+//      (their whole charge is the table's static_gas, and they fail for no
+//      reason but gas); every dynamic op that does not end its block is a
+//      *checkpoint* whose handler replicates the switch sequence exactly,
+//      so remaining gas at every checkpoint equals the switch
+//      interpreter's; and
 //   2. when a hoisted check fails (block entry or segment charge), no
 //      effect of the covered ops has been applied yet, so the interpreter
 //      re-enters the reference switch loop at that pc and lets it produce
@@ -49,11 +50,14 @@
 
 namespace onoff::evm {
 
-// Handler identifiers for the threaded dispatcher. Real opcodes first,
-// then the pseudo-ops the decoder synthesizes (block bookkeeping and fused
-// superinstructions). The X-macro keeps this list and the computed-goto
-// label table in lockstep.
-#define ONOFF_EVM_HANDLER_LIST(X)                                             \
+// Handler identifiers for the threaded dispatcher, in one list of two
+// parts. Each real-opcode handler runs the opcode of its name, except that
+// R(name, first, last) runs the whole family first..last (PUSH1..PUSH32 and
+// so on). The pseudo-ops are what the decoder synthesizes: block
+// bookkeeping and fused superinstructions. The Handler enum, the
+// computed-goto label table (interp.cc) and the opcode-to-handler map
+// (analysis_cache.cc) all expand these lists.
+#define ONOFF_EVM_OPCODE_HANDLERS(X, R)                                       \
   X(STOP) X(ADD) X(MUL) X(SUB) X(DIV) X(SDIV) X(MOD) X(SMOD) X(ADDMOD)        \
   X(MULMOD) X(EXP) X(SIGNEXTEND)                                              \
   X(LT) X(GT) X(SLT) X(SGT) X(EQ) X(ISZERO) X(AND) X(OR) X(XOR) X(NOT)        \
@@ -65,15 +69,20 @@ namespace onoff::evm {
   X(BLOCKHASH) X(COINBASE) X(TIMESTAMP) X(NUMBER) X(DIFFICULTY) X(GASLIMIT)   \
   X(POP) X(MLOAD) X(MSTORE) X(MSTORE8) X(SLOAD) X(SSTORE) X(JUMP) X(JUMPI)    \
   X(PC) X(MSIZE) X(GAS)                                                       \
-  X(PUSH) X(DUP) X(SWAP) X(LOG)                                               \
+  R(PUSH, PUSH1, PUSH32) R(DUP, DUP1, DUP16) R(SWAP, SWAP1, SWAP16)           \
+  R(LOG, LOG0, LOG4)                                                          \
   X(CREATE) X(CALL) X(CALLCODE) X(RETURN) X(DELEGATECALL) X(CREATE2)          \
-  X(STATICCALL) X(REVERT) X(INVALID) X(SELFDESTRUCT)                          \
+  X(STATICCALL) X(REVERT) X(INVALID) X(SELFDESTRUCT)
+#define ONOFF_EVM_PSEUDO_HANDLERS(X)                                          \
   X(BEGIN_BLOCK) X(CHARGE) X(IMPLICIT_STOP)                                   \
   X(PUSH_JUMP) X(PUSH_JUMP_BAD) X(PUSH_JUMPI) X(PUSH_JUMPI_BAD)               \
   X(DUP_MLOAD) X(PUSH_BINOP)
+// Every handler in enum order, each as X(name) or X(name, first, last).
+#define ONOFF_EVM_HANDLER_LIST(X) \
+  ONOFF_EVM_OPCODE_HANDLERS(X, X) ONOFF_EVM_PSEUDO_HANDLERS(X)
 
 enum class Handler : uint8_t {
-#define ONOFF_EVM_H_ENUM(name) name,
+#define ONOFF_EVM_H_ENUM(name, ...) name,
   ONOFF_EVM_HANDLER_LIST(ONOFF_EVM_H_ENUM)
 #undef ONOFF_EVM_H_ENUM
       kCount,
@@ -143,7 +152,9 @@ CodeAnalysis Analyze(const Bytes& code);
 // the first-popped (top) operand, exactly as the switch cases bind it.
 U256 EvalBinop(Handler h, const U256& a, const U256& b);
 
-// True for the static-cost binary ops PUSH+binop fusion may absorb.
+// True for the static-cost binary ops PUSH+binop fusion may absorb: the
+// opcodes that pop two words, push one and have no dynamic gas (the twenty
+// arithmetic, comparison, bitwise and shift binops; EXP is dynamic).
 bool IsFusableBinop(uint8_t opcode_byte);
 
 // Handler id of a fusable binary opcode byte (IsFusableBinop must hold);

@@ -616,7 +616,7 @@ ExecResult Interpreter::RunThreaded() {
   // and Clang constant-initialize it (no racy first-call initialization
   // when frames run on multiple threads).
   static const void* const kLabels[] = {
-#define ONOFF_EVM_H_LABEL(name) &&L_##name,
+#define ONOFF_EVM_H_LABEL(name, ...) &&L_##name,
       ONOFF_EVM_HANDLER_LIST(ONOFF_EVM_H_LABEL)
 #undef ONOFF_EVM_H_LABEL
   };

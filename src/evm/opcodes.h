@@ -1,6 +1,9 @@
 // EVM opcode set (Byzantium/Constantinople era, matching the paper's 2019
 // Kovan deployment target) plus per-opcode metadata used by the interpreter,
-// assembler and disassembler.
+// assembler and disassembler. The table is also the one place the fixed
+// part of each opcode's gas is written down for the threaded decoder and
+// the static analyzer; the reference switch loop keeps its own literals so
+// it can check the table.
 
 #ifndef ONOFFCHAIN_EVM_OPCODES_H_
 #define ONOFFCHAIN_EVM_OPCODES_H_
@@ -121,6 +124,17 @@ struct OpcodeInfo {
   // Unconditionally ends the basic block: control never falls through to the
   // next instruction (STOP, JUMP, RETURN, REVERT, INVALID, SELFDESTRUCT).
   bool terminator;
+  // The charge has a part that depends on runtime values (memory growth,
+  // words, exponent bytes, the SSTORE tier, call surcharges), the opcode
+  // reads the remaining gas (GAS), or it can fail for a reason other than
+  // gas (INVALID, a write in a static frame, a short return buffer). The
+  // threaded interpreter lets its handler charge all of its gas, and hoists
+  // the gas of the other opcodes into per-block charges.
+  bool dynamic_gas;
+  // The fixed part every execution pays: kVeryLow for PUSH/DUP/SWAP,
+  // kLog + n * kLogTopic for LOGn, kCall for the calls, 0 for STOP, RETURN
+  // and REVERT. The whole charge unless dynamic_gas.
+  uint64_t static_gas;
 };
 
 // Returns the table entry for any byte (undefined opcodes have

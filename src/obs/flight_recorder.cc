@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,17 +31,6 @@ void LogMirror(log::Level level, const char* component, const char* message) {
   std::snprintf(detail, sizeof(detail), "%s: %s", component, message);
   recorder->Record(FlightKind::kLog, 0, static_cast<uint64_t>(level), 0,
                    detail);
-}
-
-void SignalDumpHandler(int sig) {
-  // Restore default first: anything failing below must not recurse.
-  std::signal(sig, SIG_DFL);
-  if (FlightRecorder* recorder = GlobalStore().load(std::memory_order_acquire)) {
-    recorder->DumpOnIncident(std::string("fatal-signal-") +
-                                 std::to_string(sig),
-                             nullptr);
-  }
-  std::raise(sig);
 }
 
 }  // namespace
@@ -181,12 +169,6 @@ std::string FlightRecorder::DumpOnIncident(const std::string& reason,
   ONOFF_LOG(log::Level::kWarn, "obs", "flight-recorder bundle dumped to %s (%s)",
             path.c_str(), reason.c_str());
   return path;
-}
-
-void FlightRecorder::InstallSignalDump() {
-  std::signal(SIGABRT, &SignalDumpHandler);
-  std::signal(SIGSEGV, &SignalDumpHandler);
-  std::signal(SIGBUS, &SignalDumpHandler);
 }
 
 uint64_t FlightRecorder::events_recorded() const {

@@ -4,11 +4,10 @@
 // in the tracer's ring; pool, bus, block, settlement and violation events
 // carry the trace id current when they were recorded, so a bundle joins a
 // trace export on that id. It answers "what was the system doing just
-// before this went wrong": on an invariant violation, an equivalence-
-// assertion abort or a fatal signal, the recorder dumps an
-// `onoffchain-flightrec-v1` triage bundle (recent events + a metrics
-// snapshot + the violation report) so a red run is diagnosable from the
-// bundle alone.
+// before this went wrong": on an invariant violation or an equivalence-
+// assertion abort, the recorder dumps an `onoffchain-flightrec-v1` triage
+// bundle (recent events + a metrics snapshot + the violation report) so a
+// red run is diagnosable from the bundle alone.
 //
 // Cost model: one Record is one short mutex and a fixed-size struct copy
 // (no allocation — the detail string is truncated into an inline buffer).
@@ -89,11 +88,6 @@ class FlightRecorder {
   // is the incident hook — violations and equivalence aborts call it.
   std::string DumpOnIncident(const std::string& reason,
                              const Json* violation) const;
-
-  // Best-effort: dump a bundle from SIGABRT/SIGSEGV/SIGBUS before dying.
-  // Not async-signal-safe in the strict sense (it allocates); acceptable for
-  // a process that is crashing anyway. Tools and benches opt in.
-  static void InstallSignalDump();
 
   uint64_t events_recorded() const;
   // Events overwritten by ring wrap since the last Clear.
