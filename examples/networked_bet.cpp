@@ -1,7 +1,8 @@
 // The whole stack at once: the betting protocol running over the simulated
 // P2P network. Alice and Bob interact with the producer node; two replica
-// nodes validate every block by replay; after settlement, anyone can audit
-// the outcome from any replica — or from nothing but a header and proofs.
+// nodes validate every block by executing it against their own head; after
+// settlement, anyone can audit the outcome from any replica — or from
+// nothing but a header and proofs.
 //
 // Build & run:  ./build/examples/networked_bet
 
@@ -48,8 +49,9 @@ int main() {
               report->bob_won ? "bob" : "alice",
               static_cast<unsigned long long>(producer.Height()));
 
-  // Gossip the produced history to the replicas; each block is verified by
-  // full replay before acceptance.
+  // Gossip the produced history to the replicas; each replica executes each
+  // block once on its own state and accepts it only if every header
+  // commitment matches.
   Status sync1 = replica1.SyncFrom(producer.chain().blocks());
   Status sync2 = replica2.SyncFrom(producer.chain().blocks());
   std::printf("replica1 sync: %s (height %llu, rejected %zu)\n",

@@ -1,5 +1,6 @@
 #include "chain/blockchain.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstdlib>
@@ -29,7 +30,7 @@ std::string HashKey(const Hash32& h) {
   return std::string(reinterpret_cast<const char*>(h.data()), h.size());
 }
 
-// MineBlock's phases, in order.
+// The phases of sealing a block (MineBlock and ImportBlock), in order.
 enum Phase : size_t {
   kPack,
   kExec,
@@ -42,7 +43,7 @@ enum Phase : size_t {
   kPhaseCount
 };
 
-// Wall time per MineBlock phase. Each Charge() bills the time since the
+// Wall time per block phase. Each Charge() bills the time since the
 // previous one to a phase; Observe() puts each phase's total for the block
 // into chain.phase.<phase>_us, 0 for a phase that did not run, so every
 // phase histogram holds one sample per block.
@@ -174,6 +175,10 @@ void Blockchain::FundAccount(const Address& addr, const U256& amount) {
 }
 
 Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
+  return SubmitTo(pool_, tx);
+}
+
+Result<Hash32> Blockchain::SubmitTo(TxPool& pool, const Transaction& tx) {
   // Validates the signature and warms the sender memo; the pool entry and
   // ApplyTransaction reuse it, so one ECDSA recovery covers the whole
   // transaction lifecycle.
@@ -204,7 +209,7 @@ Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
   if (trace::Tracer* tracer = trace::Tracer::Global()) {
     tracer->AnnotateTx(tx.Hash(), trace::CurrentContext());
   }
-  ONOFF_RETURN_NOT_OK(pool_.Add(tx));
+  ONOFF_RETURN_NOT_OK(pool.Add(tx));
   return tx.Hash();
 }
 
@@ -253,20 +258,20 @@ evm::BlockContext Blockchain::MakeBlockContext(uint64_t number,
 
 Receipt Blockchain::ExecuteTransaction(state::StateView& state,
                                        const Transaction& tx,
-                                       uint64_t block_number, bool quiet) {
+                                       const BlockHeader& header, bool quiet) {
   static obs::Histogram* apply_us = obs::GetHistogramOrNull(
       "chain.apply_tx_us", obs::DefaultTimeBucketsUs());
   obs::ScopedTimer apply_span(quiet ? nullptr : apply_us);
   Receipt receipt;
   receipt.tx_hash = tx.Hash();
-  receipt.block_number = block_number;
+  receipt.block_number = header.number;
 
   trace::Tracer* tracer = quiet ? nullptr : trace::Tracer::Global();
   trace::TraceContext tx_ctx;
   if (tracer != nullptr) tx_ctx = tracer->ContextForTx(receipt.tx_hash);
   trace::ScopedSpan tx_span(
       tracer, tx_ctx, "tx.apply", "chain",
-      {{"block", std::to_string(block_number)},
+      {{"block", std::to_string(header.number)},
        {"tx", ToHex0x(BytesView(receipt.tx_hash.data(), 32))}});
 
   auto fail = [&](const std::string& reason) {
@@ -294,7 +299,7 @@ Receipt Blockchain::ExecuteTransaction(state::StateView& state,
   assert(st.ok());
   (void)st;
 
-  evm::Evm evm(&state, MakeBlockContext(block_number, now_),
+  evm::Evm evm(&state, MakeBlockContext(header.number, header.timestamp),
                evm::TxContext{sender, tx.gas_price});
 
   // Mirror the EVM call-frame tree into the trace when this tx is traced;
@@ -375,6 +380,59 @@ Receipt Blockchain::ExecuteTransaction(state::StateView& state,
 }
 
 const Block& Blockchain::MineBlock() {
+  // With nothing to check the sealed block against, sealing always commits.
+  (void)SealBlock(pool_, now_, /*check=*/nullptr);
+  return blocks_.back();
+}
+
+Status Blockchain::ImportBlock(const Block& block) {
+  const Block& head = blocks_.back();
+  const std::string where = "block " + std::to_string(head.header.number + 1);
+  if (block.header.number != head.header.number + 1) {
+    return Status::VerificationFailed(where + ": bad block number");
+  }
+  if (block.header.parent_hash != head.Hash()) {
+    return Status::VerificationFailed(where + ": parent hash mismatch");
+  }
+  if (block.header.timestamp < head.header.timestamp) {
+    return Status::VerificationFailed(where + ": timestamp went backwards");
+  }
+  TxPool scratch;
+  scratch.set_base_nonce_provider(
+      [this](const Address& addr) { return state_.GetNonce(addr); });
+  for (const Transaction& tx : block.transactions) {
+    Status st = SubmitTo(scratch, tx).status();
+    if (!st.ok()) {
+      return Status::VerificationFailed(
+          where + ": transaction rejected on replay: " + st.message());
+    }
+  }
+  // Never sealed before the local clock: a timestamp inside the last block
+  // interval yields a different header.
+  return SealBlock(
+      scratch, std::max(now_, block.header.timestamp),
+      [&block, &where](const Block& sealed) {
+        // In order: the first mismatch is the one reported.
+        const std::pair<bool, const char*> mismatches[] = {
+            {sealed.transactions.size() != block.transactions.size(),
+             "transaction count diverged"},
+            {sealed.header.state_root != block.header.state_root,
+             "state root mismatch"},
+            {sealed.header.tx_root != block.header.tx_root, "tx root mismatch"},
+            {sealed.header.receipt_root != block.header.receipt_root,
+             "receipt root mismatch"},
+            {sealed.header.gas_used != block.header.gas_used,
+             "gas used mismatch"},
+            {sealed.Hash() != block.Hash(), "header hash mismatch"}};
+        for (const auto& [mismatch, what] : mismatches) {
+          if (mismatch) return Status::VerificationFailed(where + ": " + what);
+        }
+        return Status::OK();
+      });
+}
+
+Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
+                             const SealCheck& check) {
   static obs::Histogram* mine_us = obs::GetHistogramOrNull(
       "chain.mine_block_us", obs::DefaultTimeBucketsUs());
   obs::ScopedTimer mine_span(mine_us);
@@ -385,7 +443,7 @@ const Block& Blockchain::MineBlock() {
   Block block;
   block.header.parent_hash = blocks_.back().Hash();
   block.header.number = number;
-  block.header.timestamp = now_;
+  block.header.timestamp = timestamp;
   block.header.coinbase = config_.coinbase;
   block.header.gas_limit = config_.block_gas_limit;
 
@@ -396,11 +454,14 @@ const Block& Blockchain::MineBlock() {
   // Pack against the block gas limit by cumulative transaction gas limit
   // (the worst case miners must be able to execute); transactions that no
   // longer fit stay pending for the next block.
-  size_t pending_before = pool_.size();
+  size_t pending_before = pool.size();
   std::vector<Transaction> txs =
-      pool_.Take(config_.max_txs_per_block, config_.block_gas_limit);
+      pool.Take(config_.max_txs_per_block, config_.block_gas_limit);
   trace::Tracer* tracer = trace::Tracer::Global();
   phases.Charge(kPack);
+  // The journal spans the whole block, so a block that fails `check` rolls
+  // back to here; it is cleared once the block commits.
+  const state::WorldState::Snapshot block_start = state_.TakeSnapshot();
   // Pre-execution capture: invariants snapshot the pre-block facts (balance
   // sums, per-sender nonces) the post-commit checks compare against.
   if (auditor_ != nullptr) auditor_->OnBlockStart(txs, state_);
@@ -414,36 +475,25 @@ const Block& Blockchain::MineBlock() {
                   bounds_checker_ == nullptr;
   std::vector<Receipt> block_receipts;
   if (parallel) {
-    block_receipts = ExecuteBlockParallel(txs, number);
+    block_receipts = ExecuteBlockParallel(txs, block.header);
   } else {
     block_receipts.reserve(txs.size());
     for (const Transaction& tx : txs) {
       block_receipts.push_back(
-          ExecuteTransaction(state_, tx, number, /*quiet=*/false));
-      state_.ClearJournal();
+          ExecuteTransaction(state_, tx, block.header, /*quiet=*/false));
     }
   }
   phases.Charge(kExec);
 
   for (size_t i = 0; i < txs.size(); ++i) {
-    const Transaction& tx = txs[i];
     Receipt& receipt = block_receipts[i];
     cumulative_gas += receipt.gas_used;
     receipt.cumulative_gas_used = cumulative_gas;
-    total_gas_used_ += receipt.gas_used;
-    tx_payloads.push_back(tx.Encode());
+    tx_payloads.push_back(txs[i].Encode());
     receipt_payloads.push_back(receipt.Encode());
-    receipts_[HashKey(receipt.tx_hash)] = receipt;
-    block.transactions.push_back(tx);
-    if (tracer != nullptr) {
-      tracer->Event(tracer->ContextForTx(receipt.tx_hash), "block.include",
-                    "chain",
-                    {{"block", std::to_string(number)},
-                     {"gas_used", std::to_string(receipt.gas_used)}});
-    }
   }
-
   block.header.gas_used = cumulative_gas;
+  block.transactions = std::move(txs);
   phases.Charge(kFinalize);
   // The one per-block root computation: the incremental store folds in
   // exactly the accounts/slots this block touched. The equivalence check
@@ -471,6 +521,27 @@ const Block& Blockchain::MineBlock() {
     }
     pending_replay_root_.reset();
   }
+
+  if (check) {
+    Status st = check(block);
+    if (!st.ok()) {
+      state_.RevertToSnapshot(block_start);
+      return st;
+    }
+  }
+  state_.ClearJournal();
+
+  for (const Receipt& receipt : block_receipts) {
+    total_gas_used_ += receipt.gas_used;
+    receipts_[HashKey(receipt.tx_hash)] = receipt;
+    if (tracer != nullptr) {
+      tracer->Event(tracer->ContextForTx(receipt.tx_hash), "block.include",
+                    "chain",
+                    {{"block", std::to_string(number)},
+                     {"gas_used", std::to_string(receipt.gas_used)}});
+    }
+  }
+  phases.Charge(kFinalize);
 
   if (auditor_ != nullptr) {
     auditor_->OnBlockCommit(block, block_receipts, state_);
@@ -505,8 +576,9 @@ const Block& Blockchain::MineBlock() {
   }
   phases.Observe();
 
+  const size_t tx_count = block.transactions.size();
   blocks_.push_back(std::move(block));
-  now_ += config_.block_interval_seconds;
+  now_ = timestamp + config_.block_interval_seconds;
 
   if (obs::FlightRecorder::Global() != nullptr) {
     obs::FlightRecord(
@@ -525,8 +597,8 @@ const Block& Blockchain::MineBlock() {
   static obs::Histogram* block_gas = obs::GetHistogramOrNull(
       "chain.block_gas", obs::DefaultGasBuckets());
   if (blocks_mined != nullptr) blocks_mined->Inc();
-  if (txs_mined != nullptr) txs_mined->Inc(txs.size());
-  if (txs_deferred != nullptr) txs_deferred->Inc(pending_before - txs.size());
+  if (txs_mined != nullptr) txs_mined->Inc(tx_count);
+  if (txs_deferred != nullptr) txs_deferred->Inc(pending_before - tx_count);
   if (pool_depth != nullptr) {
     pool_depth->Set(static_cast<int64_t>(pool_.size()));
   }
@@ -535,9 +607,9 @@ const Block& Blockchain::MineBlock() {
   }
   ONOFF_LOG(log::Level::kDebug, "chain",
             "mined block %llu: %zu txs, %llu gas, %zu pending",
-            static_cast<unsigned long long>(number), txs.size(),
+            static_cast<unsigned long long>(number), tx_count,
             static_cast<unsigned long long>(cumulative_gas), pool_.size());
-  return blocks_.back();
+  return Status::OK();
 }
 
 TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
@@ -610,7 +682,7 @@ TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
 }
 
 std::vector<Receipt> Blockchain::ExecuteBlockParallel(
-    const std::vector<Transaction>& txs, uint64_t block_number) {
+    const std::vector<Transaction>& txs, const BlockHeader& header) {
   // The equivalence cross-check replays from the pre-block state.
   std::optional<state::WorldState> pre_state;
   if (config_.assert_parallel_equivalence) pre_state = state_.Clone();
@@ -627,8 +699,8 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
   ParallelExecutor executor(exec_pool_.get());
   std::vector<Receipt> receipts = executor.ExecuteBlock(
       state_, txs,
-      [this, block_number](state::StateView& view, const Transaction& tx) {
-        return ExecuteTransaction(view, tx, block_number, /*quiet=*/true);
+      [this, &header](state::StateView& view, const Transaction& tx) {
+        return ExecuteTransaction(view, tx, header, /*quiet=*/true);
       },
       &parallel_stats_,
       config_.check_static_containment ? &hints : nullptr);
@@ -644,22 +716,22 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
     state::WorldState replay = std::move(*pre_state);
     for (size_t i = 0; i < txs.size(); ++i) {
       Receipt serial =
-          ExecuteTransaction(replay, txs[i], block_number, /*quiet=*/true);
+          ExecuteTransaction(replay, txs[i], header, /*quiet=*/true);
       replay.ClearJournal();
       if (serial.Encode() != receipts[i].Encode()) {
         ONOFF_LOG(log::Level::kError, "chain",
                   "parallel execution diverged from serial at tx %zu of "
                   "block %llu",
-                  i, static_cast<unsigned long long>(block_number));
+                  i, static_cast<unsigned long long>(header.number));
         obs::ViolationReport report;
         report.message = "parallel receipt diverged from serial replay";
-        report.block_height = block_number;
+        report.block_height = header.number;
         report.tx_hash = ToHex0x(BytesView(receipts[i].tx_hash.data(), 32));
         report.values = {{"tx_index", std::to_string(i)}};
         AbortOnDivergence(std::move(report));
       }
     }
-    // Defer the root comparison: MineBlock computes the live state's root
+    // Defer the root comparison: SealBlock computes the live state's root
     // once into the block header and checks this against it, instead of
     // computing state_.StateRoot() a second time here.
     pending_replay_root_ = replay.StateRoot();

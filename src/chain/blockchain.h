@@ -6,6 +6,7 @@
 #ifndef ONOFFCHAIN_CHAIN_BLOCKCHAIN_H_
 #define ONOFFCHAIN_CHAIN_BLOCKCHAIN_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -122,6 +123,12 @@ class Blockchain {
   const Block& MineBlock();
   // Mines until the pool drains.
   void MineAllPending();
+  // Appends `block` iff this node seals the same block on its own head,
+  // executing its transactions once from a scratch pool (SubmitTransaction's
+  // admission) at max(Now(), its timestamp). A rejected block
+  // (kVerificationFailed, "block N: ...") leaves the node unchanged; the
+  // node's own pool is never touched.
+  Status ImportBlock(const Block& block);
 
   // ---- Clock ----
   uint64_t Now() const { return now_; }
@@ -199,18 +206,25 @@ class Blockchain {
   void set_step_tracer(evm::TraceHook* hook) { step_tracer_ = hook; }
 
  private:
+  // SubmitTransaction into `pool`.
+  Result<Hash32> SubmitTo(TxPool& pool, const Transaction& tx);
+  // The body MineBlock and ImportBlock share: packs `pool`, then executes,
+  // seals and commits the next block at `timestamp`. A `check` that fails
+  // on the sealed block rolls state_ back, commits nothing and returns.
+  using SealCheck = std::function<Status(const Block&)>;
+  Status SealBlock(TxPool& pool, uint64_t timestamp, const SealCheck& check);
   // Applies one transaction against `state` (the world state, a serial
   // replay clone, or a speculative overlay). `quiet` suppresses per-tx
   // telemetry — spans, histograms, failure counters, bounds checks — for
   // speculative executions that may be discarded; the block-level wave
   // telemetry covers the parallel path instead.
   Receipt ExecuteTransaction(state::StateView& state, const Transaction& tx,
-                             uint64_t block_number, bool quiet);
-  // Parallel-path body of MineBlock; returns one receipt per transaction
+                             const BlockHeader& header, bool quiet);
+  // Parallel-path body of SealBlock; returns one receipt per transaction
   // and leaves state_ identical to what serial application would produce
   // (checked when config_.assert_parallel_equivalence is set).
   std::vector<Receipt> ExecuteBlockParallel(const std::vector<Transaction>& txs,
-                                            uint64_t block_number);
+                                            const BlockHeader& header);
   // Static access footprint of `tx` in the dynamic recorder's key encoding,
   // audited by the executor under check_static_containment: intrinsic
   // sender/callee/coinbase bookkeeping plus the callee's analyzer summary
@@ -239,7 +253,7 @@ class Blockchain {
   // pruned past the history window.
   std::unique_ptr<storage::NodeStore> node_store_;
   // Serial-replay root from the parallel equivalence check, compared
-  // against the block's header root once MineBlock has computed it — so
+  // against the block's header root once SealBlock has computed it — so
   // the live state's root is computed exactly once per block.
   std::optional<Hash32> pending_replay_root_;
   // Set when auditing is configured (audit_invariants or $ONOFF_AUDIT).

@@ -6,9 +6,9 @@
 
 namespace onoff::chain {
 
-Node::Node(std::string name, ChainConfig config, GenesisAlloc alloc)
-    : name_(std::move(name)), alloc_(std::move(alloc)), chain_(config) {
-  for (const auto& [addr, amount] : alloc_) {
+Node::Node(std::string name, ChainConfig config, const GenesisAlloc& alloc)
+    : name_(std::move(name)), chain_(std::move(config)) {
+  for (const auto& [addr, amount] : alloc) {
     chain_.FundAccount(addr, amount);
   }
 }
@@ -21,41 +21,12 @@ Status Node::AcceptBlock(const Block& block) {
   static obs::Counter* rejected_count =
       obs::GetCounterOrNull("net.blocks_rejected");
   obs::ScopedTimer accept_span(accept_us);
-  auto reject = [&](Status st) {
-    ++rejected_;
-    if (rejected_count != nullptr) rejected_count->Inc();
-    return st;
-  };
-
-  // Validate the whole prospective chain (history + candidate) as a pure
-  // check, so a bad block can never corrupt local state.
-  std::vector<Block> prospective = chain_.blocks();
-  prospective.push_back(block);
-  Status st = VerifyChain(prospective, alloc_, chain_.config());
-  if (!st.ok()) return reject(std::move(st));
-  // Apply: determinism guarantees the replay reproduces the same block.
-  chain_.AdvanceTimeTo(block.header.timestamp);
-  for (const Transaction& tx : block.transactions) {
-    Status submit = chain_.SubmitTransaction(tx).status();
-    if (!submit.ok()) {
-      return reject(Status::Internal("verified block failed to apply: " +
-                                     submit.message()));
-    }
+  Status st = chain_.ImportBlock(block);
+  if (!st.ok()) ++rejected_;
+  if (obs::Counter* outcome = st.ok() ? accepted_count : rejected_count) {
+    outcome->Inc();
   }
-  const Block& applied = chain_.MineBlock();
-  if (applied.Hash() != block.Hash()) {
-    // Unlike the pure-check failures above, the replay has already advanced
-    // local state (clock moved, a divergent block appended) — the most
-    // serious failure mode, so it must be counted and must surface where
-    // this node actually ended up.
-    return reject(Status::Internal(
-        "replayed block diverged after verification; local state advanced "
-        "to height " +
-        std::to_string(chain_.Height()) + " head 0x" +
-        ToHex(BytesView(applied.Hash().data(), applied.Hash().size()))));
-  }
-  if (accepted_count != nullptr) accepted_count->Inc();
-  return Status::OK();
+  return st;
 }
 
 Status Node::SyncFrom(const std::vector<Block>& blocks) {
@@ -82,7 +53,7 @@ size_t Network::BroadcastBlock(const Node* from, const Block& block) {
     }
     return accepted;
   }
-  // One gossip message per peer; each delivery replays the block on the
+  // One gossip message per peer; each delivery imports the block into the
   // receiving node whenever the transport says it arrives.
   auto accepted = std::make_shared<size_t>(0);
   const std::string origin = from != nullptr ? from->name() : "";

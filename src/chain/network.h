@@ -1,9 +1,9 @@
 // A simulated peer-to-peer network: one block-producing authority node
 // (Kovan was a PoA testnet) gossips blocks to replica nodes, each of which
-// verifies every block by replay before appending it. Replicas therefore
-// trust nothing but the genesis allocation and their own execution — the
-// property that makes the on-chain contract's guarantees meaningful to the
-// protocol's participants.
+// imports every block against its own head, executing it once
+// (Blockchain::ImportBlock). Replicas therefore trust nothing but the
+// genesis allocation and their own execution — the property that makes the
+// on-chain contract's guarantees meaningful to the protocol's participants.
 //
 // Gossip optionally routes through a sim::Transport: with no transport set
 // delivery is synchronous and lossless — identical to the pre-sim
@@ -25,7 +25,7 @@ namespace onoff::chain {
 
 class Node {
  public:
-  Node(std::string name, ChainConfig config, GenesisAlloc alloc);
+  Node(std::string name, ChainConfig config, const GenesisAlloc& alloc);
 
   // ---- Producer-side ----
   Result<Hash32> SubmitTransaction(const Transaction& tx) {
@@ -35,9 +35,8 @@ class Node {
   const Block& ProduceBlock() { return chain_.MineBlock(); }
 
   // ---- Replica-side ----
-  // Verifies `block` by replaying it on top of the local chain (checking
-  // every header commitment) and appends it on success. Invalid blocks are
-  // counted and rejected without corrupting local state.
+  // Imports `block` on top of the local head (Blockchain::ImportBlock) and
+  // counts the outcome. A rejected block leaves the node unchanged.
   Status AcceptBlock(const Block& block);
   // Catches a fresh node up from a block history (initial sync).
   Status SyncFrom(const std::vector<Block>& blocks);
@@ -52,7 +51,6 @@ class Node {
 
  private:
   std::string name_;
-  GenesisAlloc alloc_;
   Blockchain chain_;
   size_t rejected_ = 0;
 };
@@ -75,9 +73,9 @@ class Network {
   // Convenience: `producer` mines one block and gossips it.
   size_t ProduceAndBroadcast(Node* producer);
 
-  // Replays `source`'s history into `node` (crash-restart or late-join
-  // catch-up), bypassing the transport — sync is modelled as a reliable
-  // bulk fetch. Returns the number of blocks applied.
+  // Imports `source`'s blocks above `node`'s head (crash-restart or
+  // late-join catch-up), bypassing the transport — sync is modelled as a
+  // reliable bulk fetch. Returns the number of blocks applied.
   Result<size_t> CatchUp(Node* node, const Node& source);
 
  private:

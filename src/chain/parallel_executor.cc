@@ -83,7 +83,6 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       retry.ApplyTo(state);
       committed_writes.MergeFrom(retry.writes());
     }
-    state.ClearJournal();
     overlays[i].reset();
   }
   if (committed != nullptr) committed->Inc(s.committed);

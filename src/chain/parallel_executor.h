@@ -64,8 +64,9 @@ class ParallelExecutor {
   explicit ParallelExecutor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
   // Runs the wave + ordered commit described above. On return `state` holds
-  // the post-block state and the result holds one receipt per transaction,
-  // in block order. Not reentrant; `state` must not be touched concurrently.
+  // the post-block state, journaled so the caller can still revert it, and
+  // the result one receipt per transaction, in block order. Not reentrant;
+  // `state` must not be touched concurrently.
   //
   // `audit_hints` (optional, one entry per transaction) are static access
   // footprints claimed by the analyzer, and the executor only checks them:

@@ -83,7 +83,7 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   // indices (their slots, in submission order) and reassign that sender's
   // transactions to those slots in ascending nonce order. Applying the
   // transform to an already-ordered sequence is the identity, which is what
-  // makes block replay (validator/network) reproduce the producer's order.
+  // makes Blockchain::ImportBlock reproduce the producer's order.
   std::vector<size_t> order(staged.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 

@@ -7,24 +7,6 @@ namespace onoff::chain {
 
 namespace {
 
-std::string BlockRef(uint64_t number) {
-  return "block " + std::to_string(number);
-}
-
-// Counts verification outcomes and times the whole replay.
-Status RecordVerifyOutcome(Status st) {
-  static obs::Counter* ok_count =
-      obs::GetCounterOrNull("validator.chains_verified");
-  static obs::Counter* failed_count =
-      obs::GetCounterOrNull("validator.verify_failures");
-  if (st.ok()) {
-    if (ok_count != nullptr) ok_count->Inc();
-  } else {
-    if (failed_count != nullptr) failed_count->Inc();
-  }
-  return st;
-}
-
 // Warms every transaction's sender memo across the worker pool so the
 // serial replay below never blocks on ECDSA. Failed recoveries are not
 // cached, so the replay re-derives (and rejects) them with the exact
@@ -64,49 +46,7 @@ Status VerifyChainImpl(const std::vector<Block>& blocks,
       "validator.verify_block_us", obs::DefaultTimeBucketsUs());
   for (size_t i = 1; i < blocks.size(); ++i) {
     obs::ScopedTimer block_span(block_us);
-    const Block& block = blocks[i];
-    if (block.header.number != i) {
-      return Status::VerificationFailed(BlockRef(i) + ": bad block number");
-    }
-    if (block.header.parent_hash != blocks[i - 1].Hash()) {
-      return Status::VerificationFailed(BlockRef(i) +
-                                        ": parent hash mismatch");
-    }
-    if (block.header.timestamp < blocks[i - 1].header.timestamp) {
-      return Status::VerificationFailed(BlockRef(i) +
-                                        ": timestamp went backwards");
-    }
-    // Re-execute the block's transactions at its recorded timestamp.
-    replica.AdvanceTimeTo(block.header.timestamp);
-    for (const Transaction& tx : block.transactions) {
-      Status st = replica.SubmitTransaction(tx).status();
-      if (!st.ok()) {
-        return Status::VerificationFailed(BlockRef(i) +
-                                          ": transaction rejected on replay: " +
-                                          st.message());
-      }
-    }
-    const Block& replayed = replica.MineBlock();
-    if (replayed.transactions.size() != block.transactions.size()) {
-      return Status::VerificationFailed(BlockRef(i) +
-                                        ": transaction count diverged");
-    }
-    if (replayed.header.state_root != block.header.state_root) {
-      return Status::VerificationFailed(BlockRef(i) + ": state root mismatch");
-    }
-    if (replayed.header.tx_root != block.header.tx_root) {
-      return Status::VerificationFailed(BlockRef(i) + ": tx root mismatch");
-    }
-    if (replayed.header.receipt_root != block.header.receipt_root) {
-      return Status::VerificationFailed(BlockRef(i) +
-                                        ": receipt root mismatch");
-    }
-    if (replayed.header.gas_used != block.header.gas_used) {
-      return Status::VerificationFailed(BlockRef(i) + ": gas used mismatch");
-    }
-    if (replayed.Hash() != block.Hash()) {
-      return Status::VerificationFailed(BlockRef(i) + ": header hash mismatch");
-    }
+    ONOFF_RETURN_NOT_OK(replica.ImportBlock(blocks[i]));
   }
   return Status::OK();
 }
@@ -114,16 +54,19 @@ Status VerifyChainImpl(const std::vector<Block>& blocks,
 }  // namespace
 
 Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
-                   const ChainConfig& config) {
-  return VerifyChain(blocks, alloc, config, VerifyOptions{});
-}
-
-Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
                    const ChainConfig& config, const VerifyOptions& options) {
   static obs::Histogram* replay_us = obs::GetHistogramOrNull(
       "validator.verify_replay_us", obs::DefaultTimeBucketsUs());
+  static obs::Counter* ok_count =
+      obs::GetCounterOrNull("validator.chains_verified");
+  static obs::Counter* failed_count =
+      obs::GetCounterOrNull("validator.verify_failures");
   obs::ScopedTimer replay_span(replay_us);
-  return RecordVerifyOutcome(VerifyChainImpl(blocks, alloc, config, options));
+  Status st = VerifyChainImpl(blocks, alloc, config, options);
+  if (obs::Counter* outcome = st.ok() ? ok_count : failed_count) {
+    outcome->Inc();
+  }
+  return st;
 }
 
 Status VerifyChain(const Blockchain& chain, const GenesisAlloc& alloc) {

@@ -1,8 +1,8 @@
-// Chain verification: replays a block sequence from the genesis allocation
-// on a fresh state and checks every header commitment (parent hash, state
-// root, tx/receipt roots, gas used). This is what an honest full node does
-// when it syncs — and what makes the on-chain contract's state trustworthy
-// to the protocol's participants without trusting the block producer.
+// Chain verification: imports a block sequence into a fresh replica built
+// from the genesis allocation, one Blockchain::ImportBlock per block. This
+// is what an honest full node does when it syncs — and what makes the
+// on-chain contract's state trustworthy to the protocol's participants
+// without trusting the block producer.
 
 #ifndef ONOFFCHAIN_CHAIN_VALIDATOR_H_
 #define ONOFFCHAIN_CHAIN_VALIDATOR_H_
@@ -28,13 +28,12 @@ struct VerifyOptions {
   bool parallel_sender_recovery = true;
 };
 
-// Replays `blocks` (block 0 must be the genesis produced by a Blockchain
-// with `config` and `alloc`) and verifies all header commitments. Returns
-// OK iff the whole chain is internally consistent and reproducible.
+// Checks that block 0 is the genesis a Blockchain with `config` and `alloc`
+// produces, then imports the rest into such a replica. Returns OK iff the
+// whole chain is reproducible, else the first ImportBlock error.
 Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
-                   const ChainConfig& config);
-Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
-                   const ChainConfig& config, const VerifyOptions& options);
+                   const ChainConfig& config,
+                   const VerifyOptions& options = VerifyOptions{});
 
 // Convenience: verifies a live chain against its own config.
 Status VerifyChain(const Blockchain& chain, const GenesisAlloc& alloc);
