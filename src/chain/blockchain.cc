@@ -9,13 +9,11 @@
 
 #include "abi/abi.h"
 #include "analysis/access_summary.h"
-#include "analysis/analyzer.h"
 #include "chain/parallel_executor.h"
 #include "evm/gas.h"
 #include "obs/metrics.h"
 #include "storage/shared_trie.h"
 #include "support/log.h"
-#include "trace/bounds.h"
 #include "trace/span_hook.h"
 #include "trace/trace.h"
 
@@ -189,20 +187,6 @@ Result<Hash32> Blockchain::SubmitTo(TxPool& pool, const Transaction& tx) {
   if (tx.gas_limit < tx.IntrinsicGas()) {
     return Status::InvalidArgument("gas limit below intrinsic gas");
   }
-  if (tx.IsContractCreation() && !tx.data.empty()) {
-    analysis::AnalysisOptions options;
-    options.block_gas_limit = config_.block_gas_limit;
-    analysis::DeploymentReport report =
-        analysis::AnalyzeDeployment(tx.data, options);
-    if (report.HasErrors()) {
-      static obs::Counter* findings =
-          obs::GetCounterOrNull("chain.deploy_lint_findings");
-      if (findings != nullptr) findings->Inc();
-      ONOFF_LOG(log::Level::kWarn, "chain",
-                "deploy lint found issues in init code of tx %s",
-                ToHex0x(BytesView(tx.Hash().data(), 8)).c_str());
-    }
-  }
   // Rejoinable trace context: the Transaction wire format carries no trace
   // ids, so remember which trace submitted this hash (no-op when the
   // submitter has no ambient context or tracing is off).
@@ -342,26 +326,6 @@ Receipt Blockchain::ExecuteTransaction(state::StateView& state,
   state.AddBalance(sender, tx.gas_price * U256(tx.gas_limit - gas_used));
   state.CreditFee(config_.coinbase, tx.gas_price * U256(gas_used));
 
-  // Bounds-check mode: a successful execution must stay within the static
-  // analyzer's worst-case bound (exceptional halts consume the whole
-  // allowance by construction, so only successes are meaningful).
-  if (!quiet && bounds_checker_ != nullptr && result.ok()) {
-    uint64_t evm_gas = exec_gas - result.gas_left;
-    std::optional<trace::GasBoundsChecker::Violation> violation =
-        tx.IsContractCreation()
-            ? bounds_checker_->CheckCreate(tx.data, evm_gas)
-            : bounds_checker_->CheckCall(state.GetCode(*tx.to), tx.data,
-                                         evm_gas);
-    if (violation.has_value()) {
-      ONOFF_LOG(log::Level::kWarn, "chain", "%s",
-                violation->ToString().c_str());
-      if (tracer != nullptr) {
-        tracer->Event(tx_ctx, "trace.bounds_violation", "chain",
-                      {{"detail", violation->ToString()}});
-      }
-    }
-  }
-
   receipt.success = result.ok();
   receipt.gas_used = gas_used;
   receipt.logs = std::move(result.logs);
@@ -468,11 +432,10 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   phases.Charge(kAudit);
 
   // The optimistic path needs at least two transactions to overlap and is
-  // mutually exclusive with per-step instrumentation (a step tracer or
-  // bounds checker observes execution order, which speculation scrambles).
+  // mutually exclusive with a step hook (it observes execution order, which
+  // speculation scrambles).
   bool parallel = config_.exec_mode == ExecMode::kParallel &&
-                  txs.size() >= 2 && step_tracer_ == nullptr &&
-                  bounds_checker_ == nullptr;
+                  txs.size() >= 2 && step_tracer_ == nullptr;
   std::vector<Receipt> block_receipts;
   if (parallel) {
     block_receipts = ExecuteBlockParallel(txs, block.header);
@@ -530,6 +493,9 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
     }
   }
   state_.ClearJournal();
+  // An imported block was packed from a scratch pool; what it mined, and
+  // any entry its senders' nonces have passed, is unminable in our own.
+  if (&pool != &pool_) pool_.DropMined(block.transactions);
 
   for (const Receipt& receipt : block_receipts) {
     total_gas_used_ += receipt.gas_used;

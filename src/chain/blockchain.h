@@ -25,10 +25,6 @@
 #include "support/status.h"
 #include "support/thread_pool.h"
 
-namespace onoff::trace {
-class GasBoundsChecker;
-}  // namespace onoff::trace
-
 namespace onoff::chain {
 
 // How a block's transactions are executed during mining.
@@ -101,10 +97,7 @@ class Blockchain {
   void FundAccount(const Address& addr, const U256& amount);
 
   // ---- Transactions ----
-  // Validates and enqueues; returns the transaction hash. A creation's init
-  // code is linted by the static analyzer: findings are logged and counted
-  // in chain.deploy_lint_findings, and never reject the transaction
-  // (hand-written programs may be deliberately odd).
+  // Validates and enqueues; returns the transaction hash.
   Result<Hash32> SubmitTransaction(const Transaction& tx);
   // Builds, signs, and submits a transaction from `key`.
   Result<Hash32> SendTransaction(const secp256k1::PrivateKey& key,
@@ -126,8 +119,8 @@ class Blockchain {
   // Appends `block` iff this node seals the same block on its own head,
   // executing its transactions once from a scratch pool (SubmitTransaction's
   // admission) at max(Now(), its timestamp). A rejected block
-  // (kVerificationFailed, "block N: ...") leaves the node unchanged; the
-  // node's own pool is never touched.
+  // (kVerificationFailed, "block N: ...") leaves the node unchanged, its
+  // own pool included; an appended one drops what it mined from that pool.
   Status ImportBlock(const Block& block);
 
   // ---- Clock ----
@@ -193,16 +186,11 @@ class Blockchain {
   // Cumulative parallel-execution statistics (zeros under ExecMode::kSerial).
   const ParallelExecStats& parallel_stats() const { return parallel_stats_; }
 
-  // Bounds-check mode: when set, every successfully applied transaction's
-  // EVM gas is checked against the static analyzer's bound (trace/bounds.h)
-  // and violations are logged + recorded as trace events. Not owned.
-  void set_bounds_checker(trace::GasBoundsChecker* checker) {
-    bounds_checker_ = checker;
-  }
-
-  // Per-step EVM tracer (e.g. trace::StructLogTracer): invoked for every
-  // executed opcode of every applied transaction, either directly or as the
-  // inner hook of the span mirror when the transaction is traced. Not owned.
+  // Per-step EVM hook (e.g. trace::StructLogTracer, or the analyzer's
+  // gas-bounds check): invoked for every frame and opcode of every applied
+  // transaction, either directly or as the inner hook of the span mirror
+  // when the transaction is traced. Blocks mine serially while set. Not
+  // owned.
   void set_step_tracer(evm::TraceHook* hook) { step_tracer_ = hook; }
 
  private:
@@ -215,7 +203,7 @@ class Blockchain {
   Status SealBlock(TxPool& pool, uint64_t timestamp, const SealCheck& check);
   // Applies one transaction against `state` (the world state, a serial
   // replay clone, or a speculative overlay). `quiet` suppresses per-tx
-  // telemetry — spans, histograms, failure counters, bounds checks — for
+  // telemetry — spans, histograms, failure counters, the step hook — for
   // speculative executions that may be discarded; the block-level wave
   // telemetry covers the parallel path instead.
   Receipt ExecuteTransaction(state::StateView& state, const Transaction& tx,
@@ -245,7 +233,6 @@ class Blockchain {
   uint64_t now_;
   uint64_t total_gas_used_ = 0;
   ParallelExecStats parallel_stats_;
-  trace::GasBoundsChecker* bounds_checker_ = nullptr;
   evm::TraceHook* step_tracer_ = nullptr;
   // Dedicated workers when config_.exec_workers > 0 (else the shared pool).
   std::unique_ptr<ThreadPool> exec_pool_;

@@ -194,23 +194,53 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
     queue_.insert(queue_.begin(), std::make_move_iterator(deferred.begin()),
                   std::make_move_iterator(deferred.end()));
     for (const std::string& key : dropped_keys) pending_hashes_.erase(key);
-    if (!taken_keys.empty()) {
-      for (const std::string& key : taken_keys) {
-        pending_hashes_.erase(key);
-        recent_taken_.insert(key);
-      }
-      recent_batches_.push_back(std::move(taken_keys));
-      while (recent_batches_.size() > config_.recent_take_batches) {
-        for (const std::string& key : recent_batches_.front()) {
-          recent_taken_.erase(key);
-        }
-        recent_batches_.pop_front();
-      }
-    }
+    RememberTakenLocked(std::move(taken_keys));
     depth = pending_hashes_.size();
   }
   UpdateDepthGauge(depth);
   return out;
+}
+
+void TxPool::DropMined(const std::vector<Transaction>& mined) {
+  std::unordered_set<std::string> mined_keys;
+  std::map<Address, uint64_t> base_nonces;  // of the block's senders
+  for (const Transaction& tx : mined) {
+    mined_keys.insert(HashKey(tx.Hash()));
+    Result<Address> sender = tx.Sender();
+    if (sender.ok() && base_nonce_) {
+      base_nonces.try_emplace(*sender, base_nonce_(*sender));
+    }
+  }
+  size_t depth = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(queue_, [&](const Entry& entry) {
+      auto it = base_nonces.find(entry.sender);
+      const bool drop = mined_keys.count(entry.key) > 0 ||
+                        (entry.has_sender && it != base_nonces.end() &&
+                         entry.tx.nonce < it->second);
+      if (drop) pending_hashes_.erase(entry.key);
+      return drop;
+    });
+    RememberTakenLocked({mined_keys.begin(), mined_keys.end()});
+    depth = pending_hashes_.size();
+  }
+  UpdateDepthGauge(depth);
+}
+
+void TxPool::RememberTakenLocked(std::vector<std::string> keys) {
+  if (keys.empty()) return;
+  for (const std::string& key : keys) {
+    pending_hashes_.erase(key);
+    recent_taken_.insert(key);
+  }
+  recent_batches_.push_back(std::move(keys));
+  while (recent_batches_.size() > config_.recent_take_batches) {
+    for (const std::string& key : recent_batches_.front()) {
+      recent_taken_.erase(key);
+    }
+    recent_batches_.pop_front();
+  }
 }
 
 size_t TxPool::size() const {

@@ -22,7 +22,8 @@
 //    mined and are dropped.
 //  - Hashes of recently taken (in-flight/mined) transactions are remembered
 //    in a bounded window keyed off take batches (≈ mined blocks), and Add
-//    rejects them, so a late gossip duplicate cannot be mined twice.
+//    rejects them, so a late gossip duplicate cannot be mined twice. A block
+//    packed elsewhere and imported enters the window through DropMined.
 
 #ifndef ONOFFCHAIN_CHAIN_TX_POOL_H_
 #define ONOFFCHAIN_CHAIN_TX_POOL_H_
@@ -68,6 +69,12 @@ class TxPool {
   std::vector<Transaction> Take(size_t max_count,
                                 uint64_t gas_budget = UINT64_MAX);
 
+  // Forgets what a block packed from another pool made unminable here: its
+  // transactions, which enter the recently-taken window as if Take had
+  // returned them, and every pending entry of its senders whose nonce is
+  // now below the base nonce.
+  void DropMined(const std::vector<Transaction>& mined);
+
   size_t size() const;
   bool empty() const { return size() == 0; }
   // True while the transaction is pending (not yet taken).
@@ -76,6 +83,10 @@ class TxPool {
   bool RecentlyTaken(const Hash32& tx_hash) const;
 
  private:
+  // Moves `keys` from pending to the recently-taken window as one batch,
+  // forgetting the oldest batches past the window. Requires mu_.
+  void RememberTakenLocked(std::vector<std::string> keys);
+
   struct Entry {
     Transaction tx;
     std::string key;  // tx hash bytes, computed once at Add

@@ -62,38 +62,8 @@ void EmitRefundCaller(ContractWriter& w, const BettingConfig& cfg) {
 // Emits the reveal() computation; leaves the winner bit (1 = bob) on the
 // stack. Uses memory [0x00, 0x40) as scratch.
 void EmitReveal(ContractWriter& w, const OffchainConfig& cfg) {
-  w.PushU(cfg.secret_alice);
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::MSTORE);
-  w.PushU(cfg.secret_bob);
-  w.PushU(U256(0x20));
-  w.b().Op(Opcode::MSTORE);
-  w.PushU(U256(0x40));
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::SHA3);                 // [h]
-  w.PushU(U256(cfg.reveal_iterations));   // [h, n]
-  auto loop = w.NewLabel();
-  auto end = w.NewLabel();
-  w.Bind(loop);
-  w.b().Op(Opcode::DUP1);
-  w.b().Op(Opcode::ISZERO);
-  w.b().PushLabel(end);
-  w.b().Op(Opcode::JUMPI);
-  // n -= 1
-  w.PushU(U256(1));
-  w.b().Op(Opcode::SWAP1);
-  w.b().Op(Opcode::SUB);                  // [h, n-1]
-  w.b().Op(Opcode::SWAP1);                // [n-1, h]
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::MSTORE);               // [n-1]
-  w.PushU(U256(0x20));
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::SHA3);                 // [n-1, h']
-  w.b().Op(Opcode::SWAP1);                // [h', n-1]
-  w.b().PushLabel(loop);
-  w.b().Op(Opcode::JUMP);
-  w.Bind(end);
-  w.b().Op(Opcode::POP);                  // [h]
+  EmitKeccakChain(w, {cfg.secret_alice, cfg.secret_bob},
+                  cfg.reveal_iterations);  // [h]
   w.PushU(U256(1));
   w.b().Op(Opcode::AND);                  // [winner]
 }

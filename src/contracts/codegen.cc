@@ -182,6 +182,43 @@ void ContractWriter::TransferEther() {
   Require();
 }
 
+void EmitKeccakChain(ContractWriter& w, std::initializer_list<U256> seed,
+                     uint64_t iterations) {
+  uint64_t offset = 0;
+  for (const U256& word : seed) {
+    w.PushU(word);
+    w.PushU(U256(offset));
+    w.b().Op(Opcode::MSTORE);
+    offset += 0x20;
+  }
+  w.PushU(U256(offset));
+  w.PushU(U256(0x00));
+  w.b().Op(Opcode::SHA3);          // [h]
+  w.PushU(U256(iterations));       // [h, n]
+  auto loop = w.NewLabel();
+  auto end = w.NewLabel();
+  w.Bind(loop);
+  w.b().Op(Opcode::DUP1);
+  w.b().Op(Opcode::ISZERO);
+  w.b().PushLabel(end);
+  w.b().Op(Opcode::JUMPI);
+  // n -= 1
+  w.PushU(U256(1));
+  w.b().Op(Opcode::SWAP1);
+  w.b().Op(Opcode::SUB);           // [h, n-1]
+  w.b().Op(Opcode::SWAP1);         // [n-1, h]
+  w.PushU(U256(0x00));
+  w.b().Op(Opcode::MSTORE);        // [n-1]
+  w.PushU(U256(0x20));
+  w.PushU(U256(0x00));
+  w.b().Op(Opcode::SHA3);          // [n-1, h']
+  w.b().Op(Opcode::SWAP1);         // [h', n-1]
+  w.b().PushLabel(loop);
+  w.b().Op(Opcode::JUMP);
+  w.Bind(end);
+  w.b().Op(Opcode::POP);           // [h]
+}
+
 void EmitStageBytesArg0(ContractWriter& w) {
   w.PushArg(0);                        // relative offset of `bytes`
   w.PushU(U256(4));

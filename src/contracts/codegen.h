@@ -10,6 +10,7 @@
 #ifndef ONOFFCHAIN_CONTRACTS_CODEGEN_H_
 #define ONOFFCHAIN_CONTRACTS_CODEGEN_H_
 
+#include <initializer_list>
 #include <string_view>
 #include <vector>
 
@@ -110,6 +111,14 @@ class ContractWriter {
   std::vector<std::pair<abi::Selector, Label>> functions_;
   bool dispatch_finished_ = false;
 };
+
+// ---- Shared fragments ----
+
+// The iterated-keccak workload: stores the `seed` words at memory 0 and
+// hashes them, then hashes the result `iterations` more times in a loop;
+// leaves the final hash on the stack. Scratch: memory [0, 32 * seed size).
+void EmitKeccakChain(ContractWriter& w, std::initializer_list<U256> seed,
+                     uint64_t iterations);
 
 // ---- Shared fragments for the dispute machinery ----
 

@@ -17,39 +17,6 @@ std::string LightSig(int i) { return "light" + std::to_string(i) + "()"; }
 std::string HeavySig(int i) { return "heavy" + std::to_string(i) + "()"; }
 constexpr std::string_view kSubmitSig = "submitResult(uint256,uint256)";
 
-// Emits the keccak chain seeded with `seed`; leaves the result word on the
-// stack. Scratch: memory [0x00, 0x20).
-void EmitHashChain(ContractWriter& w, uint64_t seed, uint64_t iterations) {
-  w.PushU(U256(seed));
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::MSTORE);
-  w.PushU(U256(0x20));
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::SHA3);          // [h]
-  w.PushU(U256(iterations));       // [h, n]
-  auto loop = w.NewLabel();
-  auto end = w.NewLabel();
-  w.Bind(loop);
-  w.b().Op(Opcode::DUP1);
-  w.b().Op(Opcode::ISZERO);
-  w.b().PushLabel(end);
-  w.b().Op(Opcode::JUMPI);
-  w.PushU(U256(1));
-  w.b().Op(Opcode::SWAP1);
-  w.b().Op(Opcode::SUB);           // [h, n-1]
-  w.b().Op(Opcode::SWAP1);         // [n-1, h]
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::MSTORE);        // [n-1]
-  w.PushU(U256(0x20));
-  w.PushU(U256(0x00));
-  w.b().Op(Opcode::SHA3);          // [n-1, h']
-  w.b().Op(Opcode::SWAP1);         // [h', n-1]
-  w.b().PushLabel(loop);
-  w.b().Op(Opcode::JUMP);
-  w.Bind(end);
-  w.b().Op(Opcode::POP);           // [h]
-}
-
 void EmitLightBody(ContractWriter& w, int i) {
   w.PushU(U256(static_cast<uint64_t>(i) + 1));
   w.SStore(U256(synthetic_slots::kLightBase + static_cast<uint64_t>(i)));
@@ -75,7 +42,8 @@ Result<Bytes> BuildWholeRuntime(const SyntheticConfig& cfg) {
   }
   for (int i = 0; i < cfg.num_heavy; ++i) {
     w.BeginFunction(heavy_labels[i]);
-    EmitHashChain(w, static_cast<uint64_t>(i), cfg.heavy_iterations);
+    EmitKeccakChain(w, {U256(static_cast<uint64_t>(i))},
+                    cfg.heavy_iterations);
     w.SStore(U256(synthetic_slots::kHeavyBase + static_cast<uint64_t>(i)));
     w.EndFunctionStop();
   }
@@ -124,7 +92,8 @@ Result<Bytes> BuildHybridOffChainRuntime(const SyntheticConfig& cfg) {
   w.FinishDispatch();
   for (int i = 0; i < cfg.num_heavy; ++i) {
     w.BeginFunction(heavy_labels[i]);
-    EmitHashChain(w, static_cast<uint64_t>(i), cfg.heavy_iterations);
+    EmitKeccakChain(w, {U256(static_cast<uint64_t>(i))},
+                    cfg.heavy_iterations);
     w.EndFunctionReturnWord();
   }
   return w.BuildRuntime();

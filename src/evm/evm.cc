@@ -103,17 +103,18 @@ ExecResult Evm::CallInternal(const CallMessage& msg, int depth) {
 
   FrameContext frame;
   if (trace_hook_ != nullptr) {
-    frame.kind = IsPrecompile(msg.to)                ? "PRECOMPILE"
-                 : world_->GetCode(msg.to).empty()   ? "TRANSFER"
-                 : msg.is_static                     ? "STATICCALL"
-                                                     : "CALL";
+    frame.code = world_->GetCode(msg.to);
+    frame.kind = IsPrecompile(msg.to) ? "PRECOMPILE"
+                 : frame.code.empty() ? "TRANSFER"
+                 : msg.is_static      ? "STATICCALL"
+                                      : "CALL";
     frame.depth = depth;
     frame.self = msg.to;
     frame.code_address = msg.to;
     frame.caller = msg.caller;
     frame.value = msg.value;
     frame.gas = msg.gas;
-    frame.input_size = msg.data.size();
+    frame.input = msg.data;
   }
   FrameScope frame_scope(trace_hook_, frame, &res);
 
@@ -187,7 +188,8 @@ ExecResult Evm::CreateInternal(const Address& caller, const U256& value,
     frame.caller = caller;
     frame.value = value;
     frame.gas = gas;
-    frame.input_size = init_code.size();
+    frame.code = init_code;
+    frame.input = init_code;
   }
   FrameScope frame_scope(trace_hook_, frame, &res);
 

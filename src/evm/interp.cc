@@ -1197,7 +1197,8 @@ bool Interpreter::DoCall(Opcode op) {
         frame.caller = op == Opcode::DELEGATECALL ? caller_ : self_;
         frame.value = op == Opcode::DELEGATECALL ? value_ : value;
         frame.gas = forwarded + stipend;
-        frame.input_size = input.size();
+        frame.code = world_->GetCode(to);
+        frame.input = input;
       }
       FrameScope frame_scope(hook_, frame, &child);
       auto snapshot = world_->TakeSnapshot();

@@ -43,17 +43,20 @@ const std::array<obs::Counter*, 256>* OpcodeCounters();
 // Pairs OnFrameEnter (constructor) with OnFrameExit (destructor) around a
 // frame body, so every exit path — including exceptional halts — reports the
 // frame's final result exactly once. `result` must outlive the scope and
-// hold the frame's outcome by the time the scope closes. When `hook` is
-// null the scope costs two never-taken branches.
+// hold the frame's outcome by the time the scope closes. The frame's code
+// and input views are cleared before the exit callback: the body may have
+// moved or freed what they point at. When `hook` is null the scope costs
+// two never-taken branches.
 class FrameScope {
  public:
-  FrameScope(TraceHook* hook, const FrameContext& frame,
-             const ExecResult* result)
+  FrameScope(TraceHook* hook, FrameContext& frame, const ExecResult* result)
       : hook_(hook), frame_(frame), result_(result) {
     if (hook_ != nullptr) hook_->OnFrameEnter(frame_);
   }
   ~FrameScope() {
     if (hook_ != nullptr) {
+      frame_.code = {};
+      frame_.input = {};
       hook_->OnFrameExit(frame_, *result_, frame_.gas - result_->gas_left);
     }
   }
@@ -62,7 +65,7 @@ class FrameScope {
 
  private:
   TraceHook* hook_;
-  const FrameContext& frame_;
+  FrameContext& frame_;
   const ExecResult* result_;
 };
 

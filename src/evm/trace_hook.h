@@ -10,16 +10,18 @@
 // opcode metrics counters), so tracing-off overhead is one never-taken
 // branch.
 //
-// Implementations live in src/trace/ (StructLogTracer, FrameSpanHook); this
-// header keeps the EVM free of any dependency on the tracing layer.
+// Implementations live in src/trace/ (StructLogTracer, FrameSpanHook) and
+// src/analysis/ (GasBoundsChecker); this header keeps the EVM free of any
+// dependency on either layer.
 
 #ifndef ONOFFCHAIN_EVM_TRACE_HOOK_H_
 #define ONOFFCHAIN_EVM_TRACE_HOOK_H_
 
 #include <cstdint>
-#include <vector>
+#include <cstring>
 
 #include "support/address.h"
+#include "support/bytes.h"
 #include "support/u256.h"
 
 namespace onoff::evm {
@@ -59,7 +61,13 @@ struct FrameContext {
   Address caller;
   U256 value;
   uint64_t gas = 0;
-  size_t input_size = 0;
+  // The code the frame runs (empty for a transfer or a precompile) and its
+  // input, which for a creation is the init code. Valid only during
+  // OnFrameEnter: OnFrameExit sees both empty.
+  BytesView code;
+  BytesView input;
+
+  bool IsCreate() const { return std::strncmp(kind, "CREATE", 6) == 0; }
 };
 
 class TraceHook {

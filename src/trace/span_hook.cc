@@ -1,19 +1,10 @@
 #include "trace/span_hook.h"
 
-#include <cstring>
 #include <string>
 
 #include "evm/evm.h"
 
 namespace onoff::trace {
-
-namespace {
-
-bool IsCreateKind(const char* kind) {
-  return std::strncmp(kind, "CREATE", 6) == 0;
-}
-
-}  // namespace
 
 void FrameSpanHook::OnFrameEnter(const evm::FrameContext& frame) {
   if (inner_ != nullptr) inner_->OnFrameEnter(frame);
@@ -24,7 +15,7 @@ void FrameSpanHook::OnFrameEnter(const evm::FrameContext& frame) {
   args.emplace_back("self", frame.self.ToHex());
   args.emplace_back("gas", std::to_string(frame.gas));
   stack_.push_back(tracer_->BeginSpan(
-      parent, IsCreateKind(frame.kind) ? "evm.create" : "evm.call", "evm",
+      parent, frame.IsCreate() ? "evm.create" : "evm.call", "evm",
       std::move(args)));
 }
 

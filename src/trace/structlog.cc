@@ -27,7 +27,7 @@ void StructLogTracer::OnFrameEnter(const evm::FrameContext& frame) {
   cf.caller = frame.caller;
   cf.value = frame.value;
   cf.gas = frame.gas;
-  cf.input_size = frame.input_size;
+  cf.input_size = frame.input.size();
   cf.parent = open_frames_.empty() ? -1 : open_frames_.back();
   int index = static_cast<int>(frames_.size());
   if (cf.parent >= 0) frames_[cf.parent].children.push_back(index);

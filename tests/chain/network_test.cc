@@ -322,7 +322,8 @@ TEST_F(NetworkTest, CatchUpExecutesEachBlockOnce) {
 
 TEST_F(NetworkTest, ReplicaPoolStaysOutOfImportedBlocks) {
   // replicas_[0] holds an unrelated pending transaction of its own;
-  // replicas_[1] already holds a copy of the block's transaction.
+  // replicas_[1] already holds a copy of the block's transaction, which the
+  // import drops from its pool.
   Transaction own = Signed(bob_, 0, alice_.EthAddress(), Ether(3), 21'000);
   ASSERT_TRUE(replicas_[0]->SubmitTransaction(own).ok());
   Transaction tx = Transfer(0, Ether(1));
@@ -338,6 +339,10 @@ TEST_F(NetworkTest, ReplicaPoolStaysOutOfImportedBlocks) {
   EXPECT_EQ(replicas_[0]->chain().PendingCount(), 1u);
   EXPECT_EQ(replicas_[0]->chain().GetReceipt(own.Hash()).status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(replicas_[1]->chain().PendingCount(), 0u);
+  // The mined transaction is remembered as taken, as on the producer.
+  EXPECT_EQ(replicas_[0]->SubmitTransaction(tx).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST_F(NetworkTest, RejectedImportLeavesNodeUnchanged) {

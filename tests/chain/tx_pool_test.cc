@@ -225,6 +225,34 @@ TEST(TxPoolTest, StaleNonceDropped) {
   EXPECT_TRUE(pool.empty());
 }
 
+TEST(TxPoolTest, DropMinedForgetsMinedAndStaleEntries) {
+  // A block packed elsewhere mined alice's nonces 0 and 1, so her account
+  // nonce is now 2; its nonce 1 is not the transaction pending here. Both
+  // of her stale entries go, the mined hashes are remembered as taken, and
+  // her nonce 2 and bob's entry stay.
+  auto alice = secp256k1::PrivateKey::FromSeed("alice");
+  auto bob = secp256k1::PrivateKey::FromSeed("bob");
+  TxPool pool;
+  pool.set_base_nonce_provider([&alice](const Address& addr) {
+    return addr == alice.EthAddress() ? uint64_t{2} : uint64_t{0};
+  });
+  const Transaction mined0 = MakeTx(alice, 0);
+  const Transaction mined1 = MakeTx(alice, 1, 30'000);
+  ASSERT_TRUE(pool.Add(mined0).ok());
+  ASSERT_TRUE(pool.Add(MakeTx(alice, 1)).ok());
+  ASSERT_TRUE(pool.Add(MakeTx(alice, 2)).ok());
+  ASSERT_TRUE(pool.Add(MakeTx(bob, 0)).ok());
+  pool.DropMined({mined0, mined1});
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_FALSE(pool.Contains(mined0.Hash()));
+  EXPECT_TRUE(pool.RecentlyTaken(mined0.Hash()));
+  EXPECT_EQ(pool.Add(mined1).code(), StatusCode::kAlreadyExists);
+  std::vector<Transaction> taken = pool.Take(10);
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].nonce, 2u);
+  EXPECT_EQ(*taken[1].Sender(), bob.EthAddress());
+}
+
 TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
   // Concurrency smoke test (runs under TSan in CI): concurrent Adds from
   // many senders while a consumer Takes. Every transaction must come out

@@ -26,8 +26,8 @@
 //       block inclusion, EVM call frames and settlement. Exports Chrome
 //       trace-event JSON (chrome://tracing / ui.perfetto.dev), the
 //       onoffchain-trace-v1 span dump, and optionally a per-opcode structLog;
-//       --check-bounds verifies observed gas against the static analyzer's
-//       bounds and exits nonzero on a violation.
+//       --check-bounds verifies each transaction's outermost frame against
+//       the static analyzer's gas bound and exits nonzero on a violation.
 //   onoffchain_cli health [sim flags] [--trials N] [--timeseries-json <path>]
 //                         [--flightrec-json <path>]
 //       run N (default 4) sim dispute trials, alternating the optimistic and
@@ -69,6 +69,7 @@
 
 #include "abi/abi.h"
 #include "analysis/analyzer.h"
+#include "analysis/bounds.h"
 #include "chain/blockchain.h"
 #include "contracts/betting.h"
 #include "contracts/synthetic.h"
@@ -86,7 +87,6 @@
 #include "sim/transport.h"
 #include "support/flags.h"
 #include "support/log.h"
-#include "trace/bounds.h"
 #include "trace/structlog.h"
 #include "trace/trace.h"
 
@@ -672,15 +672,16 @@ int CmdTrace(int argc, char** argv) {
   trace::Tracer tracer;
   trace::Tracer* previous = trace::Tracer::InstallGlobal(&tracer);
   trace::StructLogTracer structlog;
-  trace::GasBoundsChecker bounds;
+  evm::TraceHook* step_tracer = structlog_json.empty() ? nullptr : &structlog;
+  analysis::GasBoundsChecker bounds({}, step_tracer);
+  if (check_bounds) step_tracer = &bounds;
 
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
   chain::Blockchain chain;
   chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
   chain.FundAccount(bob.EthAddress(), contracts::Ether(10));
-  if (!structlog_json.empty()) chain.set_step_tracer(&structlog);
-  if (check_bounds) chain.set_bounds_checker(&bounds);
+  chain.set_step_tracer(step_tracer);
 
   uint64_t state = net.seed;
   core::Behavior dishonest;
