@@ -9,9 +9,11 @@
 //
 // Writes BENCH_state_store.json (onoffchain-bench-v1) via --json <path>.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chain/blockchain.h"
@@ -19,6 +21,7 @@
 #include "obs/metrics.h"
 #include "state/world_state.h"
 #include "storage/node_store.h"
+#include "storage/state_store.h"
 #include "support/address.h"
 #include "support/flags.h"
 #include "support/u256.h"
@@ -37,6 +40,12 @@ Address AddrOf(uint64_t i) {
   }
   raw[19] = 0x5A;
   return Address(raw);
+}
+
+// Every row records the hardware threads: a commit of at least
+// StateStore::kSplitCommitThreshold accounts runs on the shared pool.
+obs::Json HardwareThreads() {
+  return obs::Json::Uint(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -173,7 +182,8 @@ bool AuditedMining(uint64_t accounts, obs::Json* results) {
            obs::Json::Num(mean(sweep.audit_us, sweep.count)))
       .Set("audit_violations",
            obs::Json::Num(static_cast<double>(violations)))
-      .Set("roots_match", obs::Json::Bool(roots_match)));
+      .Set("roots_match", obs::Json::Bool(roots_match))
+      .Set("hardware_threads", HardwareThreads()));
   if (!roots_match || violations != 0) {
     std::fprintf(stderr, "audited_mining: root mismatch or violations\n");
     return false;
@@ -256,7 +266,8 @@ int main(int argc, char** argv) {
             .Set("speedup_vs_rebuild", obs::Json::Num(speedup))
             .Set("clone_ms", obs::Json::Num(clone_ms))
             .Set("snapshot_ms", obs::Json::Num(snapshot_ms))
-            .Set("roots_match", obs::Json::Bool(roots_match)));
+            .Set("roots_match", obs::Json::Bool(roots_match))
+            .Set("hardware_threads", HardwareThreads()));
     if (!roots_match) {
       std::fprintf(stderr, "root mismatch at %llu accounts\n",
                    static_cast<unsigned long long>(accounts));
@@ -265,14 +276,19 @@ int main(int argc, char** argv) {
   }
 
   // Write-set scaling: commit time vs number of touched accounts at a
-  // fixed state size (block cost should track the write set, not N).
+  // fixed state size (block cost should track the write set, not N). The
+  // sweep includes the split-commit threshold, from which a commit fans out
+  // over the account trie's 16 root subtries, and 334, the write set of a
+  // perfbench mixed_serial block.
   uint64_t base = account_counts.back();
   state::WorldState ws = BuildState(base);
   ws.StateRoot();
   std::printf("\n=== Write-set scaling at %llu accounts ===\n\n",
               static_cast<unsigned long long>(base));
   std::printf("%10s %16s %6s\n", "touched", "commit (ms)", "roots");
-  for (uint64_t touched : {1ULL << 0, 1ULL << 4, 1ULL << 8, 1ULL << 12}) {
+  const uint64_t split = storage::StateStore::kSplitCommitThreshold;
+  for (uint64_t touched : {uint64_t{1}, uint64_t{16}, split, uint64_t{256},
+                            uint64_t{334}, uint64_t{4096}}) {
     if (touched > base) break;
     for (uint64_t i = 0; i < touched; ++i) {
       Address a = AddrOf((i * 977) % base);
@@ -294,7 +310,8 @@ int main(int argc, char** argv) {
             .Set("touched_accounts",
                  obs::Json::Num(static_cast<double>(touched)))
             .Set("incremental_ms", obs::Json::Num(commit_ms))
-            .Set("roots_match", obs::Json::Bool(roots_match)));
+            .Set("roots_match", obs::Json::Bool(roots_match))
+            .Set("hardware_threads", HardwareThreads()));
     if (!roots_match) return 1;
   }
 
@@ -325,7 +342,8 @@ int main(int argc, char** argv) {
                      .Set("incremental_ms", obs::Json::Num(persist_ms))
                      .Set("delta_nodes",
                           obs::Json::Num(static_cast<double>(delta_nodes)))
-                     .Set("roots_match", obs::Json::Bool(true)));
+                     .Set("roots_match", obs::Json::Bool(true))
+                     .Set("hardware_threads", HardwareThreads()));
   }
 
   // Audited mining at the largest size, after the states above are gone.

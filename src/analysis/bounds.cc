@@ -1,6 +1,7 @@
 #include "analysis/bounds.h"
 
 #include <cstdio>
+#include <cstring>
 #include <optional>
 
 #include "abi/abi.h"
@@ -90,7 +91,9 @@ std::optional<GasBoundsChecker::Violation> GasBoundsChecker::CheckCall(
 
 void GasBoundsChecker::OnFrameEnter(const evm::FrameContext& frame) {
   if (inner_ != nullptr) inner_->OnFrameEnter(frame);
-  if (frame.depth != 0) return;
+  // A precompile runs no bytecode, so there is nothing to bound: its frame
+  // would meet the empty-code bound of 0 gas.
+  if (frame.depth != 0 || std::strcmp(frame.kind, "PRECOMPILE") == 0) return;
   open_ = frame.IsCreate() ? CreateBound(frame.code)
                            : CallBound(frame.code, frame.input);
 }

@@ -6,10 +6,11 @@
 // needs to stay trustworthy.
 //
 // The bound is resolved when a depth-0 frame opens, from its code and input
-// (DeployGasBound for a creation), and compared when the frame exits
-// successfully with its gas minus gas left: the execution gas before the
-// SSTORE refund, which a receipt's gas has already subtracted. Reports are
-// cached by code hash. Like any hook, a checker observes one EVM at a time.
+// (DeployGasBound for a creation; a precompile frame opens none), and
+// compared when the frame exits successfully with its gas minus gas left:
+// the execution gas before the SSTORE refund, which a receipt's gas has
+// already subtracted. Reports are cached by code hash. Like any hook, a
+// checker observes one EVM at a time.
 
 #ifndef ONOFFCHAIN_ANALYSIS_BOUNDS_H_
 #define ONOFFCHAIN_ANALYSIS_BOUNDS_H_

@@ -451,6 +451,45 @@ U256 FieldSqr(const U256& a) {
   return ReduceWide(f);
 }
 
+// ---- Scalars mod n ----
+
+// 2^256 - n, 129 bits: 2^256 ≡ this (mod n).
+constexpr uint64_t kNC[3] = {0x402da1732fc9bebfULL, 0x4551231950b75fc4ULL,
+                             1};
+
+// a·b mod n for any 256-bit a and b. The 512-bit product is folded as
+// lo + hi·(2^256 - n) until it fits 256 bits (512 → 386 → 260 → 256 bits,
+// at most four rounds), as libsecp256k1's scalar reduction does; a value
+// under 2^256 < 2n then needs at most one subtraction of n. Replaces the
+// generic U256::MulMod, whose long division shifts one bit at a time.
+U256 MulModN(const U256& a, const U256& b) {
+  uint64_t v[8];
+  MulWide(a, b, v);
+  int len = 8;
+  while (len > 4 && v[len - 1] == 0) --len;
+  while (len > 4) {
+    uint64_t out[8] = {v[0], v[1], v[2], v[3], 0, 0, 0, 0};
+    for (int i = 0; i < len - 4; ++i) {
+      uint64_t carry = 0;
+      for (int j = 0; j < 3; ++j) {
+        u128 t = static_cast<u128>(v[4 + i]) * kNC[j] + out[i + j] + carry;
+        out[i + j] = static_cast<uint64_t>(t);
+        carry = static_cast<uint64_t>(t >> 64);
+      }
+      for (int k = i + 3; carry != 0 && k < 8; ++k) {
+        u128 t = static_cast<u128>(out[k]) + carry;
+        out[k] = static_cast<uint64_t>(t);
+        carry = static_cast<uint64_t>(t >> 64);
+      }
+    }
+    std::memcpy(v, out, sizeof(out));
+    len = 8;
+    while (len > 4 && v[len - 1] == 0) --len;
+  }
+  U256 r(v[3], v[2], v[1], v[0]);
+  return r >= kN ? r - kN : r;
+}
+
 // ---- 5x52 lazy-reduction field elements (point-arithmetic hot path) ----
 //
 // The Jacobian formulas below run on a radix-2^52 representation: five
@@ -1138,16 +1177,16 @@ const GlvContext& GetGlv() {
     g.g1 = DivShifted384(g.b2, kN);
     g.g2 = DivShifted384(g.b1, kN);
     // λ³ ≡ 1 (mod n), λ ≠ 1.
-    U256 l2 = U256::MulMod(g.lambda, g.lambda, kN);
-    if (U256::MulMod(l2, g.lambda, kN) != U256(1) || g.lambda == U256(1)) {
+    U256 l2 = MulModN(g.lambda, g.lambda);
+    if (MulModN(l2, g.lambda) != U256(1) || g.lambda == U256(1)) {
       return g;
     }
     // β³ ≡ 1 (mod p), β ≠ 1.
     U256 b2sq = FieldMul(g.beta, g.beta);
     if (FieldMul(b2sq, g.beta) != U256(1) || g.beta == U256(1)) return g;
     // Basis vectors lie in the lattice: a_i + b_i·λ ≡ 0 (mod n).
-    if (U256::MulMod(g.b1, g.lambda, kN) != g.a1) return g;  // b1 < 0
-    if (U256::AddMod(g.a2, U256::MulMod(g.b2, g.lambda, kN), kN) != U256()) {
+    if (MulModN(g.b1, g.lambda) != g.a1) return g;  // b1 < 0
+    if (U256::AddMod(g.a2, MulModN(g.b2, g.lambda), kN) != U256()) {
       return g;
     }
     // φ(G) must equal λ·G, computed by the unsplit loop directly
@@ -1171,13 +1210,12 @@ GlvSplit GlvDecompose(const U256& k, const GlvContext& g) {
   GlvSplit s;
   U256 c1 = MulShift384Round(k, g.g1);
   U256 c2 = MulShift384Round(k, g.g2);
-  U256 t = U256::AddMod(U256::MulMod(c1, g.a1, kN),
-                        U256::MulMod(c2, g.a2, kN), kN);
+  U256 t = U256::AddMod(MulModN(c1, g.a1), MulModN(c2, g.a2), kN);
   s.k1 = SubModN(k % kN, t);
   // k2 = -(c1*b1 + c2*b2) = c1*|b1| - c2*b2 (mod n).
-  s.k2 = SubModN(U256::MulMod(c1, g.b1, kN), U256::MulMod(c2, g.b2, kN));
+  s.k2 = SubModN(MulModN(c1, g.b1), MulModN(c2, g.b2));
   // The split must recompose before sign-normalization: k1 + k2·λ ≡ k.
-  if (U256::AddMod(s.k1, U256::MulMod(s.k2, g.lambda, kN), kN) != k % kN) {
+  if (U256::AddMod(s.k1, MulModN(s.k2, g.lambda), kN) != k % kN) {
     return s;
   }
   static const U256 kHalfN = kN >> 1;
@@ -1235,6 +1273,7 @@ U256 FieldSqr(const U256& a) { return onoff::secp256k1::FieldSqr(a); }
 U256 FieldInv(const U256& a) { return onoff::secp256k1::FieldInv(a); }
 U256 FieldSqrt(const U256& a) { return onoff::secp256k1::FieldSqrt(a); }
 U256 ScalarInv(const U256& a) { return ModInverseDivsteps(a, kN); }
+U256 ScalarMulMod(const U256& a, const U256& b) { return MulModN(a, b); }
 bool GlvEnabled() { return GetGlv().ok; }
 
 }  // namespace internal
@@ -1430,8 +1469,8 @@ Result<Signature> Sign(const Hash32& digest, const PrivateKey& key) {
     U256 r = r_point.x;
     if (r.IsZero()) return false;
     U256 kinv = ModInverseDivsteps(k, kN);
-    U256 rd = U256::MulMod(r, key.scalar(), kN);
-    U256 s = U256::MulMod(kinv, U256::AddMod(z, rd, kN), kN);
+    U256 rd = MulModN(r, key.scalar());
+    U256 s = MulModN(kinv, U256::AddMod(z, rd, kN));
     if (s.IsZero()) return false;
     sig.r = r;
     sig.s = s;
@@ -1460,8 +1499,8 @@ bool Verify(const Hash32& digest, const Signature& sig,
   if (!IsOnCurve(pub) || pub.infinity) return false;
   U256 z = U256::FromBigEndianTruncating(BytesView(digest.data(), 32)) % kN;
   U256 sinv = ModInverseDivsteps(sig.s, kN);
-  U256 u1 = U256::MulMod(z, sinv, kN);
-  U256 u2 = U256::MulMod(sig.r, sinv, kN);
+  U256 u1 = MulModN(z, sinv);
+  U256 u2 = MulModN(sig.r, sinv);
   AffinePoint res = ToAffine(DoubleScalarMul(u1, u2, ToJacobian(pub)));
   if (res.infinity) return false;
   return res.x % kN == sig.r;
@@ -1493,8 +1532,8 @@ Result<AffinePoint> Recover(const Hash32& digest, uint8_t v, const U256& r,
   U256 z = U256::FromBigEndianTruncating(BytesView(digest.data(), 32)) % kN;
   U256 rinv = ModInverseDivsteps(r, kN);
   // Q = r^{-1} (s*R - z*G)
-  U256 u1 = U256::MulMod(kN - z % kN, rinv, kN);  // -z/r mod n
-  U256 u2 = U256::MulMod(s, rinv, kN);
+  U256 u1 = MulModN(kN - z % kN, rinv);  // -z/r mod n
+  U256 u2 = MulModN(s, rinv);
   AffinePoint pub = ToAffine(DoubleScalarMul(u1, u2, ToJacobian(r_point)));
   if (pub.infinity) {
     return Status::VerificationFailed("recovered point at infinity");

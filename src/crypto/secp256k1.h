@@ -5,9 +5,8 @@
 //
 // The implementation favors clarity over constant-time hardening: it is a
 // research reproduction, not a wallet. Field arithmetic uses a specialized
-// fast reduction for p = 2^256 - 2^32 - 977; scalar arithmetic (mod the group
-// order n) uses the generic U256 modular routines and a divsteps-based
-// inverse.
+// fast reduction for p = 2^256 - 2^32 - 977; scalar products mod the group
+// order n fold by 2^256 - n (129 bits), and scalar inverses use divsteps.
 //
 // Point arithmetic runs on a 5x52-limb lazy-reduction field representation
 // (magnitude-tracked adds/negates, one reduction per multiply), with
@@ -137,6 +136,8 @@ U256 FieldSqr(const U256& a);   // dedicated squaring kernel
 U256 FieldInv(const U256& a);   // Fermat addition chain
 U256 FieldSqrt(const U256& a);  // a^((p+1)/4) addition chain
 U256 ScalarInv(const U256& a);  // divsteps inverse mod n
+// a·b mod n for any 256-bit a, b (operands need not be reduced).
+U256 ScalarMulMod(const U256& a, const U256& b);
 // True when the GLV endomorphism passed its startup self-checks and
 // variable-point multiplication is using the split-scalar path (it should
 // always be true; exposed so tests can catch a silent fallback).

@@ -171,7 +171,8 @@ class WorldState final : public StateView {
   // (like ProveAccount/ProveStorage/TakeStateSnapshot/PersistCommitted)
   // fills the store's commit cache, so concurrent calls data-race. Parallel
   // workers must operate on their own Clone()/overlay, as the parallel
-  // executor does.
+  // executor does. A large commit fans out on ThreadPool::Shared() itself
+  // (storage/state_store.h), so do not call this from a Shared() worker.
   Hash32 StateRoot() const;
 
   // From-scratch rebuild of the same root into fresh tries, bypassing the

@@ -226,7 +226,6 @@ Result<Bytes> NodeStore::Get(const Hash32& hash) const {
 }
 
 Status NodeStore::Append(const Bytes& payload) {
-  if (out_ == nullptr) return Status::OK();  // in-memory store
   if (std::fwrite(payload.data(), 1, payload.size(), out_) != payload.size()) {
     return Status::Internal("node store log write failed: " + path_);
   }
@@ -235,6 +234,7 @@ Status NodeStore::Append(const Bytes& payload) {
 }
 
 Status NodeStore::AppendNode(const Hash32& hash, const Record& rec) {
+  if (out_ == nullptr) return Status::OK();  // in-memory: no log
   Bytes payload;
   payload.push_back('N');
   PutU32(&payload, static_cast<uint32_t>(rec.enc.size()));
@@ -248,6 +248,7 @@ Status NodeStore::AppendNode(const Hash32& hash, const Record& rec) {
 }
 
 Status NodeStore::AppendRetain(const Hash32& root, uint64_t height) {
+  if (out_ == nullptr) return Status::OK();  // in-memory: no log
   Bytes payload;
   payload.push_back('R');
   PutU64(&payload, height);
@@ -256,6 +257,7 @@ Status NodeStore::AppendRetain(const Hash32& root, uint64_t height) {
 }
 
 Status NodeStore::AppendPrune(uint64_t cutoff_height) {
+  if (out_ == nullptr) return Status::OK();  // in-memory: no log
   Bytes payload;
   payload.push_back('P');
   PutU64(&payload, cutoff_height);

@@ -114,9 +114,11 @@ class NodeStore {
   // Open() body: replay + append-handle creation. On failure the caller
   // clears the partial state so the store stays unopened and consistent.
   Status OpenImpl();
+  // Log records; each is a no-op, building nothing, without a log file.
   Status AppendNode(const Hash32& hash, const Record& rec);
   Status AppendRetain(const Hash32& root, uint64_t height);
   Status AppendPrune(uint64_t cutoff_height);
+  // Writes one record; requires the log file (out_).
   Status Append(const Bytes& payload);
   // Core ops, shared between the public API (journal=true) and log replay
   // (journal=false).

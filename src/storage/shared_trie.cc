@@ -543,12 +543,39 @@ Result<std::optional<Bytes>> WalkEncodedNodes(const Hash32& root,
 }
 
 void SharedTrie::Put(BytesView key, BytesView value) {
-  Nibbles nibbles = BytesToNibbles(key);
+  PutNibbles(BytesToNibbles(key), value);
+}
+
+void SharedTrie::PutNibbles(const std::vector<uint8_t>& path,
+                            BytesView value) {
   if (value.empty()) {
-    root_ = Remove(root_, nibbles);
+    root_ = Remove(root_, path);
     return;
   }
-  root_ = Insert(root_, nibbles, value);
+  root_ = Insert(root_, path, value);
+}
+
+bool SharedTrie::SplitRoot(std::array<SharedTrie, 16>* children) const {
+  if (root_ != nullptr && root_->type != Type::kBranch) return false;
+  for (int i = 0; i < 16; ++i) {
+    (*children)[i].root_ = root_ == nullptr ? nullptr : root_->children[i];
+  }
+  return true;
+}
+
+void SharedTrie::JoinRoot(const std::array<SharedTrie, 16>& children) {
+  assert(root_ == nullptr || root_->type == Type::kBranch);
+  bool changed = false;
+  for (int i = 0; i < 16 && !changed; ++i) {
+    const SharedNode* before =
+        root_ == nullptr ? nullptr : root_->children[i].get();
+    changed = children[i].root_.get() != before;
+  }
+  if (!changed) return;
+  auto branch = MakeBranch();
+  if (root_ != nullptr) branch->value = root_->value;
+  for (int i = 0; i < 16; ++i) branch->children[i] = children[i].root_;
+  root_ = NormalizeBranch(std::move(branch));
 }
 
 void SharedTrie::Delete(BytesView key) {

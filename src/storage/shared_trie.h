@@ -24,6 +24,7 @@
 #ifndef ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
 #define ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -91,7 +92,23 @@ class SharedTrie {
   // Writing the value a key already holds is a no-op that preserves every
   // existing node (and its memoized hash).
   void Put(BytesView key, BytesView value);
+  // Put by nibble path: the keys of a SplitRoot subtrie lost their first
+  // nibble, so they are an odd number of nibbles long.
+  void PutNibbles(const std::vector<uint8_t>& path, BytesView value);
   void Delete(BytesView key);
+
+  // ---- Root split: the subtries under the root, edited independently ----
+  // Hands out the 16 subtries under a branch root (all empty for an empty
+  // trie), child i holding the keys whose first nibble is i, minus that
+  // nibble. False, leaving `children` alone, when the root is a leaf or an
+  // extension. Disjoint subtries share no node, so each can be written and
+  // hashed on its own thread.
+  bool SplitRoot(std::array<SharedTrie, 16>* children) const;
+  // Puts the edited subtries back under a root branch that keeps the old
+  // root's value, collapsed as a Delete would leave it (one child merges
+  // into the root, none empties the trie). When no child changed, the old
+  // root and its memoized hash stay. Requires a root SplitRoot accepted.
+  void JoinRoot(const std::array<SharedTrie, 16>& children);
   Result<Bytes> Get(BytesView key) const;
   bool Contains(BytesView key) const { return Get(key).ok(); }
 
@@ -164,6 +181,8 @@ class SecureSharedTrie {
     inner_.PersistNodes(known, emit, leaf_refs);
   }
   const SharedTrie& raw() const { return inner_; }
+  // For callers that key by keccak themselves (the split state commit).
+  SharedTrie& mutable_raw() { return inner_; }
   size_t CountNodes() const { return inner_.CountNodes(); }
 
  private:

@@ -1,7 +1,10 @@
 #include "storage/state_store.h"
 
+#include <array>
+
 #include "obs/metrics.h"
 #include "rlp/rlp.h"
+#include "support/thread_pool.h"
 
 namespace onoff::storage {
 
@@ -39,24 +42,15 @@ void StateStore::MarkAccountReset(const Address& addr) {
   pa.dirty_slots.clear();
 }
 
-void StateStore::CommitAccount(const Address& addr,
-                               const AccountLookup& lookup) {
-  std::optional<AccountData> data = lookup(addr);
-  if (!data.has_value()) {
-    account_trie_.Delete(addr.view());
-    per_account_.erase(addr);
-    return;
-  }
-
+Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
   static obs::Counter* slots_committed =
       obs::GetCounterOrNull("storage.slots_committed");
-  PerAccount& pa = per_account_[addr];
   if (pa.reset) {
     // Deleted-and-recreated (or restored) account: rebuild its storage trie
     // from the flat map.
     pa.storage_trie = SecureSharedTrie();
-    if (data->storage != nullptr) {
-      for (const auto& [key, value] : *data->storage) {
+    if (data.storage != nullptr) {
+      for (const auto& [key, value] : *data.storage) {
         if (value.IsZero()) continue;
         Bytes key_bytes = key.ToBytes();
         pa.storage_trie.Put(key_bytes,
@@ -70,9 +64,9 @@ void StateStore::CommitAccount(const Address& addr,
     for (const U256& key : pa.dirty_slots) {
       Bytes key_bytes = key.ToBytes();
       const U256* value = nullptr;
-      if (data->storage != nullptr) {
-        auto it = data->storage->find(key);
-        if (it != data->storage->end() && !it->second.IsZero()) {
+      if (data.storage != nullptr) {
+        auto it = data.storage->find(key);
+        if (it != data.storage->end() && !it->second.IsZero()) {
           value = &it->second;
         }
       }
@@ -91,7 +85,57 @@ void StateStore::CommitAccount(const Address& addr,
     pa.storage_root = pa.storage_trie.RootHash();
     pa.root_valid = true;
   }
-  account_trie_.Put(addr.view(), EncodeAccountRlp(*data, pa.storage_root));
+  return EncodeAccountRlp(data, pa.storage_root);
+}
+
+void StateStore::CommitAccount(const Address& addr,
+                               const AccountLookup& lookup) {
+  std::optional<AccountData> data = lookup(addr);
+  if (!data.has_value()) {
+    account_trie_.Delete(addr.view());
+    per_account_.erase(addr);
+    return;
+  }
+  account_trie_.Put(addr.view(), CommitStorage(per_account_[addr], *data));
+}
+
+bool StateStore::CommitSplit(const AccountLookup& lookup) {
+  std::array<SharedTrie, 16> children;
+  if (!account_trie_.raw().SplitRoot(&children)) return false;
+  struct Dirty {
+    const Address* addr;
+    PerAccount* pa;
+    Hash32 key;  // keccak(addr), the account-trie key
+    bool deleted = false;
+  };
+  // Every entry exists before the fan-out (the map's element addresses are
+  // stable), so no task inserts into per_account_.
+  std::array<std::vector<Dirty>, 16> groups;
+  for (const Address& addr : dirty_accounts_) {
+    Hash32 key = Keccak256(addr.view());
+    groups[key[0] >> 4].push_back({&addr, &per_account_[addr], key});
+  }
+  ThreadPool::Shared().ParallelFor(16, [&](size_t i) {
+    if (groups[i].empty()) return;
+    SharedTrie& child = children[i];
+    for (Dirty& d : groups[i]) {
+      std::optional<AccountData> data = lookup(*d.addr);
+      d.deleted = !data.has_value();
+      // The key's nibbles after the first, which chose this subtrie.
+      std::vector<uint8_t> path = BytesToNibbles(d.key);
+      path.erase(path.begin());
+      child.PutNibbles(path,
+                       d.deleted ? Bytes{} : CommitStorage(*d.pa, *data));
+    }
+    child.RootHash();  // hash the subtrie on this lane
+  });
+  for (const std::vector<Dirty>& group : groups) {
+    for (const Dirty& d : group) {
+      if (d.deleted) per_account_.erase(*d.addr);
+    }
+  }
+  account_trie_.mutable_raw().JoinRoot(children);
+  return true;
 }
 
 Hash32 StateStore::CommitRoot(const AccountLookup& lookup) {
@@ -107,10 +151,10 @@ Hash32 StateStore::CommitRoot(const AccountLookup& lookup) {
   }
 
   // Iteration order does not matter: the trie is canonical in its content.
-  for (const Address& addr : dirty_accounts_) {
-    CommitAccount(addr, lookup);
-    pending_persist_.insert(addr);
+  if (dirty_accounts_.size() < kSplitCommitThreshold || !CommitSplit(lookup)) {
+    for (const Address& addr : dirty_accounts_) CommitAccount(addr, lookup);
   }
+  pending_persist_.insert(dirty_accounts_.begin(), dirty_accounts_.end());
   dirty_accounts_.clear();
   committed_root_ = account_trie_.RootHash();
   root_valid_ = true;

@@ -16,12 +16,19 @@
 // live state moves on. An optional NodeStore persists each block's new
 // nodes and prunes states older than the dispute window.
 //
-// Not thread-safe: CommitRoot (and everything that triggers it) mutates
-// the dirty sets and memoized roots — one committer per store at a time.
+// One caller at a time: CommitRoot (and everything that triggers it)
+// mutates the dirty sets and memoized roots. A commit of at least
+// kSplitCommitThreshold accounts under a branch (or empty) root fans out
+// itself: the dirty accounts are grouped by the first nibble of their
+// keccak key, and the 16 root subtries are written and hashed on
+// ThreadPool::Shared() before the caller rebuilds and hashes the root
+// branch. So CommitRoot must not run on a Shared() pool worker, and its
+// AccountLookup must allow concurrent calls for distinct addresses.
 
 #ifndef ONOFFCHAIN_STORAGE_STATE_STORE_H_
 #define ONOFFCHAIN_STORAGE_STATE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -72,8 +79,15 @@ struct StateSnapshot {
 
 class StateStore {
  public:
+  // Dirty accounts from which a commit splits over the root's 16 subtries
+  // (when the root is a branch or empty). Below it, the pool's wake-ups
+  // cost more than the hashing they would share, so small blocks commit on
+  // the calling thread.
+  static constexpr size_t kSplitCommitThreshold = 64;
+
   // Resolves an address to its current flat-state record, or nullopt when
-  // the account does not exist.
+  // the account does not exist. A split commit calls it from several
+  // threads at once, once per dirty address.
   using AccountLookup =
       std::function<std::optional<AccountData>(const Address&)>;
 
@@ -131,7 +145,13 @@ class StateStore {
     bool reset = false;
   };
 
+  // Folds the account's dirty slots into its storage trie and returns its
+  // account-trie leaf.
+  static Bytes CommitStorage(PerAccount& pa, const AccountData& data);
   void CommitAccount(const Address& addr, const AccountLookup& lookup);
+  // CommitRoot's fan-out over the account trie's 16 root subtries; false,
+  // having done nothing, when the root is a leaf or an extension.
+  bool CommitSplit(const AccountLookup& lookup);
 
   SecureSharedTrie account_trie_;
   std::unordered_map<Address, PerAccount> per_account_;

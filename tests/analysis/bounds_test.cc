@@ -228,5 +228,30 @@ TEST(GasBoundsCheckerTest, InnerHookSeesEveryStepAndFrame) {
   EXPECT_EQ(inner.ToJson().Dump(), alone.ToJson().Dump());
 }
 
+// A transaction sent straight to a precompile runs no bytecode, so its
+// depth-0 frame opens no bound: it is neither checked nor counted.
+TEST(GasBoundsCheckerTest, PrecompileTransactionIsNotChecked) {
+  auto alice = secp256k1::PrivateKey::FromSeed("alice");
+  chain::Blockchain chain;
+  chain.FundAccount(alice.EthAddress(), contracts::Ether(10));
+  GasBoundsChecker checker;
+  chain.set_step_tracer(&checker);
+  chain::Transaction tx;
+  tx.nonce = chain.GetNonce(alice.EthAddress());
+  tx.gas_price = U256(1);
+  tx.gas_limit = 100'000;
+  tx.to = Address::FromWord(U256(4));  // identity
+  tx.data = Bytes(64, 0xAB);
+  tx.Sign(alice);
+  auto hash = chain.SubmitTransaction(tx);
+  ASSERT_TRUE(hash.ok()) << hash.status().ToString();
+  ASSERT_EQ(chain.MineBlock().transactions.size(), 1u);
+  auto receipt = chain.GetReceipt(*hash);
+  ASSERT_TRUE(receipt.ok());
+  EXPECT_TRUE(receipt->success);
+  EXPECT_EQ(checker.checks(), 0u);
+  EXPECT_EQ(checker.violations(), 0u);
+}
+
 }  // namespace
 }  // namespace onoff::analysis

@@ -266,6 +266,33 @@ TEST(Secp256k1OracleTest, FieldMulMatchesGenericModularMultiply) {
   }
 }
 
+// Scalar multiplication mod n against the generic U256 modular multiply,
+// unreduced operands included: Recover passes n itself when z ≡ 0.
+TEST(Secp256k1OracleTest, ScalarMulModMatchesGenericModularMultiply) {
+  const U256 n = GroupOrder();
+  const U256 all_ones = U256() - U256(1);  // 2^256 - 1
+  std::vector<U256> values = {U256(),          U256(1),      U256(2),
+                              n - U256(1),     n,            n + U256(1),
+                              all_ones,        all_ones - n, n >> 1,
+                              all_ones - U256(1)};
+  for (const U256& a : values) {
+    for (const U256& b : values) {
+      ASSERT_EQ(internal::ScalarMulMod(a, b), U256::MulMod(a, b, n))
+          << a.ToHexFull() << " * " << b.ToHexFull();
+    }
+  }
+  Rng rng(0x5ca1a2f01dULL);
+  for (int i = 0; i < 2000; ++i) {
+    const U256 a = rng.NextU256();
+    const U256 b = i % 2 == 0 ? rng.NextU256() : rng.NextScalar();
+    ASSERT_EQ(internal::ScalarMulMod(a, b), U256::MulMod(a, b, n))
+        << "case " << i;
+    ASSERT_EQ(internal::ScalarMulMod(a, values[i % values.size()]),
+              U256::MulMod(a, values[i % values.size()], n))
+        << "case " << i;
+  }
+}
+
 // ---- Mutational differential fuzz at the signature trust boundary ----
 
 // Writes `v` as 32 big-endian bytes at `pos`.

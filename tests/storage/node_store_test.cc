@@ -236,20 +236,30 @@ TEST(NodeStoreTest, ReopenReplaysLog) {
   std::string path = TempPath("node_store_reopen.log");
   Hash32 root;
   size_t live = 0;
-  {
-    NodeStore store(path);
-    ASSERT_TRUE(store.Open().ok());
+  auto build = [] {
     WorldState ws;
     for (int i = 0; i < 30; ++i) {
       ws.SetBalance(Addr(static_cast<uint8_t>(i)), U256(1000 + i));
       ws.SetStorage(Addr(static_cast<uint8_t>(i)), U256(1), U256(i));
     }
+    return ws;
+  };
+  {
+    NodeStore store(path);
+    ASSERT_TRUE(store.Open().ok());
+    WorldState ws = build();
     root = ws.StateRoot();
     ASSERT_TRUE(ws.PersistCommitted(store, 1).ok());
     live = store.live_nodes();
     EXPECT_GT(live, 0u);
     EXPECT_GT(store.file_bytes(), 0u);
   }
+  // An in-memory store writes no log and holds the same nodes.
+  NodeStore in_memory;
+  ASSERT_TRUE(in_memory.Open().ok());
+  ASSERT_TRUE(build().PersistCommitted(in_memory, 1).ok());
+  EXPECT_EQ(in_memory.live_nodes(), live);
+  EXPECT_EQ(in_memory.file_bytes(), 0u);
   // A fresh process: replaying the log restores the index and refcounts.
   NodeStore reopened(path);
   ASSERT_TRUE(reopened.Open().ok());

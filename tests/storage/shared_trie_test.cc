@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "crypto/keccak.h"
 #include "rlp/rlp.h"
 #include "support/bytes.h"
 #include "trie/trie.h"
@@ -134,6 +136,76 @@ TEST(SharedTrieTest, NoOpWritePreservesIdentity) {
   EXPECT_EQ(t.root().get(), root_before);
   t.Delete(BytesOf("missing"));  // absent key: no-op
   EXPECT_EQ(t.root().get(), root_before);
+}
+
+// Writes made through SplitRoot, PutNibbles on the 16 subtries and
+// JoinRoot give the trie the same writes made directly would: from empty,
+// with no change (the root node stays), down to one key (the root branch
+// collapses into a leaf, which does not split), down to no key, and with
+// only the root's own value left.
+TEST(SharedTrieTest, SplitAndJoinMatchDirectWrites) {
+  std::vector<Bytes> keys;
+  for (int i = 0; i < 300; ++i) {
+    Hash32 h = Keccak256(BytesOf("split-" + std::to_string(i)));
+    keys.emplace_back(h.begin(), h.end());
+  }
+  // Applies (key index, value) writes to `t` through its subtries.
+  auto write_split = [&keys](SharedTrie& t,
+                             const std::vector<std::pair<int, Bytes>>& batch) {
+    std::array<SharedTrie, 16> children;
+    if (!t.SplitRoot(&children)) return false;
+    for (const auto& [k, value] : batch) {
+      std::vector<uint8_t> path = BytesToNibbles(keys[k]);
+      const uint8_t first = path[0];
+      path.erase(path.begin());
+      children[first].PutNibbles(path, value);
+    }
+    t.JoinRoot(children);
+    return true;
+  };
+
+  SharedTrie direct;
+  SharedTrie split;
+  std::vector<std::pair<int, Bytes>> writes;
+  for (int i = 0; i < 300; ++i) {
+    writes.emplace_back(i, BytesOf("v" + std::to_string(i)));
+  }
+  for (const auto& [k, value] : writes) direct.Put(keys[k], value);
+  ASSERT_TRUE(write_split(split, writes));
+  EXPECT_EQ(split.RootHash(), direct.RootHash());
+
+  const void* root_before = split.root().get();
+  ASSERT_TRUE(write_split(split, {{3, BytesOf("v3")}, {9, BytesOf("v9")}}));
+  EXPECT_EQ(split.root().get(), root_before);
+
+  writes.clear();
+  for (int i = 1; i < 300; ++i) writes.emplace_back(i, Bytes{});
+  writes.emplace_back(0, BytesOf("changed"));
+  for (const auto& [k, value] : writes) direct.Put(keys[k], value);
+  ASSERT_TRUE(write_split(split, writes));
+  EXPECT_EQ(split.RootHash(), direct.RootHash());
+  EXPECT_EQ(*split.Get(keys[0]), BytesOf("changed"));
+  EXPECT_FALSE(write_split(split, {{1, BytesOf("refused")}}));
+
+  // Two keys under different root nibbles make a root branch.
+  int other = 1;
+  while ((keys[other][0] >> 4) == (keys[0][0] >> 4)) ++other;
+  SharedTrie two;
+  two.Put(keys[0], BytesOf("a"));
+  two.Put(keys[other], BytesOf("b"));
+  ASSERT_TRUE(write_split(two, {{0, Bytes{}}, {other, Bytes{}}}));
+  EXPECT_TRUE(two.IsEmpty());
+
+  // A root branch's own value (the empty key) survives the join.
+  SharedTrie valued;
+  valued.Put(Bytes{}, BytesOf("root value"));
+  valued.Put(keys[0], BytesOf("a"));
+  valued.Put(keys[other], BytesOf("b"));
+  ASSERT_TRUE(write_split(valued, {{0, Bytes{}}, {other, Bytes{}}}));
+  SharedTrie only_value;
+  only_value.Put(Bytes{}, BytesOf("root value"));
+  EXPECT_EQ(valued.RootHash(), only_value.RootHash());
+  EXPECT_EQ(*valued.Get(Bytes{}), BytesOf("root value"));
 }
 
 TEST(SharedTrieTest, EmptyValueDeletes) {

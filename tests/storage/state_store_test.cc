@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "state/world_state.h"
 #include "support/address.h"
 #include "storage/shared_trie.h"
@@ -258,6 +260,188 @@ TEST(StateStoreTest, RandomizedDifferentialWithReverts) {
     ASSERT_EQ(ws.StateRoot(), ws.RebuildStateRoot())
         << "diverged at round " << round;
   }
+}
+
+// Addresses whose index fills the low bytes, for write sets that reach all
+// 16 root subtries of the account trie.
+Address WideAddr(uint32_t i) {
+  std::array<uint8_t, Address::kSize> raw{};
+  raw[0] = 0xBB;
+  for (int b = 0; b < 4; ++b) raw[19 - b] = static_cast<uint8_t>(i >> (8 * b));
+  return Address(raw);
+}
+
+TEST(StateStoreTest, RandomizedDifferentialLargeWriteSets) {
+  // RandomizedDifferentialWithReverts with write sets of at least
+  // storage::StateStore::kSplitCommitThreshold accounts, so commits under a
+  // branch (or empty) root fan out over its 16 subtries: ~2 000 addresses,
+  // several hundred ops a round, every commit checked against the rebuild.
+  constexpr uint32_t kAddresses = 2000;
+  obs::Registry* registry = obs::Registry::Global();
+  auto accounts_committed = [registry] {
+    return registry != nullptr
+               ? registry->CounterValue("storage.accounts_committed")
+               : 0;
+  };
+  uint64_t committed = accounts_committed();
+  WorldState ws;
+  auto check = [&](const std::string& where) {
+    ASSERT_EQ(ws.StateRoot(), ws.RebuildStateRoot()) << "diverged " << where;
+    if (registry == nullptr) return;
+    const uint64_t now = accounts_committed();
+    EXPECT_GE(now - committed, storage::StateStore::kSplitCommitThreshold)
+        << where;
+    committed = now;
+  };
+
+  // Genesis from an empty trie.
+  for (uint32_t i = 0; i < kAddresses; ++i) {
+    ws.SetBalance(WideAddr(i), U256(1000 + i));
+    if (i % 3 == 0) ws.SetStorage(WideAddr(i), U256(i % 5), U256(i + 1));
+    if (i % 50 == 0) {
+      ws.SetCode(WideAddr(i), BytesOf("code" + std::to_string(i % 4)));
+    }
+  }
+  ws.ClearJournal();
+  ASSERT_NO_FATAL_FAILURE(check("at genesis"));
+
+  std::mt19937_64 rng(0x5B11);
+  for (int round = 0; round < 6; ++round) {
+    const std::string where = "at round " + std::to_string(round);
+    auto snap = ws.TakeSnapshot();
+    const int ops = 200 + static_cast<int>(rng() % 400);
+    for (int i = 0; i < ops; ++i) {
+      // Some addresses lie past the genesis set: creates.
+      Address a = WideAddr(static_cast<uint32_t>(rng() % (kAddresses + 200)));
+      switch (rng() % 7) {
+        case 0:
+          ws.SetBalance(a, U256(rng() % 10000));
+          break;
+        case 1:
+          ws.SetNonce(a, rng() % 100);
+          break;
+        case 2:
+          ws.SetCode(a, BytesOf("code" + std::to_string(rng() % 4)));
+          break;
+        case 3:
+          ws.SetStorage(a, U256(rng() % 8), U256(rng() % 5));  // 0 deletes
+          break;
+        case 4:
+          ws.DeleteAccount(a);
+          break;
+        case 5:
+          // SELFDESTRUCT, then the address comes back with fresh storage.
+          ws.DeleteAccount(a);
+          ws.SetBalance(a, U256(1 + rng() % 50));
+          ws.SetStorage(a, U256(rng() % 8), U256(1 + rng() % 5));
+          break;
+        case 6:
+          ws.AddBalance(a, U256(rng() % 50));
+          break;
+      }
+    }
+    if (rng() % 3 == 0) {
+      // Sometimes commit before reverting, so the revert has to undo
+      // already-committed trie content.
+      if (rng() % 2 == 0) {
+        ASSERT_NO_FATAL_FAILURE(check(where + " before its revert"));
+      }
+      ws.RevertToSnapshot(snap);
+    } else {
+      ws.ClearJournal();
+    }
+    ASSERT_NO_FATAL_FAILURE(check(where));
+  }
+
+  // Delete down to one account: the root branch collapses into its leaf.
+  const Address kept = WideAddr(7);
+  ASSERT_TRUE(ws.Exists(kept));
+  for (uint32_t i = 0; i < kAddresses + 200; ++i) {
+    if (WideAddr(i) != kept) ws.DeleteAccount(WideAddr(i));
+  }
+  ws.ClearJournal();
+  ASSERT_NO_FATAL_FAILURE(check("down to one account"));
+  EXPECT_TRUE(ws.Exists(kept));
+  // The deleted accounts' storage tries went with them.
+  EXPECT_EQ(ws.TakeStateSnapshot().storage_tries.size(), 1u);
+
+  // Regrow on top of that leaf root (which does not split), then delete
+  // every account at once: the root branch empties.
+  for (uint32_t i = 0; i < kAddresses; ++i) {
+    ws.SetBalance(WideAddr(i), U256(5 + i));
+  }
+  ws.ClearJournal();
+  ASSERT_NO_FATAL_FAILURE(check("after regrowing"));
+  for (uint32_t i = 0; i < kAddresses; ++i) ws.DeleteAccount(WideAddr(i));
+  ws.ClearJournal();
+  ASSERT_NO_FATAL_FAILURE(check("with every account deleted"));
+  EXPECT_EQ(ws.StateRoot(), storage::SharedTrie::EmptyRoot());
+  EXPECT_TRUE(ws.TakeStateSnapshot().storage_tries.empty());
+}
+
+TEST(StateStoreTest, SplitCommitHashesAsManyNodesAsSerialPuts) {
+  // One dirty set committed through the split hashes exactly the nodes the
+  // same Puts hash when applied one by one to a copy of the pre-commit trie.
+  obs::Registry* registry = obs::Registry::Global();
+  if (registry == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  auto counter = [registry](const char* name) {
+    return registry->CounterValue(name);
+  };
+  WorldState ws;
+  constexpr uint32_t kAccounts = 1000;
+  for (uint32_t i = 0; i < kAccounts; ++i) {
+    ws.SetBalance(WideAddr(i), U256(1000 + i));
+    if (i % 4 == 0) ws.SetStorage(WideAddr(i), U256(1), U256(i + 1));
+  }
+  ws.ClearJournal();
+  const storage::StateSnapshot before = ws.TakeStateSnapshot();
+  storage::SecureSharedTrie serial = before.account_trie;
+
+  // Balance writes to 300 accounts and 60 creations. Balances only, so the
+  // account leaves reuse the memoized storage roots.
+  constexpr uint32_t kDirty = 360;
+  auto dirty = [](uint32_t i) {
+    return WideAddr(i < 300 ? (i * 37) % kAccounts : kAccounts + i);
+  };
+  const Hash32 empty_code = Keccak256(Bytes{});
+  for (uint32_t i = 0; i < kDirty; ++i) {
+    const Address a = dirty(i);
+    const U256 balance(7 + i);
+    ws.SetBalance(a, balance);
+    storage::AccountData data;
+    data.balance = balance;
+    data.code_hash = empty_code;
+    auto it = before.storage_tries.find(a);
+    const Hash32 storage_root = it == before.storage_tries.end()
+                                    ? storage::SharedTrie::EmptyRoot()
+                                    : it->second.RootHash();
+    serial.Put(a.view(), storage::EncodeAccountRlp(data, storage_root));
+  }
+  ws.ClearJournal();
+
+  uint64_t hashed = counter("storage.trie_nodes_hashed");
+  const Hash32 serial_root = serial.RootHash();
+  const uint64_t serial_hashed = counter("storage.trie_nodes_hashed") - hashed;
+  hashed = counter("storage.trie_nodes_hashed");
+  const uint64_t committed = counter("storage.accounts_committed");
+  const Hash32 split_root = ws.StateRoot();
+  EXPECT_EQ(split_root, serial_root);
+  EXPECT_EQ(counter("storage.trie_nodes_hashed") - hashed, serial_hashed);
+  EXPECT_EQ(counter("storage.accounts_committed") - committed, kDirty);
+  EXPECT_GT(serial_hashed, 0u);
+  EXPECT_EQ(split_root, ws.RebuildStateRoot());
+
+  // Writing back what the accounts hold changes no subtrie: the old root,
+  // memoized, stays and nothing is hashed.
+  for (uint32_t i = 0; i < kDirty; ++i) {
+    ws.SetBalance(dirty(i), ws.GetBalance(dirty(i)));
+  }
+  ws.ClearJournal();
+  hashed = counter("storage.trie_nodes_hashed");
+  EXPECT_EQ(ws.StateRoot(), split_root);
+  EXPECT_EQ(counter("storage.trie_nodes_hashed"), hashed);
 }
 
 TEST(StateStoreTest, CommitIsMemoizedWhenClean) {
