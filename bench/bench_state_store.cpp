@@ -277,9 +277,9 @@ int main(int argc, char** argv) {
 
   // Write-set scaling: commit time vs number of touched accounts at a
   // fixed state size (block cost should track the write set, not N). The
-  // sweep includes the split-commit threshold, from which a commit fans out
-  // over the account trie's 16 root subtries, and 334, the write set of a
-  // perfbench mixed_serial block.
+  // sweep starts at the split-commit threshold, from which a commit fans out
+  // over the account trie's 16 root subtries, after one serial row, and
+  // includes 334, the write set of a perfbench mixed_serial block.
   uint64_t base = account_counts.back();
   state::WorldState ws = BuildState(base);
   ws.StateRoot();
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(base));
   std::printf("%10s %16s %6s\n", "touched", "commit (ms)", "roots");
   const uint64_t split = storage::StateStore::kSplitCommitThreshold;
-  for (uint64_t touched : {uint64_t{1}, uint64_t{16}, split, uint64_t{256},
+  for (uint64_t touched : {uint64_t{1}, split, uint64_t{64}, uint64_t{256},
                             uint64_t{334}, uint64_t{4096}}) {
     if (touched > base) break;
     for (uint64_t i = 0; i < touched; ++i) {

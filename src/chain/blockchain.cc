@@ -89,9 +89,6 @@ Blockchain::Blockchain(ChainConfig config)
   if (config_.exec_workers > 0) {
     exec_pool_ = std::make_unique<ThreadPool>(config_.exec_workers);
   }
-  // Large state commits fan out on the shared pool. Creating it now gives
-  // its workers this thread's CPU mask before any caller pins the thread.
-  ThreadPool::Shared();
   if (config_.persist_state) {
     node_store_ = std::make_unique<storage::NodeStore>(config_.state_db_path);
     Status st = node_store_->Open();

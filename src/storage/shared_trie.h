@@ -180,9 +180,14 @@ class SecureSharedTrie {
                     const LeafRefs& leaf_refs = nullptr) const {
     inner_.PersistNodes(known, emit, leaf_refs);
   }
+  // The subtries are keyed by keccak256(key)'s nibbles after the first.
+  bool SplitRoot(std::array<SharedTrie, 16>* children) const {
+    return inner_.SplitRoot(children);
+  }
+  void JoinRoot(const std::array<SharedTrie, 16>& children) {
+    inner_.JoinRoot(children);
+  }
   const SharedTrie& raw() const { return inner_; }
-  // For callers that key by keccak themselves (the split state commit).
-  SharedTrie& mutable_raw() { return inner_; }
   size_t CountNodes() const { return inner_.CountNodes(); }
 
  private:

@@ -101,7 +101,7 @@ void StateStore::CommitAccount(const Address& addr,
 
 bool StateStore::CommitSplit(const AccountLookup& lookup) {
   std::array<SharedTrie, 16> children;
-  if (!account_trie_.raw().SplitRoot(&children)) return false;
+  if (!account_trie_.SplitRoot(&children)) return false;
   struct Dirty {
     const Address* addr;
     PerAccount* pa;
@@ -134,7 +134,7 @@ bool StateStore::CommitSplit(const AccountLookup& lookup) {
       if (d.deleted) per_account_.erase(*d.addr);
     }
   }
-  account_trie_.mutable_raw().JoinRoot(children);
+  account_trie_.JoinRoot(children);
   return true;
 }
 

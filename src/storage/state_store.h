@@ -80,10 +80,11 @@ struct StateSnapshot {
 class StateStore {
  public:
   // Dirty accounts from which a commit splits over the root's 16 subtries
-  // (when the root is a branch or empty). Below it, the pool's wake-ups
-  // cost more than the hashing they would share, so small blocks commit on
-  // the calling thread.
-  static constexpr size_t kSplitCommitThreshold = 64;
+  // (when the root is a branch or empty). Measured over 50 000 accounts on
+  // four hardware threads, with the pool's workers asleep before each
+  // commit: the split ties the serial path at 8 accounts, loses below, and
+  // takes 0.72x its time at 16 (EXPERIMENTS.md, "Split commit").
+  static constexpr size_t kSplitCommitThreshold = 16;
 
   // Resolves an address to its current flat-state record, or nullopt when
   // the account does not exist. A split commit calls it from several

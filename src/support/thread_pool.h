@@ -4,11 +4,6 @@
 // queue, futures for result/exception propagation, and a blocking
 // ParallelFor. Tasks must not themselves block on the same pool (no nested
 // ParallelFor from a worker).
-//
-// A new thread inherits its creator's CPU affinity mask, and the workers
-// are created with the pool: a pool first built by a thread that has
-// pinned itself to one CPU runs every worker on that CPU. Acquire Shared()
-// before pinning (Blockchain's constructor does).
 
 #ifndef ONOFFCHAIN_SUPPORT_THREAD_POOL_H_
 #define ONOFFCHAIN_SUPPORT_THREAD_POOL_H_

@@ -1,7 +1,6 @@
 #include "support/thread_pool.h"
 
 #include <gtest/gtest.h>
-#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -142,43 +141,6 @@ TEST(ThreadPoolTest, SharedPoolIsUsableAndStable) {
   std::atomic<int> sum{0};
   a.ParallelFor(10, [&sum](size_t i) { sum.fetch_add(int(i)); });
   EXPECT_EQ(sum.load(), 45);
-}
-
-// The number of CPUs the calling thread may run on.
-int AllowedCpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof set, &set) != 0) return 0;
-  return CPU_COUNT(&set);
-}
-
-// A new thread inherits its creator's CPU mask. The shared pool, acquired
-// before this thread pins itself to one CPU, keeps its workers on every
-// allowed CPU; a pool created after the pin is confined to that CPU.
-TEST(ThreadPoolTest, PoolAcquiredBeforeCallerPinsKeepsEveryCpu) {
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
-  const int cpus = CPU_COUNT(&allowed);
-  if (cpus < 2) GTEST_SKIP() << "one allowed CPU: pinning changes nothing";
-  ThreadPool& shared = ThreadPool::Shared();
-  int first = 0;
-  while (!CPU_ISSET(first, &allowed)) ++first;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(first, &one);
-  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
-  const int caller_cpus = AllowedCpus();
-  const int shared_cpus = shared.Submit(AllowedCpus).get();
-  int later_cpus = 0;
-  {
-    ThreadPool later(2);
-    later_cpus = later.Submit(AllowedCpus).get();
-  }
-  ASSERT_EQ(sched_setaffinity(0, sizeof allowed, &allowed), 0);
-  EXPECT_EQ(caller_cpus, 1);
-  EXPECT_EQ(shared_cpus, cpus);
-  EXPECT_EQ(later_cpus, 1);
 }
 
 }  // namespace
