@@ -1,9 +1,10 @@
 // Signature hot-path microbenchmarks: sign / verify / recover ops/sec on the
 // library's secp256k1 path, the field kernels behind them, keccak256 of a
 // hash-sized input, of a full trie branch node and of 64 KiB, SHA-256 of
-// 32 B and 64 KiB, the RLP encoding of a transaction, and end-to-end chain
-// verification with serial vs parallel sender pre-recovery. Emits
-// BENCH_crypto.json (onoffchain-bench-v1 schema).
+// 32 B and 64 KiB, the RLP encoding of a transaction, and end to end on
+// the same cold transactions: admission one at a time against batch
+// admission (senders recovered on the shared pool), and chain
+// verification. Emits BENCH_crypto.json (onoffchain-bench-v1 schema).
 //
 //   bench_crypto [--iters N] [--blocks B] [--txs T] [--json PATH]
 
@@ -97,7 +98,7 @@ VerifyFixture BuildChain(int blocks, int txs_per_block) {
 }
 
 // Copies the fixture's blocks with every sender memo cold (decode resets
-// the mutable cache), so each verification run pays for all recoveries.
+// the mutable cache), so each timed run pays for all recoveries.
 std::vector<chain::Block> ColdBlocks(const VerifyFixture& fx) {
   std::vector<chain::Block> cold = fx.blocks;
   for (chain::Block& block : cold) {
@@ -114,19 +115,57 @@ std::vector<chain::Block> ColdBlocks(const VerifyFixture& fx) {
   return cold;
 }
 
-double TimeVerify(const VerifyFixture& fx, bool parallel, int rounds,
-                  bool* all_ok) {
-  chain::VerifyOptions options{.parallel_sender_recovery = parallel};
+// The least of `rounds` timings, each the microseconds `run` returns.
+template <typename Run>
+double BestOf(int rounds, const Run& run) {
   double best = 0;
   for (int r = 0; r < rounds; ++r) {
-    std::vector<chain::Block> cold = ColdBlocks(fx);
-    double start = NowUs();
-    Status st = chain::VerifyChain(cold, fx.alloc, fx.config, options);
-    double elapsed = NowUs() - start;
-    if (!st.ok()) *all_ok = false;
+    double elapsed = run();
     if (r == 0 || elapsed < best) best = elapsed;
   }
   return best;
+}
+
+// Admits every block's cold transactions into a fresh chain funded with the
+// genesis allocation, one SubmitTransaction at a time or as one
+// SubmitTransactions batch; only admission is timed.
+double TimeAdmission(const VerifyFixture& fx, bool batch, int rounds,
+                     bool* all_ok) {
+  return BestOf(rounds, [&] {
+    std::vector<chain::Transaction> txs;
+    for (chain::Block& block : ColdBlocks(fx)) {
+      for (chain::Transaction& tx : block.transactions) {
+        txs.push_back(std::move(tx));
+      }
+    }
+    chain::Blockchain chain(fx.config);
+    for (const auto& [addr, amount] : fx.alloc) chain.FundAccount(addr, amount);
+    bool ok = true;
+    double start = NowUs();
+    if (batch) {
+      for (const Result<Hash32>& r : chain.SubmitTransactions(txs)) {
+        ok = r.ok() && ok;
+      }
+    } else {
+      for (const chain::Transaction& tx : txs) {
+        ok = chain.SubmitTransaction(tx).ok() && ok;
+      }
+    }
+    double elapsed = NowUs() - start;
+    if (!ok) *all_ok = false;
+    return elapsed;
+  });
+}
+
+double TimeVerify(const VerifyFixture& fx, int rounds, bool* all_ok) {
+  return BestOf(rounds, [&] {
+    std::vector<chain::Block> cold = ColdBlocks(fx);
+    double start = NowUs();
+    Status st = chain::VerifyChain(cold, fx.alloc, fx.config);
+    double elapsed = NowUs() - start;
+    if (!st.ok()) *all_ok = false;
+    return elapsed;
+  });
 }
 
 }  // namespace
@@ -233,21 +272,31 @@ int main(int argc, char** argv) {
   PrintOp("rlp encode tx", rlp_encode);
   if (encoded_bytes == 0) std::printf("(unreachable)\n");  // keep it live
 
-  // End-to-end: verify a freshly built chain, serial vs parallel sender
-  // pre-recovery, as a node would run it.
+  // End to end on the same cold transactions, as a node would run them:
+  // admission one at a time and as one batch, then chain verification.
   VerifyFixture fx = BuildChain(blocks, txs_per_block);
+  const size_t workers = ThreadPool::Shared().worker_count();
+  bool admit_ok = true;
+  double admit_serial_us = TimeAdmission(fx, /*batch=*/false, /*rounds=*/3,
+                                         &admit_ok);
+  double admit_batch_us = TimeAdmission(fx, /*batch=*/true, /*rounds=*/3,
+                                        &admit_ok);
+  std::printf("\n=== admission (%zu cold txs, %zu workers) ===\n",
+              fx.tx_count, workers);
+  std::printf("one at a time: %10.0f us (%.1f tx/s)\n", admit_serial_us,
+              fx.tx_count * 1e6 / admit_serial_us);
+  std::printf("batch:         %10.0f us (%.1f tx/s)  speedup %.2fx\n",
+              admit_batch_us, fx.tx_count * 1e6 / admit_batch_us,
+              admit_serial_us / admit_batch_us);
+  std::printf("statuses ok: %s\n", admit_ok ? "yes" : "NO");
+
   bool verify_ok = true;
-  double serial_us = TimeVerify(fx, /*parallel=*/false, /*rounds=*/3,
-                                &verify_ok);
-  double parallel_us = TimeVerify(fx, /*parallel=*/true, /*rounds=*/3,
-                                  &verify_ok);
+  double verify_us = TimeVerify(fx, /*rounds=*/3, &verify_ok);
   std::printf("\n=== chain verification (%d blocks x %d txs, %zu workers) "
               "===\n",
-              blocks, txs_per_block, ThreadPool::Shared().worker_count());
-  std::printf("serial:   %10.0f us (%.1f tx/s)\n", serial_us,
-              fx.tx_count * 1e6 / serial_us);
-  std::printf("parallel: %10.0f us (%.1f tx/s)  speedup %.2fx\n", parallel_us,
-              fx.tx_count * 1e6 / parallel_us, serial_us / parallel_us);
+              blocks, txs_per_block, workers);
+  std::printf("verify: %10.0f us (%.1f tx/s)\n", verify_us,
+              fx.tx_count * 1e6 / verify_us);
   std::printf("statuses ok: %s\n", verify_ok ? "yes" : "NO");
 
   obs::Json results =
@@ -264,15 +313,20 @@ int main(int argc, char** argv) {
           .Set("sha256_32", OpJson(sha256_32))
           .Set("sha256_65536", OpJson(sha256_64k))
           .Set("rlp_encode_tx", OpJson(rlp_encode))
+          .Set("admission",
+               obs::Json::Object()
+                   .Set("tx_count", obs::Json::Uint(fx.tx_count))
+                   .Set("workers", obs::Json::Uint(workers))
+                   .Set("serial_us", obs::Json::Num(admit_serial_us))
+                   .Set("batch_us", obs::Json::Num(admit_batch_us))
+                   .Set("statuses_ok", obs::Json::Bool(admit_ok)))
           .Set("verify_chain",
                obs::Json::Object()
                    .Set("blocks", obs::Json::Int(blocks))
                    .Set("txs_per_block", obs::Json::Int(txs_per_block))
                    .Set("tx_count", obs::Json::Uint(fx.tx_count))
-                   .Set("workers",
-                        obs::Json::Uint(ThreadPool::Shared().worker_count()))
-                   .Set("serial_us", obs::Json::Num(serial_us))
-                   .Set("parallel_us", obs::Json::Num(parallel_us))
+                   .Set("workers", obs::Json::Uint(workers))
+                   .Set("us", obs::Json::Num(verify_us))
                    .Set("statuses_ok", obs::Json::Bool(verify_ok)));
   if (!json_path.empty()) {
     Status st = obs::WriteBenchJson(json_path, "crypto", std::move(results));
@@ -282,5 +336,5 @@ int main(int argc, char** argv) {
     }
     std::printf("\nwrote %s\n", json_path.c_str());
   }
-  return verify_ok ? 0 : 1;
+  return admit_ok && verify_ok ? 0 : 1;
 }

@@ -176,25 +176,45 @@ Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
   return SubmitTo(pool_, tx);
 }
 
+std::vector<Result<Hash32>> Blockchain::SubmitTransactions(
+    std::span<const Transaction> txs) {
+  return Admit(pool_, txs);
+}
+
+std::vector<Result<Hash32>> Blockchain::Admit(
+    TxPool& pool, std::span<const Transaction> txs) {
+  // Each worker writes only its own transaction's sender memo, and recovery
+  // is a pure function of the transaction's bytes, so the in-order admission
+  // below reads what a serial loop would compute.
+  if (txs.size() >= 2) {
+    ThreadPool::Shared().ParallelFor(
+        txs.size(), [&txs](size_t i) { (void)txs[i].Sender(); });
+  }
+  std::vector<Result<Hash32>> results;
+  results.reserve(txs.size());
+  for (const Transaction& tx : txs) results.push_back(SubmitTo(pool, tx));
+  return results;
+}
+
 Result<Hash32> Blockchain::SubmitTo(TxPool& pool, const Transaction& tx) {
-  // Validates the signature and warms the sender memo; the pool entry and
-  // ApplyTransaction reuse it, so one ECDSA recovery covers the whole
-  // transaction lifecycle.
-  ONOFF_RETURN_NOT_OK(tx.Sender().status());
+  // Validates the signature and warms the sender memo, which execution
+  // reuses, so one ECDSA recovery covers the whole transaction lifecycle.
+  ONOFF_ASSIGN_OR_RETURN(const Address sender, tx.Sender());
   if (tx.gas_limit > config_.block_gas_limit) {
     return Status::InvalidArgument("gas limit exceeds block gas limit");
   }
   if (tx.gas_limit < tx.IntrinsicGas()) {
     return Status::InvalidArgument("gas limit below intrinsic gas");
   }
+  const Hash32 hash = tx.Hash();
   // Rejoinable trace context: the Transaction wire format carries no trace
   // ids, so remember which trace submitted this hash (no-op when the
   // submitter has no ambient context or tracing is off).
   if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    tracer->AnnotateTx(tx.Hash(), trace::CurrentContext());
+    tracer->AnnotateTx(hash, trace::CurrentContext());
   }
-  ONOFF_RETURN_NOT_OK(pool.Add(tx));
-  return tx.Hash();
+  ONOFF_RETURN_NOT_OK(pool.Add(tx, sender, hash));
+  return hash;
 }
 
 Result<Hash32> Blockchain::SendTransaction(const secp256k1::PrivateKey& key,
@@ -364,11 +384,11 @@ Status Blockchain::ImportBlock(const Block& block) {
   TxPool scratch;
   scratch.set_base_nonce_provider(
       [this](const Address& addr) { return state_.GetNonce(addr); });
-  for (const Transaction& tx : block.transactions) {
-    Status st = SubmitTo(scratch, tx).status();
-    if (!st.ok()) {
+  for (const Result<Hash32>& admitted : Admit(scratch, block.transactions)) {
+    if (!admitted.ok()) {
       return Status::VerificationFailed(
-          where + ": transaction rejected on replay: " + st.message());
+          where + ": transaction rejected on replay: " +
+          admitted.status().message());
     }
   }
   // Never sealed before the local clock: a timestamp inside the last block
@@ -418,9 +438,10 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   // Pack against the block gas limit by cumulative transaction gas limit
   // (the worst case miners must be able to execute); transactions that no
   // longer fit stay pending for the next block.
-  size_t pending_before = pool.size();
   std::vector<Transaction> txs =
       pool.Take(config_.max_txs_per_block, config_.block_gas_limit);
+  // What Take left pending; the stale entries it dropped are not deferred.
+  const size_t deferred = pool.size();
   trace::Tracer* tracer = trace::Tracer::Global();
   phases.Charge(kPack);
   // The journal spans the whole block, so a block that fails `check` rolls
@@ -564,7 +585,7 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
       "chain.block_gas", obs::DefaultGasBuckets());
   if (blocks_mined != nullptr) blocks_mined->Inc();
   if (txs_mined != nullptr) txs_mined->Inc(tx_count);
-  if (txs_deferred != nullptr) txs_deferred->Inc(pending_before - tx_count);
+  if (txs_deferred != nullptr) txs_deferred->Inc(deferred);
   if (pool_depth != nullptr) {
     pool_depth->Set(static_cast<int64_t>(pool_.size()));
   }

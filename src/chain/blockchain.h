@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,12 @@ class Blockchain {
   // ---- Transactions ----
   // Validates and enqueues; returns the transaction hash.
   Result<Hash32> SubmitTransaction(const Transaction& tx);
+  // SubmitTransaction over `txs` in order, one result each, after recovering
+  // every sender on ThreadPool::Shared() (for two or more). ParallelFor does
+  // not nest: never call this on a Shared() worker or inside the parallel
+  // executor's wave.
+  std::vector<Result<Hash32>> SubmitTransactions(
+      std::span<const Transaction> txs);
   // Builds, signs, and submits a transaction from `key`.
   Result<Hash32> SendTransaction(const secp256k1::PrivateKey& key,
                                  std::optional<Address> to, const U256& value,
@@ -117,10 +124,12 @@ class Blockchain {
   // Mines until the pool drains.
   void MineAllPending();
   // Appends `block` iff this node seals the same block on its own head,
-  // executing its transactions once from a scratch pool (SubmitTransaction's
+  // executing its transactions once from a scratch pool (SubmitTransactions'
   // admission) at max(Now(), its timestamp). A rejected block
   // (kVerificationFailed, "block N: ...") leaves the node unchanged, its
   // own pool included; an appended one drops what it mined from that pool.
+  // Like SubmitTransactions, never call it on a Shared() worker or inside
+  // the parallel executor's wave.
   Status ImportBlock(const Block& block);
 
   // ---- Clock ----
@@ -194,8 +203,14 @@ class Blockchain {
   void set_step_tracer(evm::TraceHook* hook) { step_tracer_ = hook; }
 
  private:
-  // SubmitTransaction into `pool`.
+  // SubmitTransaction into `pool`; hands TxPool::Add the sender and hash it
+  // computed.
   Result<Hash32> SubmitTo(TxPool& pool, const Transaction& tx);
+  // SubmitTransactions into `pool`, the body ImportBlock shares. A failed
+  // recovery is not memoized, so SubmitTo re-derives it and returns the
+  // one-at-a-time status.
+  std::vector<Result<Hash32>> Admit(TxPool& pool,
+                                    std::span<const Transaction> txs);
   // The body MineBlock and ImportBlock share: packs `pool`, then executes,
   // seals and commits the next block at `timestamp`. A `check` that fails
   // on the sealed block rolls state_ back, commits nothing and returns.

@@ -1,9 +1,9 @@
-// The chain's runtime invariant auditor: pluggable protocol-level invariants
-// evaluated at block-commit and settlement boundaries, reporting structured
-// violations into an obs::Auditor sink (which counts, logs, dumps a
-// flight-recorder triage bundle, and aborts under fail-fast). This is the
-// watchdog the adversarial soak needs — the properties the paper's security
-// argument rests on, checked on every run instead of asserted in one test.
+// The chain's runtime invariant auditor: the built-in protocol-level
+// invariants a spec selects, evaluated at block-commit and settlement
+// boundaries, reporting structured violations into an obs::Auditor sink
+// (which counts, logs, dumps a flight-recorder triage bundle, and aborts
+// under fail-fast). These are the properties the paper's security argument
+// rests on, checked on every run instead of asserted in one test.
 //
 // Built-in invariants (spec names for ChainConfig::audit_invariants):
 //   conservation  — sum of account balances equals genesis plus recorded
@@ -104,16 +104,15 @@ class ChainAuditor {
   void OnMint(const Address& addr, const U256& amount);
   void OnSettlement(const SettlementAudit& settlement);
 
-  // Custom invariants plug in here (the soak fleet adds scenario-specific
-  // ones). Each invariant's OnBlockCommit is timed into the histogram
-  // audit.<name>_us.
-  void AddInvariant(std::unique_ptr<BlockInvariant> invariant);
-
   obs::Auditor& sink() { return sink_; }
   uint64_t violations() const { return sink_.violations(); }
   size_t invariant_count() const { return invariants_.size(); }
 
  private:
+  // Registers one of the spec's built-in invariants; its OnBlockCommit is
+  // timed into the histogram audit.<name>_us.
+  void AddInvariant(std::unique_ptr<BlockInvariant> invariant);
+
   obs::Auditor sink_;
   std::vector<std::unique_ptr<BlockInvariant>> invariants_;
   std::vector<obs::Histogram*> commit_us_;  // parallel to invariants_

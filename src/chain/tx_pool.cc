@@ -24,16 +24,9 @@ void UpdateDepthGauge(size_t depth) {
 
 }  // namespace
 
-Status TxPool::Add(const Transaction& tx) {
-  Entry entry;
-  entry.tx = tx;
-  auto sender = tx.Sender();
-  if (sender.ok()) {
-    entry.has_sender = true;
-    entry.sender = *sender;
-  }
-  Hash32 hash = tx.Hash();
-  entry.key = HashKey(hash);
+Status TxPool::Add(const Transaction& tx, const Address& sender,
+                   const Hash32& hash) {
+  Entry entry{tx, HashKey(hash), sender};
   size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -89,7 +82,7 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
 
   std::map<Address, std::vector<size_t>> by_sender;
   for (size_t i = 0; i < staged.size(); ++i) {
-    if (staged[i].has_sender) by_sender[staged[i].sender].push_back(i);
+    by_sender[staged[i].sender].push_back(i);
   }
   std::map<Address, uint64_t> min_nonce;
   for (auto& [sender, slots] : by_sender) {
@@ -122,15 +115,6 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   std::vector<Transaction> out;
   for (size_t pos = 0; pos < order.size() && out.size() < max_count; ++pos) {
     Entry& entry = staged[order[pos]];
-    if (!entry.has_sender) {
-      // No nonce sequence to protect: pack whenever it fits.
-      if (entry.tx.gas_limit <= budget) {
-        fate[order[pos]] = Fate::kTake;
-        budget -= entry.tx.gas_limit;
-        out.push_back(std::move(entry.tx));
-      }
-      continue;
-    }
     auto [it, first_seen] = senders.try_emplace(entry.sender);
     SenderState& ss = it->second;
     if (first_seen) {
@@ -216,9 +200,9 @@ void TxPool::DropMined(const std::vector<Transaction>& mined) {
     std::lock_guard<std::mutex> lock(mu_);
     std::erase_if(queue_, [&](const Entry& entry) {
       auto it = base_nonces.find(entry.sender);
-      const bool drop = mined_keys.count(entry.key) > 0 ||
-                        (entry.has_sender && it != base_nonces.end() &&
-                         entry.tx.nonce < it->second);
+      const bool drop =
+          mined_keys.count(entry.key) > 0 ||
+          (it != base_nonces.end() && entry.tx.nonce < it->second);
       if (drop) pending_hashes_.erase(entry.key);
       return drop;
     });

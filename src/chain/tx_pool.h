@@ -59,7 +59,11 @@ class TxPool {
   void set_base_nonce_provider(BaseNonceFn fn) { base_nonce_ = std::move(fn); }
 
   // Rejects duplicates of pending transactions and of recently taken ones.
-  Status Add(const Transaction& tx);
+  // Trusts its caller for `sender` and `hash`: they must be tx.Sender() and
+  // tx.Hash(). Blockchain's admission computes each once, rejects a
+  // transaction without a recoverable sender before Add, and is the only
+  // caller.
+  Status Add(const Transaction& tx, const Address& sender, const Hash32& hash);
 
   // Removes and returns up to `max_count` transactions ordered per-sender
   // by nonce under the gas budget, per the packing semantics above.
@@ -89,10 +93,7 @@ class TxPool {
 
   struct Entry {
     Transaction tx;
-    std::string key;  // tx hash bytes, computed once at Add
-    // Sender recovered once at Add; entries with an unrecoverable sender
-    // keep their submission slot untouched and pack by arrival order.
-    bool has_sender = false;
+    std::string key;  // tx hash bytes, as handed to Add
     Address sender;
   };
 

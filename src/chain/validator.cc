@@ -1,36 +1,16 @@
 #include "chain/validator.h"
 
 #include "obs/metrics.h"
-#include "support/thread_pool.h"
 
 namespace onoff::chain {
 
 namespace {
 
-// Warms every transaction's sender memo across the worker pool so the
-// serial replay below never blocks on ECDSA. Failed recoveries are not
-// cached, so the replay re-derives (and rejects) them with the exact
-// serial-path status.
-void PrerecoverSenders(const std::vector<Block>& blocks) {
-  std::vector<const Transaction*> txs;
-  for (size_t i = 1; i < blocks.size(); ++i) {
-    for (const Transaction& tx : blocks[i].transactions) txs.push_back(&tx);
-  }
-  if (txs.size() < 2) return;
-  ThreadPool::Shared().ParallelFor(
-      txs.size(), [&txs](size_t i) { (void)txs[i]->Sender(); });
-  static obs::Counter* prerecovered =
-      obs::GetCounterOrNull("validator.prerecovered_senders");
-  if (prerecovered != nullptr) prerecovered->Inc(txs.size());
-}
-
 Status VerifyChainImpl(const std::vector<Block>& blocks,
-                       const GenesisAlloc& alloc, const ChainConfig& config,
-                       const VerifyOptions& options) {
+                       const GenesisAlloc& alloc, const ChainConfig& config) {
   if (blocks.empty()) {
     return Status::InvalidArgument("chain has no genesis block");
   }
-  if (options.parallel_sender_recovery) PrerecoverSenders(blocks);
 
   // Rebuild from genesis on a replica node.
   Blockchain replica(config);
@@ -54,7 +34,7 @@ Status VerifyChainImpl(const std::vector<Block>& blocks,
 }  // namespace
 
 Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
-                   const ChainConfig& config, const VerifyOptions& options) {
+                   const ChainConfig& config) {
   static obs::Histogram* replay_us = obs::GetHistogramOrNull(
       "validator.verify_replay_us", obs::DefaultTimeBucketsUs());
   static obs::Counter* ok_count =
@@ -62,7 +42,7 @@ Status VerifyChain(const std::vector<Block>& blocks, const GenesisAlloc& alloc,
   static obs::Counter* failed_count =
       obs::GetCounterOrNull("validator.verify_failures");
   obs::ScopedTimer replay_span(replay_us);
-  Status st = VerifyChainImpl(blocks, alloc, config, options);
+  Status st = VerifyChainImpl(blocks, alloc, config);
   if (obs::Counter* outcome = st.ok() ? ok_count : failed_count) {
     outcome->Inc();
   }

@@ -194,12 +194,7 @@ Result<Bytes> BuildOnChainRuntime(const BettingConfig& cfg) {
   // ---- enforceDisputeResolution(bool) deployedAddrOnly (Alg. 6) ----
   w.BeginFunction(f_enforce);
   // require(deployedAddr != 0 && msg.sender == deployedAddr)
-  w.SLoad(U256(betting_slots::kDeployedAddr));
-  w.b().Op(Opcode::DUP1);
-  w.Require();
-  w.PushCaller();
-  w.b().Op(Opcode::EQ);
-  w.Require();
+  EmitRequireCallerIsStored(w, U256(betting_slots::kDeployedAddr));
   w.SLoad(U256(betting_slots::kResolved));
   w.RequireNot();
   w.PushU(U256(1));
@@ -264,22 +259,7 @@ Result<Bytes> BuildOffChainRuntime(const OffchainConfig& cfg) {
   w.BeginFunction(f_return);
   w.RequireCallerIsEither(cfg.alice, cfg.bob);
   EmitReveal(w, cfg);                // [winner]
-  // calldata = selector ++ winner at memory 0x40.
-  U256 sel_word = U256(abi::SelectorWord(kEnforceSig)) << 224;
-  w.PushU(sel_word);
-  w.PushU(U256(0x40));
-  w.b().Op(Opcode::MSTORE);
-  w.PushU(U256(0x44));
-  w.b().Op(Opcode::MSTORE);          // mem[0x44] = winner; []
-  w.PushU(U256(0));                  // out size
-  w.PushU(U256(0));                  // out offset
-  w.PushU(U256(0x24));               // in size (4 + 32)
-  w.PushU(U256(0x40));               // in offset
-  w.PushU(U256(0));                  // value
-  w.PushArg(0);                      // to = the on-chain contract
-  w.b().Op(Opcode::GAS);             // forward all gas
-  w.b().Op(Opcode::CALL);
-  w.Require();
+  EmitEnforceCallback(w, kEnforceSig);
   w.EndFunctionStop();
 
   // ---- getWinner() view: lets participants execute reveal() locally ----

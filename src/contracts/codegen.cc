@@ -279,4 +279,32 @@ void EmitCreateFromStagedBytes(ContractWriter& w) {
   w.Require();
 }
 
+void EmitRequireCallerIsStored(ContractWriter& w, const U256& slot) {
+  w.SLoad(slot);
+  w.b().Op(Opcode::DUP1);
+  w.Require();
+  w.PushCaller();
+  w.b().Op(Opcode::EQ);
+  w.Require();
+}
+
+void EmitEnforceCallback(ContractWriter& w,
+                         std::string_view enforce_signature) {
+  // Stack in: [word]; calldata = selector ++ word at memory 0x40.
+  w.PushU(U256(abi::SelectorWord(enforce_signature)) << 224);
+  w.PushU(U256(0x40));
+  w.b().Op(Opcode::MSTORE);
+  w.PushU(U256(0x44));
+  w.b().Op(Opcode::MSTORE);            // mem[0x44] = word; []
+  w.PushU(U256(0));                    // out size
+  w.PushU(U256(0));                    // out offset
+  w.PushU(U256(0x24));                 // in size (4 + 32)
+  w.PushU(U256(0x40));                 // in offset
+  w.PushU(U256(0));                    // value
+  w.PushArg(0);                        // to
+  w.b().Op(Opcode::GAS);               // forward all gas
+  w.b().Op(Opcode::CALL);
+  w.Require();
+}
+
 }  // namespace onoff::contracts

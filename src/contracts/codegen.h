@@ -144,6 +144,18 @@ void EmitEcrecoverRequire(ContractWriter& w, int arg_base,
 // leaves [addr], and requires the creation to succeed.
 void EmitCreateFromStagedBytes(ContractWriter& w);
 
+// require(the address stored in `slot` is set && msg.sender == it): the
+// guard that lets only the verified instance enforce. Stack-neutral.
+void EmitRequireCallerIsStored(ContractWriter& w, const U256& slot);
+
+// The tail of returnDisputeResolution: pops the result word and CALLs
+// `enforce_signature`(word) on the contract at calldata argument 0,
+// forwarding all gas, and requires success. The calldata is staged at
+// memory 0x40, since the resolver may have used [0x00, 0x40).
+// Stack: ... word -> ...
+void EmitEnforceCallback(ContractWriter& w,
+                         std::string_view enforce_signature);
+
 }  // namespace onoff::contracts
 
 #endif  // ONOFFCHAIN_CONTRACTS_CODEGEN_H_

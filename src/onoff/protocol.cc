@@ -21,6 +21,9 @@ constexpr char kChainEndpoint[] = "chain";
 // Approximate RLP transaction envelope overhead on the wire (nonce, gas
 // fields, signature) added to the calldata size.
 constexpr size_t kTxEnvelopeBytes = 110;
+// Retransmission interval (virtual ms) for unacknowledged transactions: the
+// sender cannot see in-flight losses, so it re-sends until its deadline.
+constexpr uint64_t kTxRetryMs = 250;
 
 // A transaction in flight through the simulated network.
 struct PendingCall {
@@ -207,7 +210,7 @@ Result<chain::Receipt> BettingProtocol::ExecuteViaSim(
           call->result = chain_->Execute(from, to, value, data, gas_limit);
           call->done = true;
         });
-    uint64_t next = sched_->NowMs() + timing_.tx_retry_ms;
+    uint64_t next = sched_->NowMs() + kTxRetryMs;
     if (next < deadline_ms) {
       sched_->ScheduleAt(next, [weak_attempt] {
         if (auto fn = weak_attempt.lock()) (*fn)();

@@ -115,9 +115,6 @@ struct ProtocolTiming {
   // the run is declared lost (kDisputeTimedOut). The paper assumes this
   // window always suffices; the simulator makes it a measured quantity.
   uint64_t challenge_period_ms = 60'000;
-  // Retransmission interval for unacknowledged transactions (the sender
-  // cannot see in-flight losses, so it re-sends until its deadline).
-  uint64_t tx_retry_ms = 250;
 };
 
 class BettingProtocol {

@@ -128,12 +128,7 @@ Result<SplitContracts> SplitContract(
     // enforceResult(uint256): only the verified instance; overrides any
     // unfinalized proposal and finalizes immediately.
     w.BeginFunction(f_enforce);
-    w.SLoad(U256(split_slots::kDeployedAddr));
-    w.b().Op(Opcode::DUP1);
-    w.Require();
-    w.PushCaller();
-    w.b().Op(Opcode::EQ);
-    w.Require();
+    contracts::EmitRequireCallerIsStored(w, U256(split_slots::kDeployedAddr));
     w.SLoad(U256(split_slots::kResultReady));
     w.RequireNot();
     w.PushArg(0);
@@ -169,22 +164,7 @@ Result<SplitContracts> SplitContract(
     w.BeginFunction(f_return);
     w.RequireCallerIsOneOf(cfg.participants);
     heavy[cfg.resolver_index]->body(w);  // [result]
-    U256 sel_word = U256(abi::SelectorWord(kEnforceSig)) << 224;
-    // Stage calldata at 0x40 (the resolver may have used [0x00, 0x40)).
-    w.PushU(sel_word);
-    w.PushU(U256(0x40));
-    w.b().Op(Opcode::MSTORE);
-    w.PushU(U256(0x44));
-    w.b().Op(Opcode::MSTORE);        // mem[0x44] = result
-    w.PushU(U256(0));                // out size
-    w.PushU(U256(0));                // out offset
-    w.PushU(U256(0x24));             // in size
-    w.PushU(U256(0x40));             // in offset
-    w.PushU(U256(0));                // value
-    w.PushArg(0);                    // to
-    w.b().Op(Opcode::GAS);
-    w.b().Op(Opcode::CALL);
-    w.Require();
+    contracts::EmitEnforceCallback(w, kEnforceSig);
     w.EndFunctionStop();
 
     ONOFF_ASSIGN_OR_RETURN(out.offchain_runtime, w.BuildRuntime());

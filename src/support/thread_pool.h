@@ -1,9 +1,10 @@
 // A small fixed-size worker pool for embarrassingly parallel batches —
-// sender pre-recovery in chain verification, batch signature checks, large
-// state commits, and benchmark fan-out. Deliberately minimal: a locked FIFO
-// queue, futures for result/exception propagation, and a blocking
-// ParallelFor. Tasks must not themselves block on the same pool (no nested
-// ParallelFor from a worker).
+// sender recovery at batch admission (Blockchain::SubmitTransactions and
+// every block import), batch signature checks, large state commits, the
+// parallel executor's speculation wave, and benchmark fan-out. Deliberately
+// minimal: a locked FIFO queue, futures for result/exception propagation,
+// and a blocking ParallelFor. Tasks must not themselves block on the same
+// pool (no nested ParallelFor from a worker or from inside a wave).
 
 #ifndef ONOFFCHAIN_SUPPORT_THREAD_POOL_H_
 #define ONOFFCHAIN_SUPPORT_THREAD_POOL_H_

@@ -528,6 +528,42 @@ TEST_F(BlockchainTest, ExactlyOneRecoveryPerTransactionLifecycle) {
             uint64_t{kTxCount});
 }
 
+// chain.txs_deferred counts what a block left pending, not the stale
+// entries the pool dropped while packing it.
+TEST_F(BlockchainTest, StaleDropIsNotCountedAsDeferred) {
+  obs::Registry* registry = obs::Registry::Global();
+  if (registry == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  auto transfer = [this](uint64_t nonce, uint64_t value) {
+    Transaction tx;
+    tx.nonce = nonce;
+    tx.gas_price = U256(1);
+    tx.gas_limit = 21'000;
+    tx.to = bob_.EthAddress();
+    tx.value = U256(value);
+    tx.Sign(alice_);
+    return tx;
+  };
+  ASSERT_TRUE(chain_.SubmitTransaction(transfer(0, 1)).ok());
+  ASSERT_EQ(chain_.MineBlock().transactions.size(), 1u);
+  // Another nonce-0 transfer has another hash, so it is admitted, but it
+  // can never be mined.
+  ASSERT_TRUE(chain_.SubmitTransaction(transfer(0, 2)).ok());
+  const uint64_t stale = registry->CounterValue("txpool.stale_dropped");
+  const uint64_t deferred = registry->CounterValue("chain.txs_deferred");
+  EXPECT_TRUE(chain_.MineBlock().transactions.empty());
+  EXPECT_EQ(chain_.PendingCount(), 0u);
+  EXPECT_EQ(registry->CounterValue("txpool.stale_dropped") - stale, 1u);
+  EXPECT_EQ(registry->CounterValue("chain.txs_deferred") - deferred, 0u);
+  // A gapped nonce stays pending: that is a deferral.
+  ASSERT_TRUE(chain_.SubmitTransaction(transfer(2, 1)).ok());
+  EXPECT_TRUE(chain_.MineBlock().transactions.empty());
+  EXPECT_EQ(chain_.PendingCount(), 1u);
+  EXPECT_EQ(registry->CounterValue("txpool.stale_dropped") - stale, 1u);
+  EXPECT_EQ(registry->CounterValue("chain.txs_deferred") - deferred, 1u);
+}
+
 // Admission runs no analyzer: init code the analyzer rejects is admitted
 // and mined like any other creation.
 TEST_F(BlockchainTest, CreationWithLintFindingsIsAdmittedAndMined) {

@@ -24,11 +24,17 @@ Transaction MakeTx(const secp256k1::PrivateKey& key, uint64_t nonce,
   return tx;
 }
 
+// Admits `tx` with the sender and hash Blockchain's admission would hand
+// the pool.
+Status Add(TxPool& pool, const Transaction& tx) {
+  return pool.Add(tx, *tx.Sender(), tx.Hash());
+}
+
 TEST(TxPoolTest, OutOfOrderNoncesReorderedPerSender) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
   for (uint64_t nonce : {2u, 0u, 1u}) {
-    ASSERT_TRUE(pool.Add(MakeTx(alice, nonce)).ok());
+    ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
   }
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 3u);
@@ -44,9 +50,9 @@ TEST(TxPoolTest, ReorderingPreservesSenderSlots) {
   TxPool pool;
   // Submission slots: [alice, bob, alice]. Alice's transactions arrive
   // nonce-reversed; bob keeps his slot in between.
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 1)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(bob, 0)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 0)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(bob, 0)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 3u);
   EXPECT_EQ(*taken[0].Sender(), alice.EthAddress());
@@ -64,7 +70,7 @@ TEST(TxPoolTest, InOrderSubmissionIsUnchanged) {
   TxPool pool;
   std::vector<Transaction> block = {MakeTx(alice, 0), MakeTx(bob, 0),
                                     MakeTx(alice, 1), MakeTx(bob, 1)};
-  for (const Transaction& tx : block) ASSERT_TRUE(pool.Add(tx).ok());
+  for (const Transaction& tx : block) ASSERT_TRUE(Add(pool, tx).ok());
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), block.size());
   for (size_t i = 0; i < block.size(); ++i) {
@@ -76,7 +82,7 @@ TEST(TxPoolTest, GasBudgetStopsPacking) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
   for (uint64_t nonce : {0u, 1u, 2u}) {
-    ASSERT_TRUE(pool.Add(MakeTx(alice, nonce, 4'000'000)).ok());
+    ASSERT_TRUE(Add(pool, MakeTx(alice, nonce, 4'000'000)).ok());
   }
   // 4M + 4M fills an 8M budget; the third must stay pending.
   std::vector<Transaction> taken = pool.Take(10, 8'000'000);
@@ -94,9 +100,9 @@ TEST(TxPoolTest, BudgetStopDefersInsteadOfSkipping) {
   // transactions are not pulled ahead of it, or nonce ordering would break.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 0, 5'000'000)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 1, 2'000'000)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 2, 100'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 0, 5'000'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 1, 2'000'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 2, 100'000)).ok());
   std::vector<Transaction> taken = pool.Take(10, 6'000'000);
   ASSERT_EQ(taken.size(), 1u);
   EXPECT_EQ(taken[0].nonce, 0u);
@@ -107,7 +113,7 @@ TEST(TxPoolTest, MaxCountStillApplies) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
   for (uint64_t nonce : {0u, 1u, 2u}) {
-    ASSERT_TRUE(pool.Add(MakeTx(alice, nonce)).ok());
+    ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
   }
   EXPECT_EQ(pool.Take(2).size(), 2u);
   EXPECT_EQ(pool.size(), 1u);
@@ -117,8 +123,8 @@ TEST(TxPoolTest, DuplicateRejectedAndContainsTracksTakes) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
   Transaction tx = MakeTx(alice, 0);
-  ASSERT_TRUE(pool.Add(tx).ok());
-  EXPECT_FALSE(pool.Add(tx).ok());
+  ASSERT_TRUE(Add(pool, tx).ok());
+  EXPECT_FALSE(Add(pool, tx).ok());
   EXPECT_TRUE(pool.Contains(tx.Hash()));
   ASSERT_EQ(pool.Take(10).size(), 1u);
   EXPECT_FALSE(pool.Contains(tx.Hash()));
@@ -126,7 +132,7 @@ TEST(TxPoolTest, DuplicateRejectedAndContainsTracksTakes) {
   // pool used to be re-admitted and mined a second time. The hash now sits
   // in the recently-taken window and the duplicate is rejected.
   EXPECT_TRUE(pool.RecentlyTaken(tx.Hash()));
-  EXPECT_FALSE(pool.Add(tx).ok());
+  EXPECT_FALSE(Add(pool, tx).ok());
   EXPECT_TRUE(pool.empty());
 }
 
@@ -136,31 +142,31 @@ TEST(TxPoolTest, RecentlyTakenWindowIsBounded) {
   config.recent_take_batches = 2;
   TxPool pool(config);
   Transaction tx = MakeTx(alice, 0);
-  ASSERT_TRUE(pool.Add(tx).ok());
+  ASSERT_TRUE(Add(pool, tx).ok());
   ASSERT_EQ(pool.Take(10).size(), 1u);
-  EXPECT_FALSE(pool.Add(tx).ok());
+  EXPECT_FALSE(Add(pool, tx).ok());
   // Two further non-empty take batches push the hash out of the bounded
   // window; afterwards the (stale, unminable) duplicate is admitted again
   // rather than remembered forever.
   for (uint64_t nonce : {1u, 2u}) {
-    ASSERT_TRUE(pool.Add(MakeTx(alice, nonce)).ok());
+    ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
     ASSERT_EQ(pool.Take(10).size(), 1u);
   }
   EXPECT_FALSE(pool.RecentlyTaken(tx.Hash()));
-  EXPECT_TRUE(pool.Add(tx).ok());
+  EXPECT_TRUE(Add(pool, tx).ok());
 
   // The window counts the pool's non-empty takes, whoever sent what they
   // carried: two batches of other senders' transactions push it out too.
   TxPool shared(config);
-  ASSERT_TRUE(shared.Add(tx).ok());
+  ASSERT_TRUE(Add(shared, tx).ok());
   ASSERT_EQ(shared.Take(10).size(), 1u);
   for (const char* seed : {"bob", "carol"}) {
     auto other = secp256k1::PrivateKey::FromSeed(seed);
-    ASSERT_TRUE(shared.Add(MakeTx(other, 0)).ok());
+    ASSERT_TRUE(Add(shared, MakeTx(other, 0)).ok());
     ASSERT_EQ(shared.Take(10).size(), 1u);
   }
   EXPECT_FALSE(shared.RecentlyTaken(tx.Hash()));
-  EXPECT_TRUE(shared.Add(tx).ok());
+  EXPECT_TRUE(Add(shared, tx).ok());
 }
 
 TEST(TxPoolTest, OverBudgetSenderDoesNotBlockOthers) {
@@ -171,9 +177,9 @@ TEST(TxPoolTest, OverBudgetSenderDoesNotBlockOthers) {
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
   auto carol = secp256k1::PrivateKey::FromSeed("carol");
   TxPool pool;
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 0, 7'000'000)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(bob, 0, 5'000'000)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(carol, 0, 900'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 0, 7'000'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(bob, 0, 5'000'000)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(carol, 0, 900'000)).ok());
   std::vector<Transaction> taken = pool.Take(10, 8'000'000);
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(*taken[0].Sender(), alice.EthAddress());
@@ -191,8 +197,8 @@ TEST(TxPoolTest, NonceGapHeldUntilFilled) {
   // missing nonce arrives.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 0)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 2)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 1u);
   EXPECT_EQ(taken[0].nonce, 0u);
@@ -203,7 +209,7 @@ TEST(TxPoolTest, NonceGapHeldUntilFilled) {
   pool.set_base_nonce_provider([](const Address&) { return uint64_t{1}; });
   EXPECT_TRUE(pool.Take(10).empty());
   EXPECT_EQ(pool.size(), 1u);
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 1)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
   std::vector<Transaction> rest = pool.Take(10);
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].nonce, 1u);
@@ -216,9 +222,9 @@ TEST(TxPoolTest, StaleNonceDropped) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   TxPool pool;
   pool.set_base_nonce_provider([](const Address&) { return uint64_t{2}; });
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 0)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 1)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 2)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 1u);
   EXPECT_EQ(taken[0].nonce, 2u);
@@ -238,15 +244,15 @@ TEST(TxPoolTest, DropMinedForgetsMinedAndStaleEntries) {
   });
   const Transaction mined0 = MakeTx(alice, 0);
   const Transaction mined1 = MakeTx(alice, 1, 30'000);
-  ASSERT_TRUE(pool.Add(mined0).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 1)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(alice, 2)).ok());
-  ASSERT_TRUE(pool.Add(MakeTx(bob, 0)).ok());
+  ASSERT_TRUE(Add(pool, mined0).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
+  ASSERT_TRUE(Add(pool, MakeTx(bob, 0)).ok());
   pool.DropMined({mined0, mined1});
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_FALSE(pool.Contains(mined0.Hash()));
   EXPECT_TRUE(pool.RecentlyTaken(mined0.Hash()));
-  EXPECT_EQ(pool.Add(mined1).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Add(pool, mined1).code(), StatusCode::kAlreadyExists);
   std::vector<Transaction> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_EQ(taken[0].nonce, 2u);
@@ -276,7 +282,7 @@ TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
   for (int i = 0; i < kSenders; ++i) {
     producers.emplace_back([&, i] {
       for (uint64_t nonce = 0; nonce < kPerSender; ++nonce) {
-        ASSERT_TRUE(pool.Add(MakeTx(keys[i], nonce)).ok());
+        ASSERT_TRUE(Add(pool, MakeTx(keys[i], nonce)).ok());
       }
     });
   }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "contracts/betting.h"  // Ether()
 #include "easm/assembler.h"
+#include "obs/metrics.h"
 
 namespace onoff::chain {
 namespace {
@@ -116,86 +120,192 @@ TEST_F(ValidatorTest, EmptyChainRejected) {
             StatusCode::kInvalidArgument);
 }
 
-// Serial and parallel sender pre-recovery must be observationally
-// identical: same Status code AND same message, on valid and invalid
-// chains alike.
-class ValidatorParallelTest : public ValidatorTest {
+// Batch admission (SubmitTransactions, and ImportBlock through the same
+// body) against a loop of SubmitTransaction. Every transaction is a cold
+// copy: it round-trips through the wire format, so its sender memo starts
+// empty, as in a batch or a block received from a peer.
+class BatchAdmissionTest : public ::testing::Test {
  protected:
-  void ExpectBothModesAgree(const std::vector<Block>& blocks,
-                            StatusCode expected) {
-    VerifyOptions serial{.parallel_sender_recovery = false};
-    VerifyOptions parallel{.parallel_sender_recovery = true};
-    Status serial_st = VerifyChain(blocks, alloc_, chain_.config(), serial);
-    Status parallel_st = VerifyChain(blocks, alloc_, chain_.config(), parallel);
-    EXPECT_EQ(serial_st.code(), expected) << serial_st.ToString();
-    EXPECT_EQ(parallel_st.code(), serial_st.code());
-    EXPECT_EQ(parallel_st.message(), serial_st.message());
+  static constexpr size_t kSenders = 4;
+
+  BatchAdmissionTest() {
+    for (size_t i = 0; i < kSenders; ++i) {
+      keys_.push_back(PrivateKey::FromSeed("batch-" + std::to_string(i)));
+      alloc_.emplace_back(keys_.back().EthAddress(), Ether(10));
+    }
+    for (const auto& [addr, amount] : alloc_) {
+      batch_.FundAccount(addr, amount);
+      serial_.FundAccount(addr, amount);
+    }
   }
+
+  static Transaction Cold(const Transaction& tx) {
+    Result<Transaction> decoded = Transaction::Decode(tx.Encode());
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return *decoded;
+  }
+
+  static std::vector<Transaction> Cold(const std::vector<Transaction>& txs) {
+    std::vector<Transaction> out;
+    for (const Transaction& tx : txs) out.push_back(Cold(tx));
+    return out;
+  }
+
+  Transaction Transfer(size_t sender, uint64_t nonce,
+                       uint64_t gas_limit = 21'000) const {
+    Transaction tx;
+    tx.nonce = nonce;
+    tx.gas_price = U256(1);
+    tx.gas_limit = gas_limit;
+    tx.to = keys_[(sender + 1) % kSenders].EthAddress();
+    tx.value = U256(1 + sender);
+    tx.Sign(keys_[sender]);
+    return tx;
+  }
+
+  // 16 transfers, 4 per sender; each sender's nonces arrive as 2, 0, 3, 1,
+  // interleaved with the other senders'.
+  std::vector<Transaction> Transfers() const {
+    std::vector<Transaction> txs;
+    for (uint64_t nonce : {2u, 0u, 3u, 1u}) {
+      for (size_t sender = 0; sender < kSenders; ++sender) {
+        txs.push_back(Transfer(sender, nonce));
+      }
+    }
+    return txs;
+  }
+
+  // `results` from SubmitTransactions against a loop of SubmitTransaction
+  // over its own cold copies of the same transactions.
+  void ExpectSameResults(const std::vector<Result<Hash32>>& results,
+                         const std::vector<Transaction>& txs) {
+    ASSERT_EQ(results.size(), txs.size());
+    for (size_t i = 0; i < txs.size(); ++i) {
+      Result<Hash32> serial = serial_.SubmitTransaction(Cold(txs[i]));
+      EXPECT_EQ(results[i].status().code(), serial.status().code())
+          << "tx " << i;
+      EXPECT_EQ(results[i].status().message(), serial.status().message())
+          << "tx " << i;
+      if (serial.ok() && results[i].ok()) {
+        EXPECT_EQ(*results[i], *serial) << "tx " << i;
+      }
+    }
+  }
+
+  static uint64_t Counter(const char* name) {
+    return obs::Registry::Global()->CounterValue(name);
+  }
+
+  std::vector<PrivateKey> keys_;
+  GenesisAlloc alloc_;
+  Blockchain batch_;
+  Blockchain serial_;
 };
 
-TEST_F(ValidatorParallelTest, AgreeOnValidChain) {
-  BuildActivity();
-  ExpectBothModesAgree(chain_.blocks(), StatusCode::kOk);
-}
+TEST_F(BatchAdmissionTest, SameStatusesPoolAndRootsAsOneAtATime) {
+  std::vector<Transaction> txs = Transfers();
+  txs.push_back(txs[5]);                         // duplicate
+  txs.push_back(Transfer(0, 4, 9'000'000));      // above the block limit
+  txs.push_back(Transfer(1, 4, 20'000));         // below intrinsic gas
+  Transaction high_s = Transfer(2, 4);           // EIP-2: the same sender
+  high_s.signature.s = secp256k1::GroupOrder() - high_s.signature.s;
+  high_s.signature.v = static_cast<uint8_t>(55 - high_s.signature.v);
+  txs.push_back(high_s);
+  Transaction r_zero = Transfer(3, 4);           // unrecoverable
+  r_zero.signature.r = U256(0);
+  txs.push_back(r_zero);
 
-TEST_F(ValidatorParallelTest, AgreeOnManyTransactionBlocks) {
-  // Enough transactions per block that the pre-recovery pool actually fans
-  // out. SendTransaction always uses the state nonce, so batch-submit with
-  // explicit consecutive nonces instead.
-  uint64_t alice_nonce = 0;
-  uint64_t bob_nonce = 0;
-  for (int block = 0; block < 3; ++block) {
-    for (int i = 0; i < 8; ++i) {
-      const PrivateKey& signer = i % 2 == 0 ? alice_ : bob_;
-      uint64_t& nonce = i % 2 == 0 ? alice_nonce : bob_nonce;
-      Transaction tx;
-      tx.nonce = nonce++;
-      tx.gas_price = U256(1);
-      tx.gas_limit = 21'000;
-      tx.to = bob_.EthAddress();
-      tx.value = U256(1);
-      tx.Sign(signer);
-      auto hash = chain_.SubmitTransaction(tx);
-      ASSERT_TRUE(hash.ok()) << hash.status().ToString();
-    }
-    chain_.MineBlock();
+  const bool metrics = obs::Registry::Global() != nullptr;
+  const uint64_t before_batch = metrics ? Counter("crypto.recover_ops") : 0;
+  std::vector<Result<Hash32>> results = batch_.SubmitTransactions(Cold(txs));
+  const uint64_t before_serial = metrics ? Counter("crypto.recover_ops") : 0;
+  ExpectSameResults(results, txs);
+  if (metrics) {
+    // The unrecoverable transaction is tried once on the pool and once in
+    // order; every other sender is recovered once on each chain (none for
+    // the high-s copy, which fails before recovery).
+    const uint64_t serial_recovers =
+        Counter("crypto.recover_ops") - before_serial;
+    EXPECT_EQ(serial_recovers, 20u);
+    EXPECT_EQ(before_serial - before_batch, serial_recovers + 1);
   }
-  ExpectBothModesAgree(chain_.blocks(), StatusCode::kOk);
-}
-
-TEST_F(ValidatorParallelTest, AgreeOnTamperedTransaction) {
-  BuildActivity();
-  std::vector<Block> blocks = chain_.blocks();
-  for (auto& block : blocks) {
-    for (auto& tx : block.transactions) {
-      if (tx.value == Ether(1)) tx.value = Ether(2);
-    }
+  for (size_t i = 0; i < 16; ++i) {
+    EXPECT_TRUE(results[i].ok()) << "tx " << i << ": "
+                                 << results[i].status().ToString();
   }
-  ExpectBothModesAgree(blocks, StatusCode::kVerificationFailed);
+  EXPECT_EQ(results[16].status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(results[17].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[18].status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(results[19].status().code(), StatusCode::kVerificationFailed);
+  EXPECT_EQ(results[20].status().code(), StatusCode::kVerificationFailed);
+
+  ASSERT_EQ(batch_.PendingCount(), serial_.PendingCount());
+  const Block& batch_block = batch_.MineBlock();
+  const Block& serial_block = serial_.MineBlock();
+  EXPECT_EQ(batch_block.transactions.size(), 16u);
+  EXPECT_EQ(batch_.PendingCount(), serial_.PendingCount());
+  EXPECT_EQ(batch_block.header.state_root, serial_block.header.state_root);
+  EXPECT_EQ(batch_block.header.tx_root, serial_block.header.tx_root);
+  EXPECT_EQ(batch_block.header.receipt_root, serial_block.header.receipt_root);
 }
 
-TEST_F(ValidatorParallelTest, AgreeOnCorruptedSignature) {
-  BuildActivity();
-  std::vector<Block> blocks = chain_.blocks();
-  bool corrupted = false;
-  for (auto& block : blocks) {
-    if (!block.transactions.empty()) {
-      // An unrecoverable signature: the parallel pre-pass must not cache
-      // the failure, and the serial replay must report the same rejection.
-      block.transactions[0].signature.r = U256(0);
-      corrupted = true;
-      break;
-    }
+TEST_F(BatchAdmissionTest, RecoversEachColdSenderOnce) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
   }
-  ASSERT_TRUE(corrupted);
-  ExpectBothModesAgree(blocks, StatusCode::kVerificationFailed);
+  const std::vector<Transaction> txs = Transfers();
+  uint64_t before = Counter("crypto.recover_ops");
+  for (const Result<Hash32>& result : batch_.SubmitTransactions(Cold(txs))) {
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+  EXPECT_EQ(Counter("crypto.recover_ops") - before, 16u);
+  before = Counter("crypto.recover_ops");
+  for (const Transaction& tx : Cold(txs)) {
+    EXPECT_TRUE(serial_.SubmitTransaction(tx).ok());
+  }
+  EXPECT_EQ(Counter("crypto.recover_ops") - before, 16u);
 }
 
-TEST_F(ValidatorParallelTest, AgreeOnTamperedStateRoot) {
-  BuildActivity();
-  std::vector<Block> blocks = chain_.blocks();
-  blocks.back().header.state_root[0] ^= 0xff;
-  ExpectBothModesAgree(blocks, StatusCode::kVerificationFailed);
+TEST_F(BatchAdmissionTest, OneColdSubmissionReadsNoMemoHit) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  const Transaction tx = Cold(Transfer(0, 0));
+  const uint64_t misses = Counter("chain.sender_cache_misses");
+  const uint64_t hits = Counter("chain.sender_cache_hits");
+  ASSERT_TRUE(serial_.SubmitTransaction(tx).ok());
+  EXPECT_EQ(Counter("chain.sender_cache_misses") - misses, 1u);
+  EXPECT_EQ(Counter("chain.sender_cache_hits") - hits, 0u);
+}
+
+TEST_F(BatchAdmissionTest, VerifyChainOverColdBlocks) {
+  // Three blocks of 8 transfers, 2 per sender.
+  for (uint64_t block = 0; block < 3; ++block) {
+    std::vector<Transaction> txs;
+    for (uint64_t nonce : {2 * block, 2 * block + 1}) {
+      for (size_t sender = 0; sender < kSenders; ++sender) {
+        txs.push_back(Transfer(sender, nonce));
+      }
+    }
+    for (const Result<Hash32>& result : batch_.SubmitTransactions(txs)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    ASSERT_EQ(batch_.MineBlock().transactions.size(), 8u);
+  }
+  std::vector<Block> blocks = batch_.blocks();
+  for (Block& block : blocks) block.transactions = Cold(block.transactions);
+  Status st = VerifyChain(blocks, alloc_, batch_.config());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+
+  // An unrecoverable first signature is rejected with the one-at-a-time
+  // status, not a cached failure from the pool.
+  for (Block& block : blocks) block.transactions = Cold(block.transactions);
+  blocks[1].transactions[0].signature.r = U256(0);
+  st = VerifyChain(blocks, alloc_, batch_.config());
+  EXPECT_EQ(st.code(), StatusCode::kVerificationFailed);
+  EXPECT_EQ(st.message(),
+            "block 1: transaction rejected on replay: signature scalar out "
+            "of range");
 }
 
 }  // namespace
