@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   obs::Json partition_rows = obs::Json::Array();
   for (uint64_t past_t3 : {0ull, 2000ull, 4000ull, 6000ull, 7900ull,
                            12000ull}) {
-    // T3 sits at virtual 300'000ms (t3_offset 300s).
+    // T3 sits at virtual 300'000ms (300 s after Run()).
     TrialOutcome out =
         RunDisputeTrial(seed, 50, 0, 0.0, /*challenge_ms=*/8000,
                         /*partition_start_ms=*/299'000,

@@ -24,10 +24,6 @@ namespace {
 // ~Feb 2019, the paper's era.
 constexpr uint64_t kGenesisTimestamp = 1'550'000'000;
 
-std::string HashKey(const Hash32& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
-
 // The phases of sealing a block (MineBlock and ImportBlock), in order.
 enum Phase : size_t {
   kPack,
@@ -81,11 +77,11 @@ class PhaseClock {
 }  // namespace
 
 Blockchain::Blockchain(ChainConfig config)
-    : config_(std::move(config)), now_(kGenesisTimestamp) {
-  // The pool packs each sender's transactions as a contiguous nonce run
-  // from the account nonce; anything below it is unminable and dropped.
-  pool_.set_base_nonce_provider(
-      [this](const Address& addr) { return state_.GetNonce(addr); });
+    : config_(std::move(config)),
+      // The pool packs each sender's transactions as a contiguous nonce run
+      // from the account nonce; anything below it is unminable and dropped.
+      pool_([this](const Address& addr) { return state_.GetNonce(addr); }),
+      now_(kGenesisTimestamp) {
   if (config_.exec_workers > 0) {
     exec_pool_ = std::make_unique<ThreadPool>(config_.exec_workers);
   }
@@ -173,7 +169,7 @@ void Blockchain::FundAccount(const Address& addr, const U256& amount) {
 }
 
 Result<Hash32> Blockchain::SubmitTransaction(const Transaction& tx) {
-  return SubmitTo(pool_, tx);
+  return SubmitTo(pool_, tx, tx.Sender());
 }
 
 std::vector<Result<Hash32>> Blockchain::SubmitTransactions(
@@ -183,37 +179,44 @@ std::vector<Result<Hash32>> Blockchain::SubmitTransactions(
 
 std::vector<Result<Hash32>> Blockchain::Admit(
     TxPool& pool, std::span<const Transaction> txs) {
-  // Each worker writes only its own transaction's sender memo, and recovery
-  // is a pure function of the transaction's bytes, so the in-order admission
-  // below reads what a serial loop would compute.
+  // Each worker recovers only its own transaction's sender, and recovery is
+  // a pure function of the transaction's bytes, so the in-order admission
+  // below gets what a serial loop would compute, failures included.
+  std::vector<Result<Address>> senders(
+      txs.size(), Status::Internal("sender not recovered"));
+  auto recover = [&](size_t i) { senders[i] = txs[i].Sender(); };
   if (txs.size() >= 2) {
-    ThreadPool::Shared().ParallelFor(
-        txs.size(), [&txs](size_t i) { (void)txs[i].Sender(); });
+    ThreadPool::Shared().ParallelFor(txs.size(), recover);
+  } else {
+    for (size_t i = 0; i < txs.size(); ++i) recover(i);
   }
   std::vector<Result<Hash32>> results;
   results.reserve(txs.size());
-  for (const Transaction& tx : txs) results.push_back(SubmitTo(pool, tx));
+  for (size_t i = 0; i < txs.size(); ++i) {
+    results.push_back(SubmitTo(pool, txs[i], std::move(senders[i])));
+  }
   return results;
 }
 
-Result<Hash32> Blockchain::SubmitTo(TxPool& pool, const Transaction& tx) {
-  // Validates the signature and warms the sender memo, which execution
-  // reuses, so one ECDSA recovery covers the whole transaction lifecycle.
-  ONOFF_ASSIGN_OR_RETURN(const Address sender, tx.Sender());
+Result<Hash32> Blockchain::SubmitTo(TxPool& pool, const Transaction& tx,
+                                    Result<Address> recovered) {
+  // The transaction's one recovery and one hash: the pool record carries
+  // both to execution, an import's pool cleanup and the audit.
+  ONOFF_ASSIGN_OR_RETURN(const Address sender, std::move(recovered));
   if (tx.gas_limit > config_.block_gas_limit) {
     return Status::InvalidArgument("gas limit exceeds block gas limit");
   }
   if (tx.gas_limit < tx.IntrinsicGas()) {
     return Status::InvalidArgument("gas limit below intrinsic gas");
   }
-  const Hash32 hash = tx.Hash();
-  // Rejoinable trace context: the Transaction wire format carries no trace
-  // ids, so remember which trace submitted this hash (no-op when the
-  // submitter has no ambient context or tracing is off).
-  if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    tracer->AnnotateTx(hash, trace::CurrentContext());
+  PendingTx record{tx, sender, tx.Hash(), {}};
+  // The Transaction wire format carries no trace ids, so the record keeps
+  // the submitter's context (invalid when it has none or tracing is off).
+  if (trace::Tracer::Global() != nullptr) {
+    record.trace = trace::CurrentContext();
   }
-  ONOFF_RETURN_NOT_OK(pool.Add(tx, sender, hash));
+  const Hash32 hash = record.hash;
+  ONOFF_RETURN_NOT_OK(pool.Add(std::move(record)));
   return hash;
 }
 
@@ -261,20 +264,20 @@ evm::BlockContext Blockchain::MakeBlockContext(uint64_t number,
 }
 
 Receipt Blockchain::ExecuteTransaction(state::StateView& state,
-                                       const Transaction& tx,
+                                       const PendingTx& record,
                                        const BlockHeader& header, bool quiet) {
   static obs::Histogram* apply_us = obs::GetHistogramOrNull(
       "chain.apply_tx_us", obs::DefaultTimeBucketsUs());
   obs::ScopedTimer apply_span(quiet ? nullptr : apply_us);
+  const Transaction& tx = record.tx;
+  const Address& sender = record.sender;
   Receipt receipt;
-  receipt.tx_hash = tx.Hash();
+  receipt.tx_hash = record.hash;
   receipt.block_number = header.number;
 
   trace::Tracer* tracer = quiet ? nullptr : trace::Tracer::Global();
-  trace::TraceContext tx_ctx;
-  if (tracer != nullptr) tx_ctx = tracer->ContextForTx(receipt.tx_hash);
   trace::ScopedSpan tx_span(
-      tracer, tx_ctx, "tx.apply", "chain",
+      tracer, record.trace, "tx.apply", "chain",
       {{"block", std::to_string(header.number)},
        {"tx", ToHex0x(BytesView(receipt.tx_hash.data(), 32))}});
 
@@ -283,10 +286,6 @@ Receipt Blockchain::ExecuteTransaction(state::StateView& state,
     receipt.output = BytesOf(reason);
     return receipt;
   };
-
-  auto sender_result = tx.Sender();
-  if (!sender_result.ok()) return fail("invalid signature");
-  Address sender = *sender_result;
 
   if (tx.nonce != state.GetNonce(sender)) return fail("nonce mismatch");
 
@@ -381,9 +380,7 @@ Status Blockchain::ImportBlock(const Block& block) {
   if (block.header.timestamp < head.header.timestamp) {
     return Status::VerificationFailed(where + ": timestamp went backwards");
   }
-  TxPool scratch;
-  scratch.set_base_nonce_provider(
-      [this](const Address& addr) { return state_.GetNonce(addr); });
+  TxPool scratch([this](const Address& addr) { return state_.GetNonce(addr); });
   for (const Result<Hash32>& admitted : Admit(scratch, block.transactions)) {
     if (!admitted.ok()) {
       return Status::VerificationFailed(
@@ -438,7 +435,7 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   // Pack against the block gas limit by cumulative transaction gas limit
   // (the worst case miners must be able to execute); transactions that no
   // longer fit stay pending for the next block.
-  std::vector<Transaction> txs =
+  std::vector<PendingTx> records =
       pool.Take(config_.max_txs_per_block, config_.block_gas_limit);
   // What Take left pending; the stale entries it dropped are not deferred.
   const size_t deferred = pool.size();
@@ -449,35 +446,38 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   const state::WorldState::Snapshot block_start = state_.TakeSnapshot();
   // Pre-execution capture: invariants snapshot the pre-block facts (balance
   // sums, per-sender nonces) the post-commit checks compare against.
-  if (auditor_ != nullptr) auditor_->OnBlockStart(txs, state_);
+  if (auditor_ != nullptr) auditor_->OnBlockStart(state_);
   phases.Charge(kAudit);
 
   // The optimistic path needs at least two transactions to overlap and is
   // mutually exclusive with a step hook (it observes execution order, which
   // speculation scrambles).
   bool parallel = config_.exec_mode == ExecMode::kParallel &&
-                  txs.size() >= 2 && step_tracer_ == nullptr;
+                  records.size() >= 2 && step_tracer_ == nullptr;
   std::vector<Receipt> block_receipts;
   if (parallel) {
-    block_receipts = ExecuteBlockParallel(txs, block.header);
+    block_receipts = ExecuteBlockParallel(records, block.header);
   } else {
-    block_receipts.reserve(txs.size());
-    for (const Transaction& tx : txs) {
+    block_receipts.reserve(records.size());
+    for (const PendingTx& record : records) {
       block_receipts.push_back(
-          ExecuteTransaction(state_, tx, block.header, /*quiet=*/false));
+          ExecuteTransaction(state_, record, block.header, /*quiet=*/false));
     }
   }
   phases.Charge(kExec);
 
-  for (size_t i = 0; i < txs.size(); ++i) {
+  // The transactions move into the block; their records keep the sender,
+  // hash and trace for the pool cleanup, the inclusion events and the audit.
+  block.transactions.reserve(records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
     Receipt& receipt = block_receipts[i];
     cumulative_gas += receipt.gas_used;
     receipt.cumulative_gas_used = cumulative_gas;
-    tx_payloads.push_back(txs[i].Encode());
+    tx_payloads.push_back(records[i].tx.Encode());
     receipt_payloads.push_back(receipt.Encode());
+    block.transactions.push_back(std::move(records[i].tx));
   }
   block.header.gas_used = cumulative_gas;
-  block.transactions = std::move(txs);
   phases.Charge(kFinalize);
   // The one per-block root computation: the incremental store folds in
   // exactly the accounts/slots this block touched. The equivalence check
@@ -516,14 +516,14 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   state_.ClearJournal();
   // An imported block was packed from a scratch pool; what it mined, and
   // any entry its senders' nonces have passed, is unminable in our own.
-  if (&pool != &pool_) pool_.DropMined(block.transactions);
+  if (&pool != &pool_) pool_.DropMined(records);
 
-  for (const Receipt& receipt : block_receipts) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    const Receipt& receipt = block_receipts[i];
     total_gas_used_ += receipt.gas_used;
-    receipts_[HashKey(receipt.tx_hash)] = receipt;
+    receipts_[receipt.tx_hash] = receipt;
     if (tracer != nullptr) {
-      tracer->Event(tracer->ContextForTx(receipt.tx_hash), "block.include",
-                    "chain",
+      tracer->Event(records[i].trace, "block.include", "chain",
                     {{"block", std::to_string(number)},
                      {"gas_used", std::to_string(receipt.gas_used)}});
     }
@@ -531,7 +531,7 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   phases.Charge(kFinalize);
 
   if (auditor_ != nullptr) {
-    auditor_->OnBlockCommit(block, block_receipts, state_);
+    auditor_->OnBlockCommit(block, records, block_receipts, state_);
   }
   // The next block's audit reads exactly the writes made after this one,
   // and the set stays the size of a block whether or not anyone audits.
@@ -599,17 +599,13 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
   return Status::OK();
 }
 
-TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
+TxAccessHint Blockchain::BuildAccessHint(const PendingTx& record) const {
   TxAccessHint hint;
-  auto sender_result = tx.Sender();
-  if (!sender_result.ok()) {
-    hint.known = true;  // invalid signature: rejected before any state access
-    return hint;
-  }
+  const Transaction& tx = record.tx;
   // Creations execute init code against a fresh address; not worth hinting.
   if (tx.IsContractCreation()) return hint;
 
-  const Address& sender = *sender_result;
+  const Address& sender = record.sender;
   const Address& to = *tx.to;
   auto& reads = hint.reads.keys;
   auto& writes = hint.writes.keys;
@@ -669,7 +665,7 @@ TxAccessHint Blockchain::BuildAccessHint(const Transaction& tx) const {
 }
 
 std::vector<Receipt> Blockchain::ExecuteBlockParallel(
-    const std::vector<Transaction>& txs, const BlockHeader& header) {
+    const std::vector<PendingTx>& records, const BlockHeader& header) {
   // The equivalence cross-check replays from the pre-block state.
   std::optional<state::WorldState> pre_state;
   if (config_.assert_parallel_equivalence) pre_state = state_.Clone();
@@ -679,15 +675,17 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
   // exactly what `state_` is at this point.
   std::vector<TxAccessHint> hints;
   if (config_.check_static_containment) {
-    hints.reserve(txs.size());
-    for (const Transaction& tx : txs) hints.push_back(BuildAccessHint(tx));
+    hints.reserve(records.size());
+    for (const PendingTx& record : records) {
+      hints.push_back(BuildAccessHint(record));
+    }
   }
 
   ParallelExecutor executor(exec_pool_.get());
   std::vector<Receipt> receipts = executor.ExecuteBlock(
-      state_, txs,
-      [this, &header](state::StateView& view, const Transaction& tx) {
-        return ExecuteTransaction(view, tx, header, /*quiet=*/true);
+      state_, records.size(),
+      [this, &records, &header](state::StateView& view, size_t i) {
+        return ExecuteTransaction(view, records[i], header, /*quiet=*/true);
       },
       &parallel_stats_,
       config_.check_static_containment ? &hints : nullptr);
@@ -701,9 +699,9 @@ std::vector<Receipt> Blockchain::ExecuteBlockParallel(
 
   if (pre_state.has_value()) {
     state::WorldState replay = std::move(*pre_state);
-    for (size_t i = 0; i < txs.size(); ++i) {
+    for (size_t i = 0; i < records.size(); ++i) {
       Receipt serial =
-          ExecuteTransaction(replay, txs[i], header, /*quiet=*/true);
+          ExecuteTransaction(replay, records[i], header, /*quiet=*/true);
       replay.ClearJournal();
       if (serial.Encode() != receipts[i].Encode()) {
         ONOFF_LOG(log::Level::kError, "chain",
@@ -758,7 +756,7 @@ std::vector<evm::LogEntry> Blockchain::GetLogs(const LogQuery& query) const {
       continue;
     }
     for (const Transaction& tx : block.transactions) {
-      auto it = receipts_.find(HashKey(tx.Hash()));
+      auto it = receipts_.find(tx.Hash());
       if (it == receipts_.end()) continue;
       for (const evm::LogEntry& log : it->second.logs) {
         if (query.address.has_value() && log.address != *query.address) {
@@ -776,7 +774,7 @@ std::vector<evm::LogEntry> Blockchain::GetLogs(const LogQuery& query) const {
 }
 
 Result<Receipt> Blockchain::GetReceipt(const Hash32& tx_hash) const {
-  auto it = receipts_.find(HashKey(tx_hash));
+  auto it = receipts_.find(tx_hash);
   if (it == receipts_.end()) {
     return Status::NotFound("no receipt for transaction");
   }

@@ -2,6 +2,12 @@
 // production with a controllable clock, transaction application with full
 // gas accounting, receipts and queries. This plays the role Kovan plays in
 // the paper — a deterministic single-process "testnet".
+//
+// Admission recovers each transaction's sender and computes its hash once,
+// into the pool record (chain::PendingTx) that also keeps the submitter's
+// trace context. Packing, execution, an import's pool cleanup and the
+// audit's trace link read the record; only the nonce invariant recovers
+// senders again, as an independent check of the block body.
 
 #ifndef ONOFFCHAIN_CHAIN_BLOCKCHAIN_H_
 #define ONOFFCHAIN_CHAIN_BLOCKCHAIN_H_
@@ -127,7 +133,8 @@ class Blockchain {
   // executing its transactions once from a scratch pool (SubmitTransactions'
   // admission) at max(Now(), its timestamp). A rejected block
   // (kVerificationFailed, "block N: ...") leaves the node unchanged, its
-  // own pool included; an appended one drops what it mined from that pool.
+  // own pool included; an appended one drops what it mined from that pool,
+  // by the scratch pool's records.
   // Like SubmitTransactions, never call it on a Shared() worker or inside
   // the parallel executor's wave.
   Status ImportBlock(const Block& block);
@@ -203,37 +210,41 @@ class Blockchain {
   void set_step_tracer(evm::TraceHook* hook) { step_tracer_ = hook; }
 
  private:
-  // SubmitTransaction into `pool`; hands TxPool::Add the sender and hash it
-  // computed.
-  Result<Hash32> SubmitTo(TxPool& pool, const Transaction& tx);
-  // SubmitTransactions into `pool`, the body ImportBlock shares. A failed
-  // recovery is not memoized, so SubmitTo re-derives it and returns the
-  // one-at-a-time status.
+  // SubmitTransaction into `pool`, given the result of recovering `tx`'s
+  // sender: builds the transaction's pool record (sender, hash, the
+  // submitter's trace context), the one derivation of each.
+  Result<Hash32> SubmitTo(TxPool& pool, const Transaction& tx,
+                          Result<Address> recovered);
+  // SubmitTransactions into `pool`, the body ImportBlock shares. Each
+  // recovery result, failures included, goes to SubmitTo, so every
+  // transaction is recovered once.
   std::vector<Result<Hash32>> Admit(TxPool& pool,
                                     std::span<const Transaction> txs);
   // The body MineBlock and ImportBlock share: packs `pool`, then executes,
-  // seals and commits the next block at `timestamp`. A `check` that fails
-  // on the sealed block rolls state_ back, commits nothing and returns.
+  // seals and commits the next block at `timestamp` from the taken records.
+  // A `check` that fails on the sealed block rolls state_ back, commits
+  // nothing and returns.
   using SealCheck = std::function<Status(const Block&)>;
   Status SealBlock(TxPool& pool, uint64_t timestamp, const SealCheck& check);
-  // Applies one transaction against `state` (the world state, a serial
-  // replay clone, or a speculative overlay). `quiet` suppresses per-tx
-  // telemetry — spans, histograms, failure counters, the step hook — for
-  // speculative executions that may be discarded; the block-level wave
+  // Applies one record's transaction against `state` (the world state, a
+  // serial replay clone, or a speculative overlay), with the sender, hash
+  // and trace context admission put in the record. `quiet` suppresses
+  // per-tx telemetry — spans, histograms, failure counters, the step hook —
+  // for speculative executions that may be discarded; the block-level wave
   // telemetry covers the parallel path instead.
-  Receipt ExecuteTransaction(state::StateView& state, const Transaction& tx,
+  Receipt ExecuteTransaction(state::StateView& state, const PendingTx& record,
                              const BlockHeader& header, bool quiet);
   // Parallel-path body of SealBlock; returns one receipt per transaction
   // and leaves state_ identical to what serial application would produce
   // (checked when config_.assert_parallel_equivalence is set).
-  std::vector<Receipt> ExecuteBlockParallel(const std::vector<Transaction>& txs,
-                                            const BlockHeader& header);
-  // Static access footprint of `tx` in the dynamic recorder's key encoding,
-  // audited by the executor under check_static_containment: intrinsic
-  // sender/callee/coinbase bookkeeping plus the callee's analyzer summary
-  // for the selected function. ⊤ (known == false) for contract creations
+  std::vector<Receipt> ExecuteBlockParallel(
+      const std::vector<PendingTx>& records, const BlockHeader& header);
+  // Static access footprint of a record's transaction in the dynamic
+  // recorder's key encoding, audited by the executor under
+  // check_static_containment: intrinsic sender/callee/coinbase bookkeeping
+  // plus the callee's analyzer summary for the selected function. ⊤ (known == false) for contract creations
   // and callees whose summary is not statically schedulable.
-  TxAccessHint BuildAccessHint(const Transaction& tx) const;
+  TxAccessHint BuildAccessHint(const PendingTx& record) const;
   evm::BlockContext MakeBlockContext(uint64_t number, uint64_t timestamp) const;
   // A parallel result that differs from the serial replay: files `report`
   // as a `receipt_root` violation (through the auditor's sink when auditing,
@@ -244,7 +255,7 @@ class Blockchain {
   state::WorldState state_;
   std::vector<Block> blocks_;
   TxPool pool_;
-  std::map<std::string, Receipt> receipts_;  // keyed by raw hash bytes
+  std::map<Hash32, Receipt> receipts_;  // keyed by transaction hash
   uint64_t now_;
   uint64_t total_gas_used_ = 0;
   ParallelExecStats parallel_stats_;

@@ -20,14 +20,6 @@ std::string HashHex(const Hash32& h) {
 
 uint64_t AmbientTraceId() { return trace::CurrentContext().trace_id; }
 
-uint64_t TraceIdForTx(const Hash32& tx_hash) {
-  if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    trace::TraceContext ctx = tracer->ContextForTx(tx_hash);
-    if (ctx.valid()) return ctx.trace_id;
-  }
-  return AmbientTraceId();
-}
-
 // ---- full sweeps ---------------------------------------------------------
 // When a per-account invariant evaluates a block from the state's touched
 // set rather than a sweep of the whole account map. The touched set is a
@@ -77,8 +69,7 @@ class ConservationInvariant : public BlockInvariant {
 
   const char* name() const override { return "conservation"; }
 
-  void OnBlockStart(const std::vector<Transaction>& /*txs*/,
-                    const state::WorldState& state) override {
+  void OnBlockStart(const state::WorldState& state) override {
     if (initialized_) return;
     // Lazy baseline: whatever the chain holds when auditing starts (genesis
     // allocations made before the auditor attached).
@@ -92,6 +83,7 @@ class ConservationInvariant : public BlockInvariant {
   }
 
   void OnBlockCommit(const Block& block,
+                     std::span<const PendingTx> /*records*/,
                      const std::vector<Receipt>& /*receipts*/,
                      const state::WorldState& state,
                      obs::Auditor& sink) override {
@@ -148,7 +140,8 @@ class NonceInvariant : public BlockInvariant {
 
   const char* name() const override { return "nonce"; }
 
-  void OnBlockCommit(const Block& block, const std::vector<Receipt>& receipts,
+  void OnBlockCommit(const Block& block, std::span<const PendingTx> records,
+                     const std::vector<Receipt>& receipts,
                      const state::WorldState& state,
                      obs::Auditor& sink) override {
     schedule_.Begin(block, state);
@@ -230,14 +223,15 @@ class NonceInvariant : public BlockInvariant {
       report.invariant = name();
       report.message = v.problem;
       report.block_height = block.header.number;
+      report.trace_id = AmbientTraceId();
       if (v.txs->count > 0) {
         // The transaction hash is computed only for a report that names
-        // it, never on a clean block.
-        const Hash32 first_tx = block.transactions[v.txs->first_tx].Hash();
-        report.tx_hash = HashHex(first_tx);
-        report.trace_id = TraceIdForTx(first_tx);
-      } else {
-        report.trace_id = AmbientTraceId();
+        // it, never on a clean block; the trace is its submitter's.
+        const size_t first_tx = v.txs->first_tx;
+        report.tx_hash = HashHex(block.transactions[first_tx].Hash());
+        if (first_tx < records.size() && records[first_tx].trace.valid()) {
+          report.trace_id = records[first_tx].trace.trace_id;
+        }
       }
       report.values = {{"account", v.addr.ToHex()},
                        {"nonce_before", std::to_string(v.previous)},
@@ -295,7 +289,9 @@ class ReceiptRootInvariant : public BlockInvariant {
  public:
   const char* name() const override { return "receipt_root"; }
 
-  void OnBlockCommit(const Block& block, const std::vector<Receipt>& receipts,
+  void OnBlockCommit(const Block& block,
+                     std::span<const PendingTx> /*records*/,
+                     const std::vector<Receipt>& receipts,
                      const state::WorldState& /*state*/,
                      obs::Auditor& sink) override {
     std::vector<Bytes> tx_payloads;
@@ -340,6 +336,7 @@ class TimerInvariant : public BlockInvariant {
   const char* name() const override { return "timer"; }
 
   void OnBlockCommit(const Block& block,
+                     std::span<const PendingTx> /*records*/,
                      const std::vector<Receipt>& /*receipts*/,
                      const state::WorldState& /*state*/,
                      obs::Auditor& sink) override {
@@ -438,17 +435,17 @@ ChainAuditor::ChainAuditor(const std::string& spec,
   }
 }
 
-void ChainAuditor::OnBlockStart(const std::vector<Transaction>& txs,
-                                const state::WorldState& state) {
-  for (auto& invariant : invariants_) invariant->OnBlockStart(txs, state);
+void ChainAuditor::OnBlockStart(const state::WorldState& state) {
+  for (auto& invariant : invariants_) invariant->OnBlockStart(state);
 }
 
 void ChainAuditor::OnBlockCommit(const Block& block,
+                                 std::span<const PendingTx> records,
                                  const std::vector<Receipt>& receipts,
                                  const state::WorldState& state) {
   for (size_t i = 0; i < invariants_.size(); ++i) {
     obs::ScopedTimer timer(commit_us_[i]);
-    invariants_[i]->OnBlockCommit(block, receipts, state, sink_);
+    invariants_[i]->OnBlockCommit(block, records, receipts, state, sink_);
   }
 }
 

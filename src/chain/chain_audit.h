@@ -26,6 +26,10 @@
 // the account map at the first audited block and every `sweep_interval`
 // blocks after it.
 //
+// The nonce invariant recovers each sender from the block body itself, an
+// independent check of what was mined; the block's pool records
+// (chain::PendingTx) give a report only its trace link.
+//
 // "all" (or the ONOFF_AUDIT environment variable, which CI sets) enables
 // every invariant.
 
@@ -35,10 +39,12 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "chain/block.h"
+#include "chain/tx_pool.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "state/world_state.h"
@@ -70,13 +76,14 @@ class BlockInvariant {
  public:
   virtual ~BlockInvariant() = default;
   virtual const char* name() const = 0;
-  // Pre-execution capture point: the transactions about to run against the
-  // pre-block world state.
-  virtual void OnBlockStart(const std::vector<Transaction>& /*txs*/,
-                            const state::WorldState& /*state*/) {}
+  // Pre-execution capture point: the pre-block world state.
+  virtual void OnBlockStart(const state::WorldState& /*state*/) {}
   // Post-commit check point: the block is fully formed (roots computed) and
-  // the state is post-block.
+  // the state is post-block. `records` are the pool records the block was
+  // sealed from, parallel to block.transactions (whose transactions moved
+  // out of them), or empty when the caller has none.
   virtual void OnBlockCommit(const Block& /*block*/,
+                             std::span<const PendingTx> /*records*/,
                              const std::vector<Receipt>& /*receipts*/,
                              const state::WorldState& /*state*/,
                              obs::Auditor& /*sink*/) {}
@@ -97,9 +104,9 @@ class ChainAuditor {
   ChainAuditor(const std::string& spec, obs::AuditorConfig sink_config,
                uint64_t sweep_interval = 0);
 
-  void OnBlockStart(const std::vector<Transaction>& txs,
-                    const state::WorldState& state);
-  void OnBlockCommit(const Block& block, const std::vector<Receipt>& receipts,
+  void OnBlockStart(const state::WorldState& state);
+  void OnBlockCommit(const Block& block, std::span<const PendingTx> records,
+                     const std::vector<Receipt>& receipts,
                      const state::WorldState& state);
   void OnMint(const Address& addr, const U256& amount);
   void OnSettlement(const SettlementAudit& settlement);

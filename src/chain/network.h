@@ -5,11 +5,11 @@
 // genesis allocation and their own execution — the property that makes the
 // on-chain contract's guarantees meaningful to the protocol's participants.
 //
-// Gossip optionally routes through a sim::Transport: with no transport set
-// delivery is synchronous and lossless — identical to the pre-sim
-// behaviour; with a sim::SimTransport every block travels the simulated
-// network (latency, loss, partitions, crashes) and arrives when the virtual
-// clock says it does.
+// Gossip optionally routes through a sim::SimTransport: with no transport
+// set delivery is synchronous and lossless — identical to the pre-sim
+// behaviour; with one every block travels the simulated network (latency,
+// loss, partitions, crashes) and arrives when the virtual clock says it
+// does.
 
 #ifndef ONOFFCHAIN_CHAIN_NETWORK_H_
 #define ONOFFCHAIN_CHAIN_NETWORK_H_
@@ -62,7 +62,7 @@ class Network {
 
   // Routes block deliveries through `transport` (node names are the
   // endpoints). nullptr restores the synchronous zero-latency default.
-  void SetTransport(sim::Transport* transport) { transport_ = transport; }
+  void SetTransport(sim::SimTransport* transport) { transport_ = transport; }
 
   // Delivers `block` to every node except `from`. Returns how many nodes
   // accepted it so far: with no transport that is the final count; with a
@@ -80,7 +80,7 @@ class Network {
 
  private:
   std::vector<Node*> nodes_;
-  sim::Transport* transport_ = nullptr;
+  sim::SimTransport* transport_ = nullptr;
 };
 
 // Approximate gossip wire size of a block (header + transactions, RLP).

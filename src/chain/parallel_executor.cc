@@ -10,9 +10,8 @@
 namespace onoff::chain {
 
 std::vector<Receipt> ParallelExecutor::ExecuteBlock(
-    state::WorldState& state, const std::vector<Transaction>& txs,
-    const ExecFn& execute, ParallelExecStats* stats,
-    const std::vector<TxAccessHint>* audit_hints) {
+    state::WorldState& state, size_t tx_count, const ExecFn& execute,
+    ParallelExecStats* stats, const std::vector<TxAccessHint>* audit_hints) {
   static obs::Counter* waves = obs::GetCounterOrNull("chain.parallel.waves");
   static obs::Counter* speculated =
       obs::GetCounterOrNull("chain.parallel.speculated");
@@ -32,21 +31,20 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
   trace::Tracer* tracer = trace::Tracer::Global();
   trace::ScopedSpan wave_span(tracer, trace::CurrentContext(), "exec.wave",
                               "chain",
-                              {{"txs", std::to_string(txs.size())}});
+                              {{"txs", std::to_string(tx_count)}});
   obs::ScopedTimer wave_timer(wave_us);
   if (waves != nullptr) waves->Inc();
 
   // Speculation wave: every transaction runs against its own overlay of the
   // frozen pre-block state. The overlays never write the base, so the wave
-  // is race-free by construction; each transaction's sender cache is warmed
-  // only by its own worker.
-  size_t n = txs.size();
+  // is race-free by construction.
+  const size_t n = tx_count;
   std::vector<std::unique_ptr<state::SpeculativeState>> overlays(n);
   std::vector<Receipt> receipts(n);
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
   pool.ParallelFor(n, [&](size_t i) {
     overlays[i] = std::make_unique<state::SpeculativeState>(state);
-    receipts[i] = execute(*overlays[i], txs[i]);
+    receipts[i] = execute(*overlays[i], i);
   });
   s.speculated += n;
   if (speculated != nullptr) speculated->Inc(n);
@@ -78,7 +76,7 @@ std::vector<Receipt> ParallelExecutor::ExecuteBlock(
       ++s.conflicts;
       ++s.reexecuted;
       state::SpeculativeState retry(state);
-      receipts[i] = execute(retry, txs[i]);
+      receipts[i] = execute(retry, i);
       audit_execution(i, retry);
       retry.ApplyTo(state);
       committed_writes.MergeFrom(retry.writes());

@@ -12,6 +12,10 @@
 // state (capturing a write set, so later conflict checks see its effects
 // too), which makes the result byte-identical to serial execution: same
 // state root, same receipts, in the same block order.
+//
+// The executor knows a block's transactions only by index: the caller's
+// ExecFn looks each one up (Blockchain reads its pool record, sender
+// included), so the wave recovers nothing and writes no sender memo.
 
 #ifndef ONOFFCHAIN_CHAIN_PARALLEL_EXECUTOR_H_
 #define ONOFFCHAIN_CHAIN_PARALLEL_EXECUTOR_H_
@@ -21,7 +25,6 @@
 #include <vector>
 
 #include "chain/block.h"
-#include "chain/transaction.h"
 #include "state/speculative_state.h"
 #include "state/world_state.h"
 #include "support/thread_pool.h"
@@ -53,20 +56,21 @@ struct ParallelExecStats {
 
 class ParallelExecutor {
  public:
-  // Executes one transaction against the given view and returns its
-  // receipt. Must be thread-safe apart from the view (it is called
-  // concurrently during the wave, each call with a distinct view) and must
-  // route the miner-fee credit through StateView::CreditFee.
-  using ExecFn =
-      std::function<Receipt(state::StateView&, const Transaction&)>;
+  // Executes the block's transaction number `index` (0-based, block order)
+  // against the given view and returns its receipt. Must be thread-safe
+  // apart from the view (it is called concurrently during the wave, each
+  // call with a distinct view) and must route the miner-fee credit through
+  // StateView::CreditFee.
+  using ExecFn = std::function<Receipt(state::StateView&, size_t index)>;
 
   // `pool` is not owned; nullptr uses ThreadPool::Shared().
   explicit ParallelExecutor(ThreadPool* pool = nullptr) : pool_(pool) {}
 
-  // Runs the wave + ordered commit described above. On return `state` holds
-  // the post-block state, journaled so the caller can still revert it, and
-  // the result one receipt per transaction, in block order. Not reentrant;
-  // `state` must not be touched concurrently.
+  // Runs the wave + ordered commit described above over `tx_count`
+  // transactions, which `execute` looks up by index. On return `state`
+  // holds the post-block state, journaled so the caller can still revert
+  // it, and the result one receipt per transaction, in block order. Not
+  // reentrant; `state` must not be touched concurrently.
   //
   // `audit_hints` (optional, one entry per transaction) are static access
   // footprints claimed by the analyzer, and the executor only checks them:
@@ -75,8 +79,8 @@ class ParallelExecutor {
   // hint covers (static ⊇ dynamic), and each one that does not bumps
   // `stats->hint_violations`. Hints never decide a commit.
   std::vector<Receipt> ExecuteBlock(
-      state::WorldState& state, const std::vector<Transaction>& txs,
-      const ExecFn& execute, ParallelExecStats* stats = nullptr,
+      state::WorldState& state, size_t tx_count, const ExecFn& execute,
+      ParallelExecStats* stats = nullptr,
       const std::vector<TxAccessHint>* audit_hints = nullptr);
 
  private:

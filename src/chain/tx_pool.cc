@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "support/bytes.h"
-#include "trace/trace.h"
 
 namespace onoff::chain {
 
 namespace {
-
-std::string HashKey(const Hash32& h) {
-  return std::string(reinterpret_cast<const char*>(h.data()), h.size());
-}
 
 void UpdateDepthGauge(size_t depth) {
   static obs::Gauge* gauge = obs::GetGaugeOrNull("txpool.depth");
@@ -24,49 +20,48 @@ void UpdateDepthGauge(size_t depth) {
 
 }  // namespace
 
-Status TxPool::Add(const Transaction& tx, const Address& sender,
-                   const Hash32& hash) {
-  Entry entry{tx, HashKey(hash), sender};
+Status TxPool::Add(PendingTx entry) {
+  const Hash32 hash = entry.hash;
+  const trace::TraceContext ctx = entry.trace;
+  const uint64_t nonce = entry.tx.nonce;
   size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (pending_hashes_.count(entry.key) > 0) {
+    if (pending_hashes_.count(hash) > 0) {
       static obs::Counter* dups = obs::GetCounterOrNull("txpool.duplicates");
       if (dups != nullptr) dups->Inc();
       return Status::AlreadyExists("transaction already in pool");
     }
-    if (recent_taken_.count(entry.key) > 0) {
+    if (recent_taken_.count(hash) > 0) {
       static obs::Counter* retaken =
           obs::GetCounterOrNull("txpool.retaken_rejected");
       if (retaken != nullptr) retaken->Inc();
       return Status::AlreadyExists(
           "transaction was recently taken (in flight or mined)");
     }
-    pending_hashes_.insert(entry.key);
+    pending_hashes_.insert(hash);
     queue_.push_back(std::move(entry));
     depth = pending_hashes_.size();
   }
   static obs::Counter* added = obs::GetCounterOrNull("txpool.added");
   if (added != nullptr) added->Inc();
   UpdateDepthGauge(depth);
-  trace::TraceContext ctx;
   if (trace::Tracer* tracer = trace::Tracer::Global()) {
-    ctx = tracer->ContextForTx(hash);
     tracer->Event(ctx, "pool.admit", "chain",
                   {{"depth", std::to_string(depth)}});
   }
   if (obs::FlightRecorder::Global() != nullptr) {
-    obs::FlightRecord(obs::FlightKind::kPoolAdmit, ctx.trace_id, tx.nonce,
-                      depth, ToHex0x(BytesView(hash.data(), 8)));
+    obs::FlightRecord(obs::FlightKind::kPoolAdmit, ctx.trace_id, nonce, depth,
+                      ToHex0x(BytesView(hash.data(), 8)));
   }
   return Status::OK();
 }
 
-std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
+std::vector<PendingTx> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   // The lock is held only to drain the queue and to put deferred entries
   // back, so Adds keep flowing while we pack (their entries queue behind
   // this batch and simply miss it).
-  std::vector<Entry> staged;
+  std::vector<PendingTx> staged;
   {
     std::lock_guard<std::mutex> lock(mu_);
     staged.swap(queue_);
@@ -84,11 +79,7 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   for (size_t i = 0; i < staged.size(); ++i) {
     by_sender[staged[i].sender].push_back(i);
   }
-  std::map<Address, uint64_t> min_nonce;
   for (auto& [sender, slots] : by_sender) {
-    uint64_t lowest = UINT64_MAX;
-    for (size_t i : slots) lowest = std::min(lowest, staged[i].tx.nonce);
-    min_nonce[sender] = lowest;
     if (slots.size() < 2) continue;
     std::vector<size_t> sorted = slots;
     std::stable_sort(sorted.begin(), sorted.end(),
@@ -112,15 +103,13 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
   };
   std::map<Address, SenderState> senders;
   uint64_t budget = gas_budget;
-  std::vector<Transaction> out;
+  std::vector<PendingTx> out;
+  std::vector<Hash32> taken_hashes;
   for (size_t pos = 0; pos < order.size() && out.size() < max_count; ++pos) {
-    Entry& entry = staged[order[pos]];
+    PendingTx& entry = staged[order[pos]];
     auto [it, first_seen] = senders.try_emplace(entry.sender);
     SenderState& ss = it->second;
-    if (first_seen) {
-      ss.expected = base_nonce_ ? base_nonce_(entry.sender)
-                                : min_nonce[entry.sender];
-    }
+    if (first_seen) ss.expected = base_nonce_(entry.sender);
     if (ss.blocked) continue;
     if (entry.tx.nonce < ss.expected) {
       fate[order[pos]] = Fate::kDrop;
@@ -149,26 +138,25 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
     }
     fate[order[pos]] = Fate::kTake;
     budget -= entry.tx.gas_limit;
-    out.push_back(std::move(entry.tx));
     ++ss.expected;
+    taken_hashes.push_back(entry.hash);
+    out.push_back(std::move(entry));
   }
 
   // Deferred entries go back to the front of the queue, still ahead of
   // anything added while we packed; taken hashes enter the bounded
   // recently-taken window; dropped hashes are simply forgotten.
-  std::vector<Entry> deferred;
-  std::vector<std::string> taken_keys;
-  std::vector<std::string> dropped_keys;
+  std::vector<PendingTx> deferred;
+  std::vector<Hash32> dropped_hashes;
   for (size_t i = 0; i < staged.size(); ++i) {
     switch (fate[i]) {
       case Fate::kDefer:
         deferred.push_back(std::move(staged[i]));
         break;
       case Fate::kTake:
-        taken_keys.push_back(std::move(staged[i].key));
         break;
       case Fate::kDrop:
-        dropped_keys.push_back(std::move(staged[i].key));
+        dropped_hashes.push_back(staged[i].hash);
         break;
     }
   }
@@ -177,51 +165,48 @@ std::vector<Transaction> TxPool::Take(size_t max_count, uint64_t gas_budget) {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.insert(queue_.begin(), std::make_move_iterator(deferred.begin()),
                   std::make_move_iterator(deferred.end()));
-    for (const std::string& key : dropped_keys) pending_hashes_.erase(key);
-    RememberTakenLocked(std::move(taken_keys));
+    for (const Hash32& hash : dropped_hashes) pending_hashes_.erase(hash);
+    RememberTakenLocked(std::move(taken_hashes));
     depth = pending_hashes_.size();
   }
   UpdateDepthGauge(depth);
   return out;
 }
 
-void TxPool::DropMined(const std::vector<Transaction>& mined) {
-  std::unordered_set<std::string> mined_keys;
+void TxPool::DropMined(std::span<const PendingTx> mined) {
+  HashSet mined_hashes;
   std::map<Address, uint64_t> base_nonces;  // of the block's senders
-  for (const Transaction& tx : mined) {
-    mined_keys.insert(HashKey(tx.Hash()));
-    Result<Address> sender = tx.Sender();
-    if (sender.ok() && base_nonce_) {
-      base_nonces.try_emplace(*sender, base_nonce_(*sender));
-    }
+  for (const PendingTx& record : mined) {
+    mined_hashes.insert(record.hash);
+    base_nonces.try_emplace(record.sender, base_nonce_(record.sender));
   }
   size_t depth = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::erase_if(queue_, [&](const Entry& entry) {
+    std::erase_if(queue_, [&](const PendingTx& entry) {
       auto it = base_nonces.find(entry.sender);
       const bool drop =
-          mined_keys.count(entry.key) > 0 ||
+          mined_hashes.count(entry.hash) > 0 ||
           (it != base_nonces.end() && entry.tx.nonce < it->second);
-      if (drop) pending_hashes_.erase(entry.key);
+      if (drop) pending_hashes_.erase(entry.hash);
       return drop;
     });
-    RememberTakenLocked({mined_keys.begin(), mined_keys.end()});
+    RememberTakenLocked({mined_hashes.begin(), mined_hashes.end()});
     depth = pending_hashes_.size();
   }
   UpdateDepthGauge(depth);
 }
 
-void TxPool::RememberTakenLocked(std::vector<std::string> keys) {
-  if (keys.empty()) return;
-  for (const std::string& key : keys) {
-    pending_hashes_.erase(key);
-    recent_taken_.insert(key);
+void TxPool::RememberTakenLocked(std::vector<Hash32> hashes) {
+  if (hashes.empty()) return;
+  for (const Hash32& hash : hashes) {
+    pending_hashes_.erase(hash);
+    recent_taken_.insert(hash);
   }
-  recent_batches_.push_back(std::move(keys));
-  while (recent_batches_.size() > config_.recent_take_batches) {
-    for (const std::string& key : recent_batches_.front()) {
-      recent_taken_.erase(key);
+  recent_batches_.push_back(std::move(hashes));
+  while (recent_batches_.size() > kRecentTakeBatches) {
+    for (const Hash32& hash : recent_batches_.front()) {
+      recent_taken_.erase(hash);
     }
     recent_batches_.pop_front();
   }
@@ -234,12 +219,12 @@ size_t TxPool::size() const {
 
 bool TxPool::Contains(const Hash32& tx_hash) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return pending_hashes_.count(HashKey(tx_hash)) > 0;
+  return pending_hashes_.count(tx_hash) > 0;
 }
 
 bool TxPool::RecentlyTaken(const Hash32& tx_hash) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return recent_taken_.count(HashKey(tx_hash)) > 0;
+  return recent_taken_.count(tx_hash) > 0;
 }
 
 }  // namespace onoff::chain

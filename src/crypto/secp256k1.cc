@@ -668,20 +668,20 @@ Fe FeSqr(const Fe& a) {
                   static_cast<u128>(a4) * a4);
 }
 
-// x^(2^n) by n squarings. The Fermat ladders below stay on the four-limb
-// comba kernels rather than the 5x52 ones: an exponentiation is one long
-// serial dependency chain, and the comba squaring has the shorter latency
-// (the 5x52 representation wins on throughput, which only point formulas
-// with several independent multiplications can exploit).
+// x^(2^n) by n squarings. The square-root ladder below stays on the
+// four-limb comba kernels rather than the 5x52 ones: an exponentiation is
+// one long serial dependency chain, and the comba squaring has the shorter
+// latency (the 5x52 representation wins on throughput, which only point
+// formulas with several independent multiplications can exploit).
 U256 SqrN(U256 x, int n) {
   for (int i = 0; i < n; ++i) x = FieldSqr(x);
   return x;
 }
 
-// Shared ladder for the Fermat exponentiations: x<k> denotes a^(2^k - 1).
-// p's binary form (223 ones, then structured low bits) makes both p-2 and
-// (p+1)/4 reachable from a^(2^223 - 1) with a handful of extra steps — the
-// standard secp256k1 addition chain.
+// The ladder of the square-root exponentiation: x<k> denotes a^(2^k - 1).
+// p's binary form (223 ones, then structured low bits) makes (p+1)/4
+// reachable from a^(2^223 - 1) with a handful of extra steps — the standard
+// secp256k1 addition chain.
 struct FermatLadder {
   U256 x2, x3, x22, x223;
 };
@@ -700,15 +700,6 @@ FermatLadder BuildLadder(const U256& a) {
   U256 x220 = FieldMul(SqrN(x176, 44), x44);
   l.x223 = FieldMul(SqrN(x220, 3), l.x3);
   return l;
-}
-
-// a^(p-2) mod p — the inverse, by Fermat's little theorem.
-U256 FieldInv(const U256& a) {
-  FermatLadder l = BuildLadder(a);
-  U256 t = FieldMul(SqrN(l.x223, 23), l.x22);
-  t = FieldMul(SqrN(t, 5), a);
-  t = FieldMul(SqrN(t, 3), l.x2);
-  return FieldMul(SqrN(t, 2), a);
 }
 
 // a^((p+1)/4) mod p — a square root when a is a quadratic residue; callers
@@ -1270,7 +1261,7 @@ U256 FieldMul(const U256& a, const U256& b) {
   return onoff::secp256k1::FieldMul(a, b);
 }
 U256 FieldSqr(const U256& a) { return onoff::secp256k1::FieldSqr(a); }
-U256 FieldInv(const U256& a) { return onoff::secp256k1::FieldInv(a); }
+U256 FieldInv(const U256& a) { return ModInverseDivsteps(a, kP); }
 U256 FieldSqrt(const U256& a) { return onoff::secp256k1::FieldSqrt(a); }
 U256 ScalarInv(const U256& a) { return ModInverseDivsteps(a, kN); }
 U256 ScalarMulMod(const U256& a, const U256& b) { return MulModN(a, b); }

@@ -133,7 +133,7 @@ Result<Address> RecoverAddress(const Hash32& digest, uint8_t v, const U256& r,
 namespace internal {
 U256 FieldMul(const U256& a, const U256& b);
 U256 FieldSqr(const U256& a);   // dedicated squaring kernel
-U256 FieldInv(const U256& a);   // Fermat addition chain
+U256 FieldInv(const U256& a);   // divsteps inverse mod p
 U256 FieldSqrt(const U256& a);  // a^((p+1)/4) addition chain
 U256 ScalarInv(const U256& a);  // divsteps inverse mod n
 // a·b mod n for any 256-bit a, b (operands need not be reduced).

@@ -33,9 +33,6 @@ class Json {
   // Array append. Must only be called on an Array.
   Json& Push(Json value);
 
-  bool IsObject() const { return kind_ == Kind::kObject; }
-  bool IsArray() const { return kind_ == Kind::kArray; }
-
   // Serialises with two-space indentation when `pretty`, compact otherwise.
   std::string Dump(bool pretty = true) const;
 

@@ -153,16 +153,6 @@ std::optional<uint64_t> TimeseriesSampler::LatestCounter(
   return CounterIn(samples_.back().snapshot, name);
 }
 
-std::optional<int64_t> TimeseriesSampler::LatestGauge(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (samples_.empty()) return std::nullopt;
-  for (const auto& [n, v] : samples_.back().snapshot.gauges) {
-    if (n == name) return v;
-  }
-  return std::nullopt;
-}
-
 std::optional<double> TimeseriesSampler::LatestQuantile(
     const std::string& name, double q) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -52,7 +52,6 @@ class TimeseriesSampler {
   // Point reads over the latest sample for the health summary. nullopt when
   // no sample or no such instrument.
   std::optional<uint64_t> LatestCounter(const std::string& name) const;
-  std::optional<int64_t> LatestGauge(const std::string& name) const;
   std::optional<double> LatestQuantile(const std::string& name,
                                        double q) const;
   // Rate of a counter over the whole retained window, per obs::Clock

@@ -4,7 +4,7 @@
 // off-chain contract; any broadcast channel works. This in-process bus adds
 // adversarial hooks (drop / tamper) so tests and benches can exercise the
 // protocol's behaviour under a faulty or hostile network, and optionally
-// routes every message through a sim::Transport so delivery follows the
+// routes every message through a sim::SimTransport so delivery follows the
 // simulated network's virtual clock (latency, loss, partitions). Without a
 // transport, delivery is synchronous — the zero-latency special case.
 
@@ -36,7 +36,7 @@ class MessageBus {
   // Routes deliveries through `transport` (endpoints are participant
   // address hex strings, Address::ToHex()). nullptr restores synchronous
   // delivery.
-  void SetTransport(sim::Transport* transport) { transport_ = transport; }
+  void SetTransport(sim::SimTransport* transport) { transport_ = transport; }
 
   // Delivers to the recipient's inbox (or drops/tampers per the hooks and
   // the transport's fault models). With a transport the message lands when
@@ -76,7 +76,7 @@ class MessageBus {
   void CountDrop(size_t payload_bytes);
 
   std::unordered_map<Address, std::deque<Message>> inboxes_;
-  sim::Transport* transport_ = nullptr;
+  sim::SimTransport* transport_ = nullptr;
   DropFn drop_;
   TamperFn tamper_;
   size_t messages_sent_ = 0;

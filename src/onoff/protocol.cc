@@ -24,6 +24,10 @@ constexpr size_t kTxEnvelopeBytes = 110;
 // Retransmission interval (virtual ms) for unacknowledged transactions: the
 // sender cannot see in-flight losses, so it re-sends until its deadline.
 constexpr uint64_t kTxRetryMs = 250;
+// T1/T2/T3 of Table I, in seconds after "now" at Run().
+constexpr uint64_t kT1Offset = 100;
+constexpr uint64_t kT2Offset = 200;
+constexpr uint64_t kT3Offset = 300;
 
 // A transaction in flight through the simulated network.
 struct PendingCall {
@@ -136,7 +140,7 @@ BettingProtocol::BettingProtocol(chain::Blockchain* chain, MessageBus* bus,
 }
 
 void BettingProtocol::BindSimulation(sim::Scheduler* scheduler,
-                                     sim::Transport* transport) {
+                                     sim::SimTransport* transport) {
   // Both or neither: a scheduler without a transport (or vice versa) has no
   // meaningful semantics.
   sched_ = transport != nullptr ? scheduler : nullptr;
@@ -287,7 +291,7 @@ Result<ProtocolReport> BettingProtocol::Run(const Behavior& alice_behavior,
     audit.correct_payout = report.correct_payout;
     audit.trace_id = run_span.context().trace_id;
     if (sched_ != nullptr) {
-      audit.t3_ms = VirtualMs(run_start_ts_ + timing_.t3_offset);
+      audit.t3_ms = VirtualMs(run_start_ts_ + kT3Offset);
       audit.settled_ms = sched_->NowMs();
       audit.challenge_period_ms = timing_.challenge_period_ms;
     }
@@ -322,9 +326,9 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   betting.alice = alice_.EthAddress();
   betting.bob = bob_.EthAddress();
   betting.deposit_amount = deposit_amount_;
-  betting.t1 = now + timing_.t1_offset;
-  betting.t2 = now + timing_.t2_offset;
-  betting.t3 = now + timing_.t3_offset;
+  betting.t1 = now + kT1Offset;
+  betting.t2 = now + kT2Offset;
+  betting.t3 = now + kT3Offset;
 
   // ---- Stage 1: split/generate ----
   spans.Enter(Stage::kSplitGenerate);
@@ -503,8 +507,6 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   const secp256k1::PrivateKey& winner = report.bob_won ? bob_ : alice_;
   const Behavior& loser_behavior =
       report.bob_won ? alice_behavior : bob_behavior;
-  const Behavior& winner_behavior =
-      report.bob_won ? bob_behavior : alice_behavior;
 
   U256 winner_before = chain_->GetBalance(winner.EthAddress());
 
@@ -540,12 +542,6 @@ Result<ProtocolReport> BettingProtocol::RunImpl(const Behavior& alice_behavior,
   // The challenge period: the winner's window to reach the chain.
   uint64_t dispute_deadline_ms =
       VirtualMs(betting.t3) + timing_.challenge_period_ms;
-  if (!winner_behavior.pursue_dispute) {
-    // Nobody enforces: the pot stays locked. (Modelled for completeness.)
-    report.settlement = Settlement::kDisputed;
-    report.correct_payout = false;
-    return report;
-  }
   // Rule 5: the winner reveals the signed copy on-chain.
   ONOFF_ASSIGN_OR_RETURN(secp256k1::Signature sig_a,
                          copy.SignatureOf(alice_.EthAddress()));

@@ -50,8 +50,6 @@ struct Behavior {
   bool make_deposit = true;
   // Loser honesty: call reassign() before T3 when losing.
   bool admit_loss = true;
-  // Winner diligence: pursue the dispute path when wronged.
-  bool pursue_dispute = true;
 };
 
 struct StageReport {
@@ -105,11 +103,8 @@ struct ProtocolReport {
   }
 };
 
-// Timing offsets (seconds from "now" at Run()) for T1/T2/T3 of Table I.
+// T1/T2/T3 of Table I sit 100, 200 and 300 s after "now" at Run().
 struct ProtocolTiming {
-  uint64_t t1_offset = 100;
-  uint64_t t2_offset = 200;
-  uint64_t t3_offset = 300;
   // Sim-bound runs only. The challenge period: how long (virtual ms) past
   // T3 the winner's dispute transactions may take to reach the chain before
   // the run is declared lost (kDisputeTimedOut). The paper assumes this
@@ -135,7 +130,7 @@ class BettingProtocol {
   // dispute settles kDisputeTimedOut. Pass nullptrs to restore the
   // synchronous behaviour. The scheduler's clock zero is mapped to the
   // chain's Now() when Run() starts.
-  void BindSimulation(sim::Scheduler* scheduler, sim::Transport* transport);
+  void BindSimulation(sim::Scheduler* scheduler, sim::SimTransport* transport);
 
   // Executes the whole lifecycle under the given behaviours.
   Result<ProtocolReport> Run(const Behavior& alice_behavior,
@@ -186,7 +181,7 @@ class BettingProtocol {
   std::array<StageReport, kNumStages> stages_;
   // Simulation binding (nullptr = synchronous).
   sim::Scheduler* sched_ = nullptr;
-  sim::Transport* transport_ = nullptr;
+  sim::SimTransport* transport_ = nullptr;
   // Mapping between chain unix seconds and the virtual clock, fixed at the
   // top of RunImpl so one protocol instance can run on a reused scheduler.
   uint64_t run_start_ts_ = 0;

@@ -1,11 +1,8 @@
-// The shared delivery interface that both block gossip (chain::Network) and
-// off-chain messages (core::MessageBus) route through.
-//
-//   Transport         the interface: deliver `bytes` from one named endpoint
-//                     to another by eventually invoking a closure
-//   SimTransport      routes every message through a Scheduler with per-link
-//                     latency/jitter/loss/bandwidth models, partitions with
-//                     scheduled heals, and node crash/restart
+// The simulated network that both block gossip (chain::Network) and
+// off-chain messages (core::MessageBus) can route through: SimTransport
+// delivers `bytes` from one named endpoint to another by eventually invoking
+// a closure, through a Scheduler with per-link latency/jitter/loss/bandwidth
+// models, partitions with scheduled heals, and node crash/restart.
 //
 // With no transport bound, Network and MessageBus deliver synchronously,
 // losslessly and with zero latency — the behaviour the repo had before
@@ -39,19 +36,7 @@
 
 namespace onoff::sim {
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  // Routes one message of `bytes` payload from `from` to `to`; `deliver`
-  // runs when (and if) the message arrives. Returns true when the message
-  // was delivered or scheduled for delivery, false when it was dropped at
-  // send time (loss, partition, crashed endpoint).
-  virtual bool Deliver(const std::string& from, const std::string& to,
-                       size_t bytes, std::function<void()> deliver) = 0;
-};
-
-class SimTransport final : public Transport {
+class SimTransport {
  public:
   // All randomness (loss, jitter) derives from `seed`; per-link streams are
   // keyed by the endpoint names, so adding a link never reshuffles another
@@ -100,8 +85,12 @@ class SimTransport final : public Transport {
   };
   const Stats& stats() const { return stats_; }
 
+  // Routes one message of `bytes` payload from `from` to `to`; `deliver`
+  // runs when (and if) the message arrives. Returns true when the message
+  // was delivered or scheduled for delivery, false when it was dropped at
+  // send time (loss, partition, crashed endpoint).
   bool Deliver(const std::string& from, const std::string& to, size_t bytes,
-               std::function<void()> deliver) override;
+               std::function<void()> deliver);
 
  private:
   Link& LinkFor(const std::string& from, const std::string& to);

@@ -183,14 +183,6 @@ StateSnapshot StateStore::Snapshot() const {
   return snap;
 }
 
-Hash32 StateStore::StorageRoot(const Address& addr) const {
-  auto it = per_account_.find(addr);
-  if (it == per_account_.end() || !it->second.root_valid) {
-    return SharedTrie::EmptyRoot();
-  }
-  return it->second.storage_root;
-}
-
 namespace {
 
 // The storage root referenced inside an account leaf — the cross-trie edge

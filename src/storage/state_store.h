@@ -114,7 +114,6 @@ class StateStore {
   // Incrementally folds all dirty accounts/slots into the tries and returns
   // the state root. With nothing dirty, returns the memoized root.
   Hash32 CommitRoot(const AccountLookup& lookup);
-  bool HasUncommittedChanges() const { return !dirty_accounts_.empty(); }
 
   // ---- Proofs & snapshots (valid for the last committed state) ----
   std::vector<Bytes> ProveAccount(const Address& addr) const {
@@ -123,19 +122,10 @@ class StateStore {
   std::vector<Bytes> ProveStorage(const Address& addr, const U256& key) const;
   StateSnapshot Snapshot() const;
 
-  // Memoized storage root of one account (empty-trie root when absent).
-  Hash32 StorageRoot(const Address& addr) const;
-
   // ---- Persistence ----
   // Writes every node new since the last persist to `store` and retains
   // the current root at `height`. Call after CommitRoot.
   Status Persist(NodeStore& store, uint64_t height);
-
-  // Introspection for tests/benches.
-  size_t TrackedAccounts() const { return per_account_.size(); }
-  size_t CountAccountTrieNodes() const {
-    return account_trie_.CountNodes();
-  }
 
  private:
   struct PerAccount {

@@ -64,7 +64,6 @@ void StructLogTracer::OnFrameExit(const evm::FrameContext& frame,
 
 void StructLogTracer::OnStep(const evm::StepContext& step) {
   ++steps_seen_;
-  if (!config_.collect_steps) return;
   // The previous instruction at this depth ran to completion: its cost is
   // the frame gas delta to this step.
   PatchLastAtDepth(step.depth, step.gas);

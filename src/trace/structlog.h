@@ -62,8 +62,6 @@ struct StructLogConfig {
   size_t stack_top_k = 8;
   // Hard cap on retained step records; further steps are counted, not kept.
   size_t max_records = 1u << 20;
-  // When false only the call-frame tree is built (cheaper).
-  bool collect_steps = true;
 };
 
 class StructLogTracer : public evm::TraceHook {

@@ -40,7 +40,6 @@ obs::Json ArgsToJson(const Args& args) {
 Tracer::Tracer(TracerConfig config) : config_(config) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
   if (config_.sample_every == 0) config_.sample_every = 1;
-  if (config_.tx_annotation_capacity == 0) config_.tx_annotation_capacity = 1;
   ring_.reserve(std::min<size_t>(config_.ring_capacity, 1024));
 }
 
@@ -114,26 +113,6 @@ void Tracer::Event(const TraceContext& ctx, const std::string& name,
   span.instant = true;
   span.args = std::move(args);
   Complete(std::move(span));
-}
-
-void Tracer::AnnotateTx(const Hash32& tx_hash, const TraceContext& ctx) {
-  if (!ctx.valid()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = tx_contexts_.insert_or_assign(tx_hash, ctx);
-  (void)it;
-  if (inserted) {
-    tx_order_.push_back(tx_hash);
-    while (tx_order_.size() > config_.tx_annotation_capacity) {
-      tx_contexts_.erase(tx_order_.front());
-      tx_order_.pop_front();
-    }
-  }
-}
-
-TraceContext Tracer::ContextForTx(const Hash32& tx_hash) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tx_contexts_.find(tx_hash);
-  return it != tx_contexts_.end() ? it->second : TraceContext{};
 }
 
 void Tracer::Complete(Span span) {
@@ -237,8 +216,6 @@ void Tracer::Clear() {
   ring_.clear();
   ring_next_ = 0;
   open_.clear();
-  tx_contexts_.clear();
-  tx_order_.clear();
 }
 
 uint64_t Tracer::traces_started() const {

@@ -3,6 +3,9 @@
 // protocol run or a signed transaction starts and is propagated through the
 // MessageBus, the simulated transport, the tx pool, block packing and EVM
 // execution; every hop records a Span into a fixed-capacity ring buffer.
+// A transaction's context rides in its pool record (chain::PendingTx) from
+// admission to block inclusion, so the Transaction wire format carries no
+// trace ids and the tracer keeps no per-transaction table.
 //
 // Clocking: spans are stamped from obs::Clock, the one observability time
 // source — the sim's virtual clock while a simulation is bound (making
@@ -22,15 +25,12 @@
 #define ONOFFCHAIN_TRACE_TRACE_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "crypto/keccak.h"
 #include "obs/json.h"
 
 namespace onoff::trace {
@@ -68,8 +68,6 @@ struct TracerConfig {
   // Deterministic 1-in-N sampling for StartTrace. 1 traces everything; 0 is
   // treated as 1.
   uint64_t sample_every = 1;
-  // Bounded tx-hash -> context side table (FIFO eviction).
-  size_t tx_annotation_capacity = 4096;
 };
 
 class Tracer {
@@ -100,14 +98,6 @@ class Tracer {
   void Event(const TraceContext& ctx, const std::string& name,
              const std::string& category, Args args = {});
 
-  // Associates a transaction hash with the context that submitted it, so the
-  // pool / block packer / EVM driver can rejoin the trace without the
-  // Transaction wire format carrying trace ids (consensus encoding is
-  // untouched). The table is bounded; oldest entries evict first.
-  void AnnotateTx(const Hash32& tx_hash, const TraceContext& ctx);
-  // The context annotated for `tx_hash`, or an invalid context.
-  TraceContext ContextForTx(const Hash32& tx_hash) const;
-
   // Completed spans in stable (trace_id, start_us, span_id) order, args
   // sorted by key. Open spans are not included.
   std::vector<Span> Snapshot() const;
@@ -118,8 +108,8 @@ class Tracer {
   // instant event ("ph":"i") per event; pid 1, tid = trace id.
   obs::Json ToChromeTrace() const;
 
-  // Drops all completed spans, open spans and tx annotations. Counters and
-  // id allocators keep running (ids stay unique per tracer).
+  // Drops all completed and open spans. Counters and id allocators keep
+  // running (ids stay unique per tracer).
   void Clear();
 
   uint64_t traces_started() const;
@@ -137,8 +127,6 @@ class Tracer {
   std::vector<Span> ring_;                       // guarded by mu_
   size_t ring_next_ = 0;                         // guarded by mu_
   std::unordered_map<uint64_t, Span> open_;      // guarded by mu_
-  std::map<Hash32, TraceContext> tx_contexts_;   // guarded by mu_
-  std::deque<Hash32> tx_order_;                  // guarded by mu_
   uint64_t next_trace_id_ = 1;                   // guarded by mu_
   uint64_t next_span_id_ = 1;                    // guarded by mu_
   uint64_t traces_started_ = 0;                  // guarded by mu_

@@ -374,7 +374,7 @@ TEST(AuditIncrementalNonceTest, SendersTheBlockNeverWroteAreChecked) {
   ws.SetNonce(alice.EthAddress(), 4);
   Block block;
   block.header.number = 1;
-  nonce.OnBlockCommit(block, {}, ws, sink);  // the baseline sweep
+  nonce.OnBlockCommit(block, /*records=*/{}, {}, ws, sink);  // baseline sweep
   ws.ClearTouched();
 
   block.header.number = 2;
@@ -390,7 +390,7 @@ TEST(AuditIncrementalNonceTest, SendersTheBlockNeverWroteAreChecked) {
   std::vector<Receipt> receipts(2);
   receipts[0].success = receipts[1].success = true;
   const uint64_t sweeps_before = FullSweeps();
-  nonce.OnBlockCommit(block, receipts, ws, sink);
+  nonce.OnBlockCommit(block, /*records=*/{}, receipts, ws, sink);
   if (obs::Registry::Global() != nullptr) {
     EXPECT_EQ(FullSweeps(), sweeps_before);
   }

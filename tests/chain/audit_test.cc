@@ -279,11 +279,11 @@ TEST_F(AuditTest, TamperedReceiptRootIsCaughtByReceiptRootInvariant) {
   obs::AuditorConfig sink_config;
   sink_config.dump_flight = false;
   ChainAuditor replay("receipt_root", sink_config);
-  replay.OnBlockCommit(tampered, receipts, chain_->state());
+  replay.OnBlockCommit(tampered, /*records=*/{}, receipts, chain_->state());
   EXPECT_EQ(replay.violations(), 0u) << "untampered block must pass";
 
   tampered.header.receipt_root[0] ^= 0xff;
-  replay.OnBlockCommit(tampered, receipts, chain_->state());
+  replay.OnBlockCommit(tampered, /*records=*/{}, receipts, chain_->state());
   ASSERT_EQ(replay.violations(), 1u);
   const obs::ViolationReport report = replay.sink().Reports()[0];
   EXPECT_EQ(report.invariant, "receipt_root");
@@ -355,7 +355,7 @@ class NonceCorpusTest : public ::testing::Test {
     for (size_t i = 0; i < success.size(); ++i) {
       receipts[i].success = success[i];
     }
-    nonce_->OnBlockCommit(block, receipts, state_, sink_);
+    nonce_->OnBlockCommit(block, /*records=*/{}, receipts, state_, sink_);
   }
 
   static std::string Value(const obs::ViolationReport& report,

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "contracts/betting.h"
 #include "easm/assembler.h"
 #include "evm/gas.h"
 #include "obs/metrics.h"
 #include "rlp/rlp.h"
+#include "support/thread_pool.h"
+#include "trace/trace.h"
 #include "trie/trie.h"
 
 namespace onoff::chain {
@@ -586,6 +589,53 @@ TEST_F(BlockchainTest, CreationWithLintFindingsIsAdmittedAndMined) {
       chain_.Execute(alice_, std::nullopt, U256(), *betting_init, 2'000'000);
   ASSERT_TRUE(betting.ok()) << betting.status().ToString();
   EXPECT_TRUE(betting->success);
+}
+
+// Each pending transaction keeps its submitter's trace until it is mined,
+// however many are pending: the context travels in the pool record, not in
+// a bounded table of the tracer (which held 4 096 hashes and evicted the
+// oldest).
+TEST(BlockchainTraceTest, LargePoolMinesEveryTransactionUnderItsTrace) {
+  constexpr size_t kTxs = 4097;
+  trace::TracerConfig tracer_config;
+  tracer_config.ring_capacity = 8 * kTxs;  // no span overwritten
+  trace::Tracer tracer(tracer_config);
+  struct Installed {
+    explicit Installed(trace::Tracer* t)
+        : previous(trace::Tracer::InstallGlobal(t)) {}
+    ~Installed() { trace::Tracer::InstallGlobal(previous); }
+    trace::Tracer* previous;
+  } installed(&tracer);
+
+  ChainConfig config;
+  config.block_gas_limit = kTxs * 21'000;
+  config.max_txs_per_block = kTxs;
+  Blockchain chain(config);
+  const auto alice = secp256k1::PrivateKey::FromSeed("trace-alice");
+  chain.FundAccount(alice.EthAddress(), kEther);
+  std::vector<Transaction> txs(kTxs);
+  ThreadPool::Shared().ParallelFor(kTxs, [&](size_t i) {
+    txs[i].nonce = i;
+    txs[i].gas_price = U256(1);
+    txs[i].gas_limit = 21'000;
+    txs[i].to = Address{};
+    txs[i].value = U256(1);
+    txs[i].Sign(alice);
+  });
+
+  const trace::TraceContext root = tracer.StartTrace();
+  {
+    trace::ScopedContext submitter(root);
+    for (const Result<Hash32>& result : chain.SubmitTransactions(txs)) {
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+  }
+  ASSERT_EQ(chain.MineBlock().transactions.size(), kTxs);
+  size_t applied = 0;
+  for (const trace::Span& span : tracer.Snapshot()) {
+    if (span.name == "tx.apply" && span.trace_id == root.trace_id) ++applied;
+  }
+  EXPECT_EQ(applied, kTxs);
 }
 
 }  // namespace

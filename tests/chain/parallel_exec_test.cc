@@ -223,25 +223,25 @@ TEST(ParallelExecutorTest, UnderReportingHintsCannotChangeABlock) {
   // read and re-execute it, exactly as if no hints had been passed.
   const Address account = secp256k1::PrivateKey::FromSeed("slot-owner")
                               .EthAddress();
-  const ParallelExecutor::ExecFn increment =
-      [&](state::StateView& view, const Transaction&) {
-        view.SetStorage(account, U256(1),
-                        view.GetStorage(account, U256(1)) + U256(1));
-        return Receipt{};
-      };
-  const std::vector<Transaction> txs(2);
+  const ParallelExecutor::ExecFn increment = [&](state::StateView& view,
+                                                  size_t /*index*/) {
+    view.SetStorage(account, U256(1),
+                    view.GetStorage(account, U256(1)) + U256(1));
+    return Receipt{};
+  };
+  constexpr size_t kTxs = 2;
 
   state::WorldState serial;
-  for (const Transaction& tx : txs) {
-    increment(serial, tx);
+  for (size_t i = 0; i < kTxs; ++i) {
+    increment(serial, i);
     serial.ClearJournal();
   }
 
-  std::vector<TxAccessHint> hints(txs.size());
+  std::vector<TxAccessHint> hints(kTxs);
   for (TxAccessHint& hint : hints) hint.known = true;
   state::WorldState parallel;
   ParallelExecStats stats;
-  ParallelExecutor().ExecuteBlock(parallel, txs, increment, &stats, &hints);
+  ParallelExecutor().ExecuteBlock(parallel, kTxs, increment, &stats, &hints);
 
   EXPECT_EQ(parallel.GetStorage(account, U256(1)), U256(2));
   EXPECT_EQ(parallel.StateRoot(), serial.StateRoot());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -24,42 +26,59 @@ Transaction MakeTx(const secp256k1::PrivateKey& key, uint64_t nonce,
   return tx;
 }
 
-// Admits `tx` with the sender and hash Blockchain's admission would hand
-// the pool.
+// The record Blockchain's admission would hand the pool for `tx`.
+PendingTx Record(const Transaction& tx) {
+  return PendingTx{tx, *tx.Sender(), tx.Hash(), {}};
+}
+
 Status Add(TxPool& pool, const Transaction& tx) {
-  return pool.Add(tx, *tx.Sender(), tx.Hash());
+  return pool.Add(Record(tx));
+}
+
+// A base-nonce provider for a chain whose every account nonce is `nonce`.
+TxPool::BaseNonceFn Fixed(uint64_t nonce) {
+  return [nonce](const Address&) { return nonce; };
+}
+
+// A base-nonce provider that reads `nonces` (absent senders: 0), the
+// account nonces a test advances as a chain would mine what it takes.
+TxPool::BaseNonceFn From(const std::map<Address, uint64_t>& nonces) {
+  return [&nonces](const Address& addr) {
+    auto it = nonces.find(addr);
+    return it != nonces.end() ? it->second : uint64_t{0};
+  };
 }
 
 TEST(TxPoolTest, OutOfOrderNoncesReorderedPerSender) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   for (uint64_t nonce : {2u, 0u, 1u}) {
     ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
   }
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 3u);
-  EXPECT_EQ(taken[0].nonce, 0u);
-  EXPECT_EQ(taken[1].nonce, 1u);
-  EXPECT_EQ(taken[2].nonce, 2u);
+  EXPECT_EQ(taken[0].tx.nonce, 0u);
+  EXPECT_EQ(taken[1].tx.nonce, 1u);
+  EXPECT_EQ(taken[2].tx.nonce, 2u);
   EXPECT_TRUE(pool.empty());
 }
 
 TEST(TxPoolTest, ReorderingPreservesSenderSlots) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   // Submission slots: [alice, bob, alice]. Alice's transactions arrive
   // nonce-reversed; bob keeps his slot in between.
   ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(bob, 0)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 3u);
-  EXPECT_EQ(*taken[0].Sender(), alice.EthAddress());
-  EXPECT_EQ(taken[0].nonce, 0u);
-  EXPECT_EQ(*taken[1].Sender(), bob.EthAddress());
-  EXPECT_EQ(*taken[2].Sender(), alice.EthAddress());
-  EXPECT_EQ(taken[2].nonce, 1u);
+  EXPECT_EQ(taken[0].sender, alice.EthAddress());
+  EXPECT_EQ(taken[0].tx.nonce, 0u);
+  EXPECT_EQ(taken[1].sender, bob.EthAddress());
+  EXPECT_EQ(taken[2].sender, alice.EthAddress());
+  EXPECT_EQ(taken[2].tx.nonce, 1u);
 }
 
 TEST(TxPoolTest, InOrderSubmissionIsUnchanged) {
@@ -67,51 +86,53 @@ TEST(TxPoolTest, InOrderSubmissionIsUnchanged) {
   // must come back out in exactly that order (the reorder is idempotent).
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   std::vector<Transaction> block = {MakeTx(alice, 0), MakeTx(bob, 0),
                                     MakeTx(alice, 1), MakeTx(bob, 1)};
   for (const Transaction& tx : block) ASSERT_TRUE(Add(pool, tx).ok());
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), block.size());
   for (size_t i = 0; i < block.size(); ++i) {
-    EXPECT_EQ(taken[i].Hash(), block[i].Hash()) << "slot " << i;
+    EXPECT_EQ(taken[i].hash, block[i].Hash()) << "slot " << i;
   }
 }
 
 TEST(TxPoolTest, GasBudgetStopsPacking) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  std::map<Address, uint64_t> nonces;
+  TxPool pool(From(nonces));
   for (uint64_t nonce : {0u, 1u, 2u}) {
     ASSERT_TRUE(Add(pool, MakeTx(alice, nonce, 4'000'000)).ok());
   }
   // 4M + 4M fills an 8M budget; the third must stay pending.
-  std::vector<Transaction> taken = pool.Take(10, 8'000'000);
+  std::vector<PendingTx> taken = pool.Take(10, 8'000'000);
   ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].nonce, 0u);
-  EXPECT_EQ(taken[1].nonce, 1u);
+  EXPECT_EQ(taken[0].tx.nonce, 0u);
+  EXPECT_EQ(taken[1].tx.nonce, 1u);
   EXPECT_EQ(pool.size(), 1u);
-  std::vector<Transaction> rest = pool.Take(10, 8'000'000);
+  nonces[alice.EthAddress()] = 2;  // the block mined nonces 0 and 1
+  std::vector<PendingTx> rest = pool.Take(10, 8'000'000);
   ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0].nonce, 2u);
+  EXPECT_EQ(rest[0].tx.nonce, 2u);
 }
 
 TEST(TxPoolTest, BudgetStopDefersInsteadOfSkipping) {
   // When a transaction does not fit, packing STOPS; later (smaller)
   // transactions are not pulled ahead of it, or nonce ordering would break.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   ASSERT_TRUE(Add(pool, MakeTx(alice, 0, 5'000'000)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 1, 2'000'000)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 2, 100'000)).ok());
-  std::vector<Transaction> taken = pool.Take(10, 6'000'000);
+  std::vector<PendingTx> taken = pool.Take(10, 6'000'000);
   ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].nonce, 0u);
+  EXPECT_EQ(taken[0].tx.nonce, 0u);
   EXPECT_EQ(pool.size(), 2u);
 }
 
 TEST(TxPoolTest, MaxCountStillApplies) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   for (uint64_t nonce : {0u, 1u, 2u}) {
     ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
   }
@@ -121,7 +142,7 @@ TEST(TxPoolTest, MaxCountStillApplies) {
 
 TEST(TxPoolTest, DuplicateRejectedAndContainsTracksTakes) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   Transaction tx = MakeTx(alice, 0);
   ASSERT_TRUE(Add(pool, tx).ok());
   EXPECT_FALSE(Add(pool, tx).ok());
@@ -138,31 +159,33 @@ TEST(TxPoolTest, DuplicateRejectedAndContainsTracksTakes) {
 
 TEST(TxPoolTest, RecentlyTakenWindowIsBounded) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPoolConfig config;
-  config.recent_take_batches = 2;
-  TxPool pool(config);
+  std::map<Address, uint64_t> nonces;
+  TxPool pool(From(nonces));
   Transaction tx = MakeTx(alice, 0);
   ASSERT_TRUE(Add(pool, tx).ok());
   ASSERT_EQ(pool.Take(10).size(), 1u);
   EXPECT_FALSE(Add(pool, tx).ok());
-  // Two further non-empty take batches push the hash out of the bounded
-  // window; afterwards the (stale, unminable) duplicate is admitted again
-  // rather than remembered forever.
-  for (uint64_t nonce : {1u, 2u}) {
+  // kRecentTakeBatches further non-empty take batches push the hash out of
+  // the bounded window; afterwards the (stale, unminable) duplicate is
+  // admitted again rather than remembered forever.
+  for (uint64_t nonce = 1; nonce <= TxPool::kRecentTakeBatches; ++nonce) {
+    nonces[alice.EthAddress()] = nonce;
     ASSERT_TRUE(Add(pool, MakeTx(alice, nonce)).ok());
+    ASSERT_TRUE(pool.RecentlyTaken(tx.Hash())) << "batch " << nonce;
     ASSERT_EQ(pool.Take(10).size(), 1u);
   }
   EXPECT_FALSE(pool.RecentlyTaken(tx.Hash()));
   EXPECT_TRUE(Add(pool, tx).ok());
 
   // The window counts the pool's non-empty takes, whoever sent what they
-  // carried: two batches of other senders' transactions push it out too.
-  TxPool shared(config);
+  // carried: batches of other senders' transactions push it out too.
+  TxPool shared(Fixed(0));
   ASSERT_TRUE(Add(shared, tx).ok());
   ASSERT_EQ(shared.Take(10).size(), 1u);
-  for (const char* seed : {"bob", "carol"}) {
-    auto other = secp256k1::PrivateKey::FromSeed(seed);
+  for (size_t i = 0; i < TxPool::kRecentTakeBatches; ++i) {
+    auto other = secp256k1::PrivateKey::FromSeed("other-" + std::to_string(i));
     ASSERT_TRUE(Add(shared, MakeTx(other, 0)).ok());
+    ASSERT_TRUE(shared.RecentlyTaken(tx.Hash())) << "batch " << i;
     ASSERT_EQ(shared.Take(10).size(), 1u);
   }
   EXPECT_FALSE(shared.RecentlyTaken(tx.Hash()));
@@ -176,19 +199,19 @@ TEST(TxPoolTest, OverBudgetSenderDoesNotBlockOthers) {
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
   auto carol = secp256k1::PrivateKey::FromSeed("carol");
-  TxPool pool;
+  TxPool pool(Fixed(0));
   ASSERT_TRUE(Add(pool, MakeTx(alice, 0, 7'000'000)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(bob, 0, 5'000'000)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(carol, 0, 900'000)).ok());
-  std::vector<Transaction> taken = pool.Take(10, 8'000'000);
+  std::vector<PendingTx> taken = pool.Take(10, 8'000'000);
   ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(*taken[0].Sender(), alice.EthAddress());
-  EXPECT_EQ(*taken[1].Sender(), carol.EthAddress());
+  EXPECT_EQ(taken[0].sender, alice.EthAddress());
+  EXPECT_EQ(taken[1].sender, carol.EthAddress());
   // Bob stays pending and packs next block.
   ASSERT_EQ(pool.size(), 1u);
-  std::vector<Transaction> next = pool.Take(10, 8'000'000);
+  std::vector<PendingTx> next = pool.Take(10, 8'000'000);
   ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(*next[0].Sender(), bob.EthAddress());
+  EXPECT_EQ(next[0].sender, bob.EthAddress());
 }
 
 TEST(TxPoolTest, NonceGapHeldUntilFilled) {
@@ -196,38 +219,37 @@ TEST(TxPoolTest, NonceGapHeldUntilFilled) {
   // nonce-mismatch failure. The gapped entry must stay pending until the
   // missing nonce arrives.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
+  std::map<Address, uint64_t> nonces;
+  TxPool pool(From(nonces));
   ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].nonce, 0u);
+  EXPECT_EQ(taken[0].tx.nonce, 0u);
   EXPECT_EQ(pool.size(), 1u);
-  // Still gapped relative to its own lowest pending nonce? No — without a
-  // base-nonce provider the base is the lowest pending nonce, so nonce 2
-  // now packs alone. Wire a provider to model the chain's view instead.
-  pool.set_base_nonce_provider([](const Address&) { return uint64_t{1}; });
+  // The chain mined nonce 0, so its account nonce is 1 and nonce 2 is
+  // still gapped.
+  nonces[alice.EthAddress()] = 1;
   EXPECT_TRUE(pool.Take(10).empty());
   EXPECT_EQ(pool.size(), 1u);
   ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
-  std::vector<Transaction> rest = pool.Take(10);
+  std::vector<PendingTx> rest = pool.Take(10);
   ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0].nonce, 1u);
-  EXPECT_EQ(rest[1].nonce, 2u);
+  EXPECT_EQ(rest[0].tx.nonce, 1u);
+  EXPECT_EQ(rest[1].tx.nonce, 2u);
 }
 
 TEST(TxPoolTest, StaleNonceDropped) {
-  // With a base-nonce provider wired, entries below the account nonce can
-  // never be mined and are dropped instead of packed into certain failure.
+  // Entries below the account nonce can never be mined and are dropped
+  // instead of packed into certain failure.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
-  TxPool pool;
-  pool.set_base_nonce_provider([](const Address&) { return uint64_t{2}; });
+  TxPool pool(Fixed(2));
   ASSERT_TRUE(Add(pool, MakeTx(alice, 0)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].nonce, 2u);
+  EXPECT_EQ(taken[0].tx.nonce, 2u);
   EXPECT_TRUE(pool.empty());
 }
 
@@ -238,25 +260,24 @@ TEST(TxPoolTest, DropMinedForgetsMinedAndStaleEntries) {
   // her nonce 2 and bob's entry stay.
   auto alice = secp256k1::PrivateKey::FromSeed("alice");
   auto bob = secp256k1::PrivateKey::FromSeed("bob");
-  TxPool pool;
-  pool.set_base_nonce_provider([&alice](const Address& addr) {
-    return addr == alice.EthAddress() ? uint64_t{2} : uint64_t{0};
-  });
+  const std::map<Address, uint64_t> nonces = {{alice.EthAddress(), 2}};
+  TxPool pool(From(nonces));
   const Transaction mined0 = MakeTx(alice, 0);
   const Transaction mined1 = MakeTx(alice, 1, 30'000);
   ASSERT_TRUE(Add(pool, mined0).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 1)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(alice, 2)).ok());
   ASSERT_TRUE(Add(pool, MakeTx(bob, 0)).ok());
-  pool.DropMined({mined0, mined1});
+  const std::vector<PendingTx> mined = {Record(mined0), Record(mined1)};
+  pool.DropMined(mined);
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_FALSE(pool.Contains(mined0.Hash()));
   EXPECT_TRUE(pool.RecentlyTaken(mined0.Hash()));
   EXPECT_EQ(Add(pool, mined1).code(), StatusCode::kAlreadyExists);
-  std::vector<Transaction> taken = pool.Take(10);
+  std::vector<PendingTx> taken = pool.Take(10);
   ASSERT_EQ(taken.size(), 2u);
-  EXPECT_EQ(taken[0].nonce, 2u);
-  EXPECT_EQ(*taken[1].Sender(), bob.EthAddress());
+  EXPECT_EQ(taken[0].tx.nonce, 2u);
+  EXPECT_EQ(taken[1].sender, bob.EthAddress());
 }
 
 TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
@@ -270,12 +291,18 @@ TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
     keys.push_back(
         secp256k1::PrivateKey::FromSeed("sender-" + std::to_string(i)));
   }
-  TxPool pool;
+  // Only the consumer thread reads (through Take) and advances the account
+  // nonces, as a chain mining each batch would.
+  std::map<Address, uint64_t> nonces;
+  TxPool pool(From(nonces));
   std::atomic<bool> done{false};
-  std::vector<Transaction> taken;
+  std::vector<PendingTx> taken;
   std::thread consumer([&] {
     while (!done.load() || !pool.empty()) {
-      for (Transaction& tx : pool.Take(4)) taken.push_back(std::move(tx));
+      for (PendingTx& record : pool.Take(4)) {
+        nonces[record.sender] = record.tx.nonce + 1;
+        taken.push_back(std::move(record));
+      }
     }
   });
   std::vector<std::thread> producers;
@@ -291,10 +318,10 @@ TEST(TxPoolTest, ConcurrentAddsLandInArrivalOrderPerThread) {
   consumer.join();
   ASSERT_EQ(taken.size(), kSenders * kPerSender);
   std::unordered_map<Address, uint64_t> next_nonce;
-  for (const Transaction& tx : taken) {
-    Address sender = *tx.Sender();
-    EXPECT_EQ(tx.nonce, next_nonce[sender]) << "per-sender order broken";
-    ++next_nonce[sender];
+  for (const PendingTx& record : taken) {
+    EXPECT_EQ(record.tx.nonce, next_nonce[record.sender])
+        << "per-sender order broken";
+    ++next_nonce[record.sender];
   }
 }
 

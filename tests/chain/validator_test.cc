@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,17 @@ class BatchAdmissionTest : public ::testing::Test {
     return obs::Registry::Global()->CounterValue(name);
   }
 
+  // A chain funded like the fixture's whose explicit audit spec leaves out
+  // the nonce invariant: its own Sender() call, which ONOFF_AUDIT=all would
+  // switch on, reads the memo once per mined transaction.
+  std::unique_ptr<Blockchain> ChainWithoutNonceAudit() const {
+    ChainConfig config;
+    config.audit_invariants = "conservation";
+    auto chain = std::make_unique<Blockchain>(config);
+    for (const auto& [addr, amount] : alloc_) chain->FundAccount(addr, amount);
+    return chain;
+  }
+
   std::vector<PrivateKey> keys_;
   GenesisAlloc alloc_;
   Blockchain batch_;
@@ -221,13 +233,13 @@ TEST_F(BatchAdmissionTest, SameStatusesPoolAndRootsAsOneAtATime) {
   const uint64_t before_serial = metrics ? Counter("crypto.recover_ops") : 0;
   ExpectSameResults(results, txs);
   if (metrics) {
-    // The unrecoverable transaction is tried once on the pool and once in
-    // order; every other sender is recovered once on each chain (none for
-    // the high-s copy, which fails before recovery).
+    // Every sender is recovered once on each chain, the unrecoverable one
+    // included: admission takes the batch's recovery results (none for the
+    // high-s copy, which fails before recovery).
     const uint64_t serial_recovers =
         Counter("crypto.recover_ops") - before_serial;
     EXPECT_EQ(serial_recovers, 20u);
-    EXPECT_EQ(before_serial - before_batch, serial_recovers + 1);
+    EXPECT_EQ(before_serial - before_batch, serial_recovers);
   }
   for (size_t i = 0; i < 16; ++i) {
     EXPECT_TRUE(results[i].ok()) << "tx " << i << ": "
@@ -276,6 +288,45 @@ TEST_F(BatchAdmissionTest, OneColdSubmissionReadsNoMemoHit) {
   ASSERT_TRUE(serial_.SubmitTransaction(tx).ok());
   EXPECT_EQ(Counter("chain.sender_cache_misses") - misses, 1u);
   EXPECT_EQ(Counter("chain.sender_cache_hits") - hits, 0u);
+}
+
+// Admission's recovery is the only memo read of a transaction's life:
+// execution reads the sender from the pool record.
+TEST_F(BatchAdmissionTest, ColdTransferMinedWithOneMemoRead) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  std::unique_ptr<Blockchain> chain = ChainWithoutNonceAudit();
+  const Transaction tx = Cold(Transfer(0, 0));
+  const uint64_t misses = Counter("chain.sender_cache_misses");
+  const uint64_t hits = Counter("chain.sender_cache_hits");
+  ASSERT_TRUE(chain->SubmitTransaction(tx).ok());
+  ASSERT_EQ(chain->MineBlock().transactions.size(), 1u);
+  EXPECT_EQ(Counter("chain.sender_cache_misses") - misses, 1u);
+  EXPECT_EQ(Counter("chain.sender_cache_hits") - hits, 0u);
+}
+
+// An import into an empty pool recovers each sender once, in admission:
+// execution and the cleanup of the node's own pool read the scratch pool's
+// records.
+TEST_F(BatchAdmissionTest, ColdImportIntoEmptyPoolReadsNoMemoHit) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  for (const Result<Hash32>& result : batch_.SubmitTransactions(Transfers())) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  Block block = batch_.MineBlock();
+  ASSERT_EQ(block.transactions.size(), 16u);
+  block.transactions = Cold(block.transactions);
+  std::unique_ptr<Blockchain> replica = ChainWithoutNonceAudit();
+  const uint64_t misses = Counter("chain.sender_cache_misses");
+  const uint64_t hits = Counter("chain.sender_cache_hits");
+  Status st = replica->ImportBlock(block);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(Counter("chain.sender_cache_misses") - misses, 16u);
+  EXPECT_EQ(Counter("chain.sender_cache_hits") - hits, 0u);
+  EXPECT_EQ(replica->blocks().back().Hash(), block.Hash());
 }
 
 TEST_F(BatchAdmissionTest, VerifyChainOverColdBlocks) {

@@ -1,5 +1,5 @@
-// Thread-safety of the tracer ring buffer, the tx-annotation table and the
-// metrics registry under concurrent writers. Meant to run under TSan (the CI
+// Thread-safety of the tracer ring buffer and the metrics registry under
+// concurrent writers. Meant to run under TSan (the CI
 // sanitizer job includes it): the assertions are deliberately loose, the
 // value is the data-race coverage.
 
@@ -37,11 +37,6 @@ TEST(TraceConcurrencyTest, ParallelSpansEventsAndSnapshots) {
         TraceContext span = tracer.BeginSpan(
             root, "worker", "test", {{"thread", std::to_string(t)}});
         tracer.Event(span, "tick", "test");
-        Hash32 h{};
-        h[0] = static_cast<uint8_t>(t);
-        h[1] = static_cast<uint8_t>(i);
-        tracer.AnnotateTx(h, span);
-        (void)tracer.ContextForTx(h);
         tracer.EndSpan(span);
         if (i % 64 == 0) (void)tracer.Snapshot();
         if (obs::Counter* c = obs::GetCounterOrNull("trace.test_ops")) {

@@ -101,30 +101,6 @@ TEST(TracerTest, RingOverwritesOldest) {
   EXPECT_EQ(spans[2].name, "event4");
 }
 
-TEST(TracerTest, TxAnnotationRoundTripAndEviction) {
-  TracerConfig config;
-  config.tx_annotation_capacity = 2;
-  Tracer tracer(config);
-  TraceContext root = tracer.StartTrace();
-
-  Hash32 a{}, b{}, c{};
-  a[0] = 1;
-  b[0] = 2;
-  c[0] = 3;
-  tracer.AnnotateTx(a, root);
-  EXPECT_EQ(tracer.ContextForTx(a).trace_id, root.trace_id);
-  tracer.AnnotateTx(b, root);
-  tracer.AnnotateTx(c, root);  // evicts a (FIFO)
-  EXPECT_FALSE(tracer.ContextForTx(a).valid());
-  EXPECT_TRUE(tracer.ContextForTx(b).valid());
-  EXPECT_TRUE(tracer.ContextForTx(c).valid());
-  // Invalid contexts are not stored.
-  Hash32 d{};
-  d[0] = 4;
-  tracer.AnnotateTx(d, TraceContext{});
-  EXPECT_FALSE(tracer.ContextForTx(d).valid());
-}
-
 TEST(TracerTest, ScopedContextStackNests) {
   EXPECT_FALSE(CurrentContext().valid());
   TraceContext outer{7, 1};
