@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chain/validator.h"
@@ -302,6 +303,10 @@ int main(int argc, char** argv) {
   obs::Json results =
       obs::Json::Object()
           .Set("iters", obs::Json::Int(iters))
+          // The machine the timings came from (the admission rows' workers
+          // is the shared pool's size, not the core count).
+          .Set("hardware_threads",
+               obs::Json::Uint(std::max(1u, std::thread::hardware_concurrency())))
           .Set("sign", OpJson(sign))
           .Set("verify", OpJson(verify))
           .Set("recover", OpJson(recover))

@@ -191,6 +191,123 @@ bool AuditedMining(uint64_t accounts, obs::Json* results) {
   return true;
 }
 
+// Median, min and max of `v` (sorted in place).
+struct Spread {
+  double median = 0;
+  double min = 0;
+  double max = 0;
+};
+
+Spread SpreadOf(std::vector<double>* v) {
+  if (v->empty()) return {};
+  std::sort(v->begin(), v->end());
+  return {(*v)[v->size() / 2], v->front(), v->back()};
+}
+
+std::string SpreadText(const Spread& s) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.3f [%.3f, %.3f]", s.median, s.min,
+                s.max);
+  return buf;
+}
+
+obs::Json SpreadJson(const Spread& s) {
+  return obs::Json::Object()
+      .Set("median", obs::Json::Num(s.median))
+      .Set("min", obs::Json::Num(s.min))
+      .Set("max", obs::Json::Num(s.max));
+}
+
+// Persist window: the per-block persist and prune a node with persist_state
+// pays in steady state. After one persist of the whole state at height 0,
+// each of kBlocks blocks writes a mixed_serial-sized write set (balances,
+// plus a storage slot for every 8th account), commits, persists into an
+// in-memory node store, and prunes below the 64-block window (as
+// Blockchain::SealBlock does). Timed per block; the node totals depend only
+// on the states, not on the store's implementation. Pushes the row; false
+// on a failed persist or prune, or when the last state's root or a touched
+// account cannot be read back.
+bool PersistWindow(state::WorldState* ws, uint64_t accounts,
+                   obs::Json* results) {
+  constexpr uint64_t kBlocks = 200;
+  constexpr uint64_t kWindow = 64;
+  constexpr uint64_t kTouched = 334;
+  storage::NodeStore store;
+  if (!store.Open().ok()) return false;
+  ws->StateRoot();
+  auto t0 = std::chrono::steady_clock::now();
+  if (!ws->PersistCommitted(store, 0).ok()) return false;
+  const double genesis_ms = MsSince(t0);
+
+  std::vector<double> persist_ms;
+  std::vector<double> prune_ms;
+  uint64_t persisted = 0;
+  uint64_t next = 0x9E3779B97F4A7C15ull;  // xorshift64 state
+  std::vector<Address> touched;
+  Hash32 root{};
+  for (uint64_t height = 1; height <= kBlocks; ++height) {
+    touched.clear();
+    for (uint64_t i = 0; i < kTouched; ++i) {
+      next ^= next << 13;
+      next ^= next >> 7;
+      next ^= next << 17;
+      Address a = AddrOf(next % accounts);
+      ws->SetBalance(a, U256(height * 1'000 + i));
+      if (i % 8 == 0) ws->SetStorage(a, U256(3), U256(height));
+      touched.push_back(a);
+    }
+    ws->ClearJournal();
+    root = ws->StateRoot();
+    const size_t live_before = store.live_nodes();
+    t0 = std::chrono::steady_clock::now();
+    if (!ws->PersistCommitted(store, height).ok()) return false;
+    persist_ms.push_back(MsSince(t0));
+    persisted += store.live_nodes() - live_before;
+    if (height >= kWindow) {
+      t0 = std::chrono::steady_clock::now();
+      if (!store.PruneBelow(height - kWindow + 1).ok()) return false;
+      prune_ms.push_back(MsSince(t0));
+    }
+  }
+  bool roots_match = root == ws->RebuildStateRoot();
+  for (const Address& a : touched) {
+    Result<std::optional<Bytes>> stored = store.LookupSecure(root, a.view());
+    roots_match = roots_match && stored.ok() && stored->has_value();
+  }
+  const Spread persist = SpreadOf(&persist_ms);
+  const Spread prune = SpreadOf(&prune_ms);
+  std::printf("%10llu %8llu %7llu %22s %22s %11llu %10llu %6s\n",
+              static_cast<unsigned long long>(accounts),
+              static_cast<unsigned long long>(kBlocks),
+              static_cast<unsigned long long>(kWindow),
+              SpreadText(persist).c_str(), SpreadText(prune).c_str(),
+              static_cast<unsigned long long>(persisted),
+              static_cast<unsigned long long>(store.pruned_total()),
+              roots_match ? "ok" : "DIFF");
+  results->Push(
+      obs::Json::Object()
+          .Set("scenario", obs::Json::Str("persist_window"))
+          .Set("accounts", obs::Json::Num(static_cast<double>(accounts)))
+          .Set("touched_accounts", obs::Json::Num(kTouched))
+          .Set("blocks", obs::Json::Num(kBlocks))
+          .Set("window", obs::Json::Num(kWindow))
+          .Set("genesis_persist_ms", obs::Json::Num(genesis_ms))
+          .Set("persist_ms", SpreadJson(persist))
+          .Set("prune_ms", SpreadJson(prune))
+          .Set("nodes_persisted",
+               obs::Json::Num(static_cast<double>(persisted)))
+          .Set("nodes_pruned",
+               obs::Json::Num(static_cast<double>(store.pruned_total())))
+          .Set("live_nodes",
+               obs::Json::Num(static_cast<double>(store.live_nodes())))
+          .Set("roots_match", obs::Json::Bool(roots_match))
+          .Set("hardware_threads", HardwareThreads()));
+  if (!roots_match) {
+    std::fprintf(stderr, "persist_window: root mismatch or unreadable state\n");
+  }
+  return roots_match;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -345,6 +462,14 @@ int main(int argc, char** argv) {
                      .Set("roots_match", obs::Json::Bool(true))
                      .Set("hardware_threads", HardwareThreads()));
   }
+
+  std::printf(
+      "\n=== Persist window: 334-account blocks into an in-memory node "
+      "store, pruned to the last 64 states ===\n\n");
+  std::printf("%10s %8s %7s %22s %22s %11s %10s %6s\n", "accounts", "blocks",
+              "window", "persist ms med [min,max]", "prune ms med [min,max]",
+              "persisted", "pruned", "roots");
+  if (!PersistWindow(&ws, base, &results)) return 1;
 
   // Audited mining at the largest size, after the states above are gone.
   ws = state::WorldState();

@@ -547,7 +547,14 @@ Status Blockchain::SealBlock(TxPool& pool, uint64_t timestamp,
                 static_cast<unsigned long long>(number), st.message().c_str());
     } else if (config_.state_history_blocks > 0 &&
                number >= config_.state_history_blocks) {
-      node_store_->PruneBelow(number - config_.state_history_blocks + 1);
+      Result<size_t> pruned =
+          node_store_->PruneBelow(number - config_.state_history_blocks + 1);
+      if (!pruned.ok()) {
+        ONOFF_LOG(log::Level::kWarn, "chain",
+                  "state prune failed at block %llu: %s",
+                  static_cast<unsigned long long>(number),
+                  pruned.status().message().c_str());
+      }
     }
     phases.Charge(kPrune);
     // Make the block durable now: a crash later (including the divergence

@@ -1,15 +1,18 @@
 #include "storage/node_store.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 #include "obs/metrics.h"
-#include "storage/shared_trie.h"
 #include "support/log.h"
 
 namespace onoff::storage {
@@ -54,9 +57,9 @@ class LogReader {
     pos_ += 32;
     return true;
   }
-  bool ReadBytes(size_t n, Bytes* out) {
+  bool ReadView(size_t n, BytesView* out) {
     if (pos_ + n > size_) return false;
-    out->assign(data_ + pos_, data_ + pos_ + n);
+    *out = BytesView(data_ + pos_, n);
     pos_ += n;
     return true;
   }
@@ -69,13 +72,66 @@ class LogReader {
   size_t pos_ = 0;
 };
 
+// The index's per-process key. Outsiders choose node contents, and so by
+// grinding the leading bytes of node hashes; without the key they cannot
+// aim those hashes at one run of buckets.
+struct IndexKey {
+  uint64_t k[4];
+};
+
+const IndexKey& Key() {
+  static const IndexKey key = [] {
+    std::random_device rd;
+    IndexKey out;
+    for (uint64_t& k : out.k) k = (uint64_t{rd()} << 32) | rd();
+    return out;
+  }();
+  return key;
+}
+
+uint64_t Fold(uint64_t a, uint64_t b) {
+  unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(p) ^ static_cast<uint64_t>(p >> 64);
+}
+
+// Low 32 bits of a keyed hash over all 32 bytes of a node hash: an index
+// entry's tag and, masked, its home bucket.
+uint32_t Tag(const Hash32& hash) {
+  uint64_t w[4];
+  std::memcpy(w, hash.data(), sizeof(w));
+  const IndexKey& key = Key();
+  return static_cast<uint32_t>(Fold(w[0] ^ key.k[0], w[1] ^ key.k[1]) ^
+                               Fold(w[2] ^ key.k[2], w[3] ^ key.k[3]));
+}
+
 }  // namespace
+
+NodeStore::NodeStore(std::string path) : path_(std::move(path)) {}
 
 NodeStore::~NodeStore() {
   if (out_ != nullptr) {
     std::fflush(out_);
     std::fclose(out_);
   }
+}
+
+uint32_t NodeStore::NewMarksId() {
+  static std::atomic<uint64_t> next{1};
+  const uint64_t id = next.fetch_add(1, std::memory_order_relaxed);
+  return id >> 32 == 0 ? static_cast<uint32_t>(id) : 0;
+}
+
+void NodeStore::Reset() {
+  marks_ = NewMarksId();
+  prune_floor_ = 0;
+  slab_.clear();
+  free_.clear();
+  index_.clear();
+  indexed_ = 0;
+  live_ = 0;
+  retained_.clear();
+  pruned_total_ = 0;
+  file_bytes_ = 0;
 }
 
 Status NodeStore::Open() {
@@ -88,10 +144,7 @@ Status NodeStore::Open() {
   if (!st.ok()) {
     // Drop any partially replayed state so this store never serves (or a
     // retried Open() never double-counts) a half-rebuilt index.
-    nodes_.clear();
-    pending_refs_.clear();
-    retained_.clear();
-    file_bytes_ = 0;
+    Reset();
     if (out_ != nullptr) {
       std::fclose(out_);
       out_ = nullptr;
@@ -123,6 +176,7 @@ Status NodeStore::OpenImpl() {
       } else {
         LogReader reader(data.data() + kMagicLen, data.size() - kMagicLen);
         size_t replayed = 0;  // offset past the last fully applied record
+        std::vector<Hash32> refs;
         while (!reader.AtEnd() && !torn) {
           uint8_t op = 0;
           if (!reader.ReadByte(&op)) {
@@ -133,13 +187,13 @@ Status NodeStore::OpenImpl() {
             uint32_t enc_len = 0;
             uint32_t ref_count = 0;
             Hash32 hash;
-            Bytes enc;
+            BytesView enc;
             if (!reader.ReadU32(&enc_len) || !reader.ReadU32(&ref_count) ||
-                !reader.ReadHash(&hash) || !reader.ReadBytes(enc_len, &enc)) {
+                !reader.ReadHash(&hash) || !reader.ReadView(enc_len, &enc)) {
               torn = true;
               break;
             }
-            std::vector<Hash32> refs(ref_count);
+            refs.resize(ref_count);
             bool refs_ok = true;
             for (uint32_t i = 0; i < ref_count; ++i) {
               if (!reader.ReadHash(&refs[i])) {
@@ -166,7 +220,7 @@ Status NodeStore::OpenImpl() {
               torn = true;
               break;
             }
-            PruneImpl(cutoff, /*journal=*/false);
+            ONOFF_RETURN_NOT_OK(PruneImpl(cutoff, /*journal=*/false).status());
           } else {
             // Garbage op byte: everything from here on is torn-write debris.
             torn = true;
@@ -215,15 +269,113 @@ Status NodeStore::Flush() {
   return Status::OK();
 }
 
+// ---- Index ----
+
+NodeSlot NodeStore::Lookup(const Hash32& hash) const {
+  if (index_.empty()) return kEmptyBucket;
+  const size_t mask = index_.size() - 1;
+  const uint32_t tag = Tag(hash);
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Bucket& b = index_[i];
+    if (b.slot == kEmptyBucket) return kEmptyBucket;
+    if (b.tag == tag && slab_[b.slot].hash == hash) return b.slot;
+  }
+}
+
+void NodeStore::IndexInsert(const Hash32& hash, NodeSlot slot) {
+  if ((indexed_ + 1) * 2 > index_.size()) Grow();
+  const size_t mask = index_.size() - 1;
+  const uint32_t tag = Tag(hash);
+  size_t i = tag & mask;
+  while (index_[i].slot != kEmptyBucket) i = (i + 1) & mask;
+  index_[i] = {slot, tag};
+  ++indexed_;
+}
+
+void NodeStore::IndexErase(NodeSlot slot) {
+  const size_t mask = index_.size() - 1;
+  const uint32_t tag = Tag(slab_[slot].hash);
+  size_t hole = tag & mask;
+  while (index_[hole].slot != slot) hole = (hole + 1) & mask;
+  // Backward-shift deletion: pull each later entry of the run into the hole
+  // unless its home bucket lies after the hole, so every entry stays
+  // reachable from its home without tombstones.
+  for (size_t j = (hole + 1) & mask; index_[j].slot != kEmptyBucket;
+       j = (j + 1) & mask) {
+    const size_t home = index_[j].tag & mask;
+    if (((j - home) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].slot = kEmptyBucket;
+  --indexed_;
+}
+
+void NodeStore::Grow() {
+  std::vector<Bucket> old = std::move(index_);
+  index_.assign(std::max<size_t>(1024, old.size() * 2),
+                Bucket{kEmptyBucket, 0});
+  const size_t mask = index_.size() - 1;
+  for (const Bucket& b : old) {
+    if (b.slot == kEmptyBucket) continue;
+    size_t i = b.tag & mask;
+    while (index_[i].slot != kEmptyBucket) i = (i + 1) & mask;
+    index_[i] = b;
+  }
+}
+
+// ---- Slab ----
+
+NodeSlot NodeStore::Allocate(const Hash32& hash, State state) {
+  NodeSlot slot;
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else {
+    slot = static_cast<NodeSlot>(slab_.size());
+    slab_.emplace_back();
+  }
+  Record& rec = slab_[slot];
+  rec.hash = hash;
+  rec.state = state;
+  IndexInsert(hash, slot);
+  return slot;
+}
+
+void NodeStore::Release(NodeSlot slot) {
+  IndexErase(slot);
+  Record& rec = slab_[slot];
+  rec.body.reset();
+  rec.nrefs = 0;
+  rec.enc_size = 0;
+  rec.refcount = 0;
+  rec.state = State::kFree;
+  free_.push_back(slot);
+}
+
+// ---- Reads ----
+
+NodeSlot NodeStore::LiveSlot(const Hash32& hash) const {
+  NodeSlot slot = Lookup(hash);
+  if (slot == kEmptyBucket || slab_[slot].state != State::kLive) {
+    return kEmptyBucket;
+  }
+  return slot;
+}
+
 bool NodeStore::Contains(const Hash32& hash) const {
-  return nodes_.find(hash) != nodes_.end();
+  return LiveSlot(hash) != kEmptyBucket;
 }
 
 Result<Bytes> NodeStore::Get(const Hash32& hash) const {
-  auto it = nodes_.find(hash);
-  if (it == nodes_.end()) return Status::NotFound("node not in store");
-  return it->second.enc;
+  NodeSlot slot = LiveSlot(hash);
+  if (slot == kEmptyBucket) return Status::NotFound("node not in store");
+  const Record& rec = slab_[slot];
+  return Bytes(rec.enc(), rec.enc() + rec.enc_size);
 }
+
+// ---- Log records ----
 
 Status NodeStore::Append(const Bytes& payload) {
   if (std::fwrite(payload.data(), 1, payload.size(), out_) != payload.size()) {
@@ -233,65 +385,97 @@ Status NodeStore::Append(const Bytes& payload) {
   return Status::OK();
 }
 
-Status NodeStore::AppendNode(const Hash32& hash, const Record& rec) {
+Status NodeStore::AppendNode(const Hash32& hash, BytesView encoding,
+                             std::span<const NodeSlot> refs) {
   if (out_ == nullptr) return Status::OK();  // in-memory: no log
-  Bytes payload;
-  payload.push_back('N');
-  PutU32(&payload, static_cast<uint32_t>(rec.enc.size()));
-  PutU32(&payload, static_cast<uint32_t>(rec.refs.size()));
-  payload.insert(payload.end(), hash.begin(), hash.end());
-  payload.insert(payload.end(), rec.enc.begin(), rec.enc.end());
-  for (const Hash32& ref : rec.refs) {
-    payload.insert(payload.end(), ref.begin(), ref.end());
+  payload_.clear();
+  payload_.push_back('N');
+  PutU32(&payload_, static_cast<uint32_t>(encoding.size()));
+  PutU32(&payload_, static_cast<uint32_t>(refs.size()));
+  payload_.insert(payload_.end(), hash.begin(), hash.end());
+  payload_.insert(payload_.end(), encoding.begin(), encoding.end());
+  for (NodeSlot ref : refs) {
+    const Hash32& h = slab_[ref].hash;
+    payload_.insert(payload_.end(), h.begin(), h.end());
   }
-  return Append(payload);
+  return Append(payload_);
 }
 
 Status NodeStore::AppendRetain(const Hash32& root, uint64_t height) {
   if (out_ == nullptr) return Status::OK();  // in-memory: no log
-  Bytes payload;
-  payload.push_back('R');
-  PutU64(&payload, height);
-  payload.insert(payload.end(), root.begin(), root.end());
-  return Append(payload);
+  payload_.clear();
+  payload_.push_back('R');
+  PutU64(&payload_, height);
+  payload_.insert(payload_.end(), root.begin(), root.end());
+  return Append(payload_);
 }
 
 Status NodeStore::AppendPrune(uint64_t cutoff_height) {
   if (out_ == nullptr) return Status::OK();  // in-memory: no log
-  Bytes payload;
-  payload.push_back('P');
-  PutU64(&payload, cutoff_height);
-  return Append(payload);
+  payload_.clear();
+  payload_.push_back('P');
+  PutU64(&payload_, cutoff_height);
+  ONOFF_RETURN_NOT_OK(Append(payload_));
+  // A buffered write fails only when the buffer reaches the file, so the
+  // mark goes there now, before any root is released.
+  if (std::fflush(out_) != 0) {
+    file_bytes_ -= payload_.size();
+    return Status::Internal("node store log write failed: " + path_);
+  }
+  return Status::OK();
 }
 
-Status NodeStore::PutImpl(const Hash32& hash, BytesView encoding,
-                          const std::vector<Hash32>& refs, bool journal) {
-  if (Contains(hash)) return Status::OK();  // content-addressed: no-op
-  Record rec;
-  rec.enc.assign(encoding.begin(), encoding.end());
-  rec.refs = refs;
+// ---- Writes ----
+
+Result<NodeSlot> NodeStore::StoreImpl(const Hash32& hash, BytesView encoding,
+                                      std::span<const NodeSlot> refs,
+                                      bool journal) {
+  NodeSlot slot = Lookup(hash);
+  // Content-addressed: re-storing a live hash is a no-op.
+  if (slot != kEmptyBucket && slab_[slot].state == State::kLive) return slot;
   // Journal first: a failed append must leave the in-memory store (and in
   // particular the refcounts below) untouched so a retry starts clean.
-  if (journal) ONOFF_RETURN_NOT_OK(AppendNode(hash, rec));
-  // References counted before this record arrived (replay order freedom).
-  auto pending = pending_refs_.find(hash);
-  if (pending != pending_refs_.end()) {
-    rec.refcount = pending->second;
-    pending_refs_.erase(pending);
-  }
-  for (const Hash32& ref : refs) {
-    auto it = nodes_.find(ref);
-    if (it != nodes_.end()) {
-      ++it->second.refcount;
-    } else {
-      ++pending_refs_[ref];
+  if (journal) {
+    Status st = AppendNode(hash, encoding, refs);
+    if (!st.ok()) {
+      DropUncounted(refs);
+      marks_ = NewMarksId();
+      return st;
     }
   }
-  nodes_.emplace(hash, std::move(rec));
+  // A placeholder already counts the references seen before the node.
+  if (slot == kEmptyBucket) slot = Allocate(hash, State::kPending);
+  Record& rec = slab_[slot];
+  rec.state = State::kLive;
+  rec.nrefs = static_cast<uint32_t>(refs.size());
+  rec.enc_size = static_cast<uint32_t>(encoding.size());
+  const size_t words =
+      refs.size() + (encoding.size() + sizeof(NodeSlot) - 1) / sizeof(NodeSlot);
+  rec.body.reset(new NodeSlot[words]);
+  std::copy(refs.begin(), refs.end(), rec.body.get());
+  std::copy(encoding.begin(), encoding.end(),
+            reinterpret_cast<uint8_t*>(rec.body.get() + refs.size()));
+  for (NodeSlot ref : refs) ++slab_[ref].refcount;
+  ++live_;
   static obs::Counter* persisted =
       obs::GetCounterOrNull("storage.nodes_persisted");
   if (persisted != nullptr) persisted->Inc();
-  return Status::OK();
+  return slot;
+}
+
+void NodeStore::DropUncounted(std::span<const NodeSlot> refs) {
+  for (NodeSlot ref : refs) {
+    const Record& rec = slab_[ref];
+    if (rec.state == State::kPending && rec.refcount == 0) Release(ref);
+  }
+}
+
+Status NodeStore::PutImpl(const Hash32& hash, BytesView encoding,
+                          std::span<const Hash32> refs, bool journal) {
+  if (Contains(hash)) return Status::OK();  // content-addressed: no-op
+  ref_slots_.clear();
+  for (const Hash32& ref : refs) ref_slots_.push_back(Reference(ref));
+  return StoreImpl(hash, encoding, ref_slots_, journal).status();
 }
 
 Status NodeStore::Put(const Hash32& hash, BytesView encoding,
@@ -299,17 +483,34 @@ Status NodeStore::Put(const Hash32& hash, BytesView encoding,
   return PutImpl(hash, encoding, refs, /*journal=*/true);
 }
 
+bool NodeStore::Find(const Hash32& hash, NodeSlot* slot) {
+  *slot = LiveSlot(hash);
+  return *slot != kEmptyBucket;
+}
+
+NodeSlot NodeStore::Reference(const Hash32& hash) {
+  NodeSlot slot = Lookup(hash);
+  return slot != kEmptyBucket ? slot : Allocate(hash, State::kPending);
+}
+
+Result<NodeSlot> NodeStore::Store(const Hash32& hash, const Bytes& encoding,
+                                  std::span<const NodeSlot> refs) {
+  return StoreImpl(hash, encoding, refs, /*journal=*/true);
+}
+
 Status NodeStore::RetainImpl(const Hash32& root, uint64_t height,
                              bool journal) {
   // Journal first so a failed append leaves the store unchanged.
-  if (journal) ONOFF_RETURN_NOT_OK(AppendRetain(root, height));
-  auto it = nodes_.find(root);
-  if (it != nodes_.end()) {
-    ++it->second.refcount;
-  } else {
-    ++pending_refs_[root];
+  if (journal) {
+    Status st = AppendRetain(root, height);
+    if (!st.ok()) {
+      marks_ = NewMarksId();
+      return st;
+    }
   }
-  retained_.emplace(height, root);
+  NodeSlot slot = Reference(root);
+  ++slab_[slot].refcount;
+  retained_.emplace(height, slot);
   return Status::OK();
 }
 
@@ -317,35 +518,34 @@ Status NodeStore::RetainRoot(const Hash32& root, uint64_t height) {
   return RetainImpl(root, height, /*journal=*/true);
 }
 
-void NodeStore::Deref(const Hash32& hash, size_t* freed) {
-  auto it = nodes_.find(hash);
-  if (it == nodes_.end()) {
-    auto pending = pending_refs_.find(hash);
-    if (pending != pending_refs_.end() && --pending->second == 0) {
-      pending_refs_.erase(pending);
-    }
+void NodeStore::Deref(NodeSlot slot, size_t* freed) {
+  Record& rec = slab_[slot];
+  if (rec.state == State::kPending) {
+    if (rec.refcount > 0 && --rec.refcount == 0) Release(slot);
     return;
   }
-  if (it->second.refcount > 0) --it->second.refcount;
-  if (it->second.refcount > 0) return;
-  std::vector<Hash32> refs = std::move(it->second.refs);
-  nodes_.erase(it);
+  if (rec.refcount > 0) --rec.refcount;
+  if (rec.refcount > 0) return;
+  std::unique_ptr<NodeSlot[]> body = std::move(rec.body);
+  const uint32_t nrefs = rec.nrefs;
+  Release(slot);
+  --live_;
   ++*freed;
-  for (const Hash32& ref : refs) Deref(ref, freed);
+  for (uint32_t i = 0; i < nrefs; ++i) Deref(body[i], freed);
 }
 
-size_t NodeStore::PruneImpl(uint64_t cutoff_height, bool journal) {
+Result<size_t> NodeStore::PruneImpl(uint64_t cutoff_height, bool journal) {
+  const bool releases =
+      !retained_.empty() && retained_.begin()->first < cutoff_height;
+  // Journal first, as Put and RetainRoot do: a mark that cannot be written
+  // releases nothing.
+  if (releases && journal) ONOFF_RETURN_NOT_OK(AppendPrune(cutoff_height));
+  prune_floor_ = std::max(prune_floor_, cutoff_height);
   size_t freed = 0;
-  bool released = false;
   while (!retained_.empty() && retained_.begin()->first < cutoff_height) {
-    Hash32 root = retained_.begin()->second;
+    NodeSlot root = retained_.begin()->second;
     retained_.erase(retained_.begin());
     Deref(root, &freed);
-    released = true;
-  }
-  if (released && journal) {
-    Status st = AppendPrune(cutoff_height);
-    (void)st;  // a failed prune mark leaves extra live data, never corruption
   }
   pruned_total_ += freed;
   if (freed > 0) {
@@ -355,7 +555,7 @@ size_t NodeStore::PruneImpl(uint64_t cutoff_height, bool journal) {
   return freed;
 }
 
-size_t NodeStore::PruneBelow(uint64_t cutoff_height) {
+Result<size_t> NodeStore::PruneBelow(uint64_t cutoff_height) {
   return PruneImpl(cutoff_height, /*journal=*/true);
 }
 
@@ -375,28 +575,33 @@ Status NodeStore::Compact() {
     if (!out.good()) return Status::Internal("cannot write " + tmp);
     out.write(kMagic, kMagicLen);
     uint64_t bytes = kMagicLen;
-    for (const auto& [hash, rec] : nodes_) {
-      Bytes payload;
-      payload.push_back('N');
-      PutU32(&payload, static_cast<uint32_t>(rec.enc.size()));
-      PutU32(&payload, static_cast<uint32_t>(rec.refs.size()));
-      payload.insert(payload.end(), hash.begin(), hash.end());
-      payload.insert(payload.end(), rec.enc.begin(), rec.enc.end());
-      for (const Hash32& ref : rec.refs) {
-        payload.insert(payload.end(), ref.begin(), ref.end());
-      }
+    auto write = [&out, &bytes](const Bytes& payload) {
       out.write(reinterpret_cast<const char*>(payload.data()),
                 static_cast<std::streamsize>(payload.size()));
       bytes += payload.size();
+    };
+    // Slab order, which follows the operations alone and not the index key.
+    for (const Record& rec : slab_) {
+      if (rec.state != State::kLive) continue;
+      payload_.clear();
+      payload_.push_back('N');
+      PutU32(&payload_, rec.enc_size);
+      PutU32(&payload_, rec.nrefs);
+      payload_.insert(payload_.end(), rec.hash.begin(), rec.hash.end());
+      payload_.insert(payload_.end(), rec.enc(), rec.enc() + rec.enc_size);
+      for (uint32_t i = 0; i < rec.nrefs; ++i) {
+        const Hash32& ref = slab_[rec.refs()[i]].hash;
+        payload_.insert(payload_.end(), ref.begin(), ref.end());
+      }
+      write(payload_);
     }
     for (const auto& [height, root] : retained_) {
-      Bytes payload;
-      payload.push_back('R');
-      PutU64(&payload, height);
-      payload.insert(payload.end(), root.begin(), root.end());
-      out.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-      bytes += payload.size();
+      payload_.clear();
+      payload_.push_back('R');
+      PutU64(&payload_, height);
+      const Hash32& hash = slab_[root].hash;
+      payload_.insert(payload_.end(), hash.begin(), hash.end());
+      write(payload_);
     }
     if (!out.good()) return Status::Internal("compaction write failed");
     file_bytes_ = bytes;

@@ -34,6 +34,13 @@ struct SharedNode {
 
   mutable Bytes enc;      // memoized RLP encoding
   mutable Hash32 hash{};  // memoized keccak(enc)
+
+  // The last persist that stored or found this node (PersistSink::marks):
+  // (sink id << 32 | handle) and (sink id << 32 | height). Each word
+  // carries the id, so a stamp torn by two walks into different sinks at
+  // once reads as foreign.
+  mutable std::atomic<uint64_t> stamp_handle{0};
+  mutable std::atomic<uint64_t> stamp_height{0};
 };
 
 }  // namespace internal
@@ -344,71 +351,154 @@ const SharedNode* Find(const SharedNode* node, const Nibbles& key,
 
 // ---- Persistence walk ----
 
-// Hash references physically contained in this node's record: hashed child
-// refs (embedded descendants' included — an embedded node rides inside this
-// record and can itself only reference further embedded nodes or nothing,
-// since a hash ref alone is 33 encoded bytes) plus leaf-value extras.
-void CollectRecordRefs(const SharedNode* node, const LeafRefs& leaf_refs,
-                       std::vector<Hash32>* out) {
-  switch (node->type) {
-    case Type::kLeaf:
-      if (leaf_refs != nullptr) {
-        for (Hash32& h : leaf_refs(node->value)) out->push_back(h);
-      }
-      return;
-    case Type::kExtension: {
-      Memo child = Memoized(node->child.get());
-      if (child.enc.size() >= 32) {
-        out->push_back(child.hash);
-      } else {
-        CollectRecordRefs(node->child.get(), leaf_refs, out);
-      }
-      return;
-    }
-    case Type::kBranch: {
-      for (const NodeRef& child : node->children) {
-        if (child == nullptr) continue;
-        Memo memo = Memoized(child.get());
-        if (memo.enc.size() >= 32) {
-          out->push_back(memo.hash);
+// One walk of one trie into a sink. Records are stored children first, each
+// child in slot order, so a parent's references are handles the sink has
+// already given out. Every record's handles go on one reused stack: a node's
+// sit above its parent's until the node is stored, then are popped.
+class PersistWalker {
+ public:
+  PersistWalker(PersistSink& sink, uint64_t height, LeafRef leaf_ref)
+      : sink_(sink),
+        leaf_ref_(leaf_ref),
+        // Stamps carry 32-bit heights; higher ones are not stamped.
+        marks_(height >> 32 == 0 ? sink.marks() : 0),
+        marks_from_(sink.marks_from()),
+        height_(height) {
+    refs_.reserve(64);
+  }
+
+  // The handle of `node`'s record, storing the subtree first when the sink
+  // lacks it; meaningless once status() failed.
+  NodeSlot Visit(const SharedNode* node, const Memo& memo) {
+    NodeSlot slot = 0;
+    if (!status_.ok() || Stamped(node, &slot)) return slot;
+    if (!sink_.Find(memo.hash, &slot)) {
+      const size_t base = refs_.size();
+      PushRecordRefs(node);
+      if (status_.ok()) {
+        Result<NodeSlot> stored =
+            sink_.Store(memo.hash, memo.enc,
+                        std::span<const NodeSlot>(refs_.data() + base,
+                                                  refs_.size() - base));
+        if (stored.ok()) {
+          slot = *stored;
         } else {
-          CollectRecordRefs(child.get(), leaf_refs, out);
+          status_ = stored.status();
         }
       }
-      if (!node->value.empty() && leaf_refs != nullptr) {
-        for (Hash32& h : leaf_refs(node->value)) out->push_back(h);
-      }
-      return;
+      refs_.resize(base);
+      if (!status_.ok()) return slot;
+    }
+    Stamp(node, slot);
+    return slot;
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  // True, with the handle, when a walk into this sink stamped `node` at a
+  // height the sink still retains.
+  bool Stamped(const SharedNode* node, NodeSlot* slot) const {
+    if (marks_ == 0) return false;
+    const uint64_t handle = node->stamp_handle.load(std::memory_order_relaxed);
+    const uint64_t height = node->stamp_height.load(std::memory_order_relaxed);
+    if (handle >> 32 != marks_ || height >> 32 != marks_ ||
+        (height & 0xffffffff) < marks_from_) {
+      return false;
+    }
+    *slot = static_cast<NodeSlot>(handle);
+    return true;
+  }
+
+  void Stamp(const SharedNode* node, NodeSlot slot) const {
+    if (marks_ == 0) return;
+    const uint64_t id = uint64_t{marks_} << 32;
+    node->stamp_handle.store(id | slot, std::memory_order_relaxed);
+    node->stamp_height.store(id | height_, std::memory_order_relaxed);
+  }
+
+  // The references physically inside `node`'s record: each hashed child
+  // (visited first), the contents of each embedded child (an embedded node
+  // rides inside this record and can itself only hold further embedded
+  // nodes, since a hash reference alone is 33 encoded bytes), and the
+  // hash a leaf value carries.
+  void PushRecordRefs(const SharedNode* node) {
+    switch (node->type) {
+      case Type::kLeaf:
+        PushLeafRef(node->value);
+        return;
+      case Type::kExtension:
+        PushChild(node->child.get());
+        return;
+      case Type::kBranch:
+        for (const NodeRef& child : node->children) {
+          if (child != nullptr) PushChild(child.get());
+        }
+        if (!node->value.empty()) PushLeafRef(node->value);
+        return;
     }
   }
-}
 
-void ForEachHashedChild(const SharedNode* node,
-                        const std::function<void(const NodeRef&)>& fn) {
-  auto visit = [&fn](const NodeRef& child) {
-    if (child != nullptr && Memoized(child.get()).enc.size() >= 32) fn(child);
-  };
-  if (node->type == Type::kExtension) visit(node->child);
-  if (node->type == Type::kBranch) {
-    for (const NodeRef& child : node->children) visit(child);
+  void PushChild(const SharedNode* child) {
+    Memo memo = Memoized(child);
+    if (memo.enc.size() < 32) {
+      PushRecordRefs(child);
+      return;
+    }
+    NodeSlot slot = Visit(child, memo);
+    refs_.push_back(slot);
   }
-}
 
-void PersistWalk(const NodeRef& node, const PersistKnown& known,
-                 const PersistEmit& emit, const LeafRefs& leaf_refs,
-                 bool is_root) {
-  Memo memo = Memoized(node.get());
-  // Embedded nodes travel inside their parent's record; only the root is
-  // stored standalone regardless of size (it is referenced by hash).
-  if (!is_root && memo.enc.size() < 32) return;
-  if (known(memo.hash)) return;  // subtree already stored (refs counted)
-  ForEachHashedChild(node.get(), [&](const NodeRef& child) {
-    PersistWalk(child, known, emit, leaf_refs, false);
-  });
-  std::vector<Hash32> refs;
-  CollectRecordRefs(node.get(), leaf_refs, &refs);
-  emit(memo.hash, memo.enc, refs);
-}
+  void PushLeafRef(const Bytes& value) {
+    Hash32 ref;
+    if (leaf_ref_ != nullptr && leaf_ref_(value, &ref)) {
+      refs_.push_back(sink_.Reference(ref));
+    }
+  }
+
+  PersistSink& sink_;
+  const LeafRef leaf_ref_;
+  const uint32_t marks_;
+  const uint64_t marks_from_;
+  const uint64_t height_;
+  std::vector<NodeSlot> refs_;
+  Status status_;
+};
+
+// A sink over hash-level callbacks: its handles index the hashes it has
+// handed out.
+class CallbackSink final : public PersistSink {
+ public:
+  CallbackSink(const PersistKnown& known, const PersistEmit& emit)
+      : known_(known), emit_(emit) {}
+
+  bool Find(const Hash32& hash, NodeSlot* slot) override {
+    if (!known_(hash)) return false;
+    *slot = Handle(hash);
+    return true;
+  }
+  NodeSlot Reference(const Hash32& hash) override { return Handle(hash); }
+  // Callbacks keep no refcounts, so there is nothing to pin.
+  Status RetainRoot(const Hash32&, uint64_t) override { return Status::OK(); }
+  Result<NodeSlot> Store(const Hash32& hash, const Bytes& encoding,
+                         std::span<const NodeSlot> refs) override {
+    ref_hashes_.clear();
+    for (NodeSlot ref : refs) ref_hashes_.push_back(hashes_[ref]);
+    emit_(hash, encoding, ref_hashes_);
+    return Handle(hash);
+  }
+
+ private:
+  NodeSlot Handle(const Hash32& hash) {
+    hashes_.push_back(hash);
+    return static_cast<NodeSlot>(hashes_.size() - 1);
+  }
+
+  const PersistKnown& known_;
+  const PersistEmit& emit_;
+  std::vector<Hash32> hashes_;
+  std::vector<Hash32> ref_hashes_;
+};
 
 size_t Count(const SharedNode* node) {
   if (node == nullptr) return 0;
@@ -655,11 +745,21 @@ std::vector<Bytes> SharedTrie::Prove(BytesView key) const {
   return proof;
 }
 
+Status SharedTrie::PersistNodes(PersistSink& sink, uint64_t height,
+                                LeafRef leaf_ref) const {
+  if (root_ == nullptr) return Status::OK();
+  // The root is stored standalone whatever its size; every other embedded
+  // node travels inside its parent's record.
+  PersistWalker walker(sink, height, leaf_ref);
+  walker.Visit(root_.get(), Memoized(root_.get()));
+  return walker.status();
+}
+
 void SharedTrie::PersistNodes(const PersistKnown& known,
                               const PersistEmit& emit,
-                              const LeafRefs& leaf_refs) const {
-  if (root_ == nullptr) return;
-  PersistWalk(root_, known, emit, leaf_refs, /*is_root=*/true);
+                              LeafRef leaf_ref) const {
+  CallbackSink sink(known, emit);
+  (void)PersistNodes(sink, /*height=*/0, leaf_ref);  // callbacks cannot fail
 }
 
 size_t SharedTrie::CountNodes() const { return Count(root_.get()); }

@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "crypto/keccak.h"
@@ -64,20 +65,49 @@ struct SharedNode;
 
 using NodeRef = std::shared_ptr<const internal::SharedNode>;
 
-// Called for every hashed (standalone) node during a persistence walk:
-// (node hash, RLP encoding, hashes this record references). References are
-// the node's hashed children plus any extra references reported by
-// `LeafRefs` for leaf values physically contained in this record (embedded
-// descendants included) — the node-store refcounts prune exactly on these.
+// A record's handle in a PersistSink (NodeStore: its slab slot).
+using NodeSlot = uint32_t;
+
+// Where a persistence walk stores a trie's hashed nodes: NodeStore, or an
+// adapter over callbacks. A record's references are the node's hashed
+// children plus the hash a leaf value physically inside the record carries
+// (embedded descendants included); the node-store refcounts prune exactly
+// on these. The walk passes them as the handles the sink gave out, so the
+// sink counts them without looking their hashes up again.
+class PersistSink {
+ public:
+  virtual ~PersistSink() = default;
+  // True, with its handle, when the sink holds `hash`; the walk then skips
+  // the node's subtree (its references were counted when it was stored).
+  virtual bool Find(const Hash32& hash, NodeSlot* slot) = 0;
+  // A handle for a hash a leaf value carries, whether held yet or not.
+  virtual NodeSlot Reference(const Hash32& hash) = 0;
+  // Stores one record referencing `refs`; returns its handle.
+  virtual Result<NodeSlot> Store(const Hash32& hash, const Bytes& encoding,
+                                 std::span<const NodeSlot> refs) = 0;
+  // Pins `root` (and everything it references) as the state of `height`.
+  virtual Status RetainRoot(const Hash32& root, uint64_t height) = 0;
+
+  // Persisted marks. A walk at height h stamps every node it stored or
+  // found with (marks(), h, handle), and a later walk skips a node stamped
+  // with this sink's marks() at a height >= marks_from() without calling
+  // Find. That is safe because the walker's caller retains, at h, a root
+  // that reaches every node stamped at h, and a sink releases no root at
+  // or above marks_from(); a sink that fails a write takes a fresh marks()
+  // id. 0 (the default) means the sink takes no stamps.
+  virtual uint32_t marks() const { return 0; }
+  virtual uint64_t marks_from() const { return 0; }
+};
+
+// Reads the hash reference a leaf value carries (the account record's
+// storage root) into `ref`; false when it carries none.
+using LeafRef = bool (*)(BytesView leaf_value, Hash32* ref);
+
+// The same walk over callbacks, by hash: `emit` gets (node hash, RLP
+// encoding, hashes this record references) for every node `known` denies.
 using PersistEmit = std::function<void(
     const Hash32&, const Bytes&, const std::vector<Hash32>&)>;
-// Returns true when the store already holds this node; the walk then skips
-// the whole subtree (a node's references were counted when it was first
-// stored).
 using PersistKnown = std::function<bool(const Hash32&)>;
-// Extra hash references carried inside a leaf value (the account RLP's
-// storage root); may be null.
-using LeafRefs = std::function<std::vector<Hash32>(BytesView leaf_value)>;
 
 class SharedTrie {
  public:
@@ -132,12 +162,18 @@ class SharedTrie {
   static Result<std::optional<Bytes>> VerifyProof(
       const Hash32& root, BytesView key, const std::vector<Bytes>& proof);
 
-  // Walks the trie emitting every hashed node the store does not know yet
-  // (children before parents). The root is always emitted when unknown,
-  // even if its encoding is shorter than 32 bytes, because account records
-  // reference storage roots by hash unconditionally.
+  // Walks the trie storing every hashed node `sink` lacks (children before
+  // parents, each child in slot order). The root is always stored when
+  // missing, even if its encoding is shorter than 32 bytes, because account
+  // records reference storage roots by hash unconditionally. Stops at the
+  // first failed store and returns it. Allocates nothing per node.
+  // `height` stamps the walked nodes (PersistSink::marks): the caller must
+  // retain, at `height`, a root that reaches this trie's root.
+  Status PersistNodes(PersistSink& sink, uint64_t height,
+                      LeafRef leaf_ref = nullptr) const;
+  // The same walk, emitting through callbacks.
   void PersistNodes(const PersistKnown& known, const PersistEmit& emit,
-                    const LeafRefs& leaf_refs = nullptr) const;
+                    LeafRef leaf_ref = nullptr) const;
 
   // The root reference — identity comparisons let tests assert structural
   // sharing (same pointer == same subtree, byte-for-byte).
@@ -176,9 +212,13 @@ class SecureSharedTrie {
     Hash32 h = Keccak256(key);
     return SharedTrie::VerifyProof(root, BytesView(h.data(), h.size()), proof);
   }
+  Status PersistNodes(PersistSink& sink, uint64_t height,
+                      LeafRef leaf_ref = nullptr) const {
+    return inner_.PersistNodes(sink, height, leaf_ref);
+  }
   void PersistNodes(const PersistKnown& known, const PersistEmit& emit,
-                    const LeafRefs& leaf_refs = nullptr) const {
-    inner_.PersistNodes(known, emit, leaf_refs);
+                    LeafRef leaf_ref = nullptr) const {
+    inner_.PersistNodes(known, emit, leaf_ref);
   }
   // The subtries are keyed by keccak256(key)'s nibbles after the first.
   bool SplitRoot(std::array<SharedTrie, 16>* children) const {

@@ -1,5 +1,6 @@
 #include "storage/state_store.h"
 
+#include <algorithm>
 #include <array>
 
 #include "obs/metrics.h"
@@ -20,26 +21,26 @@ Bytes EncodeAccountRlp(const AccountData& account, const Hash32& storage_root) {
 }
 
 void StateStore::MarkAccountDirty(const Address& addr) {
-  dirty_accounts_.insert(addr);
+  dirty_accounts_.Add(addr);
   root_valid_ = false;
 }
 
 void StateStore::MarkSlotDirty(const Address& addr, const U256& key) {
-  dirty_accounts_.insert(addr);
+  dirty_accounts_.Add(addr);
   root_valid_ = false;
   PerAccount& pa = per_account_[addr];
   pa.root_valid = false;
   // Under a pending reset the whole trie is rebuilt anyway.
-  if (!pa.reset) pa.dirty_slots.insert(key);
+  if (!pa.reset) pa.dirty_slots.Add(key);
 }
 
 void StateStore::MarkAccountReset(const Address& addr) {
-  dirty_accounts_.insert(addr);
+  dirty_accounts_.Add(addr);
   root_valid_ = false;
   PerAccount& pa = per_account_[addr];
   pa.reset = true;
   pa.root_valid = false;
-  pa.dirty_slots.clear();
+  pa.dirty_slots.Clear();
 }
 
 Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
@@ -61,7 +62,7 @@ Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
     pa.reset = false;
     pa.root_valid = false;
   } else if (!pa.dirty_slots.empty()) {
-    for (const U256& key : pa.dirty_slots) {
+    for (const U256& key : pa.dirty_slots.Sorted()) {
       Bytes key_bytes = key.ToBytes();
       const U256* value = nullptr;
       if (data.storage != nullptr) {
@@ -80,7 +81,7 @@ Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
     }
     pa.root_valid = false;
   }
-  pa.dirty_slots.clear();
+  pa.dirty_slots.Clear();
   if (!pa.root_valid) {
     pa.storage_root = pa.storage_trie.RootHash();
     pa.root_valid = true;
@@ -99,7 +100,8 @@ void StateStore::CommitAccount(const Address& addr,
   account_trie_.Put(addr.view(), CommitStorage(per_account_[addr], *data));
 }
 
-bool StateStore::CommitSplit(const AccountLookup& lookup) {
+bool StateStore::CommitSplit(const std::vector<Address>& dirty,
+                             const AccountLookup& lookup) {
   std::array<SharedTrie, 16> children;
   if (!account_trie_.SplitRoot(&children)) return false;
   struct Dirty {
@@ -111,7 +113,7 @@ bool StateStore::CommitSplit(const AccountLookup& lookup) {
   // Every entry exists before the fan-out (the map's element addresses are
   // stable), so no task inserts into per_account_.
   std::array<std::vector<Dirty>, 16> groups;
-  for (const Address& addr : dirty_accounts_) {
+  for (const Address& addr : dirty) {
     Hash32 key = Keccak256(addr.view());
     groups[key[0] >> 4].push_back({&addr, &per_account_[addr], key});
   }
@@ -146,16 +148,15 @@ Hash32 StateStore::CommitRoot(const AccountLookup& lookup) {
   obs::ScopedTimer span(commit_us);
   static obs::Counter* accounts_committed =
       obs::GetCounterOrNull("storage.accounts_committed");
-  if (accounts_committed != nullptr) {
-    accounts_committed->Inc(dirty_accounts_.size());
+  const std::vector<Address>& dirty = dirty_accounts_.Sorted();
+  if (accounts_committed != nullptr) accounts_committed->Inc(dirty.size());
+  // The order does not reach the root: the trie is canonical in its
+  // content.
+  if (dirty.size() < kSplitCommitThreshold || !CommitSplit(dirty, lookup)) {
+    for (const Address& addr : dirty) CommitAccount(addr, lookup);
   }
-
-  // Iteration order does not matter: the trie is canonical in its content.
-  if (dirty_accounts_.size() < kSplitCommitThreshold || !CommitSplit(lookup)) {
-    for (const Address& addr : dirty_accounts_) CommitAccount(addr, lookup);
-  }
-  pending_persist_.insert(dirty_accounts_.begin(), dirty_accounts_.end());
-  dirty_accounts_.clear();
+  for (const Address& addr : dirty) pending_persist_.Add(addr);
+  dirty_accounts_.Clear();
   committed_root_ = account_trie_.RootHash();
   root_valid_ = true;
   return committed_root_;
@@ -183,49 +184,37 @@ StateSnapshot StateStore::Snapshot() const {
   return snap;
 }
 
-namespace {
-
-// The storage root referenced inside an account leaf — the cross-trie edge
-// the node-store refcounts follow.
-std::vector<Hash32> AccountLeafRefs(BytesView leaf_value) {
-  Result<rlp::Item> item = rlp::Decode(leaf_value);
-  if (!item.ok() || !item->IsList() || item->list().size() != 4 ||
-      !item->list()[2].IsString()) {
-    return {};
+bool StateStore::AccountStorageRef(BytesView account_rlp, Hash32* root) {
+  // EncodeAccountRlp ends in two 32-byte strings, the storage root and the
+  // code hash, each encoded as 0xa0 and its bytes.
+  constexpr size_t kTail = 2 * 33;
+  const size_t n = account_rlp.size();
+  if (n < kTail || account_rlp[n - kTail] != 0xa0 ||
+      account_rlp[n - kTail / 2] != 0xa0) {
+    return false;
   }
-  const Bytes& sr = item->list()[2].string();
-  if (sr.size() != 32) return {};
-  Hash32 root;
-  std::copy(sr.begin(), sr.end(), root.begin());
-  if (root == SharedTrie::EmptyRoot()) return {};  // no node to reference
-  return {root};
+  std::copy_n(account_rlp.begin() + (n - kTail + 1), 32, root->begin());
+  return *root != SharedTrie::EmptyRoot();  // no node to reference
 }
 
-}  // namespace
-
-Status StateStore::Persist(NodeStore& store, uint64_t height) {
+Status StateStore::Persist(PersistSink& sink, uint64_t height) {
   if (!root_valid_) {
     return Status::FailedPrecondition("CommitRoot before Persist");
   }
-  Status status = Status::OK();
-  auto known = [&store](const Hash32& h) { return store.Contains(h); };
-  auto emit = [&store, &status](const Hash32& h, const Bytes& enc,
-                                const std::vector<Hash32>& refs) {
-    if (status.ok()) status = store.Put(h, enc, refs);
-  };
   // Storage tries first so the account leaves' refs resolve in order.
-  for (const Address& addr : pending_persist_) {
+  for (const Address& addr : pending_persist_.Sorted()) {
     auto it = per_account_.find(addr);
     if (it == per_account_.end()) continue;  // deleted since commit
-    it->second.storage_trie.PersistNodes(known, emit);
-    ONOFF_RETURN_NOT_OK(status);
+    ONOFF_RETURN_NOT_OK(it->second.storage_trie.PersistNodes(sink, height));
   }
-  account_trie_.PersistNodes(known, emit, AccountLeafRefs);
-  ONOFF_RETURN_NOT_OK(status);
+  // The root retained below reaches every node both walks stamp at
+  // `height`: the account leaves reference the storage roots.
+  ONOFF_RETURN_NOT_OK(
+      account_trie_.PersistNodes(sink, height, AccountStorageRef));
   if (committed_root_ != SharedTrie::EmptyRoot()) {
-    ONOFF_RETURN_NOT_OK(store.RetainRoot(committed_root_, height));
+    ONOFF_RETURN_NOT_OK(sink.RetainRoot(committed_root_, height));
   }
-  pending_persist_.clear();
+  pending_persist_.Clear();
   return Status::OK();
 }
 

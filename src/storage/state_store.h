@@ -28,12 +28,12 @@
 #ifndef ONOFFCHAIN_STORAGE_STATE_STORE_H_
 #define ONOFFCHAIN_STORAGE_STATE_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/keccak.h"
@@ -75,6 +75,43 @@ struct StateSnapshot {
     Bytes key_bytes = key.ToBytes();
     return it->second.Prove(key_bytes);
   }
+};
+
+// A set of keys kept as a vector: Add appends, dropping a repeat of the
+// last key, and Sorted() sorts and dedups. Clearing it frees one block
+// instead of one small chunk per key, which a node-based set left for the
+// next allocations to sort through after a bulk commit. Repeats are dropped
+// early once they outnumber the distinct keys, so the list stays within
+// twice the set it holds (plus a constant).
+template <typename T>
+class DirtyList {
+ public:
+  void Add(const T& key) {
+    if (!keys_.empty() && keys_.back() == key) return;
+    keys_.push_back(key);
+    if (keys_.size() > 2 * deduped_ + kSlack) Dedup();
+  }
+  const std::vector<T>& Sorted() {
+    Dedup();
+    return keys_;
+  }
+  bool empty() const { return keys_.empty(); }
+  void Clear() {
+    keys_.clear();
+    deduped_ = 0;
+  }
+
+ private:
+  static constexpr size_t kSlack = 1024;
+  void Dedup() {
+    if (keys_.size() == deduped_) return;  // nothing added since
+    std::sort(keys_.begin(), keys_.end());
+    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
+    deduped_ = keys_.size();
+  }
+
+  std::vector<T> keys_;
+  size_t deduped_ = 0;  // size after the last dedup
 };
 
 class StateStore {
@@ -123,16 +160,22 @@ class StateStore {
   StateSnapshot Snapshot() const;
 
   // ---- Persistence ----
-  // Writes every node new since the last persist to `store` and retains
-  // the current root at `height`. Call after CommitRoot.
-  Status Persist(NodeStore& store, uint64_t height);
+  // Writes every node new since the last persist to `sink` (a NodeStore)
+  // and retains the current root at `height`. Call after CommitRoot.
+  Status Persist(PersistSink& sink, uint64_t height);
+
+  // The storage root an account record (EncodeAccountRlp) carries, read in
+  // place: the cross-trie reference the node-store refcounts follow. False
+  // for the empty root (no node to reference) or a value that does not end
+  // as an account record does.
+  static bool AccountStorageRef(BytesView account_rlp, Hash32* root);
 
  private:
   struct PerAccount {
     SecureSharedTrie storage_trie;
     Hash32 storage_root{};  // memoized; valid when root_valid
     bool root_valid = false;
-    std::unordered_set<U256> dirty_slots;
+    DirtyList<U256> dirty_slots;
     bool reset = false;
   };
 
@@ -142,15 +185,18 @@ class StateStore {
   void CommitAccount(const Address& addr, const AccountLookup& lookup);
   // CommitRoot's fan-out over the account trie's 16 root subtries; false,
   // having done nothing, when the root is a leaf or an extension.
-  bool CommitSplit(const AccountLookup& lookup);
+  bool CommitSplit(const std::vector<Address>& dirty,
+                   const AccountLookup& lookup);
 
   SecureSharedTrie account_trie_;
   std::unordered_map<Address, PerAccount> per_account_;
-  std::unordered_set<Address> dirty_accounts_;
+  // The order of these lists reaches neither a root nor the node store's
+  // contents, only the order of its log records.
+  DirtyList<Address> dirty_accounts_;
   Hash32 committed_root_{};
   bool root_valid_ = false;
   // Accounts whose storage tries gained nodes since the last Persist.
-  std::unordered_set<Address> pending_persist_;
+  DirtyList<Address> pending_persist_;
 };
 
 }  // namespace onoff::storage

@@ -2,14 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "chain/blockchain.h"
 #include "rlp/rlp.h"
 #include "state/world_state.h"
 #include "storage/shared_trie.h"
+#include "storage/state_store.h"
 #include "support/address.h"
 #include "support/u256.h"
 
@@ -53,8 +58,9 @@ TEST(NodeStoreTest, InMemoryPutGetAndRefcounts) {
   // (the child via the cascading deref).
   ASSERT_TRUE(store.RetainRoot(parent, 3).ok());
   EXPECT_EQ(store.retained_roots(), 1u);
-  size_t freed = store.PruneBelow(4);
-  EXPECT_EQ(freed, 2u);
+  Result<size_t> freed = store.PruneBelow(4);
+  ASSERT_TRUE(freed.ok());
+  EXPECT_EQ(*freed, 2u);
   EXPECT_FALSE(store.Contains(parent));
   EXPECT_FALSE(store.Contains(child));
   EXPECT_EQ(store.live_nodes(), 0u);
@@ -402,6 +408,156 @@ TEST(NodeStoreTest, BlockchainPersistsAndPrunesPerBlock) {
       bc.node_store()->LookupSecure(roots.back(), Addr(8).view());
   ASSERT_TRUE(newest.ok());
   EXPECT_TRUE(newest->has_value());
+}
+
+// Every key of `state`, read back from `store` under `root`: each account
+// record, and through its storage root each slot value.
+void ExpectStateReadable(const NodeStore& store, const Hash32& root,
+                         const std::map<Address, std::map<uint64_t, uint64_t>>&
+                             storage,
+                         const std::string& label) {
+  for (const auto& [addr, slots] : storage) {
+    Result<std::optional<Bytes>> acct = store.LookupSecure(root, addr.view());
+    ASSERT_TRUE(acct.ok()) << label << ": " << acct.status().ToString();
+    ASSERT_TRUE(acct->has_value()) << label;
+    if (slots.empty()) continue;
+    Hash32 storage_root;
+    ASSERT_TRUE(StateStore::AccountStorageRef(**acct, &storage_root))
+        << label;
+    for (const auto& [key, value] : slots) {
+      Result<std::optional<Bytes>> slot =
+          store.LookupSecure(storage_root, U256(key).ToBytes());
+      ASSERT_TRUE(slot.ok()) << label << ": " << slot.status().ToString();
+      ASSERT_TRUE(slot->has_value()) << label;
+      EXPECT_EQ(**slot, rlp::Encode(rlp::Item::Scalar(U256(value)))) << label;
+    }
+  }
+}
+
+// A persisted mark must not outlive the root that retained its node: the
+// same trie objects persisted again after their states were pruned must be
+// stored again, not skipped.
+TEST(NodeStoreTest, PersistAfterPruneStoresTheSameNodesAgain) {
+  SecureSharedTrie trie;
+  std::vector<std::pair<Bytes, Bytes>> entries;
+  for (int i = 0; i < 200; ++i) {
+    entries.emplace_back(BytesOf("key-" + std::to_string(i)),
+                         BytesOf(std::string(1 + i % 40, 'v')));
+    trie.Put(entries.back().first, entries.back().second);
+  }
+  const Hash32 root = trie.RootHash();
+  NodeStore store;
+  ASSERT_TRUE(store.Open().ok());
+  ASSERT_TRUE(trie.PersistNodes(store, 1).ok());
+  ASSERT_TRUE(store.RetainRoot(root, 1).ok());
+  const size_t live = store.live_nodes();
+  Result<size_t> freed = store.PruneBelow(2);
+  ASSERT_TRUE(freed.ok());
+  EXPECT_EQ(*freed, live);
+  EXPECT_EQ(store.live_nodes(), 0u);
+
+  ASSERT_TRUE(trie.PersistNodes(store, 2).ok());
+  ASSERT_TRUE(store.RetainRoot(root, 2).ok());
+  EXPECT_EQ(store.live_nodes(), live);
+  for (const auto& [key, value] : entries) {
+    Result<std::optional<Bytes>> got = store.LookupSecure(root, key);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(got->has_value());
+    EXPECT_EQ(**got, value);
+  }
+}
+
+// A state and its Clone() share every trie node; marks left by a persist
+// into one store must not stand for the other store.
+TEST(NodeStoreTest, StateAndItsCloneEachPersistWholly) {
+  WorldState ws;
+  std::map<Address, std::map<uint64_t, uint64_t>> storage;
+  for (int i = 1; i <= 60; ++i) {
+    Address a = Addr(static_cast<uint8_t>(i));
+    ws.SetBalance(a, U256(static_cast<uint64_t>(i) * 7));
+    for (uint64_t k = 1; k <= static_cast<uint64_t>(i % 4); ++k) {
+      ws.SetStorage(a, U256(k), U256(k * 1000 + static_cast<uint64_t>(i)));
+      storage[a][k] = k * 1000 + static_cast<uint64_t>(i);
+    }
+    storage[a];
+  }
+  const Hash32 root = ws.StateRoot();
+  WorldState clone = ws.Clone();
+  NodeStore a;
+  NodeStore b;
+  ASSERT_TRUE(a.Open().ok());
+  ASSERT_TRUE(b.Open().ok());
+  ASSERT_TRUE(ws.PersistCommitted(a, 1).ok());
+  ASSERT_TRUE(clone.PersistCommitted(b, 1).ok());
+  EXPECT_EQ(a.live_nodes(), b.live_nodes());
+  ExpectStateReadable(a, root, storage, "state");
+  ExpectStateReadable(b, root, storage, "clone");
+
+  // One more block on each: only the new spine is new to either store.
+  ws.SetStorage(Addr(3), U256(9), U256(99));
+  clone.SetStorage(Addr(3), U256(9), U256(99));
+  storage[Addr(3)][9] = 99;
+  const Hash32 next = ws.StateRoot();
+  ASSERT_EQ(clone.StateRoot(), next);
+  ASSERT_TRUE(clone.PersistCommitted(b, 2).ok());
+  ASSERT_TRUE(ws.PersistCommitted(a, 2).ok());
+  EXPECT_EQ(a.live_nodes(), b.live_nodes());
+  ExpectStateReadable(a, next, storage, "state, block 2");
+  ExpectStateReadable(b, next, storage, "clone, block 2");
+}
+
+// A prune mark that cannot be written releases nothing, and the failure is
+// returned. The append fails for real: a file-size limit at the log's
+// current size, with SIGXFSZ ignored so that write(2) returns EFBIG.
+TEST(NodeStoreTest, FailedPruneMarkReleasesNothing) {
+  std::string path = TempPath("node_store_prune_fail.log");
+  NodeStore store(path);
+  ASSERT_TRUE(store.Open().ok());
+  WorldState ws;
+  Hash32 roots[3];
+  for (int h = 1; h <= 2; ++h) {
+    ws.SetBalance(Addr(static_cast<uint8_t>(h)), U256(100));
+    ws.SetStorage(Addr(1), U256(static_cast<uint64_t>(h)), U256(5));
+    roots[h] = ws.StateRoot();
+    ASSERT_TRUE(ws.PersistCommitted(store, static_cast<uint64_t>(h)).ok());
+  }
+  ASSERT_TRUE(store.Flush().ok());
+  const size_t live = store.live_nodes();
+  const uint64_t bytes = store.file_bytes();
+
+  struct rlimit saved;
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  void (*saved_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit limit = saved;
+  limit.rlim_cur = static_cast<rlim_t>(bytes);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &limit), 0);
+  Result<size_t> pruned = store.PruneBelow(2);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  ASSERT_FALSE(pruned.ok());
+  EXPECT_EQ(pruned.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(store.retained_roots(), 2u);
+  EXPECT_EQ(store.live_nodes(), live);
+  EXPECT_EQ(store.pruned_total(), 0u);
+  EXPECT_EQ(store.file_bytes(), bytes);
+  Result<std::optional<Bytes>> old = store.LookupSecure(roots[1], Addr(1).view());
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_TRUE(old->has_value());
+
+  // With the limit lifted the same prune goes through, and the log replays
+  // to what the store holds.
+  pruned = store.PruneBelow(2);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  EXPECT_GT(*pruned, 0u);
+  EXPECT_EQ(store.retained_roots(), 1u);
+  ASSERT_TRUE(store.Flush().ok());
+  NodeStore reopened(path);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.live_nodes(), store.live_nodes());
+  EXPECT_EQ(reopened.retained_roots(), 1u);
+  EXPECT_EQ(reopened.file_bytes(), store.file_bytes());
+  std::remove(path.c_str());
 }
 
 }  // namespace
