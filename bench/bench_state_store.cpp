@@ -396,29 +396,51 @@ int main(int argc, char** argv) {
   // fixed state size (block cost should track the write set, not N). The
   // sweep starts at the split-commit threshold, from which a commit fans out
   // over the account trie's 16 root subtries, after one serial row, and
-  // includes 334, the write set of a perfbench mixed_serial block.
+  // includes 334, the write set of a perfbench mixed_serial block. Each size
+  // commits kWriteSetRounds times, writing fresh values to the same
+  // accounts, so a row reports the median, min and max of its commits and
+  // the nodes one commit hashes.
+  constexpr int kWriteSetRounds = 7;
   uint64_t base = account_counts.back();
   state::WorldState ws = BuildState(base);
   ws.StateRoot();
-  std::printf("\n=== Write-set scaling at %llu accounts ===\n\n",
-              static_cast<unsigned long long>(base));
-  std::printf("%10s %16s %6s\n", "touched", "commit (ms)", "roots");
+  std::printf("\n=== Write-set scaling at %llu accounts (%d commits each) "
+              "===\n\n",
+              static_cast<unsigned long long>(base), kWriteSetRounds);
+  std::printf("%10s %28s %8s %6s\n", "touched", "commit ms med [min,max]",
+              "hashed", "roots");
+  obs::Registry* registry = obs::Registry::Global();
+  auto nodes_hashed = [registry] {
+    return registry == nullptr
+               ? uint64_t{0}
+               : registry->CounterValue("storage.trie_nodes_hashed");
+  };
   const uint64_t split = storage::StateStore::kSplitCommitThreshold;
+  uint64_t round_value = 7;
   for (uint64_t touched : {uint64_t{1}, split, uint64_t{64}, uint64_t{256},
                             uint64_t{334}, uint64_t{4096}}) {
     if (touched > base) break;
-    for (uint64_t i = 0; i < touched; ++i) {
-      Address a = AddrOf((i * 977) % base);
-      ws.SetBalance(a, U256(i + 7));
-      ws.SetStorage(a, U256(1), U256(i + 9));
+    std::vector<double> commit_ms;
+    uint64_t hashed = 0;
+    for (int round = 0; round < kWriteSetRounds; ++round) {
+      for (uint64_t i = 0; i < touched; ++i) {
+        Address a = AddrOf((i * 977) % base);
+        ws.SetBalance(a, U256(i + round_value));
+        ws.SetStorage(a, U256(1), U256(i + round_value + 2));
+      }
+      ++round_value;
+      ws.ClearJournal();
+      const uint64_t hashed_before = nodes_hashed();
+      auto t0 = std::chrono::steady_clock::now();
+      ws.StateRoot();
+      commit_ms.push_back(MsSince(t0));
+      hashed = nodes_hashed() - hashed_before;
     }
-    ws.ClearJournal();
-    auto t0 = std::chrono::steady_clock::now();
-    ws.StateRoot();
-    double commit_ms = MsSince(t0);
+    const Spread ms = SpreadOf(&commit_ms);
     bool roots_match = ws.StateRoot() == ws.RebuildStateRoot();
-    std::printf("%10llu %16.3f %6s\n",
-                static_cast<unsigned long long>(touched), commit_ms,
+    std::printf("%10llu %28s %8llu %6s\n",
+                static_cast<unsigned long long>(touched),
+                SpreadText(ms).c_str(), static_cast<unsigned long long>(hashed),
                 roots_match ? "ok" : "DIFF");
     results.Push(
         obs::Json::Object()
@@ -426,7 +448,9 @@ int main(int argc, char** argv) {
             .Set("accounts", obs::Json::Num(static_cast<double>(base)))
             .Set("touched_accounts",
                  obs::Json::Num(static_cast<double>(touched)))
-            .Set("incremental_ms", obs::Json::Num(commit_ms))
+            .Set("rounds", obs::Json::Num(kWriteSetRounds))
+            .Set("incremental_ms", SpreadJson(ms))
+            .Set("nodes_hashed", obs::Json::Num(static_cast<double>(hashed)))
             .Set("roots_match", obs::Json::Bool(roots_match))
             .Set("hardware_threads", HardwareThreads()));
     if (!roots_match) return 1;

@@ -1,61 +1,65 @@
 #include "chain/block.h"
 
+#include <algorithm>
+
 #include "rlp/rlp.h"
 #include "storage/shared_trie.h"
 
 namespace onoff::chain {
 
-namespace {
-
-rlp::Item HashItem(const Hash32& h) {
-  return rlp::Item::String(BytesView(h.data(), h.size()));
-}
-
-}  // namespace
-
 Bytes BlockHeader::Encode() const {
-  std::vector<rlp::Item> fields;
-  fields.push_back(HashItem(parent_hash));
-  fields.push_back(rlp::Item::Scalar(number));
-  fields.push_back(rlp::Item::Scalar(timestamp));
-  fields.push_back(rlp::Item::String(coinbase.view()));
-  fields.push_back(HashItem(state_root));
-  fields.push_back(HashItem(tx_root));
-  fields.push_back(HashItem(receipt_root));
-  fields.push_back(rlp::Item::Scalar(gas_used));
-  fields.push_back(rlp::Item::Scalar(gas_limit));
-  return rlp::Encode(rlp::Item::List(std::move(fields)));
+  Bytes out;
+  rlp::Writer w(&out);
+  const size_t list = w.BeginList();
+  w.String(parent_hash);
+  w.Scalar(number);
+  w.Scalar(timestamp);
+  w.String(coinbase.view());
+  w.String(state_root);
+  w.String(tx_root);
+  w.String(receipt_root);
+  w.Scalar(gas_used);
+  w.Scalar(gas_limit);
+  w.EndList(list);
+  return out;
 }
 
 Hash32 BlockHeader::Hash() const { return Keccak256(Encode()); }
 
 Bytes Receipt::Encode() const {
-  std::vector<rlp::Item> fields;
-  fields.push_back(HashItem(tx_hash));
-  fields.push_back(rlp::Item::Scalar(success ? 1 : 0));
-  fields.push_back(rlp::Item::Scalar(cumulative_gas_used));
-  std::vector<rlp::Item> log_items;
+  Bytes out;
+  rlp::Writer w(&out);
+  const size_t list = w.BeginList();
+  w.String(tx_hash);
+  w.Scalar(uint64_t{success ? 1u : 0u});
+  w.Scalar(cumulative_gas_used);
+  const size_t log_list = w.BeginList();
   for (const auto& log : logs) {
-    std::vector<rlp::Item> topics;
-    for (const auto& t : log.topics) {
-      topics.push_back(rlp::Item::String(t.ToBytes()));
-    }
-    std::vector<rlp::Item> entry;
-    entry.push_back(rlp::Item::String(log.address.view()));
-    entry.push_back(rlp::Item::List(std::move(topics)));
-    entry.push_back(rlp::Item::String(log.data));
-    log_items.push_back(rlp::Item::List(std::move(entry)));
+    const size_t entry = w.BeginList();
+    w.String(log.address.view());
+    const size_t topics = w.BeginList();
+    for (const U256& t : log.topics) w.String(t.ToBigEndian());
+    w.EndList(topics);
+    w.String(log.data);
+    w.EndList(entry);
   }
-  fields.push_back(rlp::Item::List(std::move(log_items)));
-  return rlp::Encode(rlp::Item::List(std::move(fields)));
+  w.EndList(log_list);
+  w.EndList(list);
+  return out;
 }
 
 Hash32 IndexedRoot(const std::vector<Bytes>& payloads) {
-  storage::SharedTrie trie;
+  // Keyed by RLP(i), folded into an empty trie in key order.
+  std::vector<Bytes> keys(payloads.size());
+  std::vector<storage::TrieWrite> writes;
+  writes.reserve(payloads.size());
   for (size_t i = 0; i < payloads.size(); ++i) {
-    Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
-    trie.Put(key, payloads[i]);
+    rlp::Writer(&keys[i]).Scalar(uint64_t{i});
+    writes.push_back({keys[i], payloads[i]});
   }
+  std::sort(writes.begin(), writes.end(), storage::TrieWrite::KeyLess);
+  storage::SharedTrie trie;
+  trie.PutSorted(writes);
   return trie.RootHash();
 }
 

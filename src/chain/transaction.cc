@@ -8,33 +8,58 @@ namespace onoff::chain {
 
 namespace {
 
-std::vector<rlp::Item> UnsignedFields(const Transaction& tx) {
-  std::vector<rlp::Item> fields;
-  fields.push_back(rlp::Item::Scalar(tx.nonce));
-  fields.push_back(rlp::Item::Scalar(tx.gas_price));
-  fields.push_back(rlp::Item::Scalar(tx.gas_limit));
-  fields.push_back(tx.to.has_value() ? rlp::Item::String(tx.to->view())
-                                     : rlp::Item::String(Bytes{}));
-  fields.push_back(rlp::Item::Scalar(tx.value));
-  fields.push_back(rlp::Item::String(tx.data));
-  return fields;
+// RLP([nonce, gasPrice, gasLimit, to, value, data]'s fields, without the
+// list header.
+void WriteUnsignedFields(const Transaction& tx, rlp::Writer& w) {
+  w.Scalar(tx.nonce);
+  w.Scalar(tx.gas_price);
+  w.Scalar(tx.gas_limit);
+  w.String(tx.to.has_value() ? tx.to->view() : BytesView());
+  w.Scalar(tx.value);
+  w.String(tx.data);
+}
+
+void WriteSigned(const Transaction& tx, Bytes* out) {
+  rlp::Writer w(out);
+  const size_t list = w.BeginList();
+  WriteUnsignedFields(tx, w);
+  w.Scalar(uint64_t{tx.signature.v});
+  w.Scalar(tx.signature.r);
+  w.Scalar(tx.signature.s);
+  w.EndList(list);
+}
+
+// Each thread's buffer for the encodings that are only hashed: admission,
+// the audit and the pool hash every transaction, often from several
+// threads at once.
+Bytes& HashScratch() {
+  thread_local Bytes scratch;
+  scratch.clear();
+  return scratch;
 }
 
 }  // namespace
 
 Hash32 Transaction::SigningHash() const {
-  return Keccak256(rlp::Encode(rlp::Item::List(UnsignedFields(*this))));
+  Bytes& buf = HashScratch();
+  rlp::Writer w(&buf);
+  const size_t list = w.BeginList();
+  WriteUnsignedFields(*this, w);
+  w.EndList(list);
+  return Keccak256(buf);
 }
 
 Bytes Transaction::Encode() const {
-  std::vector<rlp::Item> fields = UnsignedFields(*this);
-  fields.push_back(rlp::Item::Scalar(U256(signature.v)));
-  fields.push_back(rlp::Item::Scalar(signature.r));
-  fields.push_back(rlp::Item::Scalar(signature.s));
-  return rlp::Encode(rlp::Item::List(std::move(fields)));
+  Bytes out;
+  WriteSigned(*this, &out);
+  return out;
 }
 
-Hash32 Transaction::Hash() const { return Keccak256(Encode()); }
+Hash32 Transaction::Hash() const {
+  Bytes& buf = HashScratch();
+  WriteSigned(*this, &buf);
+  return Keccak256(buf);
+}
 
 Result<Transaction> Transaction::Decode(BytesView rlp_data) {
   ONOFF_ASSIGN_OR_RETURN(rlp::Item item, rlp::Decode(rlp_data));

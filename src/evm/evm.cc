@@ -38,10 +38,12 @@ const char* OutcomeToString(Outcome outcome) {
 }
 
 Address Evm::ContractAddress(const Address& creator, uint64_t nonce) {
-  std::vector<rlp::Item> fields;
-  fields.push_back(rlp::Item::String(creator.view()));
-  fields.push_back(rlp::Item::Scalar(nonce));
-  Bytes enc = rlp::Encode(rlp::Item::List(std::move(fields)));
+  Bytes enc;
+  rlp::Writer w(&enc);
+  const size_t list = w.BeginList();
+  w.String(creator.view());
+  w.Scalar(nonce);
+  w.EndList(list);
   Hash32 h = Keccak256(enc);
   auto addr = Address::FromBytes(BytesView(h.data() + 12, 20));
   assert(addr.ok());

@@ -82,17 +82,20 @@ Status SignedCopy::VerifyComplete(const std::vector<Address>& required) const {
 }
 
 Bytes SignedCopy::Serialize() const {
-  std::vector<rlp::Item> sig_items;
+  Bytes out;
+  rlp::Writer w(&out);
+  const size_t top = w.BeginList();
+  w.String(bytecode_);
+  const size_t sigs = w.BeginList();
   for (const Entry& e : signatures_) {
-    std::vector<rlp::Item> pair;
-    pair.push_back(rlp::Item::String(e.signer.view()));
-    pair.push_back(rlp::Item::String(e.signature.Serialize()));
-    sig_items.push_back(rlp::Item::List(std::move(pair)));
+    const size_t pair = w.BeginList();
+    w.String(e.signer.view());
+    w.String(e.signature.Serialize());
+    w.EndList(pair);
   }
-  std::vector<rlp::Item> top;
-  top.push_back(rlp::Item::String(bytecode_));
-  top.push_back(rlp::Item::List(std::move(sig_items)));
-  return rlp::Encode(rlp::Item::List(std::move(top)));
+  w.EndList(sigs);
+  w.EndList(top);
+  return out;
 }
 
 Result<SignedCopy> SignedCopy::Deserialize(BytesView data) {

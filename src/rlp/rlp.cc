@@ -1,27 +1,23 @@
 #include "rlp/rlp.h"
 
+#include <array>
+#include <cstddef>
+
 namespace onoff::rlp {
 
 namespace {
 
-// Big-endian minimal encoding of a length.
-Bytes LengthBytes(size_t len) {
-  Bytes out;
-  while (len > 0) {
-    out.insert(out.begin(), static_cast<uint8_t>(len & 0xff));
-    len >>= 8;
-  }
-  return out;
+// Bytes in the big-endian minimal encoding of `v` (0 for 0).
+size_t ByteLength(uint64_t v) {
+  size_t n = 0;
+  for (; v != 0; v >>= 8) ++n;
+  return n;
 }
 
-void EncodeLength(size_t len, uint8_t short_base, uint8_t long_base,
-                  Bytes& out) {
-  if (len <= 55) {
-    out.push_back(static_cast<uint8_t>(short_base + len));
-  } else {
-    Bytes lb = LengthBytes(len);
-    out.push_back(static_cast<uint8_t>(long_base + lb.size()));
-    Append(out, lb);
+// Writes the `n` low bytes of `v`, big-endian, to `out`.
+void PutBigEndian(uint64_t v, size_t n, uint8_t* out) {
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(v >> (8 * (n - 1 - i)));
   }
 }
 
@@ -128,34 +124,66 @@ Result<uint64_t> Item::AsUint64() const {
   return v.low64();
 }
 
-Bytes Encode(const Item& item) {
-  if (item.IsString()) {
-    const Bytes& s = item.string();
-    if (s.size() == 1 && s[0] <= 0x7f) return s;
-    Bytes out;
-    EncodeLength(s.size(), 0x80, 0xb7, out);
-    Append(out, s);
-    return out;
-  }
-  Bytes payload;
-  for (const Item& child : item.list()) {
-    Append(payload, Encode(child));
-  }
-  Bytes out;
-  EncodeLength(payload.size(), 0xc0, 0xf7, out);
-  Append(out, payload);
-  return out;
+size_t Writer::HeaderSize(size_t len) {
+  return len <= 55 ? 1 : 1 + ByteLength(len);
 }
 
-Bytes EncodeString(BytesView data) { return Encode(Item::String(data)); }
+void Writer::Header(size_t len, uint8_t base) {
+  if (len <= 55) {
+    out_.push_back(static_cast<uint8_t>(base + len));
+    return;
+  }
+  uint8_t buf[9];
+  const size_t n = ByteLength(len);
+  buf[0] = static_cast<uint8_t>(base + 55 + n);
+  PutBigEndian(len, n, buf + 1);
+  out_.insert(out_.end(), buf, buf + 1 + n);
+}
 
-Bytes EncodeList(const std::vector<Bytes>& encoded_children) {
-  Bytes payload;
-  for (const Bytes& child : encoded_children) Append(payload, child);
-  Bytes out;
-  EncodeLength(payload.size(), 0xc0, 0xf7, out);
-  Append(out, payload);
-  return out;
+void Writer::String(BytesView s) {
+  if (s.size() == 1 && s[0] <= 0x7f) {
+    out_.push_back(s[0]);
+    return;
+  }
+  Header(s.size(), 0x80);
+  out_.insert(out_.end(), s.begin(), s.end());
+}
+
+void Writer::Scalar(uint64_t v) {
+  if (v != 0 && v <= 0x7f) {
+    out_.push_back(static_cast<uint8_t>(v));
+    return;
+  }
+  uint8_t buf[9];
+  const size_t n = ByteLength(v);
+  buf[0] = static_cast<uint8_t>(0x80 + n);
+  PutBigEndian(v, n, buf + 1);
+  out_.insert(out_.end(), buf, buf + 1 + n);
+}
+
+void Writer::Scalar(const U256& v) {
+  if (v.FitsUint64()) {
+    Scalar(v.low64());
+    return;
+  }
+  const std::array<uint8_t, 32> be = v.ToBigEndian();
+  size_t skip = 0;
+  while (be[skip] == 0) ++skip;  // v >= 2^64: a non-zero byte exists
+  String(BytesView(be.data() + skip, be.size() - skip));
+}
+
+void Writer::EndList(size_t mark) {
+  const size_t len = out_.size() - mark - 1;
+  if (len <= 55) {
+    out_[mark] = static_cast<uint8_t>(0xc0 + len);
+    return;
+  }
+  uint8_t buf[8];
+  const size_t n = ByteLength(len);
+  out_[mark] = static_cast<uint8_t>(0xf7 + n);
+  PutBigEndian(len, n, buf);
+  out_.insert(out_.begin() + static_cast<std::ptrdiff_t>(mark) + 1, buf,
+              buf + n);
 }
 
 Result<Item> Decode(BytesView data) {

@@ -259,7 +259,9 @@ Hash32 WorldState::RebuildStateRoot() const {
     storage::SecureSharedTrie storage_trie;  // non-zero slots only
     for (const auto& [key, value] : acc.storage) {
       if (value.IsZero()) continue;
-      storage_trie.Put(key.ToBytes(), rlp::Encode(rlp::Item::Scalar(value)));
+      Bytes value_rlp;
+      rlp::Writer(&value_rlp).Scalar(value);
+      storage_trie.Put(key.ToBytes(), value_rlp);
     }
     // Code is hashed from scratch, not read from the account's memo, so the
     // oracle shares nothing with the commit path it checks.

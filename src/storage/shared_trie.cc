@@ -94,7 +94,7 @@ std::shared_ptr<SharedNode> CopyBranch(const SharedNode& src) {
 
 // ---- Hashing (memoized per node) ----
 
-Bytes EncodeNode(const SharedNode* node);
+void EncodeNode(const SharedNode* node);
 
 // A node's RLP encoding and its keccak, both computed on first use.
 struct Memo {
@@ -103,59 +103,127 @@ struct Memo {
 };
 
 Memo Memoized(const SharedNode* node) {
-  if (node->enc_ready.load(std::memory_order_acquire)) {
-    static obs::Counter* hits =
-        obs::GetCounterOrNull("storage.trie_node_cache_hits");
-    if (hits != nullptr) hits->Inc();
-    return {node->enc, node->hash};
+  if (!node->enc_ready.load(std::memory_order_acquire)) {
+    std::call_once(node->enc_once, [node] {
+      EncodeNode(node);
+      node->hash = Keccak256(node->enc);
+      node->enc_ready.store(true, std::memory_order_release);
+      static obs::Counter* computed =
+          obs::GetCounterOrNull("storage.trie_nodes_hashed");
+      if (computed != nullptr) computed->Inc();
+    });
   }
-  std::call_once(node->enc_once, [node] {
-    node->enc = EncodeNode(node);
-    node->hash = Keccak256(node->enc);
-    node->enc_ready.store(true, std::memory_order_release);
-    static obs::Counter* computed =
-        obs::GetCounterOrNull("storage.trie_nodes_hashed");
-    if (computed != nullptr) computed->Inc();
-  });
   return {node->enc, node->hash};
 }
 
-// Node reference inside a parent: raw encoding if < 32 bytes, else the
-// keccak wrapped as an RLP string.
-Bytes RefNode(const SharedNode* node) {
-  Memo memo = Memoized(node);
-  if (memo.enc.size() < 32) return memo.enc;  // embedded structurally
-  return rlp::EncodeString(BytesView(memo.hash.data(), memo.hash.size()));
+void CountCacheHits(uint64_t n) {
+  static obs::Counter* hits =
+      obs::GetCounterOrNull("storage.trie_node_cache_hits");
+  if (hits != nullptr && n != 0) hits->Inc(n);
 }
 
-Bytes EncodeNode(const SharedNode* node) {
-  switch (node->type) {
-    case Type::kLeaf: {
-      std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, true)));
-      fields.push_back(rlp::EncodeString(node->value));
-      return rlp::EncodeList(fields);
-    }
-    case Type::kExtension: {
-      std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, false)));
-      fields.push_back(RefNode(node->child.get()));
-      return rlp::EncodeList(fields);
-    }
-    case Type::kBranch: {
-      std::vector<Bytes> fields;
-      for (int i = 0; i < 16; ++i) {
-        if (node->children[i] == nullptr) {
-          fields.push_back(rlp::EncodeString(Bytes{}));
-        } else {
-          fields.push_back(RefNode(node->children[i].get()));
-        }
-      }
-      fields.push_back(rlp::EncodeString(node->value));
-      return rlp::EncodeList(fields);
-    }
+// Writes the hex-prefix encoding of `nibbles` (1 + size/2 bytes) to `out`.
+void HexPrefixInto(const Nibbles& nibbles, bool is_leaf, uint8_t* out) {
+  const uint8_t flag = is_leaf ? 2 : 0;
+  size_t i = 0;
+  if (nibbles.size() % 2 == 0) {
+    out[0] = static_cast<uint8_t>(flag << 4);
+  } else {
+    out[0] = static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]);
+    i = 1;
   }
-  return {};  // unreachable
+  for (size_t o = 1; i < nibbles.size(); i += 2, ++o) {
+    out[o] = static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]);
+  }
+}
+
+// The encoded size of a node's hex-prefix path: one byte below 0x40 when
+// the path is a nibble or none, a string otherwise.
+size_t PathSize(const Nibbles& path) {
+  const size_t n = 1 + path.size() / 2;
+  return n == 1 ? 1 : rlp::Writer::HeaderSize(n) + n;
+}
+
+void WritePath(rlp::Writer& w, const Nibbles& path, bool is_leaf) {
+  uint8_t buf[33];
+  if (path.size() > 64) {  // longer than a 32-byte key
+    w.String(HexPrefixEncode(path, is_leaf));
+    return;
+  }
+  HexPrefixInto(path, is_leaf, buf);
+  w.String(BytesView(buf, 1 + path.size() / 2));
+}
+
+// A memoized child's reference inside its parent: its encoding when shorter
+// than 32 bytes (embedded structurally), else its hash as a string; an
+// empty string for no child.
+size_t RefSize(const SharedNode* child) {
+  if (child == nullptr) return 1;
+  return child->enc.size() < 32 ? child->enc.size() : 33;
+}
+
+void WriteRef(rlp::Writer& w, const SharedNode* child) {
+  if (child == nullptr) {
+    w.String(BytesView());
+  } else if (child->enc.size() < 32) {
+    w.Raw(child->enc);
+  } else {
+    w.String(child->hash);
+  }
+}
+
+// Memoizes each child first, counting a cache hit for each child whose memo
+// was already there, then writes the node's list straight into its own memo
+// at its exact size. Runs inside the node's call_once; a child's call_once
+// nests in it on the same thread.
+void EncodeNode(const SharedNode* node) {
+  uint64_t hits = 0;
+  auto memoize = [&hits](const SharedNode* child) {
+    if (child == nullptr) return;
+    if (child->enc_ready.load(std::memory_order_acquire)) {
+      ++hits;
+    } else {
+      Memoized(child);
+    }
+  };
+  size_t payload = 0;
+  switch (node->type) {
+    case Type::kLeaf:
+      payload = PathSize(node->path) + rlp::Writer::StringSize(node->value);
+      break;
+    case Type::kExtension:
+      memoize(node->child.get());
+      payload = PathSize(node->path) + RefSize(node->child.get());
+      break;
+    case Type::kBranch:
+      for (const NodeRef& child : node->children) {
+        memoize(child.get());
+        payload += RefSize(child.get());
+      }
+      payload += rlp::Writer::StringSize(node->value);
+      break;
+  }
+  CountCacheHits(hits);
+
+  Bytes& enc = node->enc;
+  enc.reserve(rlp::Writer::ListSize(payload));
+  rlp::Writer w(&enc);
+  const size_t list = w.BeginList();
+  switch (node->type) {
+    case Type::kLeaf:
+      WritePath(w, node->path, /*is_leaf=*/true);
+      w.String(node->value);
+      break;
+    case Type::kExtension:
+      WritePath(w, node->path, /*is_leaf=*/false);
+      WriteRef(w, node->child.get());
+      break;
+    case Type::kBranch:
+      for (const NodeRef& child : node->children) WriteRef(w, child.get());
+      w.String(node->value);
+      break;
+  }
+  w.EndList(list);
 }
 
 // ---- Insert (path-copying) ----
@@ -320,6 +388,214 @@ NodeRef Remove(const NodeRef& node, const Nibbles& key) {
     }
   }
   return node;  // unreachable
+}
+
+// ---- Batch fold (sorted writes) ----
+
+using Writes = std::span<const TrieWrite>;
+
+// Nibble `i` of `key`, counted from its first byte.
+uint8_t NibbleAt(BytesView key, size_t i) {
+  const uint8_t b = key[i >> 1];
+  return (i & 1) != 0 ? b & 0x0f : b >> 4;
+}
+
+size_t NibbleCount(BytesView key) { return key.size() * 2; }
+
+// `key`'s nibbles [from, to).
+Nibbles KeyNibbles(BytesView key, size_t from, size_t to) {
+  Nibbles out(to - from);
+  for (size_t i = from; i < to; ++i) out[i - from] = NibbleAt(key, i);
+  return out;
+}
+
+// How many nibbles `key`, from `depth` on, shares with `path`.
+size_t SharedWithPath(BytesView key, size_t depth, const Nibbles& path) {
+  const size_t avail = NibbleCount(key) - depth;
+  size_t n = 0;
+  while (n < path.size() && n < avail && NibbleAt(key, depth + n) == path[n]) {
+    ++n;
+  }
+  return n;
+}
+
+// How many nibbles two keys share from `depth` on.
+size_t SharedWithKey(BytesView a, BytesView b, size_t depth) {
+  const size_t end = std::min(NibbleCount(a), NibbleCount(b));
+  size_t i = depth;
+  while (i < end && NibbleAt(a, i) == NibbleAt(b, i)) ++i;
+  return i - depth;
+}
+
+Bytes ValueOf(const TrieWrite& w) {
+  return Bytes(w.value.begin(), w.value.end());
+}
+
+// The end of the run of writes from `i` that share nibble `depth` (`i`'s
+// key is longer than `depth` nibbles).
+size_t RunEnd(Writes w, size_t i, size_t depth) {
+  const uint8_t nib = NibbleAt(w[i].key, depth);
+  size_t j = i + 1;
+  while (j < w.size() && NibbleAt(w[j].key, depth) == nib) ++j;
+  return j;
+}
+
+NodeRef Build(Writes w, size_t depth);
+
+// A fresh branch at `depth` over writes with at least two live entries
+// there (the first can be the branch's own value).
+NodeRef BuildBranch(Writes w, size_t depth) {
+  auto branch = MakeBranch();
+  size_t i = 0;
+  if (NibbleCount(w[0].key) == depth) branch->value = ValueOf(w[i++]);
+  while (i < w.size()) {
+    const size_t j = RunEnd(w, i, depth);
+    branch->children[NibbleAt(w[i].key, depth)] =
+        Build(w.subspan(i, j - i), depth + 1);
+    i = j;
+  }
+  return branch;
+}
+
+// A fresh subtree holding `w`'s live (non-empty) writes, built bottom-up:
+// every node is made once, at its final shape. All keys share their first
+// `depth` nibbles.
+NodeRef Build(Writes w, size_t depth) {
+  size_t lo = 0;
+  size_t hi = w.size();
+  while (lo < hi && w[lo].value.empty()) ++lo;
+  while (hi > lo && w[hi - 1].value.empty()) --hi;
+  if (lo == hi) return nullptr;
+  w = w.subspan(lo, hi - lo);
+  if (w.size() == 1) {
+    return MakeLeaf(KeyNibbles(w[0].key, depth, NibbleCount(w[0].key)),
+                    ValueOf(w[0]));
+  }
+  // Sorted keys: what the first and last share, every key between shares.
+  const size_t shared = SharedWithKey(w.front().key, w.back().key, depth);
+  NodeRef branch = BuildBranch(w, depth + shared);
+  if (shared == 0) return branch;
+  return MakeExtension(KeyNibbles(w[0].key, depth, depth + shared),
+                       std::move(branch));
+}
+
+NodeRef Fold(const NodeRef& node, Writes w, size_t depth);
+
+// Folds `w` into a branch. `copy` is null for a shared branch, which is
+// copied on its first change, or the branch itself when it is fresh and so
+// written in place.
+NodeRef FoldBranch(const NodeRef& node, std::shared_ptr<SharedNode> copy,
+                   Writes w, size_t depth) {
+  const SharedNode& src = *node;
+  size_t i = 0;
+  if (NibbleCount(w[0].key) == depth) {
+    if (!SameValue(src.value, w[0].value)) {
+      if (copy == nullptr) copy = CopyBranch(src);
+      copy->value = ValueOf(w[0]);
+    }
+    i = 1;
+  }
+  while (i < w.size()) {
+    const size_t j = RunEnd(w, i, depth);
+    const uint8_t nib = NibbleAt(w[i].key, depth);
+    NodeRef updated = Fold(src.children[nib], w.subspan(i, j - i), depth + 1);
+    if (updated != src.children[nib]) {
+      if (copy == nullptr) copy = CopyBranch(src);
+      copy->children[nib] = std::move(updated);
+    }
+    i = j;
+  }
+  if (copy == nullptr) return node;
+  return NormalizeBranch(std::move(copy));
+}
+
+// A leaf or an extension that a live write leaves at nibble `at` of its
+// path (a leaf's whole path, when the write runs on below the leaf): it
+// splits there into a fresh branch, holding the rest of the node, that the
+// writes fold into in place, under an extension for the first `at`
+// nibbles.
+NodeRef SplitShort(const NodeRef& node, Writes w, size_t depth, size_t at) {
+  const Nibbles& path = node->path;
+  auto branch = MakeBranch();
+  if (node->type == Type::kLeaf) {
+    if (at == path.size()) {
+      branch->value = node->value;
+    } else {
+      branch->children[path[at]] = MakeLeaf(Sub(path, at + 1), node->value);
+    }
+  } else {
+    branch->children[path[at]] =
+        at + 1 == path.size() ? node->child
+                              : MakeExtension(Sub(path, at + 1), node->child);
+  }
+  // The writes that reach the branch: a delete off the path before `at`
+  // removes nothing. Sorted keys, so they are one run.
+  size_t lo = 0;
+  size_t hi = w.size();
+  while (SharedWithPath(w[lo].key, depth, path) < at) ++lo;
+  while (SharedWithPath(w[hi - 1].key, depth, path) < at) --hi;
+  NodeRef folded =
+      FoldBranch(branch, branch, w.subspan(lo, hi - lo), depth + at);
+  if (at == 0 || folded == nullptr) return folded;
+  return NormalizeExtension(Nibbles(path.begin(), path.begin() + at),
+                            std::move(folded));
+}
+
+// Folds `w` into a leaf or an extension.
+NodeRef FoldShort(const NodeRef& node, Writes w, size_t depth) {
+  const Nibbles& path = node->path;
+  const bool leaf = node->type == Type::kLeaf;
+  // Where the first live write leaves the path; past the end when none
+  // does (for a leaf: every live write is to its own key).
+  size_t split = path.size() + 1;
+  for (const TrieWrite& write : w) {
+    if (write.value.empty()) continue;
+    const size_t shared = SharedWithPath(write.key, depth, path);
+    const bool own_key =
+        shared == path.size() && NibbleCount(write.key) == depth + shared;
+    if (leaf ? !own_key : shared < path.size()) {
+      split = std::min(split, shared);
+    }
+  }
+  if (split <= path.size()) return SplitShort(node, w, depth, split);
+
+  if (leaf) {
+    for (const TrieWrite& write : w) {
+      if (NibbleCount(write.key) != depth + path.size() ||
+          SharedWithPath(write.key, depth, path) != path.size()) {
+        continue;
+      }
+      if (write.value.empty()) return nullptr;
+      if (SameValue(node->value, write.value)) return node;
+      return MakeLeaf(path, ValueOf(write));
+    }
+    return node;  // only deletes of absent keys
+  }
+  // An extension every live write runs through: fold below it.
+  size_t lo = 0;
+  size_t hi = w.size();
+  while (lo < hi && SharedWithPath(w[lo].key, depth, path) < path.size()) {
+    ++lo;
+  }
+  while (hi > lo &&
+         SharedWithPath(w[hi - 1].key, depth, path) < path.size()) {
+    --hi;
+  }
+  if (lo == hi) return node;
+  NodeRef updated =
+      Fold(node->child, w.subspan(lo, hi - lo), depth + path.size());
+  if (updated == node->child) return node;
+  if (updated == nullptr) return nullptr;
+  return NormalizeExtension(path, std::move(updated));
+}
+
+// Folds writes sorted by key, all sharing their first `depth` nibbles,
+// into the subtree at `node`.
+NodeRef Fold(const NodeRef& node, Writes w, size_t depth) {
+  if (w.empty()) return node;
+  if (node == nullptr) return Build(w, depth);
+  if (node->type == Type::kBranch) return FoldBranch(node, nullptr, w, depth);
+  return FoldShort(node, w, depth);
 }
 
 // ---- Lookup ----
@@ -513,19 +789,8 @@ size_t Count(const SharedNode* node) {
 }  // namespace
 
 Bytes HexPrefixEncode(const std::vector<uint8_t>& nibbles, bool is_leaf) {
-  uint8_t flag = is_leaf ? 2 : 0;
-  Bytes out;
-  if (nibbles.size() % 2 == 0) {
-    out.push_back(static_cast<uint8_t>(flag << 4));
-    for (size_t i = 0; i < nibbles.size(); i += 2) {
-      out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
-    }
-  } else {
-    out.push_back(static_cast<uint8_t>(((flag | 1) << 4) | nibbles[0]));
-    for (size_t i = 1; i < nibbles.size(); i += 2) {
-      out.push_back(static_cast<uint8_t>((nibbles[i] << 4) | nibbles[i + 1]));
-    }
-  }
+  Bytes out(1 + nibbles.size() / 2);
+  HexPrefixInto(nibbles, is_leaf, out.data());
   return out;
 }
 
@@ -633,16 +898,8 @@ Result<std::optional<Bytes>> WalkEncodedNodes(const Hash32& root,
 }
 
 void SharedTrie::Put(BytesView key, BytesView value) {
-  PutNibbles(BytesToNibbles(key), value);
-}
-
-void SharedTrie::PutNibbles(const std::vector<uint8_t>& path,
-                            BytesView value) {
-  if (value.empty()) {
-    root_ = Remove(root_, path);
-    return;
-  }
-  root_ = Insert(root_, path, value);
+  const Nibbles path = BytesToNibbles(key);
+  root_ = value.empty() ? Remove(root_, path) : Insert(root_, path, value);
 }
 
 bool SharedTrie::SplitRoot(std::array<SharedTrie, 16>* children) const {
@@ -668,6 +925,11 @@ void SharedTrie::JoinRoot(const std::array<SharedTrie, 16>& children) {
   root_ = NormalizeBranch(std::move(branch));
 }
 
+void SharedTrie::PutSorted(std::span<const TrieWrite> writes, size_t skip) {
+  assert(std::is_sorted(writes.begin(), writes.end(), TrieWrite::KeyLess));
+  root_ = Fold(root_, writes, skip);
+}
+
 void SharedTrie::Delete(BytesView key) {
   root_ = Remove(root_, BytesToNibbles(key));
 }
@@ -681,11 +943,19 @@ Result<Bytes> SharedTrie::Get(BytesView key) const {
 
 Hash32 SharedTrie::RootHash() const {
   if (root_ == nullptr) return EmptyRoot();
+  if (root_->enc_ready.load(std::memory_order_acquire)) {
+    CountCacheHits(1);
+    return root_->hash;
+  }
   return Memoized(root_.get()).hash;
 }
 
 Hash32 SharedTrie::EmptyRoot() {
-  static const Hash32 kEmpty = Keccak256(rlp::EncodeString(Bytes{}));
+  static const Hash32 kEmpty = [] {
+    Bytes empty;
+    rlp::Writer(&empty).String(BytesView());
+    return Keccak256(empty);
+  }();
   return kEmpty;
 }
 

@@ -6,8 +6,10 @@
 // `SharedTrie` holds `shared_ptr<const Node>` references to structurally
 // shared, immutable nodes. Mutation is path-copying: Put/Delete rebuild
 // only the spine from the root to the touched leaf and share every
-// untouched subtree with the previous version. Each immutable node memoizes
-// its RLP encoding and the keccak of it the first time it is hashed, so
+// untouched subtree with the previous version. A batch of writes sorted by
+// key folds in one pass (PutSorted), copying each touched node once and
+// building fresh subtrees bottom-up. Each immutable node memoizes its RLP
+// encoding and the keccak of it the first time it is hashed, so
 // recomputing the root after k changed keys re-hashes O(k · depth) nodes
 // instead of the whole trie, and the root, parent references and the
 // persistence walk read the memo instead of hashing again.
@@ -24,6 +26,7 @@
 #ifndef ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
 #define ONOFFCHAIN_STORAGE_SHARED_TRIE_H_
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -99,6 +102,19 @@ class PersistSink {
   virtual uint64_t marks_from() const { return 0; }
 };
 
+// One write of a batch fold (SharedTrie::PutSorted): a key and its new
+// value; an empty value deletes the key.
+struct TrieWrite {
+  BytesView key;
+  BytesView value;
+
+  // Key order, which is the order of the keys' nibble paths.
+  static bool KeyLess(const TrieWrite& a, const TrieWrite& b) {
+    return std::lexicographical_compare(a.key.begin(), a.key.end(),
+                                        b.key.begin(), b.key.end());
+  }
+};
+
 // Reads the hash reference a leaf value carries (the account record's
 // storage root) into `ref`; false when it carries none.
 using LeafRef = bool (*)(BytesView leaf_value, Hash32* ref);
@@ -122,10 +138,16 @@ class SharedTrie {
   // Writing the value a key already holds is a no-op that preserves every
   // existing node (and its memoized hash).
   void Put(BytesView key, BytesView value);
-  // Put by nibble path: the keys of a SplitRoot subtrie lost their first
-  // nibble, so they are an odd number of nibbles long.
-  void PutNibbles(const std::vector<uint8_t>& path, BytesView value);
   void Delete(BytesView key);
+  // Applies `writes`, sorted by TrieWrite::KeyLess with no key twice, in
+  // one fold: the trie Putting them one at a time would hold, but each
+  // touched node is copied once, a fresh subtree is built bottom-up with no
+  // intermediate copies, and a write of the value a key holds keeps the
+  // existing node (and its memoized hash). It never makes more nodes than
+  // the Puts; it makes fewer where a delete would collapse a branch that a
+  // later write regrows. Reads each key's nibbles from `skip` on: 1 for a
+  // SplitRoot subtrie, whose keys lost their first nibble.
+  void PutSorted(std::span<const TrieWrite> writes, size_t skip = 0);
 
   // ---- Root split: the subtries under the root, edited independently ----
   // Hands out the 16 subtries under a branch root (all empty for an empty
@@ -144,7 +166,10 @@ class SharedTrie {
 
   // Keccak commitment; only nodes without a memoized encoding are hashed.
   // Order-independent: any write sequence producing the same map yields the
-  // same root.
+  // same root. storage.trie_node_cache_hits counts the memos hashing
+  // reuses: a child whose memo a new parent's encoding references, and a
+  // root found already hashed here. Proofs and the persistence walk read
+  // memos without counting.
   Hash32 RootHash() const;
   bool IsEmpty() const { return root_ == nullptr; }
 
@@ -196,6 +221,11 @@ class SecureSharedTrie {
   void Delete(BytesView key) {
     Hash32 h = Keccak256(key);
     inner_.Delete(BytesView(h.data(), h.size()));
+  }
+  // SharedTrie::PutSorted, keyed by keccak256(key): each write's key is
+  // already the hash.
+  void PutSorted(std::span<const TrieWrite> hashed_writes) {
+    inner_.PutSorted(hashed_writes);
   }
   Result<Bytes> Get(BytesView key) const {
     Hash32 h = Keccak256(key);

@@ -10,15 +10,47 @@
 namespace onoff::storage {
 
 Bytes EncodeAccountRlp(const AccountData& account, const Hash32& storage_root) {
-  std::vector<rlp::Item> fields;
-  fields.push_back(rlp::Item::Scalar(account.nonce));
-  fields.push_back(rlp::Item::Scalar(account.balance));
-  fields.push_back(rlp::Item::String(
-      BytesView(storage_root.data(), storage_root.size())));
-  fields.push_back(rlp::Item::String(
-      BytesView(account.code_hash.data(), account.code_hash.size())));
-  return rlp::Encode(rlp::Item::List(std::move(fields)));
+  Bytes out;
+  out.reserve(2 + 9 + 33 + 2 * 33);  // the longest record
+  rlp::Writer w(&out);
+  const size_t list = w.BeginList();
+  w.Scalar(account.nonce);
+  w.Scalar(account.balance);
+  w.String(storage_root);
+  w.String(account.code_hash);
+  w.EndList(list);
+  return out;
 }
+
+namespace {
+
+// One slot write of a storage commit: keccak(slot key) and RLP(value),
+// empty to delete.
+struct SlotWrite {
+  Hash32 key;
+  Bytes value;
+};
+
+// Folds `slots` into `trie` in key order.
+void FoldSlots(std::vector<SlotWrite>& slots, SecureSharedTrie& trie) {
+  std::sort(slots.begin(), slots.end(),
+            [](const SlotWrite& a, const SlotWrite& b) {
+              return a.key < b.key;
+            });
+  std::vector<TrieWrite> writes;
+  writes.reserve(slots.size());
+  for (const SlotWrite& slot : slots) writes.push_back({slot.key, slot.value});
+  trie.PutSorted(writes);
+}
+
+SlotWrite MakeSlotWrite(const U256& key, const U256* value) {
+  const std::array<uint8_t, 32> key_bytes = key.ToBigEndian();
+  SlotWrite out{Keccak256(key_bytes), {}};
+  if (value != nullptr) rlp::Writer(&out.value).Scalar(*value);
+  return out;
+}
+
+}  // namespace
 
 void StateStore::MarkAccountDirty(const Address& addr) {
   dirty_accounts_.Add(addr);
@@ -46,24 +78,20 @@ void StateStore::MarkAccountReset(const Address& addr) {
 Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
   static obs::Counter* slots_committed =
       obs::GetCounterOrNull("storage.slots_committed");
+  std::vector<SlotWrite> slots;
   if (pa.reset) {
     // Deleted-and-recreated (or restored) account: rebuild its storage trie
     // from the flat map.
     pa.storage_trie = SecureSharedTrie();
     if (data.storage != nullptr) {
       for (const auto& [key, value] : *data.storage) {
-        if (value.IsZero()) continue;
-        Bytes key_bytes = key.ToBytes();
-        pa.storage_trie.Put(key_bytes,
-                            rlp::Encode(rlp::Item::Scalar(value)));
-        if (slots_committed != nullptr) slots_committed->Inc();
+        if (!value.IsZero()) slots.push_back(MakeSlotWrite(key, &value));
       }
     }
     pa.reset = false;
     pa.root_valid = false;
   } else if (!pa.dirty_slots.empty()) {
     for (const U256& key : pa.dirty_slots.Sorted()) {
-      Bytes key_bytes = key.ToBytes();
       const U256* value = nullptr;
       if (data.storage != nullptr) {
         auto it = data.storage->find(key);
@@ -71,15 +99,13 @@ Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
           value = &it->second;
         }
       }
-      if (value != nullptr) {
-        pa.storage_trie.Put(key_bytes,
-                            rlp::Encode(rlp::Item::Scalar(*value)));
-      } else {
-        pa.storage_trie.Delete(key_bytes);
-      }
-      if (slots_committed != nullptr) slots_committed->Inc();
+      slots.push_back(MakeSlotWrite(key, value));
     }
     pa.root_valid = false;
+  }
+  if (!slots.empty()) {
+    FoldSlots(slots, pa.storage_trie);
+    if (slots_committed != nullptr) slots_committed->Inc(slots.size());
   }
   pa.dirty_slots.Clear();
   if (!pa.root_valid) {
@@ -89,55 +115,17 @@ Bytes StateStore::CommitStorage(PerAccount& pa, const AccountData& data) {
   return EncodeAccountRlp(data, pa.storage_root);
 }
 
-void StateStore::CommitAccount(const Address& addr,
-                               const AccountLookup& lookup) {
-  std::optional<AccountData> data = lookup(addr);
-  if (!data.has_value()) {
-    account_trie_.Delete(addr.view());
-    per_account_.erase(addr);
-    return;
+std::vector<TrieWrite> StateStore::CommitGroup(std::span<DirtyAccount> group,
+                                               const AccountLookup& lookup) {
+  std::vector<TrieWrite> writes;
+  writes.reserve(group.size());
+  for (DirtyAccount& d : group) {
+    std::optional<AccountData> data = lookup(*d.addr);
+    d.deleted = !data.has_value();
+    if (!d.deleted) d.leaf = CommitStorage(*d.pa, *data);
+    writes.push_back({d.key, d.leaf});  // an empty leaf deletes
   }
-  account_trie_.Put(addr.view(), CommitStorage(per_account_[addr], *data));
-}
-
-bool StateStore::CommitSplit(const std::vector<Address>& dirty,
-                             const AccountLookup& lookup) {
-  std::array<SharedTrie, 16> children;
-  if (!account_trie_.SplitRoot(&children)) return false;
-  struct Dirty {
-    const Address* addr;
-    PerAccount* pa;
-    Hash32 key;  // keccak(addr), the account-trie key
-    bool deleted = false;
-  };
-  // Every entry exists before the fan-out (the map's element addresses are
-  // stable), so no task inserts into per_account_.
-  std::array<std::vector<Dirty>, 16> groups;
-  for (const Address& addr : dirty) {
-    Hash32 key = Keccak256(addr.view());
-    groups[key[0] >> 4].push_back({&addr, &per_account_[addr], key});
-  }
-  ThreadPool::Shared().ParallelFor(16, [&](size_t i) {
-    if (groups[i].empty()) return;
-    SharedTrie& child = children[i];
-    for (Dirty& d : groups[i]) {
-      std::optional<AccountData> data = lookup(*d.addr);
-      d.deleted = !data.has_value();
-      // The key's nibbles after the first, which chose this subtrie.
-      std::vector<uint8_t> path = BytesToNibbles(d.key);
-      path.erase(path.begin());
-      child.PutNibbles(path,
-                       d.deleted ? Bytes{} : CommitStorage(*d.pa, *data));
-    }
-    child.RootHash();  // hash the subtrie on this lane
-  });
-  for (const std::vector<Dirty>& group : groups) {
-    for (const Dirty& d : group) {
-      if (d.deleted) per_account_.erase(*d.addr);
-    }
-  }
-  account_trie_.JoinRoot(children);
-  return true;
+  return writes;
 }
 
 Hash32 StateStore::CommitRoot(const AccountLookup& lookup) {
@@ -150,10 +138,44 @@ Hash32 StateStore::CommitRoot(const AccountLookup& lookup) {
       obs::GetCounterOrNull("storage.accounts_committed");
   const std::vector<Address>& dirty = dirty_accounts_.Sorted();
   if (accounts_committed != nullptr) accounts_committed->Inc(dirty.size());
-  // The order does not reach the root: the trie is canonical in its
-  // content.
-  if (dirty.size() < kSplitCommitThreshold || !CommitSplit(dirty, lookup)) {
-    for (const Address& addr : dirty) CommitAccount(addr, lookup);
+  // Every entry exists before a fan-out (the map's element addresses are
+  // stable), so no lane inserts into per_account_.
+  std::vector<DirtyAccount> accounts;
+  accounts.reserve(dirty.size());
+  for (const Address& addr : dirty) {
+    accounts.push_back(
+        {&addr, &per_account_[addr], Keccak256(addr.view()), {}, false});
+  }
+  // In key order, the order the fold takes; the address order the dirty
+  // list had reaches no root.
+  std::sort(accounts.begin(), accounts.end(),
+            [](const DirtyAccount& a, const DirtyAccount& b) {
+              return a.key < b.key;
+            });
+  std::array<SharedTrie, 16> children;
+  if (dirty.size() >= kSplitCommitThreshold &&
+      account_trie_.SplitRoot(&children)) {
+    // The first nibble of the account key picks the subtrie; each lane
+    // folds and hashes one.
+    std::array<std::span<DirtyAccount>, 16> groups;
+    for (size_t i = 0; i < accounts.size();) {
+      const size_t nibble = accounts[i].key[0] >> 4;
+      size_t j = i + 1;
+      while (j < accounts.size() && accounts[j].key[0] >> 4 == nibble) ++j;
+      groups[nibble] = std::span<DirtyAccount>(accounts).subspan(i, j - i);
+      i = j;
+    }
+    ThreadPool::Shared().ParallelFor(16, [&](size_t i) {
+      if (groups[i].empty()) return;
+      children[i].PutSorted(CommitGroup(groups[i], lookup), /*skip=*/1);
+      children[i].RootHash();  // hash the subtrie on this lane
+    });
+    account_trie_.JoinRoot(children);
+  } else {
+    account_trie_.PutSorted(CommitGroup(accounts, lookup));
+  }
+  for (const DirtyAccount& d : accounts) {
+    if (d.deleted) per_account_.erase(*d.addr);
   }
   for (const Address& addr : dirty) pending_persist_.Add(addr);
   dirty_accounts_.Clear();
@@ -201,11 +223,30 @@ Status StateStore::Persist(PersistSink& sink, uint64_t height) {
   if (!root_valid_) {
     return Status::FailedPrecondition("CommitRoot before Persist");
   }
-  // Storage tries first so the account leaves' refs resolve in order.
-  for (const Address& addr : pending_persist_.Sorted()) {
-    auto it = per_account_.find(addr);
-    if (it == per_account_.end()) continue;  // deleted since commit
-    ONOFF_RETURN_NOT_OK(it->second.storage_trie.PersistNodes(sink, height));
+  // Storage tries first so the account leaves' refs resolve in order. A
+  // sink this store last persisted into, with the same marks id, holds
+  // every storage trie but those committed since; any other sink (another
+  // store, one reset or renewed by a failed write, or one that takes no
+  // marks) gets every storage trie walked, and Find skips what it holds.
+  const uint32_t marks = sink.marks();
+  if (marks != 0 && marks == persisted_marks_) {
+    for (const Address& addr : pending_persist_.Sorted()) {
+      auto it = per_account_.find(addr);
+      if (it == per_account_.end()) continue;  // deleted since commit
+      ONOFF_RETURN_NOT_OK(it->second.storage_trie.PersistNodes(sink, height));
+    }
+  } else {
+    // In address order, as the pending list walks: the order reaches only
+    // the order of the sink's log records.
+    std::vector<const Address*> all;
+    all.reserve(per_account_.size());
+    for (const auto& entry : per_account_) all.push_back(&entry.first);
+    std::sort(all.begin(), all.end(),
+              [](const Address* a, const Address* b) { return *a < *b; });
+    for (const Address* addr : all) {
+      ONOFF_RETURN_NOT_OK(
+          per_account_.at(*addr).storage_trie.PersistNodes(sink, height));
+    }
   }
   // The root retained below reaches every node both walks stamp at
   // `height`: the account leaves reference the storage roots.
@@ -215,6 +256,7 @@ Status StateStore::Persist(PersistSink& sink, uint64_t height) {
     ONOFF_RETURN_NOT_OK(sink.RetainRoot(committed_root_, height));
   }
   pending_persist_.Clear();
+  persisted_marks_ = sink.marks();
   return Status::OK();
 }
 

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -160,8 +161,10 @@ class StateStore {
   StateSnapshot Snapshot() const;
 
   // ---- Persistence ----
-  // Writes every node new since the last persist to `sink` (a NodeStore)
-  // and retains the current root at `height`. Call after CommitRoot.
+  // Writes every node `sink` (a NodeStore) lacks of the current state and
+  // retains its root at `height`. Call after CommitRoot. Into the sink this
+  // store last persisted into, it walks only the storage tries committed
+  // since; into any other, every storage trie.
   Status Persist(PersistSink& sink, uint64_t height);
 
   // The storage root an account record (EncodeAccountRlp) carries, read in
@@ -179,14 +182,25 @@ class StateStore {
     bool reset = false;
   };
 
+  // One dirty account of a commit.
+  struct DirtyAccount {
+    const Address* addr;
+    PerAccount* pa;
+    Hash32 key;  // keccak(addr), the account-trie key
+    Bytes leaf;  // the new account-trie leaf; empty when deleted
+    bool deleted = false;
+  };
+
   // Folds the account's dirty slots into its storage trie and returns its
   // account-trie leaf.
   static Bytes CommitStorage(PerAccount& pa, const AccountData& data);
-  void CommitAccount(const Address& addr, const AccountLookup& lookup);
-  // CommitRoot's fan-out over the account trie's 16 root subtries; false,
-  // having done nothing, when the root is a leaf or an extension.
-  bool CommitSplit(const std::vector<Address>& dirty,
-                   const AccountLookup& lookup);
+  // The one commit loop: commits the storage of each account of `group`
+  // (sorted by key) and returns the account-trie writes, which point into
+  // `group`. CommitRoot folds them into the whole trie, or, from
+  // kSplitCommitThreshold accounts under a branch or empty root, into each
+  // of the 16 root subtries on its own lane.
+  static std::vector<TrieWrite> CommitGroup(std::span<DirtyAccount> group,
+                                            const AccountLookup& lookup);
 
   SecureSharedTrie account_trie_;
   std::unordered_map<Address, PerAccount> per_account_;
@@ -197,6 +211,8 @@ class StateStore {
   bool root_valid_ = false;
   // Accounts whose storage tries gained nodes since the last Persist.
   DirtyList<Address> pending_persist_;
+  // The sink's marks() after the last successful Persist (0: none yet).
+  uint32_t persisted_marks_ = 0;
 };
 
 }  // namespace onoff::storage

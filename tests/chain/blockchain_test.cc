@@ -10,6 +10,7 @@
 #include "evm/gas.h"
 #include "obs/metrics.h"
 #include "rlp/rlp.h"
+#include "rlp/rlp_oracle.h"
 #include "support/thread_pool.h"
 #include "trace/trace.h"
 #include "trie/trie.h"
@@ -60,7 +61,8 @@ TEST_F(BlockchainTest, HeaderRootsMatchOracleAtRlpKeyBoundaries) {
     trie::Trie tx_oracle;
     trie::Trie receipt_oracle;
     for (size_t i = 0; i < n; ++i) {
-      Bytes key = rlp::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
+      Bytes key =
+          rlp::oracle::Encode(rlp::Item::Scalar(static_cast<uint64_t>(i)));
       const Transaction& tx = block.transactions[i];
       tx_oracle.Put(key, tx.Encode());
       Result<Receipt> receipt = chain_.GetReceipt(tx.Hash());

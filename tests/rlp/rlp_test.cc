@@ -2,15 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
 #include <string>
 
+#include "rlp/rlp_oracle.h"
 #include "support/bytes.h"
 
 namespace onoff::rlp {
 namespace {
 
+// Writes an item tree through the writer, the library's one encoder.
+void WriteItem(const Item& item, Writer& w) {
+  if (item.IsString()) {
+    w.String(item.string());
+    return;
+  }
+  const size_t list = w.BeginList();
+  for (const Item& child : item.list()) WriteItem(child, w);
+  w.EndList(list);
+}
+
+Bytes Encode(const Item& item) {
+  Bytes out;
+  Writer w(&out);
+  WriteItem(item, w);
+  return out;
+}
+
 std::string EncodeHex(const Item& item) { return ToHex(Encode(item)); }
+
+Bytes WriteScalar(const U256& v) {
+  Bytes out;
+  Writer(&out).Scalar(v);
+  return out;
+}
+
+Bytes WriteScalar(uint64_t v) {
+  Bytes out;
+  Writer(&out).Scalar(v);
+  return out;
+}
 
 // Vectors from the Ethereum RLP specification.
 TEST(RlpEncodeTest, SpecVectors) {
@@ -24,11 +56,11 @@ TEST(RlpEncodeTest, SpecVectors) {
   // empty list -> 0xc0
   EXPECT_EQ(EncodeHex(Item::List({})), "c0");
   // integer 0 -> 0x80 (empty scalar)
-  EXPECT_EQ(EncodeHex(Item::Scalar(uint64_t{0})), "80");
+  EXPECT_EQ(ToHex(WriteScalar(uint64_t{0})), "80");
   // 0x0f -> 0x0f
-  EXPECT_EQ(EncodeHex(Item::Scalar(uint64_t{15})), "0f");
+  EXPECT_EQ(ToHex(WriteScalar(uint64_t{15})), "0f");
   // 1024 -> 0x82 0x04 0x00
-  EXPECT_EQ(EncodeHex(Item::Scalar(uint64_t{1024})), "820400");
+  EXPECT_EQ(ToHex(WriteScalar(uint64_t{1024})), "820400");
   // set theoretical representation of three: [ [], [[]], [ [], [[]] ] ]
   Item empty = Item::List({});
   Item one = Item::List({Item::List({})});
@@ -56,6 +88,123 @@ TEST(RlpEncodeTest, LongList) {
   Bytes enc = Encode(Item::List(items));
   EXPECT_EQ(enc[0], 0xf8);
   EXPECT_EQ(enc[1], 14 * 4);
+}
+
+// The header of a string at each length boundary: the short form up to 55
+// bytes, then one, two and three length bytes. Each matches the oracle.
+TEST(RlpWriterTest, StringLengthBoundaries) {
+  const std::pair<size_t, std::string> cases[] = {
+      {0, "80"},       {55, "b7"},       {56, "b838"},
+      {255, "b8ff"},   {256, "b90100"},  {65536, "ba010000"},
+  };
+  for (const auto& [len, header] : cases) {
+    const Item item = Item::String(Bytes(len, 0xab));
+    const Bytes enc = Encode(item);
+    EXPECT_EQ(ToHex(BytesView(enc).first(header.size() / 2)), header) << len;
+    EXPECT_EQ(enc.size(), header.size() / 2 + len) << len;
+    EXPECT_EQ(enc, oracle::Encode(item)) << len;
+    EXPECT_EQ(Writer::StringSize(item.string()), enc.size()) << len;
+  }
+  for (uint8_t b : {0x00, 0x01, 0x7f, 0x80, 0xff}) {
+    const Item item = Item::String(Bytes{b});
+    EXPECT_EQ(Encode(item), oracle::Encode(item)) << int{b};
+    EXPECT_EQ(Writer::StringSize(item.string()), Encode(item).size());
+  }
+}
+
+// A list's header at its payload boundaries: 55 bytes (short form), 56 and
+// more than 65 535 (three length bytes, the payload moved once).
+TEST(RlpWriterTest, ListPayloadBoundaries) {
+  const std::pair<size_t, std::string> cases[] = {
+      {55, "f7"}, {56, "f838"}, {70000, "fa011170"}};
+  for (const auto& [payload, header] : cases) {
+    // One string item filling the payload: header 1 byte for <= 55, or
+    // 1 + its length bytes.
+    const size_t str_header = payload - 1 <= 55   ? 1
+                              : payload - 2 <= 255 ? 2
+                              : payload - 3 <= 65535 ? 3
+                                                     : 4;
+    const Item item =
+        Item::List({Item::String(Bytes(payload - str_header, 0x5a))});
+    const Bytes enc = Encode(item);
+    ASSERT_EQ(enc.size(), header.size() / 2 + payload) << payload;
+    EXPECT_EQ(ToHex(BytesView(enc).first(header.size() / 2)), header)
+        << payload;
+    EXPECT_EQ(enc, oracle::Encode(item)) << payload;
+    EXPECT_EQ(Writer::ListSize(payload), enc.size()) << payload;
+  }
+}
+
+TEST(RlpWriterTest, NestedListsAndRawItems) {
+  // A long inner list inside a long outer one: both headers move their
+  // payloads, inner first.
+  std::vector<Item> inner;
+  for (int i = 0; i < 30; ++i) inner.push_back(Item::String("xyz"));
+  const Item nested = Item::List(
+      {Item::String("head"), Item::List(inner),
+       Item::List({Item::List({Item::List({})}), Item::List(inner)}),
+       Item::String(Bytes(60, 0x01))});
+  EXPECT_EQ(Encode(nested), oracle::Encode(nested));
+
+  // Raw appends an encoded item as it is.
+  Bytes out;
+  Writer w(&out);
+  const size_t list = w.BeginList();
+  w.Raw(oracle::Encode(Item::List(inner)));
+  w.String(BytesOf("tail"));
+  w.EndList(list);
+  EXPECT_EQ(out, oracle::Encode(
+                     Item::List({Item::List(inner), Item::String("tail")})));
+}
+
+TEST(RlpWriterTest, ScalarBoundaries) {
+  const U256 max64(~uint64_t{0});
+  const U256 max256 = ~U256(0);
+  const U256 cases[] = {U256(0),    U256(1),     U256(0x7f), U256(0x80),
+                        U256(0xff), U256(0x100), max64,      max64 + U256(1),
+                        max256};
+  for (const U256& v : cases) {
+    const Bytes expected = oracle::Encode(Item::Scalar(v));
+    EXPECT_EQ(WriteScalar(v), expected) << v.ToHexFull();
+    if (v.FitsUint64()) {
+      EXPECT_EQ(WriteScalar(v.low64()), expected) << v.ToHexFull();
+    }
+    auto decoded = Decode(expected);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(*decoded->AsScalar(), v);
+  }
+  EXPECT_EQ(ToHex(WriteScalar(max64)), "88ffffffffffffffff");
+  EXPECT_EQ(WriteScalar(max256).size(), 33u);
+}
+
+// Random item trees (strings of every header form, lists nested a few
+// deep, some past 55 payload bytes): the writer's bytes equal the oracle's
+// and decode back to the tree.
+TEST(RlpWriterTest, RandomTreesMatchOracle) {
+  std::mt19937_64 rng(0x51a7);
+  auto random_string = [&rng]() {
+    static const size_t kLens[] = {0, 1, 1, 2, 31, 32, 55, 56, 200, 300};
+    Bytes s(kLens[rng() % std::size(kLens)]);
+    for (auto& b : s) b = static_cast<uint8_t>(rng() % 3 == 0 ? rng() % 0x80
+                                                              : rng());
+    return Item::String(std::move(s));
+  };
+  std::function<Item(int)> random_item = [&](int depth) {
+    if (depth == 0 || rng() % 3 == 0) return random_string();
+    std::vector<Item> children;
+    for (size_t n = rng() % 6; n > 0; --n) {
+      children.push_back(random_item(depth - 1));
+    }
+    return Item::List(std::move(children));
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const Item item = random_item(4);
+    const Bytes enc = Encode(item);
+    ASSERT_EQ(enc, oracle::Encode(item)) << trial;
+    auto decoded = Decode(enc);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, item) << trial;
+  }
 }
 
 TEST(RlpDecodeTest, RoundTripsSpecVectors) {
@@ -104,7 +253,7 @@ TEST(RlpDecodeTest, ScalarValidation) {
 
 TEST(RlpScalarTest, U256RoundTrip) {
   U256 big = (U256(1) << 200) + U256(99);
-  Bytes enc = Encode(Item::Scalar(big));
+  Bytes enc = WriteScalar(big);
   auto dec = Decode(enc);
   ASSERT_TRUE(dec.ok());
   auto v = dec->AsScalar();

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "rlp/rlp.h"
+#include "rlp/rlp_oracle.h"
 #include "storage/node_store.h"
 #include "storage/node_store_oracle.h"
 #include "storage/shared_trie.h"
@@ -339,7 +340,7 @@ TEST(NodeStoreOracleTest, OracleLogReplaysAndStampsStayWithTheirStore) {
           replayed.LookupSecure(storage_root, key.ToBytes());
       ASSERT_TRUE(slot.ok()) << slot.status().ToString();
       ASSERT_TRUE(slot->has_value());
-      EXPECT_EQ(**slot, rlp::Encode(rlp::Item::Scalar(value)));
+      EXPECT_EQ(**slot, rlp::oracle::Encode(rlp::Item::Scalar(value)));
     }
   }
   oracle.reset();

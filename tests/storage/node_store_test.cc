@@ -12,6 +12,7 @@
 
 #include "chain/blockchain.h"
 #include "rlp/rlp.h"
+#include "rlp/rlp_oracle.h"
 #include "state/world_state.h"
 #include "storage/shared_trie.h"
 #include "storage/state_store.h"
@@ -164,18 +165,18 @@ TEST(NodeStoreTest, LookupSecureThroughEmbeddedNodes) {
     rlp::Item leaf = rlp::Item::List(
         {rlp::Item::String(HexPrefixEncode({}, /*is_leaf=*/true)),
          rlp::Item::String(value)});
-    ASSERT_LT(rlp::Encode(leaf).size(), 32u);
+    ASSERT_LT(rlp::oracle::Encode(leaf).size(), 32u);
 
     std::vector<rlp::Item> kids(17, rlp::Item::String(Bytes{}));
     kids[nibbles.back()] = leaf;
     rlp::Item branch = rlp::Item::List(std::move(kids));
-    ASSERT_LT(rlp::Encode(branch).size(), 32u);
+    ASSERT_LT(rlp::oracle::Encode(branch).size(), 32u);
 
     std::vector<uint8_t> ext_path(nibbles.begin(), nibbles.end() - 1);
     rlp::Item ext = rlp::Item::List(
         {rlp::Item::String(HexPrefixEncode(ext_path, /*is_leaf=*/false)),
          branch});
-    Bytes root_enc = rlp::Encode(ext);
+    Bytes root_enc = rlp::oracle::Encode(ext);
     ASSERT_GE(root_enc.size(), 32u);
     Hash32 root = Keccak256(root_enc);
     ASSERT_TRUE(store.Put(root, root_enc, {}).ok());
@@ -219,7 +220,7 @@ TEST(NodeStoreTest, MalformedNodesFailBothWalkConsumers) {
             rlp::Item::List({filler})})},
   };
   for (const auto& [name, node] : corpus) {
-    Bytes enc = rlp::Encode(node);
+    Bytes enc = rlp::oracle::Encode(node);
     Hash32 root = Keccak256(enc);
 
     Result<std::optional<WorldState::AccountInfo>> proven =
@@ -429,7 +430,8 @@ void ExpectStateReadable(const NodeStore& store, const Hash32& root,
           store.LookupSecure(storage_root, U256(key).ToBytes());
       ASSERT_TRUE(slot.ok()) << label << ": " << slot.status().ToString();
       ASSERT_TRUE(slot->has_value()) << label;
-      EXPECT_EQ(**slot, rlp::Encode(rlp::Item::Scalar(U256(value)))) << label;
+      EXPECT_EQ(**slot, rlp::oracle::Encode(rlp::Item::Scalar(U256(value))))
+          << label;
     }
   }
 }
@@ -504,6 +506,67 @@ TEST(NodeStoreTest, StateAndItsCloneEachPersistWholly) {
   EXPECT_EQ(a.live_nodes(), b.live_nodes());
   ExpectStateReadable(a, next, storage, "state, block 2");
   ExpectStateReadable(b, next, storage, "clone, block 2");
+}
+
+// A clone taken after its state persisted into one store, persisted into a
+// second store: the account trie and every storage trie land there, though
+// the clone committed nothing since the first persist.
+TEST(NodeStoreTest, CloneTakenAfterPersistPersistsWhollyIntoAnotherStore) {
+  WorldState ws;
+  ws.SetBalance(Addr(1), U256(10));
+  ws.SetStorage(Addr(1), U256(1), U256(42));
+  const Hash32 root = ws.StateRoot();
+  NodeStore first;
+  NodeStore second;
+  ASSERT_TRUE(first.Open().ok());
+  ASSERT_TRUE(second.Open().ok());
+  ASSERT_TRUE(ws.PersistCommitted(first, 1).ok());
+  WorldState clone = ws.Clone();
+  ASSERT_TRUE(clone.PersistCommitted(second, 1).ok());
+  EXPECT_EQ(second.live_nodes(), first.live_nodes());
+  const std::map<Address, std::map<uint64_t, uint64_t>> storage = {
+      {Addr(1), {{1, 42}}}};
+  ExpectStateReadable(first, root, storage, "first store");
+  ExpectStateReadable(second, root, storage, "second store");
+
+  // The original keeps persisting into its own store.
+  ws.SetStorage(Addr(1), U256(2), U256(43));
+  const Hash32 next = ws.StateRoot();
+  ASSERT_TRUE(ws.PersistCommitted(first, 2).ok());
+  ExpectStateReadable(first, next, {{Addr(1), {{1, 42}, {2, 43}}}},
+                      "first store, block 2");
+}
+
+// One state persisted into two stores in turn, and back into the first:
+// each holds it whole.
+TEST(NodeStoreTest, OneStatePersistsWhollyIntoTwoStores) {
+  WorldState ws;
+  std::map<Address, std::map<uint64_t, uint64_t>> storage;
+  for (int i = 1; i <= 20; ++i) {
+    Address a = Addr(static_cast<uint8_t>(i));
+    ws.SetBalance(a, U256(static_cast<uint64_t>(i)));
+    ws.SetStorage(a, U256(7), U256(static_cast<uint64_t>(i) * 3));
+    storage[a][7] = static_cast<uint64_t>(i) * 3;
+  }
+  const Hash32 root = ws.StateRoot();
+  NodeStore a;
+  NodeStore b;
+  ASSERT_TRUE(a.Open().ok());
+  ASSERT_TRUE(b.Open().ok());
+  ASSERT_TRUE(ws.PersistCommitted(a, 1).ok());
+  ASSERT_TRUE(ws.PersistCommitted(b, 1).ok());
+  EXPECT_EQ(a.live_nodes(), b.live_nodes());
+  ExpectStateReadable(a, root, storage, "store a");
+  ExpectStateReadable(b, root, storage, "store b");
+
+  // A block persisted into `a` after `b`: `a` gets what the block made.
+  ws.SetStorage(Addr(5), U256(8), U256(1));
+  storage[Addr(5)][8] = 1;
+  const Hash32 next = ws.StateRoot();
+  const size_t before = a.live_nodes();
+  ASSERT_TRUE(ws.PersistCommitted(a, 2).ok());
+  EXPECT_GT(a.live_nodes(), before);
+  ExpectStateReadable(a, next, storage, "store a, block 2");
 }
 
 // A prune mark that cannot be written releases nothing, and the failure is

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "crypto/keccak.h"
+#include "obs/metrics.h"
 #include "rlp/rlp.h"
 #include "support/bytes.h"
 #include "trie/trie.h"
@@ -138,8 +139,8 @@ TEST(SharedTrieTest, NoOpWritePreservesIdentity) {
   EXPECT_EQ(t.root().get(), root_before);
 }
 
-// Writes made through SplitRoot, PutNibbles on the 16 subtries and
-// JoinRoot give the trie the same writes made directly would: from empty,
+// Writes made through SplitRoot, a sorted fold into each of the 16
+// subtries and JoinRoot give the trie the same writes made directly would: from empty,
 // with no change (the root node stays), down to one key (the root branch
 // collapses into a leaf, which does not split), down to no key, and with
 // only the root's own value left.
@@ -154,11 +155,13 @@ TEST(SharedTrieTest, SplitAndJoinMatchDirectWrites) {
                              const std::vector<std::pair<int, Bytes>>& batch) {
     std::array<SharedTrie, 16> children;
     if (!t.SplitRoot(&children)) return false;
+    std::array<std::vector<TrieWrite>, 16> groups;
     for (const auto& [k, value] : batch) {
-      std::vector<uint8_t> path = BytesToNibbles(keys[k]);
-      const uint8_t first = path[0];
-      path.erase(path.begin());
-      children[first].PutNibbles(path, value);
+      groups[keys[k][0] >> 4].push_back({keys[k], value});
+    }
+    for (int i = 0; i < 16; ++i) {
+      std::sort(groups[i].begin(), groups[i].end(), TrieWrite::KeyLess);
+      children[i].PutSorted(groups[i], /*skip=*/1);
     }
     t.JoinRoot(children);
     return true;
@@ -408,6 +411,374 @@ TEST(SharedTrieTest, PersistWalkHashesNeverGoStale) {
     ExpectFreshHashes(copy, "copy " + std::to_string(i));
     EXPECT_EQ(copy.RootHash(), root) << "copy " << i;
   }
+}
+
+// ---- Batch fold (PutSorted) ----
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global()->CounterValue(name);
+}
+
+// The nodes hashed by `t.RootHash()`.
+uint64_t HashedByRoot(const SharedTrie& t, Hash32* root) {
+  const uint64_t before = CounterValue("storage.trie_nodes_hashed");
+  *root = t.RootHash();
+  return CounterValue("storage.trie_nodes_hashed") - before;
+}
+
+using Batch = std::map<Bytes, Bytes>;  // key order; an empty value deletes
+
+std::vector<TrieWrite> WritesOf(const Batch& batch) {
+  std::vector<TrieWrite> writes;
+  for (const auto& [key, value] : batch) writes.push_back({key, value});
+  return writes;
+}
+
+struct Folded {
+  SharedTrie trie;
+  uint64_t fold_hashed = 0;
+  uint64_t put_hashed = 0;
+};
+
+// Applies `batch` to copies of `base` (hashed first, so only what the batch
+// makes is counted) by the fold and by one Put per write in key order, and
+// to `seed`, which holds base's content. The fold must give the seed trie's
+// root, and the Puts' root and proof for every batch key and `probes`.
+Folded FoldAndCompare(const SharedTrie& base, trie::Trie& seed,
+                      const Batch& batch, const std::vector<Bytes>& probes,
+                      const std::string& label) {
+  base.RootHash();
+  Folded out{base};
+  out.trie.PutSorted(WritesOf(batch));
+  SharedTrie put = base;
+  for (const auto& [key, value] : batch) {
+    put.Put(key, value);
+    if (value.empty()) {
+      seed.Delete(key);
+    } else {
+      seed.Put(key, value);
+    }
+  }
+  Hash32 fold_root;
+  Hash32 put_root;
+  out.fold_hashed = HashedByRoot(out.trie, &fold_root);
+  out.put_hashed = HashedByRoot(put, &put_root);
+  EXPECT_EQ(fold_root, seed.RootHash()) << label;
+  EXPECT_EQ(put_root, seed.RootHash()) << label;
+  for (const auto& [key, value] : batch) {
+    EXPECT_EQ(out.trie.Prove(key), put.Prove(key)) << label;
+    EXPECT_EQ(out.trie.Prove(key), seed.Prove(key)) << label;
+  }
+  for (const Bytes& key : probes) {
+    EXPECT_EQ(out.trie.Prove(key), put.Prove(key)) << label;
+  }
+  return out;
+}
+
+// Seeded key sets folded into an empty trie and then, batch by batch, into
+// the populated one: fixed-width hashed keys as the state and storage tries
+// use, and short keys over a small alphabet, whose keys are often prefixes
+// of one another, with values from 1 to 40 bytes, so nodes are both
+// embedded and hashed. A batch that does not both delete keys and add new
+// ones hashes exactly the nodes the Puts hash; one that does can hash
+// fewer (BatchFoldDoesNotRegrowACollapsedBranch), never more.
+TEST(SharedTrieTest, BatchFoldMatchesPutsAndSeedTrie) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  for (bool hashed_keys : {true, false}) {
+    std::mt19937_64 rng(hashed_keys ? 0xf01d : 0xf01e);
+    auto random_key = [&]() {
+      if (hashed_keys) {
+        Hash32 h = Keccak256(BytesOf("k" + std::to_string(rng() % 3000)));
+        return Bytes(h.begin(), h.end());
+      }
+      std::string k;
+      for (size_t i = 0, n = rng() % 5; i < n; ++i) {
+        k.push_back(static_cast<char>('a' + rng() % 3));
+      }
+      return BytesOf(k);
+    };
+    auto random_value = [&rng]() {
+      return Bytes(1 + rng() % 40, static_cast<uint8_t>('A' + rng() % 26));
+    };
+    SharedTrie live;
+    trie::Trie seed;
+    std::map<Bytes, Bytes> model;
+    for (int round = 0; round < 40; ++round) {
+      const std::string label = std::string(hashed_keys ? "hashed" : "short") +
+                                " round " + std::to_string(round);
+      Batch batch;
+      const size_t n = round == 0 ? 300 : 1 + rng() % 60;
+      const int mix = round % 4;  // 0: all kinds, 1: new keys, 2: deletes,
+                                  // 3: overwrites
+      for (size_t i = 0; i < n; ++i) {
+        Bytes key = random_key();
+        if (mix == 2 || mix == 3 || (mix == 0 && rng() % 2 == 0)) {
+          if (model.empty()) continue;
+          auto it = model.begin();
+          std::advance(it, rng() % model.size());
+          key = it->first;
+        }
+        if (mix == 1 && model.count(key) > 0) continue;
+        const bool del = mix == 2 || (mix == 0 && rng() % 3 == 0);
+        batch[key] = del ? Bytes{} : random_value();
+      }
+      bool deletes = false;
+      bool adds = false;
+      for (const auto& [key, value] : batch) {
+        deletes |= value.empty() && model.count(key) > 0;
+        adds |= !value.empty() && model.count(key) == 0;
+      }
+      std::vector<Bytes> probes;
+      for (int i = 0; i < 8; ++i) probes.push_back(random_key());
+      Folded f = FoldAndCompare(live, seed, batch, probes, label);
+      if (deletes && adds) {
+        EXPECT_LE(f.fold_hashed, f.put_hashed) << label;
+      } else {
+        EXPECT_EQ(f.fold_hashed, f.put_hashed) << label;
+      }
+      live = f.trie;
+      for (const auto& [key, value] : batch) {
+        if (value.empty()) {
+          model.erase(key);
+        } else {
+          model[key] = value;
+        }
+      }
+    }
+    for (const auto& [key, value] : model) {
+      Result<Bytes> got = live.Get(key);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, value);
+    }
+  }
+}
+
+// Writing back what every key holds, plus deletes of absent keys, keeps the
+// root object and hashes nothing.
+TEST(SharedTrieTest, BatchFoldOfEqualValuesKeepsTheRoot) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  SharedTrie t;
+  Batch batch;
+  for (int i = 0; i < 200; ++i) {
+    Hash32 h = Keccak256(BytesOf("eq-" + std::to_string(i)));
+    batch[Bytes(h.begin(), h.end())] = BytesOf("v" + std::to_string(i % 7));
+  }
+  t.PutSorted(WritesOf(batch));
+  t.RootHash();
+  const void* root = t.root().get();
+  for (int i = 0; i < 20; ++i) {
+    Hash32 h = Keccak256(BytesOf("absent-" + std::to_string(i)));
+    batch[Bytes(h.begin(), h.end())] = Bytes{};
+  }
+  t.PutSorted(WritesOf(batch));
+  EXPECT_EQ(t.root().get(), root);
+  Hash32 unused;
+  EXPECT_EQ(HashedByRoot(t, &unused), 0u);
+}
+
+// Deletes down to one key leave one leaf, made once; deletes of the rest
+// empty the trie.
+TEST(SharedTrieTest, BatchFoldDeletesDownToOneKeyAndToNone) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  for (bool short_keys : {false, true}) {
+    SharedTrie base;
+    trie::Trie seed;
+    Batch all;
+    for (int i = 0; i < 150; ++i) {
+      Bytes key;
+      if (short_keys) {
+        key = BytesOf(std::string(1 + i % 4, static_cast<char>('a' + i % 5)) +
+                      std::to_string(i / 20));
+      } else {
+        Hash32 h = Keccak256(BytesOf("del-" + std::to_string(i)));
+        key.assign(h.begin(), h.end());
+      }
+      all[key] = Bytes(35, static_cast<uint8_t>(i));
+    }
+    base.PutSorted(WritesOf(all));
+    for (const auto& [key, value] : all) seed.Put(key, value);
+    ASSERT_EQ(base.RootHash(), seed.RootHash());
+
+    Batch to_one;
+    for (const auto& [key, value] : all) to_one[key] = Bytes{};
+    const Bytes kept = std::next(all.begin(), 77)->first;
+    to_one.erase(kept);
+    Folded one = FoldAndCompare(base, seed, to_one, {kept}, "to one");
+    EXPECT_EQ(one.fold_hashed, 1u);
+    EXPECT_EQ(one.put_hashed, 1u);
+    EXPECT_EQ(one.trie.CountNodes(), 1u);
+
+    Folded none = FoldAndCompare(one.trie, seed, {{kept, Bytes{}}}, {kept},
+                                 "to none");
+    EXPECT_TRUE(none.trie.IsEmpty());
+    EXPECT_EQ(none.trie.RootHash(), SharedTrie::EmptyRoot());
+    EXPECT_EQ(none.fold_hashed, 0u);
+  }
+}
+
+// Keys that are prefixes of other keys: branch values, including the root's
+// (the empty key), written, overwritten and deleted.
+TEST(SharedTrieTest, BatchFoldOfPrefixKeys) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  auto batch_of = [](std::initializer_list<std::pair<const char*, const char*>>
+                         kvs) {
+    Batch b;
+    for (const auto& [k, v] : kvs) b[BytesOf(k)] = BytesOf(v);
+    return b;
+  };
+  const std::vector<Bytes> probes = {BytesOf(""), BytesOf("a"), BytesOf("ab"),
+                                     BytesOf("abc"), BytesOf("abcd"),
+                                     BytesOf("b")};
+  trie::Trie seed;
+  Folded f = FoldAndCompare(
+      SharedTrie(), seed,
+      batch_of({{"", "root"}, {"a", "1"}, {"ab", "2"}, {"abc", "3"},
+                {"abd", std::string(40, 'x').c_str()}, {"b", "4"}}),
+      probes, "build");
+  EXPECT_EQ(f.fold_hashed, f.put_hashed);
+  f = FoldAndCompare(f.trie, seed,
+                     batch_of({{"", ""}, {"ab", "two"}, {"abc", ""},
+                               {"abcd", "new"}}),
+                     probes, "rewrite");
+  EXPECT_LE(f.fold_hashed, f.put_hashed);
+  f = FoldAndCompare(f.trie, seed,
+                     batch_of({{"a", ""}, {"ab", ""}, {"b", ""}}), probes,
+                     "delete the short keys");
+  EXPECT_EQ(f.fold_hashed, f.put_hashed);
+  // Deleting "abd" leaves "abcd" alone: one leaf.
+  f = FoldAndCompare(f.trie, seed, batch_of({{"abd", ""}}), probes,
+                     "one left");
+  EXPECT_EQ(f.trie.CountNodes(), 1u);
+}
+
+// A batch of one write: into an empty trie, and a new key, an overwrite and
+// a delete into a populated one.
+TEST(SharedTrieTest, BatchFoldOfOneWrite) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  trie::Trie seed;
+  Folded f = FoldAndCompare(SharedTrie(), seed,
+                            {{BytesOf("only"), BytesOf("v")}}, {}, "empty");
+  EXPECT_EQ(f.fold_hashed, 1u);
+  Batch fill;
+  for (int i = 0; i < 100; ++i) {
+    fill[BytesOf("key-" + std::to_string(i))] = Bytes(33, 0x11);
+  }
+  f = FoldAndCompare(f.trie, seed, fill, {}, "fill");
+  for (const auto& [key, value] :
+       std::vector<std::pair<Bytes, Bytes>>{{BytesOf("key-500"), BytesOf("n")},
+                                            {BytesOf("key-42"), BytesOf("o")},
+                                            {BytesOf("key-7"), Bytes{}}}) {
+    f = FoldAndCompare(f.trie, seed, {{key, value}}, {}, ToHex(key));
+    EXPECT_EQ(f.fold_hashed, f.put_hashed) << ToHex(key);
+  }
+}
+
+// Deleting one of a branch's two children and adding a third: one Put at a
+// time collapses the branch into a leaf and splits it again, making the
+// kept child anew; the fold keeps the branch, and the kept child's node.
+TEST(SharedTrieTest, BatchFoldDoesNotRegrowACollapsedBranch) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  const Bytes x = {0x10, 0x01};
+  const Bytes y = {0x20, 0x02};
+  const Bytes z = {0x30, 0x03};
+  const Bytes value(40, 0x77);  // hashed leaves
+  trie::Trie seed;
+  Folded f = FoldAndCompare(SharedTrie(), seed, {{x, value}, {y, value}}, {},
+                            "two");
+  f = FoldAndCompare(f.trie, seed, {{x, Bytes{}}, {z, value}}, {x, y, z},
+                     "delete one, add one");
+  EXPECT_EQ(f.fold_hashed, 2u);  // the root branch and z's leaf
+  EXPECT_EQ(f.put_hashed, 3u);   // ... and y's leaf again
+}
+
+// storage.trie_node_cache_hits counts the memos hashing reuses, nothing
+// else: none on the first hash, the root on a repeated RootHash, exactly
+// the unchanged children the new path references after one leaf changes,
+// and none for proofs or the persistence walk.
+TEST(SharedTrieTest, CacheHitsCountOnlyReusedMemos) {
+  if (obs::Registry::Global() == nullptr) {
+    GTEST_SKIP() << "metrics disabled (ONOFF_METRICS=0)";
+  }
+  auto hits = [] { return CounterValue("storage.trie_node_cache_hits"); };
+  SharedTrie t;
+  std::vector<Bytes> keys;
+  for (int i = 0; i < 500; ++i) {
+    Hash32 h = Keccak256(BytesOf("hit-" + std::to_string(i)));
+    keys.emplace_back(h.begin(), h.end());
+    t.Put(keys.back(), Bytes(40, static_cast<uint8_t>(i)));  // hashed nodes
+  }
+  uint64_t before = hits();
+  Hash32 root;
+  EXPECT_EQ(HashedByRoot(t, &root), t.CountNodes());
+  EXPECT_EQ(hits() - before, 0u);
+  before = hits();
+  t.RootHash();
+  EXPECT_EQ(hits() - before, 1u);
+
+  t.Put(keys[7], Bytes(40, 0xee));
+  before = hits();
+  const uint64_t hashed = HashedByRoot(t, &root);
+  const uint64_t reused = hits() - before;
+  // The new path is the proof of keys[7] (every node here is hashed): each
+  // branch on it references its other children, all unchanged.
+  const std::vector<Bytes> path = t.Prove(keys[7]);
+  uint64_t referenced = 0;
+  for (const Bytes& enc : path) {
+    Result<rlp::Item> node = rlp::Decode(enc);
+    ASSERT_TRUE(node.ok());
+    if (node->list().size() != 17) continue;
+    for (int i = 0; i < 16; ++i) {
+      if (!node->list()[i].string().empty()) ++referenced;
+    }
+    --referenced;  // the child on the path is new
+  }
+  ASSERT_GT(referenced, 0u);
+  EXPECT_EQ(hashed, path.size());
+  EXPECT_EQ(reused, referenced);
+
+  before = hits();
+  t.Prove(keys[9]);
+  size_t emitted = 0;
+  t.PersistNodes([](const Hash32&) { return false; },
+                 [&emitted](const Hash32&, const Bytes&,
+                            const std::vector<Hash32>&) { ++emitted; });
+  EXPECT_EQ(emitted, t.CountNodes());
+  EXPECT_EQ(hits() - before, 0u);
+}
+
+// Tries built by the fold, hashed from many threads at once: each node's
+// encoding memoizes its children first, nesting their call_once in its own
+// (TSan-checked in CI).
+TEST(SharedTrieTest, ConcurrentHashingOfFoldedSnapshots) {
+  Batch batch;
+  for (int i = 0; i < 400; ++i) {
+    Hash32 h = Keccak256(BytesOf("par-" + std::to_string(i)));
+    batch[Bytes(h.begin(), h.end())] = Bytes(1 + i % 50, 0x42);
+  }
+  SharedTrie base;
+  base.PutSorted(WritesOf(batch));
+  std::vector<SharedTrie> copies(6, base);
+  std::vector<Hash32> roots(copies.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < copies.size(); ++i) {
+    threads.emplace_back([&, i] { roots[i] = copies[i].RootHash(); });
+  }
+  for (std::thread& th : threads) th.join();
+  trie::Trie seed;
+  for (const auto& [key, value] : batch) seed.Put(key, value);
+  for (const Hash32& r : roots) EXPECT_EQ(r, seed.RootHash());
 }
 
 }  // namespace

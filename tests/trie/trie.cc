@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "rlp/rlp.h"
+#include "rlp/rlp_oracle.h"
 
 namespace onoff::trie {
 
@@ -259,34 +260,36 @@ Bytes RefNode(const Node* node) {
   Bytes enc = EncodeNode(node);
   if (enc.size() < 32) return enc;  // embedded structurally
   Hash32 h = Keccak256(enc);
-  return rlp::EncodeString(BytesView(h.data(), h.size()));
+  return rlp::oracle::EncodeString(BytesView(h.data(), h.size()));
 }
 
 Bytes EncodeNode(const Node* node) {
   switch (node->type) {
     case Node::Type::kLeaf: {
       std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, true)));
-      fields.push_back(rlp::EncodeString(node->value));
-      return rlp::EncodeList(fields);
+      fields.push_back(
+          rlp::oracle::EncodeString(HexPrefixEncode(node->path, true)));
+      fields.push_back(rlp::oracle::EncodeString(node->value));
+      return rlp::oracle::EncodeList(fields);
     }
     case Node::Type::kExtension: {
       std::vector<Bytes> fields;
-      fields.push_back(rlp::EncodeString(HexPrefixEncode(node->path, false)));
+      fields.push_back(
+          rlp::oracle::EncodeString(HexPrefixEncode(node->path, false)));
       fields.push_back(RefNode(node->child.get()));
-      return rlp::EncodeList(fields);
+      return rlp::oracle::EncodeList(fields);
     }
     case Node::Type::kBranch: {
       std::vector<Bytes> fields;
       for (int i = 0; i < 16; ++i) {
         if (node->children[i] == nullptr) {
-          fields.push_back(rlp::EncodeString(Bytes{}));
+          fields.push_back(rlp::oracle::EncodeString(Bytes{}));
         } else {
           fields.push_back(RefNode(node->children[i].get()));
         }
       }
-      fields.push_back(rlp::EncodeString(node->value));
-      return rlp::EncodeList(fields);
+      fields.push_back(rlp::oracle::EncodeString(node->value));
+      return rlp::oracle::EncodeList(fields);
     }
   }
   return {};  // unreachable
@@ -494,7 +497,8 @@ Hash32 Trie::RootHash() const {
 }
 
 Hash32 Trie::EmptyRoot() {
-  static const Hash32 kEmpty = Keccak256(rlp::EncodeString(Bytes{}));
+  static const Hash32 kEmpty =
+      Keccak256(rlp::oracle::EncodeString(Bytes{}));
   return kEmpty;
 }
 
